@@ -1,15 +1,13 @@
 """Hot-path micro-benchmarks: EPR profiling, GEM evaluation, sim kernel.
 
-Each benchmark times the incremental elasticity path against the
-full-recompute reference path *in the same process* and records both
-absolute numbers and machine-independent ratios into ``BENCH_perf.json``
-(repo root, or ``$BENCH_PERF_PATH``).  CI's benchmark-smoke job reruns
-this file and fails when a ``*_ratio`` regresses more than 20% against
-the committed baseline — the lock that keeps the profiling/evaluation
-pipeline from quietly sliding back to O(everything) per period.
-
-The asserted ≥2x speedups are deliberately far below the measured
-margins (typically 5-50x) so shared-runner noise cannot flake them.
+Each benchmark times one layer of the elasticity hot path and records
+the absolute numbers into ``BENCH_perf.json`` (repo root, or
+``$BENCH_PERF_PATH``) as a trajectory.  There is one implementation of
+each layer, so there is no in-process reference to take a ratio against:
+the regression guard for these layers is the end-to-end benchmark
+(``benchmarks/e2e``), and CI's benchmark-smoke job only holds
+``sim_kernel.engine_events_per_sec`` to a floor against the committed
+baseline.
 """
 
 from repro.actors import Actor, Message
@@ -23,9 +21,8 @@ from repro.sim import Queue, Simulator
 WINDOW_MS = 60_000.0
 NUM_ACTORS = 128
 CALL_KEYS = 6
-# Long enough that every per-call-key meter reaches WindowedMeter's
-# 720-bucket retention cap — the steady state a long-running cluster
-# sits in, where the legacy scan cost is at its worst.
+# Many windows of history: the steady state a long-running cluster sits
+# in, with every meter's ring full and evicting.
 HISTORY_MS = 2_160_000.0
 PUMP_STEP_MS = 500.0   # one event per bucket: steady-state meter density
 STEP_MS = 2_000.0      # virtual time between profiling periods
@@ -75,31 +72,25 @@ def _messages():
         for key in range(CALL_KEYS)}
 
 
-def _profiled_pair():
-    """Two identically pumped profiling runtimes over one cluster: the
-    incremental path and the full-recompute reference."""
+def _profiled_bed():
+    """A profiling runtime pumped with a long, half-idle history."""
     bed, refs = _build_bed()
     records = [bed.system.directory.lookup(ref.actor_id) for ref in refs]
-    incremental = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS,
-                                   incremental=True)
-    full = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS, incremental=False)
-    for profiler in (incremental, full):
-        for record in records:
-            profiler.on_actor_created(record)
+    profiler = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS)
+    for record in records:
+        profiler.on_actor_created(record)
     messages = _messages()
     active = NUM_ACTORS // 2  # the other half stays idle (cold actors)
-    sim_until = HISTORY_MS
     step = 0
-    while bed.sim.now < sim_until:
-        bed.sim.run(until=min(sim_until, bed.sim.now + PUMP_STEP_MS))
+    while bed.sim.now < HISTORY_MS:
+        bed.sim.run(until=min(HISTORY_MS, bed.sim.now + PUMP_STEP_MS))
+        message = messages[step % CALL_KEYS]
         for record in records[:active]:
-            message = messages[step % CALL_KEYS]
-            for profiler in (incremental, full):
-                profiler.on_message_delivered(record, message)
-                profiler.on_compute(record, 0.5)
-                profiler.on_bytes_received(record, 128.0)
+            profiler.on_message_delivered(record, message)
+            profiler.on_compute(record, 0.5)
+            profiler.on_bytes_received(record, 128.0)
         step += 1
-    return bed, records, incremental, full, messages, active
+    return bed, records, profiler, messages, active
 
 
 # ---------------------------------------------------------------------------
@@ -108,84 +99,57 @@ def _profiled_pair():
 
 
 def test_profiling_ingest_ops(report):
-    """Per-event bookkeeping cost: ring meters vs scan meters."""
+    """Per-event bookkeeping cost of the ring meters."""
     events = 50_000
-    results = {}
-    for label, use_ring in (("incremental", True), ("full", False)):
 
-        def ingest(use_ring=use_ring):
-            # Self-contained per repeat: fresh meters, monotonic clock so
-            # both implementations rotate through many buckets.
-            sim = Simulator()
-            stats = ActorStats(sim, window_ms=WINDOW_MS, use_ring=use_ring)
-            for index in range(events):
-                if not index % 50:
-                    sim.run(until=index * 10.0)
-                stats.record_message("client", None, "read", 256.0)
-                stats.cpu.add(0.5)
+    def ingest():
+        # Self-contained per repeat: fresh meters, monotonic clock so
+        # the rings rotate through many buckets.
+        sim = Simulator()
+        stats = ActorStats(sim, window_ms=WINDOW_MS)
+        for index in range(events):
+            if not index % 50:
+                sim.run(until=index * 10.0)
+            stats.record_message("client", None, "read", 256.0)
+            stats.cpu.add(0.5)
 
-        results[label] = time_ops(ingest, ops=2 * events, repeats=3)
-    incremental, full = results["incremental"], results["full"]
-    ratio = incremental.best_s / full.best_s
-    report.add(f"ingest incremental: {incremental.ops_per_sec:,.0f} ops/s")
-    report.add(f"ingest full:        {full.ops_per_sec:,.0f} ops/s")
-    report.add(f"ingest latency ratio (incremental/full): {ratio:.3f}")
+    timing = time_ops(ingest, ops=2 * events, repeats=3)
+    report.add(f"ingest: {timing.ops_per_sec:,.0f} ops/s")
     record_metrics("profiling_ingest", {
-        "incremental_ops_per_sec": incremental.ops_per_sec,
-        "full_ops_per_sec": full.ops_per_sec,
-        "ingest_latency_ratio": ratio,
+        "incremental_ops_per_sec": timing.ops_per_sec,
     })
     report.write("perf_profiling_ingest")
-    # Ingest must not get *slower* than the reference path by much; the
-    # win here is bounded memory + O(1) totals, not per-add speed.
-    assert ratio < 1.5
+    assert timing.ops_per_sec > 100_000
 
 
-def test_profiling_snapshot_speedup(report):
+def test_profiling_snapshot_cost(report):
     """Per-period snapshot cost over a long-history, half-idle fleet."""
-    bed, records, incremental, full, messages, active = _profiled_pair()
+    bed, records, profiler, messages, active = _profiled_bed()
     rounds = 3
 
-    def snapshot_rounds(profiler):
-        def run():
-            for _ in range(rounds):
-                bed.sim.run(until=bed.sim.now + STEP_MS)
-                for record in records[:active]:
-                    profiler.on_message_delivered(record, messages[0])
-                for server in bed.servers:
-                    group = [r for r in records if r.server is server]
-                    profiler.snapshot_actors(group)
-        return run
+    def snapshot_rounds():
+        for _ in range(rounds):
+            bed.sim.run(until=bed.sim.now + STEP_MS)
+            for record in records[:active]:
+                profiler.on_message_delivered(record, messages[0])
+            for server in bed.servers:
+                group = [r for r in records if r.server is server]
+                profiler.snapshot_actors(group)
 
-    full_timing = time_ops(snapshot_rounds(full), ops=rounds, repeats=3)
-    inc_timing = time_ops(snapshot_rounds(incremental), ops=rounds,
-                          repeats=3)
-    ratio = inc_timing.best_s / full_timing.best_s
-    speedup = 1.0 / ratio if ratio > 0 else float("inf")
-    report.add(f"snapshot full:        {full_timing.ms_per_op:.2f} ms/round")
-    report.add(f"snapshot incremental: {inc_timing.ms_per_op:.2f} ms/round")
-    report.add(f"speedup: {speedup:.1f}x  (cache hits: "
-               f"{incremental.snapshot_cache_hits})")
+    timing = time_ops(snapshot_rounds, ops=rounds, repeats=3)
+    report.add(f"snapshot: {timing.ms_per_op:.2f} ms/round  (cache hits: "
+               f"{profiler.snapshot_cache_hits})")
     record_metrics("profiling_snapshot", {
-        "full_ms_per_round": full_timing.ms_per_op,
-        "incremental_ms_per_round": inc_timing.ms_per_op,
-        "snapshot_latency_ratio": ratio,
-        "speedup": speedup,
+        "incremental_ms_per_round": timing.ms_per_op,
     })
     report.write("perf_profiling_snapshot")
-    assert incremental.snapshot_cache_hits > 0  # idle actors were reused
-    assert speedup >= 2.0
+    assert profiler.snapshot_cache_hits > 0  # idle actors were reused
+    assert timing.ms_per_op < 100.0
 
 
 def test_gem_decision_latency(report):
-    """Full decision pipeline per period: snapshot + rule evaluation.
-
-    The incremental path pairs cached/ring snapshots with the indexed
-    evaluation scope; the reference pairs full recompute with the linear
-    scan.  Both must produce identical matches (asserted) — only the
-    latency may differ.
-    """
-    bed, records, incremental, full, messages, active = _profiled_pair()
+    """Full decision pipeline per period: snapshot + rule evaluation."""
+    bed, records, profiler, messages, active = _profiled_bed()
     policy = compile_source(
         """
         server.cpu.perc >= 0 and Shard(a).cpu.perc >= 0 and
@@ -195,53 +159,36 @@ def test_gem_decision_latency(report):
         """, [Shard])
     rules = list(policy.resource_rules) + list(policy.actor_rules)
 
-    def decision_round(profiler, indexed):
-        def run():
-            bed.sim.run(until=bed.sim.now + STEP_MS)
-            for record in records[:active]:
-                profiler.on_message_delivered(record, messages[0])
-            snaps = []
-            server_snaps = []
-            for server in bed.servers:
-                group = [r for r in records if r.server is server]
-                snaps.extend(profiler.snapshot_actors(group))
-                server_snaps.append(profiler.snapshot_server(server, group))
-            by_id = {snap.actor_id: snap for snap in snaps}
-            scope = EvaluationScope(
-                servers=server_snaps, actors=snaps,
-                resolve_ref=lambda ref: by_id.get(ref.actor_id),
-                indexed=indexed)
-            keys = []
-            for rule in rules:
-                keys.extend(match.key() for match in
-                            evaluate_rule(rule, scope))
-            groups = colocate_groups(policy.actor_rules, scope)
-            return keys, groups
-        return run
+    def decision_round():
+        bed.sim.run(until=bed.sim.now + STEP_MS)
+        for record in records[:active]:
+            profiler.on_message_delivered(record, messages[0])
+        snaps = []
+        server_snaps = []
+        for server in bed.servers:
+            group = [r for r in records if r.server is server]
+            snaps.extend(profiler.snapshot_actors(group))
+            server_snaps.append(profiler.snapshot_server(server, group))
+        by_id = {snap.actor_id: snap for snap in snaps}
+        scope = EvaluationScope(
+            servers=server_snaps, actors=snaps,
+            resolve_ref=lambda ref: by_id.get(ref.actor_id))
+        keys = []
+        for rule in rules:
+            keys.extend(match.key() for match in evaluate_rule(rule, scope))
+        colocate_groups(policy.actor_rules, scope)
+        return keys
 
-    full_keys, full_groups = decision_round(full, indexed=False)()
-    inc_keys, inc_groups = decision_round(incremental, indexed=True)()
-    assert inc_keys == full_keys      # decisions identical, only faster
-    assert inc_groups == full_groups
-
-    full_timing = time_ops(decision_round(full, indexed=False), ops=1,
-                           repeats=3)
-    inc_timing = time_ops(decision_round(incremental, indexed=True), ops=1,
-                          repeats=3)
-    ratio = inc_timing.best_s / full_timing.best_s
-    speedup = 1.0 / ratio if ratio > 0 else float("inf")
-    report.add(f"decision full:        {full_timing.ms_per_op:.2f} ms")
-    report.add(f"decision incremental: {inc_timing.ms_per_op:.2f} ms")
-    report.add(f"matches per round: {len(full_keys)}")
-    report.add(f"speedup: {speedup:.1f}x")
+    matches = len(decision_round())
+    timing = time_ops(decision_round, ops=1, repeats=3)
+    report.add(f"decision: {timing.ms_per_op:.2f} ms")
+    report.add(f"matches per round: {matches}")
     record_metrics("gem_decision", {
-        "full_ms_per_round": full_timing.ms_per_op,
-        "incremental_ms_per_round": inc_timing.ms_per_op,
-        "decision_latency_ratio": ratio,
-        "speedup": speedup,
+        "incremental_ms_per_round": timing.ms_per_op,
     })
     report.write("perf_gem_decision")
-    assert speedup >= 2.0
+    assert matches > 0
+    assert timing.ms_per_op < 200.0
 
 
 def test_sim_kernel_throughput(report):
@@ -252,35 +199,29 @@ def test_sim_kernel_throughput(report):
     zero-delay continuations — in the actor runtime every process resume
     and mailbox wakeup is a ``schedule(0.0, ...)``, so zero-delay events
     dominate a live cluster's queue by a wide margin.  The headline
-    ``engine_events_per_sec`` is this mix under the default (calendar)
-    kernel; the same program under the heap kernel yields the
-    machine-independent ``kernel_latency_ratio`` that CI gates, and a
-    future-only sub-metric tracks the pure priority-queue path where the
-    calendar kernel's zero-delay fast path cannot help.
+    ``engine_events_per_sec`` is this mix (CI floors it); a future-only
+    sub-metric tracks the pure priority-queue path where the zero-delay
+    fast path cannot help.
     """
     chain = 7        # zero-delay continuations per future-dated root
     roots = 30_000
     events = roots * (chain + 1)
 
-    def engine_mix(scheduler):
-        def run():
-            sim = Simulator(scheduler=scheduler)
-            fired = [0]
+    def engine_mix():
+        sim = Simulator()
+        fired = [0]
 
-            def resume(depth):
-                fired[0] += 1
-                if depth:
-                    sim.schedule(0.0, resume, depth - 1)
+        def resume(depth):
+            fired[0] += 1
+            if depth:
+                sim.schedule(0.0, resume, depth - 1)
 
-            for index in range(roots):
-                sim.schedule(float(index % 64), resume, chain)
-            sim.run()
-            assert fired[0] == events
-        return run
+        for index in range(roots):
+            sim.schedule(float(index % 64), resume, chain)
+        sim.run()
+        assert fired[0] == events
 
-    calendar = time_ops(engine_mix("calendar"), ops=events, repeats=3)
-    heap = time_ops(engine_mix("heap"), ops=events, repeats=3)
-    kernel_ratio = calendar.best_s / heap.best_s
+    engine = time_ops(engine_mix, ops=events, repeats=3)
 
     future_events = 100_000
 
@@ -302,21 +243,15 @@ def test_sim_kernel_throughput(report):
             queue.get_nowait()
 
     mailbox = time_ops(run_queue, ops=2 * future_events, repeats=3)
-    report.add(f"engine (calendar): {calendar.ops_per_sec:,.0f} events/s")
-    report.add(f"engine (heap):     {heap.ops_per_sec:,.0f} events/s")
-    report.add(f"kernel latency ratio (calendar/heap): {kernel_ratio:.3f}")
+    report.add(f"engine: {engine.ops_per_sec:,.0f} events/s")
     report.add(f"future-only: {future.ops_per_sec:,.0f} events/s")
     report.add(f"queue:  {mailbox.ops_per_sec:,.0f} ops/s")
     record_metrics("sim_kernel", {
-        "engine_events_per_sec": calendar.ops_per_sec,
-        "engine_heap_events_per_sec": heap.ops_per_sec,
+        "engine_events_per_sec": engine.ops_per_sec,
         "future_events_per_sec": future.ops_per_sec,
-        "kernel_latency_ratio": kernel_ratio,
         "queue_ops_per_sec": mailbox.ops_per_sec,
     })
     report.write("perf_sim_kernel")
-    # The calendar kernel must stay well ahead of the heap kernel on the
-    # representative mix; CI additionally holds the absolute number to a
-    # floor against the committed baseline (see repro.bench.perf).
-    assert kernel_ratio < 0.66
-    assert calendar.ops_per_sec > 200_000
+    # CI additionally holds the absolute number to a floor against the
+    # committed baseline (see repro.bench.perf).
+    assert engine.ops_per_sec > 200_000

@@ -16,9 +16,9 @@ from .actors import (Actor, ActorRef, ActorSystem, Client, DeadLetter,
                      RuntimeHooks, describe_actor_class)
 from .chaos import (ChaosEngine, CrashServer, DegradeNetwork, FaultPlan,
                     KillGem, SlowServer)
-from .cluster import (INSTANCE_TYPES, ArrayMeter, AvailabilityMeter,
-                      GaugeSeries, InstanceType, NetworkFabric, Provisioner,
-                      Server, WindowedMeter, instance_type)
+from .cluster import (INSTANCE_TYPES, AvailabilityMeter, GaugeSeries,
+                      InstanceType, NetworkFabric, Provisioner, Server,
+                      WindowedMeter, instance_type)
 from .core import (CompiledPolicy, ElasticityManager, EmrConfig,
                    ProfilingRuntime, compile_policy, compile_source,
                    parse_policy)
@@ -27,8 +27,7 @@ from .durability import DurabilityConfig, DurabilityManager, StateStore
 from .live import (FrontDoor, LiveActor, LiveActorSystem, LiveBackend,
                    LiveClock, LiveElasticityManager, LiveServer)
 from .runtime import RuntimeBackend, SimBackend
-from .sim import (CalendarSimulator, HeapSimulator, RandomStreams, Signal,
-                  Simulator, Timeout, spawn)
+from .sim import RandomStreams, Signal, Simulator, Timeout, spawn
 
 __version__ = "1.0.0"
 
@@ -43,8 +42,7 @@ __all__ = [
     "compile_policy", "compile_source", "parse_policy",
     "DurabilityConfig", "DurabilityManager", "StateStore",
     "RandomStreams", "Signal", "Simulator", "Timeout", "spawn",
-    "CalendarSimulator", "HeapSimulator",
-    "ArrayMeter", "WindowedMeter", "LatencyRecorder",
+    "WindowedMeter", "LatencyRecorder",
     "RuntimeBackend", "SimBackend",
     "LiveClock", "LiveServer", "LiveActor", "LiveActorSystem",
     "LiveBackend", "LiveElasticityManager", "FrontDoor",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..cluster import NetworkFabric, Provisioner, Server
@@ -115,14 +114,9 @@ class ActorSystem:
         #: disposition ledger can tell "lost with its server" apart from
         #: "target destroyed under it".
         self._crashing = False
-        #: Coalesce back-to-back local sends that land at the same
-        #: instant on the same server into one engine event.  Provably
-        #: order-preserving (see :meth:`_route`); the golden-trace
-        #: refresh tests run every scenario with it off as well.
-        self.batch_local_delivery = os.environ.get(
-            "REPRO_BATCH_LOCAL_DELIVERY", "1").lower() not in (
-                "0", "false", "off")
-        #: The open delivery batch: ``[due, server, stamp, msg, ...]``.
+        #: The open delivery batch: ``[due, server, stamp, msg, ...]`` —
+        #: back-to-back local sends that land at the same instant on the
+        #: same server ride one engine event (see :meth:`_route`).
         #: Never cleared — a stale batch can never match again because
         #: any later send's due time is strictly greater (delay > 0).
         self._local_batch: Optional[List[Any]] = None
@@ -431,7 +425,7 @@ class ActorSystem:
         if src_record is not None and message.remote:
             for hooks in self.hooks:
                 hooks.on_bytes_sent(src_record, message.size_bytes)
-        if message.remote or not self.batch_local_delivery or delay <= 0.0:
+        if message.remote or delay <= 0.0:
             self.sim.schedule(delay, self._deliver, message, target.server)
             return
         # Local fast path: co-located sends due at the same instant on

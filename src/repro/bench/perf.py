@@ -10,11 +10,15 @@ Two kinds of metrics are recorded per benchmark:
 
 * **absolute** numbers (``*_ms``, ``*_ops_per_sec``) — machine-dependent,
   useful locally for before/after comparison on one machine;
-* **ratios** (``*_ratio``: incremental cost / full-recompute cost,
-  measured in the same process on the same machine; lower is better) —
-  machine-independent, which is what CI gates on.  A PR that makes the
-  incremental path relatively slower than the committed baseline by more
-  than the tolerance fails the benchmark-smoke job.
+* **ratios** (``*_ratio``: two costs measured in the same process on the
+  same machine, e.g. ``scale_cluster.root_decision_scaling_ratio``;
+  lower is better) — machine-independent, which is what CI gates on.  A
+  ratio that grows past the committed baseline by more than the
+  tolerance fails the job that measures it.
+
+The hot-path layers have one implementation each and therefore no
+in-process reference to take a ratio against; their regression guard is
+the end-to-end benchmark (``benchmarks/e2e``).
 
 A few absolute metrics are additionally **floor-gated**
 (:func:`check_floors`): CI passes ``--floor bench.metric`` for numbers
@@ -128,8 +132,8 @@ def check_regression(baseline: dict, current: dict,
     """Compare ``*_ratio`` metrics of ``current`` against ``baseline``.
 
     Returns human-readable failure messages for every ratio that grew by
-    more than ``max_regression`` (e.g. decision latency of the
-    incremental path regressing relative to the full-recompute path).
+    more than ``max_regression`` (e.g. root decision cost growing faster
+    relative to the fleet).
     Benchmarks or metrics missing on either side are skipped — a new
     benchmark cannot fail its own introduction.
     """

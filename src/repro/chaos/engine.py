@@ -170,11 +170,10 @@ class ChaosEngine:
         self._emit("fault-healed", fault="kill-gem", gem_id=gem.gem_id)
 
     def _kill_root(self, fault: KillRoot) -> None:
-        hierarchy = getattr(self.manager, "hierarchy", None)
-        if hierarchy is None:
-            self._skip("kill-root", reason="no-hierarchy")
+        if self.manager is None:
+            self._skip("kill-root", reason="no-manager")
             return
-        root = hierarchy.root
+        root = self.manager.hierarchy.root
         if root.failed:
             self._skip("kill-root", reason="root-already-failed")
             return

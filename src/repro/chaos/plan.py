@@ -13,9 +13,9 @@ Fault types
   optionally boot a replacement after ``replace_after_ms``.
 - :class:`KillGem` — stop a global elasticity manager from replying to
   REPORTs; optionally recover it later.
-- :class:`KillRoot` — fail the hierarchical control plane's root tier
-  (a no-op skip in flat mode); optionally recover it later.  A root
-  that was superseded by a promotion in the meantime stays retired.
+- :class:`KillRoot` — fail the control plane's root tier; optionally
+  recover it later.  A root that was superseded by a promotion in the
+  meantime stays retired.
 - :class:`DegradeNetwork` — multiply remote latencies and/or drop a
   fraction of remote messages for ``duration_ms``.
 - :class:`SlowServer` — scale a server's effective CPU speed (a
@@ -87,10 +87,12 @@ class KillGem:
 
 @dataclass(frozen=True)
 class KillRoot:
-    """Fail the hierarchical root tier at ``at_ms``.
+    """Fail the control plane's root tier at ``at_ms``.
 
-    Only meaningful when ``EmrConfig.control_plane="hierarchical"``; the
-    engine skips it (``fault-skipped``) in flat mode.  With
+    Only consequential on a multi-group tree
+    (``EmrConfig.server_group_size`` set): a single-group root is inert,
+    so killing it changes no decision.  The engine skips the fault
+    (``fault-skipped``) when it runs without an elasticity manager.  With
     ``recover_after_ms`` set the *same incarnation* recovers only if no
     leaf was promoted in the meantime — a superseded root must not
     regain authority (the ``root-single-authority`` invariant).

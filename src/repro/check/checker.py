@@ -552,7 +552,7 @@ class InvariantChecker:
         root-issued one must actually cross.  Interaction migrations
         (colocate/separate) are actor-local authority and may cross
         freely.  Group membership comes from group-assigned events, so
-        flat runs (no groups) skip the check entirely."""
+        one-group runs (which emit none) skip the check entirely."""
         src_group = self._group_of_server.get(detail["src"])
         dst_group = self._group_of_server.get(detail["dst"])
         if src_group is None or dst_group is None:
@@ -582,11 +582,9 @@ class InvariantChecker:
                 f"moves", **detail)
 
     def _group_leaves_all_failed(self, group: int) -> bool:
-        hierarchy = getattr(self.manager, "hierarchy", None)
-        if hierarchy is None:
-            return False
+        leaf_group = self.manager.hierarchy.leaf_group
         leaves = [gem for gem in self.manager.gems
-                  if hierarchy.leaf_group.get(gem.gem_id) == group]
+                  if leaf_group.get(gem.gem_id) == group]
         return bool(leaves) and all(gem.failed for gem in leaves)
 
     def _check_actions_resolved(self, detail: Dict[str, Any]) -> None:

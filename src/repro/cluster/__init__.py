@@ -6,8 +6,7 @@ See DESIGN.md §2 for the substitution rationale.
 
 from .groups import ServerGroupMap
 from .instances import INSTANCE_TYPES, InstanceType, instance_type
-from .metrics import (HAS_NUMPY, ArrayMeter, AvailabilityMeter,
-                      GaugeSeries, WindowedMeter)
+from .metrics import AvailabilityMeter, GaugeSeries, WindowedMeter
 from .network import NetworkFabric
 from .provisioner import Provisioner
 from .server import CpuJob, Server
@@ -22,8 +21,6 @@ __all__ = [
     "NetworkFabric",
     "Provisioner",
     "WindowedMeter",
-    "ArrayMeter",
-    "HAS_NUMPY",
     "GaugeSeries",
     "AvailabilityMeter",
 ]

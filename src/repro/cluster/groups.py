@@ -1,4 +1,4 @@
-"""Server-group membership for the hierarchical control plane.
+"""Server-group membership for the two-tier control plane.
 
 A :class:`ServerGroupMap` partitions the fleet into contiguous groups by
 join order: the first ``group_size`` servers form group 0, the next
@@ -9,9 +9,8 @@ for its whole life (crashed servers keep their slot so ids never
 reshuffle), which is what the ``cross-group-single-authority`` invariant
 re-derives from the event stream.
 
-``group_size=None`` is the degenerate tree: one group spans the whole
-fleet regardless of later joins.  The flat-vs-hierarchical differential
-harness runs in this mode.
+``group_size=None`` is the single-group tree: one group spans the whole
+fleet regardless of later joins — the paper's flat control plane.
 """
 
 from __future__ import annotations

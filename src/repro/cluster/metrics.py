@@ -8,21 +8,11 @@ N ms" is O(buckets) to answer and old history is forgotten automatically.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Simulator
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-__all__ = ["WindowedMeter", "ArrayMeter", "GaugeSeries",
-           "AvailabilityMeter", "HAS_NUMPY"]
-
-#: Whether :class:`ArrayMeter` is available in this environment.
-HAS_NUMPY = _np is not None
+__all__ = ["WindowedMeter", "GaugeSeries", "AvailabilityMeter"]
 
 
 class WindowedMeter:
@@ -79,193 +69,6 @@ class WindowedMeter:
         if effective <= 0:
             return 0.0
         return self.total(window_ms) / effective
-
-
-class ArrayMeter:
-    """Windowed accumulator with numpy-batched adds.
-
-    Same query contract as :class:`repro.core.profiling.RingMeter` —
-    ``total(w)`` is bit-identical to ``WindowedMeter.total(w)`` over the
-    same event sequence — but the *add* path is two plain list appends;
-    the bucketing work is deferred and vectorized.  A flush (triggered by
-    any query) converts the pending ``(when, amount)`` run to bucket
-    indices with one vectorized floor-divide and reduces each bucket with
-    ``np.bincount``, which accumulates weights in input order with C
-    doubles — the same left-to-right association the scalar meters use,
-    so bucket totals (and hence window totals) stay bit-identical.
-
-    Two cases leave the vectorized path to preserve that association:
-
-    * pending adds that continue the still-open last bucket are folded in
-      one at a time (``(((old + a1) + a2) ...)``, not ``old + (a1 + a2)``);
-    * a batch with out-of-order timestamps (possible only through an
-      explicit ``at=``) replays sequentially, because ``WindowedMeter``
-      opens a *new* bucket for a revisited index while ``bincount`` would
-      merge it into the earlier one.
-
-    Requires numpy (check :data:`HAS_NUMPY`); the profiling runtime only
-    selects this backend when explicitly configured.
-    """
-
-    __slots__ = ("_sim", "_bucket_ms", "_window_ms", "_max_buckets",
-                 "_buckets", "_closed_sum", "_stale", "_lifetime",
-                 "_pending_when", "_pending_amount", "_monotone",
-                 "_last_when")
-
-    def __init__(self, sim: Simulator, window_ms: float,
-                 bucket_ms: float = 500.0) -> None:
-        if _np is None:
-            raise RuntimeError("ArrayMeter requires numpy")
-        if bucket_ms <= 0:
-            raise ValueError("bucket_ms must be positive")
-        if window_ms < 0:
-            raise ValueError("window_ms must be non-negative")
-        self._sim = sim
-        self._bucket_ms = bucket_ms
-        self._window_ms = window_ms
-        # Same retention as RingMeter: the window plus the partially
-        # expired boundary bucket WindowedMeter's cutoff still counts.
-        self._max_buckets = int(window_ms // bucket_ms) + 2
-        self._buckets: Deque[List[float]] = deque()  # [bucket index, total]
-        self._closed_sum = 0.0
-        self._stale = False
-        self._lifetime = 0.0
-        self._pending_when: List[float] = []
-        self._pending_amount: List[float] = []
-        self._monotone = True
-        self._last_when = float("-inf")
-
-    @property
-    def lifetime_total(self) -> float:
-        """Total accumulated since creation (never forgotten)."""
-        return self._lifetime
-
-    @property
-    def window_ms(self) -> float:
-        return self._window_ms
-
-    def add(self, amount: float, at: Optional[float] = None) -> None:
-        """Record ``amount`` at time ``at`` (default: now)."""
-        when = self._sim.now if at is None else at
-        self._lifetime += amount
-        if when < self._last_when:
-            self._monotone = False
-        self._last_when = when
-        self._pending_when.append(when)
-        self._pending_amount.append(amount)
-
-    # -- flush ---------------------------------------------------------------
-
-    def _append_bucket(self, index: int, total: float) -> None:
-        buckets = self._buckets
-        if buckets:
-            self._closed_sum += buckets[-1][1]
-        buckets.append([index, total])
-
-    def _evict(self) -> None:
-        buckets = self._buckets
-        floor = buckets[-1][0] - self._max_buckets
-        while buckets[0][0] < floor:
-            buckets.popleft()
-            self._stale = True
-
-    def _flush(self) -> None:
-        pending_when = self._pending_when
-        if not pending_when:
-            return
-        pending_amount = self._pending_amount
-        self._pending_when = []
-        self._pending_amount = []
-        buckets = self._buckets
-        if not self._monotone:
-            # Rare (explicit out-of-order `at=`): replay one at a time,
-            # exactly WindowedMeter.add's append-or-merge rule.
-            self._monotone = True
-            bucket_ms = self._bucket_ms
-            for when, amount in zip(pending_when, pending_amount):
-                index = int(when // bucket_ms)
-                if buckets and buckets[-1][0] == index:
-                    buckets[-1][1] += amount
-                else:
-                    self._append_bucket(index, amount)
-                    self._evict()
-            return
-        when_arr = _np.asarray(pending_when, dtype=_np.float64)
-        amount_arr = _np.asarray(pending_amount, dtype=_np.float64)
-        indices = (when_arr // self._bucket_ms).astype(_np.int64)
-        start = 0
-        if buckets and indices[0] == buckets[-1][0]:
-            # Continuation of the open bucket: fold sequentially so the
-            # float association matches per-add accumulation.
-            run_end = int(_np.searchsorted(indices, buckets[-1][0],
-                                           side="right"))
-            last = buckets[-1]
-            for amount in amount_arr[:run_end].tolist():
-                last[1] += amount
-            start = run_end
-        if start < len(indices):
-            rest_idx = indices[start:]
-            rest_amt = amount_arr[start:]
-            base = rest_idx[0]
-            # Monotone input: unique preserves arrival order, and
-            # bincount reduces each bucket's contiguous run in input
-            # order — identical association to sequential adds.
-            uniq, inverse = _np.unique(rest_idx - base,
-                                       return_inverse=True)
-            sums = _np.bincount(inverse, weights=rest_amt)
-            for index, total in zip((uniq + base).tolist(),
-                                    sums.tolist()):
-                self._append_bucket(index, total)
-            self._evict()
-
-    # -- queries -------------------------------------------------------------
-
-    def total(self, window_ms: Optional[float] = None) -> float:
-        """Sum recorded over the trailing window (default: configured).
-
-        Bit-identical to ``WindowedMeter.total`` / ``RingMeter.total``:
-        buckets at or above ``int((now - window) // bucket_ms)`` are
-        included, summed oldest-first.
-        """
-        self._flush()
-        window = self._window_ms if window_ms is None else window_ms
-        if window <= 0:
-            return 0.0
-        buckets = self._buckets
-        if not buckets:
-            return 0.0
-        cutoff = int((self._sim.now - self._window_ms) // self._bucket_ms)
-        while buckets and buckets[0][0] < cutoff:
-            buckets.popleft()
-            self._stale = True
-        if not buckets:
-            self._closed_sum = 0.0
-            self._stale = False
-            return 0.0
-        if self._stale:
-            closed = 0.0
-            for position in range(len(buckets) - 1):
-                closed += buckets[position][1]
-            self._closed_sum = closed
-            self._stale = False
-        if window >= self._window_ms:
-            return self._closed_sum + buckets[-1][1]
-        narrow_cutoff = int((self._sim.now - window) // self._bucket_ms)
-        result = 0.0
-        for index, bucket_total in buckets:
-            if index >= narrow_cutoff:
-                result += bucket_total
-        return result
-
-    def rate_per_ms(self, window_ms: Optional[float] = None) -> float:
-        """Average accumulation rate over the trailing window, with the
-        divisor clamped to elapsed time (same contract as WindowedMeter)."""
-        window = self._window_ms if window_ms is None else window_ms
-        now = self._sim.now
-        effective = min(window, now) if now > 0 else window
-        if effective <= 0:
-            return 0.0
-        return self.total(window) / effective
 
 
 class GaugeSeries:

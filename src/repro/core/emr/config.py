@@ -24,31 +24,18 @@ class EmrConfig:
 
     #: Elasticity (time) period between management rounds.
     period_ms: float = 60_000.0
-    #: Control-plane topology.  ``"flat"`` is the paper's layout: every
-    #: GEM evaluates whatever servers happened to report to it.
-    #: ``"hierarchical"`` adds a two-tier GEM tree: leaf GEMs own
-    #: contiguous server groups and run the unchanged evaluation loop
-    #: over group-local snapshots, while a root tier consumes
-    #: delta-compressed per-group aggregates (top-k hot actors + summed
-    #: resource vectors) and arbitrates only cross-group migrations and
-    #: fleet scaling.  With a single group the tree degenerates to the
-    #: flat layout bit-for-bit (the differential harness pins this).
-    control_plane: str = "flat"
-    #: Servers per leaf group in hierarchical mode.  ``None`` means one
-    #: group spanning the whole fleet (the degenerate tree used by the
-    #: flat-vs-hierarchical equivalence tests).  Benchmarks size it
-    #: ~sqrt(fleet) so root decision cost stays sub-linear in servers.
+    #: Servers per leaf group of the two-tier GEM tree (see
+    #: :mod:`.hierarchy`).  ``None`` means one group spanning the whole
+    #: fleet — the paper's flat layout, where every GEM evaluates
+    #: whatever servers reported to it and the root tier stays inert.
+    #: Benchmarks size it ~sqrt(fleet) so root decision cost stays
+    #: sub-linear in servers.
     server_group_size: Optional[int] = None
     #: Hot actors each leaf aggregate carries to the root (per group).
     group_top_k: int = 8
     #: Mean-CPU gap (percentage points) between the hottest and coldest
     #: group before the root plans cross-group migrations.
     cross_group_band: float = 20.0
-    #: Consistent-hash directory shards (``None``/1 keeps the flat
-    #: authoritative map; the fuzz "scale" profile randomizes this).
-    directory_shards: Optional[int] = None
-    #: Virtual nodes per directory shard on the hash ring.
-    directory_virtual_nodes: int = 16
     #: Placement stability: an actor may move only after this long on its
     #: current server.  ``None`` means one elasticity period.
     stability_ms: Optional[float] = None
@@ -79,17 +66,6 @@ class EmrConfig:
     control_latency_ms: float = 1.0
     #: CPU charged per profiled message (EPR overhead model, Table 3).
     profiling_overhead_cpu_ms: float = 0.0
-    #: Incremental profiling: ring-buffer meters with O(1) windowed
-    #: totals plus snapshot-payload reuse for unchanged/idle actors.
-    #: ``False`` selects the full-recompute reference path; both produce
-    #: byte-identical decision traces (the A/B equivalence tests rely on
-    #: this flag).
-    incremental_profiling: bool = True
-    #: Explicit EPR meter implementation (``"ring"``, ``"windowed"`` or
-    #: ``"array"`` — numpy-batched adds).  ``None`` derives the backend
-    #: from ``incremental_profiling``.  All backends produce bit-identical
-    #: totals and therefore byte-identical decision traces.
-    meter_backend: Optional[str] = None
     #: Failure detection: a server whose LEM has not reported for this
     #: long is suspected dead and its lost actors are resurrected.
     #: ``None`` (the default) disables detection; when set it must exceed
@@ -108,12 +84,6 @@ class EmrConfig:
     #: protocol: how long the source waits on a severed link before
     #: rolling back (pushed onto the actor system at start()).
     migration_phase_timeout_ms: float = 2_000.0
-    #: Defaults for Client retry/backoff under faults (consumed by
-    #: benchmarks wiring clients; the EMR itself never retries).
-    client_timeout_ms: Optional[float] = None
-    client_max_retries: int = 3
-    client_backoff_base_ms: float = 100.0
-    client_backoff_cap_ms: float = 5_000.0
     #: Durable actor state (checkpoints, journaling, state-preserving
     #: recovery).  ``None`` — or a config with ``enabled=False`` — keeps
     #: the subsystem fully inert: no hooks, no scheduling, no RNG, so
@@ -136,10 +106,6 @@ class EmrConfig:
             raise ValueError("period_ms must be positive")
         if self.gem_count < 1:
             raise ValueError("gem_count must be at least 1")
-        if self.control_plane not in ("flat", "hierarchical"):
-            raise ValueError(
-                f"control_plane must be 'flat' or 'hierarchical', "
-                f"got {self.control_plane!r}")
         if (self.server_group_size is not None
                 and self.server_group_size < 1):
             raise ValueError("server_group_size must be positive (or None)")
@@ -147,10 +113,6 @@ class EmrConfig:
             raise ValueError("group_top_k must be at least 1")
         if self.cross_group_band <= 0:
             raise ValueError("cross_group_band must be positive")
-        if self.directory_shards is not None and self.directory_shards < 1:
-            raise ValueError("directory_shards must be positive (or None)")
-        if self.directory_virtual_nodes < 1:
-            raise ValueError("directory_virtual_nodes must be at least 1")
         if self.stability_ms is not None and self.stability_ms < 0:
             raise ValueError("stability_ms must be non-negative")
         if self.gem_wait_ms < 0 or self.gem_reply_timeout_ms <= 0:
@@ -184,14 +146,6 @@ class EmrConfig:
                 "partition_probe_interval_ms must be positive (or None)")
         if self.migration_phase_timeout_ms <= 0:
             raise ValueError("migration_phase_timeout_ms must be positive")
-        if self.client_timeout_ms is not None and self.client_timeout_ms <= 0:
-            raise ValueError("client_timeout_ms must be positive (or None)")
-        if self.client_max_retries < 0:
-            raise ValueError("client_max_retries must be non-negative")
-        if (self.client_backoff_base_ms <= 0
-                or self.client_backoff_cap_ms < self.client_backoff_base_ms):
-            raise ValueError(
-                "need 0 < client_backoff_base_ms <= client_backoff_cap_ms")
         if (self.durability is not None
                 and not isinstance(self.durability, DurabilityConfig)):
             raise ValueError("durability must be a DurabilityConfig or None, "

@@ -79,16 +79,13 @@ class EvaluationScope:
     scope lazily indexes its actors by type and by (type, server) on
     first use.  The index preserves ``actors`` order exactly, which keeps
     binding enumeration — and therefore every decision — identical to a
-    linear scan.  ``indexed=False`` keeps the original scan (the A/B
-    reference used by the perf benchmarks).  Callers must treat returned
-    lists as read-only, and must not mutate ``actors`` after the first
-    ``actors_of_type`` call.
+    linear scan.  Callers must treat returned lists as read-only, and
+    must not mutate ``actors`` after the first ``actors_of_type`` call.
     """
 
     servers: List[ServerSnapshot]
     actors: List[ActorSnapshot]
     resolve_ref: Callable[[ActorRef], Optional[ActorSnapshot]]
-    indexed: bool = True
     _by_type: Optional[Dict[str, List[ActorSnapshot]]] = field(
         default=None, init=False, repr=False, compare=False)
     _by_server: Optional[Dict[int, List[ActorSnapshot]]] = field(
@@ -113,15 +110,6 @@ class EvaluationScope:
     def actors_of_type(self, type_name: str,
                        server: Optional[ServerSnapshot] = None
                        ) -> List[ActorSnapshot]:
-        if not self.indexed:
-            result = []
-            for snap in self.actors:
-                if type_name != "any" and snap.type_name != type_name:
-                    continue
-                if server is not None and snap.server is not server.server:
-                    continue
-                result.append(snap)
-            return result
         if self._by_type is None:
             self._build_index()
         if server is None:

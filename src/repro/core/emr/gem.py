@@ -157,15 +157,15 @@ class GEM:
             self.manager.backend.schedule(delay, reply.trigger,
                                              (lem_actions, self.epoch))
 
-        # Hierarchical mode: ship a delta-compressed aggregate up to the
-        # root tier for every group this leaf serves — its home group
-        # plus any group it adopted after that group's own leaves all
-        # failed.  The publish path also doubles as leaf-driven root
-        # failure detection (a dead root is promoted before shipping).
-        # An inert (single-group) tree publishes nothing — bit-identical
-        # to flat mode.
+        # Ship a delta-compressed aggregate up to the root tier for
+        # every group this leaf serves — its home group plus any group
+        # it adopted after that group's own leaves all failed.  The
+        # publish path also doubles as leaf-driven root failure
+        # detection (a dead root is promoted before shipping).  A
+        # single-group tree has no root decisions to feed and publishes
+        # nothing.
         hierarchy = self.manager.hierarchy
-        if hierarchy is not None and hierarchy.active():
+        if hierarchy.active():
             hierarchy.publish(self, servers, actors_by_server)
 
     def _fold_stale_snapshots(

@@ -1,15 +1,15 @@
-"""Two-tier GEM tree for cluster-scale control (hierarchical mode).
+"""Two-tier GEM tree for cluster-scale control.
 
-Flat PLASMA lets every GEM evaluate whatever servers reported to it —
-fine at 10 servers, quadratic pain at 5,000.  With
-``EmrConfig.control_plane="hierarchical"``:
+The paper's flat layout lets every GEM evaluate whatever servers
+reported to it — fine at 10 servers, quadratic pain at 5,000.  The
+control plane is therefore always a tree, sized by
+``EmrConfig.server_group_size``:
 
 - **Leaf tier**: the fleet is split into contiguous *server groups*
   (:class:`~repro.cluster.ServerGroupMap`); each group gets its own set
   of ``gem_count`` leaf GEMs running the unchanged Algorithm-2 loop over
   group-local snapshots.  LEMs shuffle among their *group's* leaves only
-  (same RNG stream, same draw — with one group this is bit-identical to
-  flat mode, which the differential harness pins).
+  (one RNG stream; with one group the candidates are every alive GEM).
 - **Root tier**: after each processing round a leaf publishes a
   :class:`GroupAggregate` — summed resource vectors plus the top-k hot
   actors, *not* per-actor rows — to the single :class:`RootGem`.
@@ -21,9 +21,10 @@ fine at 10 servers, quadratic pain at 5,000.  With
   loaded server) and fleet scaling (a veto over leaf scale votes when a
   majority of *other* groups disagrees).
 
-With a single group the tree is degenerate and the hierarchy is fully
-inert: no aggregates, no root events, no root decisions — the leaf set
-behaves exactly like the flat GEM set.  Root decision cost is
+With a single group (``server_group_size=None``, the default) the tree
+*is* the paper's flat plane: the leaf set is the flat GEM set and the
+root tier is fully inert — no aggregates, no root events, no root
+decisions.  Root decision cost is
 ``O(groups · top_k)`` per round, so sizing groups ~sqrt(fleet) keeps it
 sub-linear in server count (``benchmarks/test_scale_cluster.py`` gates
 this).
@@ -60,9 +61,9 @@ from ...cluster import Server, ServerGroupMap
 from ...sim import Timeout, spawn
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action
+from .gem import GEM
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .gem import GEM
     from .manager import ElasticityManager
 
 __all__ = ["ControlHierarchy", "GroupAggregate", "RootGem"]
@@ -309,9 +310,9 @@ class RootGem:
         """Root's scale-vote arbitration: a majority of the *other*
         groups must not contradict the requesting group's view.  A group
         with no view yet abstains in favour (same rule as a GEM that has
-        processed no rounds).  Vacuously true with one group — the
-        degenerate tree adds no veto, preserving flat equivalence.  A
-        failed root abstains entirely: no veto authority while dead."""
+        processed no rounds).  Vacuously true with one group — the flat
+        plane has no veto.  A failed root abstains entirely: no veto
+        authority while dead."""
         if self.failed:
             return True
         others = [group for group in self.hierarchy.groups.groups()
@@ -355,7 +356,6 @@ class ControlHierarchy:
         """One set of ``gem_count`` leaf GEMs per initial group (a
         groupless fleet still gets group 0's set so reports have
         somewhere to go)."""
-        from .gem import GEM
         gems: List[GEM] = []
         for group in range(max(1, self.groups.group_count())):
             for _ in range(self.manager.config.gem_count):
@@ -365,9 +365,8 @@ class ControlHierarchy:
         return gems
 
     def active(self) -> bool:
-        """The tree only does work with more than one group; degenerate
-        (single-group) trees stay fully inert so hierarchical mode is
-        bit-identical to flat there."""
+        """The root tier only does work with more than one group; a
+        single-group tree is the paper's flat plane and stays inert."""
         return self.groups.group_count() > 1
 
     def note_server(self, server: Server) -> int:
@@ -375,15 +374,14 @@ class ControlHierarchy:
         tier when the assignment opens a new group.
 
         ``group-assigned`` events follow the inertness rule: nothing is
-        emitted while the tree is degenerate (one group — where the
-        event stream must stay bit-identical to flat mode); when a
-        second group opens, the whole backlog flushes in assignment
-        order, so the checker's membership view is complete before the
-        first aggregate can possibly be published.
+        emitted while the tree has one group (the flat plane's event
+        stream carries no group events); when a second group opens, the
+        whole backlog flushes in assignment order, so the checker's
+        membership view is complete before the first aggregate can
+        possibly be published.
         """
         group = self.groups.assign(server)
         if group not in self.leaf_group.values():
-            from .gem import GEM
             for _ in range(self.manager.config.gem_count):
                 gem = GEM(self.manager, len(self.manager.gems))
                 gem.epoch = self.manager.epoch

@@ -29,6 +29,7 @@ from ..profiling import ActorSnapshot, ProfilingRuntime
 from .actions import Action
 from .config import EmrConfig
 from .gem import GEM
+from .hierarchy import ControlHierarchy
 from .lem import LEM
 from .placement import PlasmaPlacement
 
@@ -106,9 +107,7 @@ class ElasticityManager:
         self.profiler = ProfilingRuntime(
             system.sim, window_ms=self.config.period_ms,
             overhead_cpu_ms=self.config.profiling_overhead_cpu_ms,
-            incremental=self.config.incremental_profiling,
-            warm_start=self.config.warm_start_profiles,
-            meter_backend=self.config.meter_backend)
+            warm_start=self.config.warm_start_profiles)
         #: Durable-state subsystem; created at start() when an enabled
         #: DurabilityConfig is carried on the EmrConfig, else None.
         self.durability = None
@@ -118,17 +117,12 @@ class ElasticityManager:
         #: plane and control plane share one ledger + brownout machine.
         self.overload = None
         self.placement = PlasmaPlacement(self)
-        #: Two-tier GEM tree (``control_plane="hierarchical"``): server
-        #: groups, per-group leaf GEMs, and the root aggregate tier.
-        #: None in flat mode — every consumer guards on that.
-        self.hierarchy = None
-        if self.config.control_plane == "hierarchical":
-            from .hierarchy import ControlHierarchy
-            self.hierarchy = ControlHierarchy(self)
-            self.gems: List[GEM] = self.hierarchy.build_leaf_gems()
-        else:
-            self.gems: List[GEM] = [GEM(self, i)
-                                    for i in range(self.config.gem_count)]
+        #: Two-tier GEM tree: server groups, per-group leaf GEMs, and the
+        #: root aggregate tier.  With one group (``server_group_size``
+        #: unset) the leaves are the paper's flat GEM set and the root
+        #: tier is inert.
+        self.hierarchy = ControlHierarchy(self)
+        self.gems: List[GEM] = self.hierarchy.build_leaf_gems()
         self.lems: Dict[int, LEM] = {}
         self.migration_log: List[MigrationEvent] = []
         self._draining: Set[int] = set()
@@ -223,8 +217,7 @@ class ElasticityManager:
     def _add_lem(self, server: Server) -> None:
         if server.server_id in self.lems:
             return
-        if self.hierarchy is not None:
-            self.hierarchy.note_server(server)
+        self.hierarchy.note_server(server)
         lem = LEM(self, server, self._lem_counter)
         # A server booted mid-run joins at the current control-plane
         # epoch: the manager that boots it hands over the configuration,
@@ -298,8 +291,7 @@ class ElasticityManager:
         self._draining.discard(server.server_id)
         if lost:
             self._lost_actors[server.server_id] = list(lost)
-        if self.hierarchy is not None:
-            self.hierarchy.note_server_gone(server)
+        self.hierarchy.note_server_gone(server)
         self._note_directory_host_gone(server)
 
     def _note_directory_host_gone(self, server: Server) -> None:
@@ -395,25 +387,29 @@ class ElasticityManager:
             self.emit("gem-failover", failed_gem=gem.gem_id,
                       adopter=adopter.gem_id,
                       respawned=not survivors)
-        if self.hierarchy is not None:
-            # Hierarchical failover rides the same detection tick: a
-            # dead root is replaced, and groups whose home leaves are
-            # all down are adopted by a surviving foreign leaf (or
-            # released back when a home leaf recovers).
-            if self.hierarchy.root.failed:
-                self.hierarchy.ensure_root()
-            self.hierarchy.reassign_orphan_groups()
+        # Root/leaf failover rides the same detection tick: a dead root
+        # is replaced, and groups whose home leaves are all down are
+        # adopted by a surviving foreign leaf (or released back when a
+        # home leaf recovers).
+        if self.hierarchy.root.failed:
+            self.hierarchy.ensure_root()
+        self.hierarchy.reassign_orphan_groups()
 
     def respawn_gem(self) -> GEM:
         """Boot a replacement GEM (used when every GEM has failed).
 
-        In hierarchical mode the respawn is deliberately *groupless*: it
-        belongs to no leaf set, so every group's LEMs reach it through
+        On a multi-group tree the respawn is deliberately *groupless*:
+        it belongs to no leaf set, so every group's LEMs reach it through
         the ``pick_gem`` fallback and the fleet keeps a control plane
         until real leaves recover.  It publishes no group aggregate.
+        With one group there is nothing to stay outside of: the respawn
+        joins it and remains a full peer (shuffle and votes) after the
+        originals recover, as on the paper's flat plane.
         """
         gem = GEM(self, len(self.gems))
         self.gems.append(gem)
+        if not self.hierarchy.active():
+            self.hierarchy.leaf_group[gem.gem_id] = 0
         return gem
 
     # ------------------------------------------------------------------
@@ -502,11 +498,10 @@ class ElasticityManager:
             if (not majority_only
                     or lem.server.server_id not in self._isolated_servers):
                 lem.epoch = max(lem.epoch, self.epoch)
-        if self.hierarchy is not None:
-            # The root sits above the fabric and always sides with the
-            # majority, so it is never fenced out by a partition.
-            root = self.hierarchy.root
-            root.epoch = max(root.epoch, self.epoch)
+        # The root sits above the fabric and always sides with the
+        # majority, so it is never fenced out by a partition.
+        root = self.hierarchy.root
+        root.epoch = max(root.epoch, self.epoch)
 
     def _gem_isolated(self, gem: GEM) -> bool:
         return gem.gem_id in self._isolated_gems
@@ -637,17 +632,15 @@ class ElasticityManager:
         """Random healthy GEM — the shuffling process of §4.3 that lets
         LEMs route around failed GEMs.
 
-        In hierarchical mode a LEM shuffles only among its server
-        group's leaf GEMs.  When the group's home leaves are all down
-        it routes to the leaf that *adopted* the group, if any; only
-        with no adopter either does it fall back to the full alive set
-        (so an emergency respawn can serve the whole fleet).  With one
-        group the candidate list — and therefore the RNG draw — is
-        exactly the flat one, which keeps the two control planes
-        bit-identical there.
+        A LEM shuffles only among its server group's leaf GEMs.  When
+        the group's home leaves are all down it routes to the leaf that
+        *adopted* the group, if any; only with no adopter either does it
+        fall back to the full alive set (so an emergency respawn can
+        serve the whole fleet).  With one group the candidate list is
+        every alive GEM — the paper's flat shuffle.
         """
         alive = [gem for gem in self.gems if not gem.failed]
-        if self.hierarchy is not None and server is not None:
+        if server is not None:
             group = self.hierarchy.group_for_server(server)
             in_group = [gem for gem in alive
                         if self.hierarchy.leaf_group.get(gem.gem_id)
@@ -753,22 +746,21 @@ class ElasticityManager:
             return False
         peers = [gem for gem in self.gems
                  if gem is not requester and not gem.failed]
-        if self.hierarchy is not None:
-            # Hierarchical mode: the vote is local to the requester's
-            # group (its co-leaves), but the root — which sees every
-            # group's folded aggregate — may veto when a majority of
-            # *other* groups contradicts the request.  With one group
-            # both clauses degenerate to the flat behaviour exactly.
-            group = self.hierarchy.leaf_group.get(requester.gem_id)
-            peers = [gem for gem in peers
-                     if self.hierarchy.leaf_group.get(gem.gem_id) == group]
-            if not self.hierarchy.root.concurs(group, direction):
-                if self.debug_events:
-                    self.emit("gem-vote", requester=requester.gem_id,
-                              direction=direction, peer_views=(),
-                              agreeing=0, decision=False,
-                              vetoed="root-arbiter")
-                return False
+        # The vote is local to the requester's group (its co-leaves),
+        # but the root — which sees every group's folded aggregate — may
+        # veto when a majority of *other* groups contradicts the
+        # request.  With one group every GEM is a co-leaf and the root
+        # has no other group to consult: the paper's flat vote.
+        group = self.hierarchy.leaf_group.get(requester.gem_id)
+        peers = [gem for gem in peers
+                 if self.hierarchy.leaf_group.get(gem.gem_id) == group]
+        if not self.hierarchy.root.concurs(group, direction):
+            if self.debug_events:
+                self.emit("gem-vote", requester=requester.gem_id,
+                          direction=direction, peer_views=(),
+                          agreeing=0, decision=False,
+                          vetoed="root-arbiter")
+            return False
         if not peers:
             if self.debug_events:
                 self.emit("gem-vote", requester=requester.gem_id,
@@ -830,8 +822,7 @@ class ElasticityManager:
             # Deliberately retired, not crashed: stop monitoring it.
             self._last_report.pop(server, None)
             provisioner.retire_server(server)
-            if self.hierarchy is not None:
-                self.hierarchy.note_server_gone(server)
+            self.hierarchy.note_server_gone(server)
             self._note_directory_host_gone(server)
 
     # -- statistics --------------------------------------------------------------

@@ -11,11 +11,12 @@ bookkeeping charge, modelled here as an optional CPU tax submitted to the
 hosting server (``overhead_cpu_ms`` per message).  The Table 3 experiment
 compares runs with the EPR attached vs. a vanilla run without it.
 
-Incremental vs. full-recompute profiling
-----------------------------------------
-With ``incremental=True`` (the default) the EPR maintains ring-buffer
-meters with O(1) windowed totals and caches each actor's meter-derived
-snapshot payload, reusing it when the actor is provably unchanged:
+Snapshot reuse
+--------------
+Per-actor meters are ring buffers with O(1) windowed totals
+(:class:`~repro.core.profiling.RingMeter`), and the EPR caches each
+actor's meter-derived snapshot payload, reusing it when the actor is
+provably unchanged:
 
 * **same-instant reuse** — rule evaluation re-snapshots actors many
   times at one virtual timestamp (ref joins, ``colocate_groups``); if no
@@ -34,16 +35,12 @@ from the live record on every snapshot, cached or not.  The cached rate
 dictionaries are shared between snapshots and must never be mutated;
 ``call_perc`` is always a fresh dict (it is filled per server group).
 
-With ``incremental=False`` every snapshot recomputes everything from
-scan-based :class:`WindowedMeter` buckets — the original implementation,
-kept as the reference for A/B equivalence testing.  Both paths produce
-bit-identical snapshots and therefore byte-identical decision traces
-(enforced by ``tests/profiling/test_incremental_equivalence.py``).
+``tests/golden/test_golden.py`` pins the cache end to end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ...actors import ActorRecord, ActorRef, Message, RuntimeHooks
 from ...cluster import Server
@@ -76,15 +73,6 @@ class ProfilingRuntime(RuntimeHooks):
     overhead_cpu_ms:
         CPU cost charged to the hosting server per profiled message
         (models the measured sub-percent EPR overhead of Table 3).
-    incremental:
-        Maintain O(1) ring-buffer meters and reuse snapshot payloads for
-        unchanged actors (see module docstring).  ``False`` selects the
-        full-recompute reference path.
-    meter_backend:
-        Explicit meter implementation (``"ring"``, ``"windowed"`` or
-        ``"array"`` — the numpy-batched :class:`ArrayMeter`).  ``None``
-        (the default) derives the backend from ``incremental``.  All
-        backends produce bit-identical totals.
     warm_start:
         Keep the stats of destroyed actors in a bounded cache and, when
         an actor is resurrected, seed its new profile from the pre-crash
@@ -97,15 +85,11 @@ class ProfilingRuntime(RuntimeHooks):
 
     def __init__(self, sim: Simulator, window_ms: float = 60_000.0,
                  overhead_cpu_ms: float = 0.0,
-                 incremental: bool = True,
-                 warm_start: bool = False,
-                 meter_backend: Optional[str] = None) -> None:
+                 warm_start: bool = False) -> None:
         self.sim = sim
         self.window_ms = window_ms
         self.overhead_cpu_ms = overhead_cpu_ms
-        self.incremental = incremental
         self.warm_start = warm_start
-        self.meter_backend = meter_backend
         self._stats: Dict[int, ActorStats] = {}
         self._snap_cache: Dict[int, _SnapEntry] = {}
         self._retired: Dict[int, ActorStats] = {}
@@ -115,9 +99,7 @@ class ProfilingRuntime(RuntimeHooks):
         self.warm_starts = 0
 
     def _new_stats(self) -> ActorStats:
-        return ActorStats(self.sim, window_ms=self.window_ms,
-                          use_ring=self.incremental,
-                          backend=self.meter_backend)
+        return ActorStats(self.sim, window_ms=self.window_ms)
 
     # -- RuntimeHooks ---------------------------------------------------------
 
@@ -203,20 +185,16 @@ class ProfilingRuntime(RuntimeHooks):
         if stats is None:
             stats = self._new_stats()
             self._stats[record.ref.actor_id] = stats
-        if self.incremental:
-            entry = self._snap_cache.get(record.ref.actor_id)
-            if (entry is not None and entry.version == stats.version
-                    and (entry.idle
-                         or (entry.now == self.sim.now
-                             and entry.server_id
-                             == record.server.server_id))):
-                self.snapshot_cache_hits += 1
-            else:
-                entry = self._compute_entry(record, stats)
-                self._snap_cache[record.ref.actor_id] = entry
-                self.snapshot_cache_misses += 1
+        entry = self._snap_cache.get(record.ref.actor_id)
+        if (entry is not None and entry.version == stats.version
+                and (entry.idle
+                     or (entry.now == self.sim.now
+                         and entry.server_id == record.server.server_id))):
+            self.snapshot_cache_hits += 1
         else:
             entry = self._compute_entry(record, stats)
+            self._snap_cache[record.ref.actor_id] = entry
+            self.snapshot_cache_misses += 1
         server = record.server
         return ActorSnapshot(
             ref=record.ref,

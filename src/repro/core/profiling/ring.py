@@ -13,8 +13,8 @@ Exactness contract
 ------------------
 ``RingMeter.total(w)`` returns a float **bit-identical** to
 ``WindowedMeter.total(w)`` over the same event sequence (for ``w`` up to
-the configured window).  This is what lets the incremental profiling
-path produce byte-identical decision traces to the full-recompute path:
+the configured window) — the brute-force reference
+``tests/profiling/test_window_properties.py`` checks it against:
 
 * both implementations accumulate each bucket in arrival order;
 * the cached window total is maintained as the *same left-to-right

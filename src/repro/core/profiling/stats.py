@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ...cluster import ArrayMeter, WindowedMeter
 from ...sim import Simulator
 from .ring import RingMeter
 
@@ -22,51 +21,32 @@ class ActorStats:
     Call meters are created lazily on first message of each key, so actors
     that never receive a given call type pay nothing for it.
 
-    ``backend`` selects the meter implementation: ``"ring"`` buffer
-    meters (:class:`RingMeter`, O(1) windowed totals — the incremental
-    path), ``"windowed"`` (:class:`WindowedMeter`, per-query bucket scan
-    — the full-recompute reference path), or ``"array"``
-    (:class:`ArrayMeter`, numpy-batched adds).  All three produce
-    bit-identical totals; ``use_ring`` is the older boolean spelling and
-    is only consulted when ``backend`` is not given.
+    Every meter is a :class:`RingMeter`: O(1) adds, O(1) amortized
+    windowed totals, retention bounded by the window.
 
     ``version`` counts mutations; the profiling runtime compares it
     against the version captured with a cached snapshot to decide whether
     the actor is dirty.
     """
 
-    __slots__ = ("_sim", "_window_ms", "_backend", "cpu", "net_in",
+    __slots__ = ("_sim", "_window_ms", "cpu", "net_in",
                  "net_out", "call_counts", "call_bytes", "pair_counts",
                  "messages_processed", "version")
 
-    _BACKENDS = ("ring", "windowed", "array")
-
-    def __init__(self, sim: Simulator, window_ms: float = 60_000.0,
-                 use_ring: bool = True,
-                 backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = "ring" if use_ring else "windowed"
-        elif backend not in self._BACKENDS:
-            raise ValueError(f"unknown meter backend {backend!r}; "
-                             f"expected one of {self._BACKENDS}")
+    def __init__(self, sim: Simulator, window_ms: float = 60_000.0) -> None:
         self._sim = sim
         self._window_ms = window_ms
-        self._backend = backend
         self.cpu = self._new_meter()
         self.net_in = self._new_meter()
         self.net_out = self._new_meter()
-        self.call_counts: Dict[CallKey, object] = {}
-        self.call_bytes: Dict[CallKey, object] = {}
-        self.pair_counts: Dict[PairKey, object] = {}
+        self.call_counts: Dict[CallKey, RingMeter] = {}
+        self.call_bytes: Dict[CallKey, RingMeter] = {}
+        self.pair_counts: Dict[PairKey, RingMeter] = {}
         self.messages_processed = 0
         self.version = 0
 
-    def _new_meter(self):
-        if self._backend == "ring":
-            return RingMeter(self._sim, self._window_ms)
-        if self._backend == "array":
-            return ArrayMeter(self._sim, self._window_ms)
-        return WindowedMeter(self._sim)
+    def _new_meter(self) -> RingMeter:
+        return RingMeter(self._sim, self._window_ms)
 
     def record_message(self, caller_kind: str, caller_id, function: str,
                        size_bytes: float) -> None:

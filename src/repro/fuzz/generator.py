@@ -457,7 +457,6 @@ def generate_scenario(seed: int, profile: str = "default") -> Scenario:
         # is identical across the two profiles — only the fault plan
         # (drawn last) and the no-draw suspicion override differ.
         fields["servers"] = rng.randrange(6, 13)
-        fields["control_plane"] = "hierarchical"
         fields["server_group_size"] = rng.choice((2, 3, 4))
         fields["directory_shards"] = rng.choice((2, 3, 5))
         fields["directory_virtual_nodes"] = rng.choice((8, 16))

@@ -263,10 +263,7 @@ def run_scenario(scenario: Scenario, strict: bool = False,
             durability=(DurabilityConfig(**scenario.durability)
                         if scenario.durability is not None else None),
             overload=overload_config,
-            control_plane=scenario.control_plane,
-            server_group_size=scenario.server_group_size,
-            directory_shards=scenario.directory_shards,
-            directory_virtual_nodes=scenario.directory_virtual_nodes)
+            server_group_size=scenario.server_group_size)
         manager = ElasticityManager(bed.system, policy, config)
         tracer = None
         if with_trace:

@@ -65,10 +65,10 @@ class Scenario:
     #: runner-level ``client_jitter_frac`` key; ``None`` = off).  Like
     #: ``durability``, absent from older corpus artifacts.
     overload: Optional[Dict[str, Any]] = None
-    #: -- cluster-scale control plane.  All default to the flat control
-    #: plane / flat directory, so older corpus artifacts (where these
-    #: fields are absent) keep replaying bit-identically.
-    control_plane: str = "flat"
+    #: -- cluster-scale control plane.  All default to one server group
+    #: (the flat control plane) / the flat directory, so older corpus
+    #: artifacts (where these fields are absent) keep replaying
+    #: bit-identically.
     server_group_size: Optional[int] = None
     directory_shards: Optional[int] = None
     directory_virtual_nodes: int = 16
@@ -85,9 +85,6 @@ class Scenario:
             raise ValueError("period_ms must be positive")
         if self.clients < 0:
             raise ValueError("clients must be >= 0")
-        if self.control_plane not in ("flat", "hierarchical"):
-            raise ValueError(
-                f"unknown control_plane {self.control_plane!r}")
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "faults",
                            tuple(dict(f) for f in self.faults))
@@ -117,6 +114,15 @@ class Scenario:
             raise ValueError(
                 f"not a fuzz scenario: format {found!r} "
                 f"(expected {SCENARIO_FORMAT!r})")
+        # Legacy key: artifacts written while a separate flat plane
+        # existed name their topology.  ``server_group_size`` alone
+        # decides it now, so a valid value is accepted and dropped (the
+        # flat plane ignored the group size, so "flat" clears it).
+        legacy = payload.pop("control_plane", None)
+        if legacy not in (None, "flat", "hierarchical"):
+            raise ValueError(f"unknown control_plane {legacy!r}")
+        if legacy == "flat":
+            payload["server_group_size"] = None
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -148,9 +154,8 @@ class Scenario:
             parts.append("durable")
         if self.overload is not None:
             parts.append("overload")
-        if self.control_plane != "flat":
-            parts.append(f"{self.control_plane}"
-                         f"(groups of {self.server_group_size})")
+        if self.server_group_size is not None:
+            parts.append(f"hierarchical(groups of {self.server_group_size})")
         if self.directory_shards is not None:
             parts.append(f"{self.directory_shards} dir shard(s)")
         return " ".join(parts)

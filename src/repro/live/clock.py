@@ -2,7 +2,7 @@
 
 Every meter and profiler in the repo reads time as ``clock.now`` in
 float milliseconds (that is the *only* thing ``WindowedMeter``,
-``ArrayMeter``, and ``ProfilingRuntime`` need from the "simulator" they
+``RingMeter``, and ``ProfilingRuntime`` need from the "simulator" they
 are handed).  :class:`LiveClock` satisfies that protocol with
 ``time.monotonic()`` re-based to 0 at construction, so the entire
 profiling stack runs unmodified against wall time.

@@ -7,7 +7,7 @@ from the same parts as the simulated control plane:
 * the **profiling runtime** is literally
   :class:`repro.core.profiling.ProfilingRuntime` (the EPR), subscribed
   through ``system.backend.add_hooks`` and fed by the live runtime's
-  hook calls, with the numpy ``ArrayMeter`` backend when available;
+  hook calls;
 * **policies** are compiled EPL (:func:`repro.core.compile_source`):
   ``pin`` actor rules are evaluated with the shared snapshot-based
   :func:`~repro.core.emr.evaluate.evaluate_rule`, and ``balance``
@@ -36,12 +36,6 @@ from ..core.epl.compiler import CompiledPolicy
 from ..core.profiling import ProfilingRuntime
 from .system import LiveActorSystem
 
-try:  # numpy-batched meters when available; bucketed fallback otherwise
-    import numpy  # noqa: F401
-    _DEFAULT_METER = "array"
-except Exception:  # pragma: no cover - numpy is in the image
-    _DEFAULT_METER = None
-
 __all__ = ["LiveEmrConfig", "LiveElasticityManager"]
 
 
@@ -59,7 +53,6 @@ class LiveEmrConfig:
     #: Scale out (add a server) when every running server is hot.
     scale_out: bool = True
     max_servers: int = 8
-    meter_backend: Optional[str] = _DEFAULT_METER
 
 
 @dataclass
@@ -82,8 +75,7 @@ class LiveElasticityManager:
         self.policy = policy
         self.config = config or LiveEmrConfig()
         self.profiler = ProfilingRuntime(
-            system.clock, window_ms=self.config.window_ms,
-            incremental=True, meter_backend=self.config.meter_backend)
+            system.clock, window_ms=self.config.window_ms)
         self.running = False
         self.rounds_run = 0
         self.migrations_started = 0

@@ -3,27 +3,19 @@
 Public surface:
 
 - :class:`Simulator` — the event loop and virtual clock (milliseconds).
-  ``Simulator()`` picks the scheduler named by ``DEFAULT_SCHEDULER``
-  (env override ``REPRO_SIM_SCHEDULER``); ``Simulator(scheduler=...)``
-  or the concrete :class:`HeapSimulator` / :class:`CalendarSimulator`
-  select one explicitly.
 - :class:`Process`, :func:`spawn` — generator-based processes.
 - :class:`Timeout`, :class:`Signal`, :class:`AllOf` — waitables.
 - :class:`Queue` — blocking FIFO used for actor mailboxes.
 - :class:`RandomStreams` — named deterministic RNG streams.
 """
 
-from .engine import (DEFAULT_SCHEDULER, CalendarSimulator, HeapSimulator,
-                     SimulationError, Simulator, StopSimulation)
+from .engine import SimulationError, Simulator, StopSimulation
 from .process import AllOf, Interrupted, Process, Signal, Timeout, Waitable, spawn
 from .queues import Queue
 from .rng import RandomStreams
 
 __all__ = [
     "Simulator",
-    "HeapSimulator",
-    "CalendarSimulator",
-    "DEFAULT_SCHEDULER",
     "SimulationError",
     "StopSimulation",
     "Process",

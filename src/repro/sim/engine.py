@@ -6,32 +6,11 @@ timestamps are floats in *milliseconds* of virtual time; the unit is a
 convention shared by the rest of the library (the cluster and actor layers
 document their costs in the same unit).
 
-Two interchangeable scheduler kernels implement the event queue:
-
-``heap``
-    The classic binary-heap simulator (:class:`HeapSimulator`).  One
-    ``heapq`` ordered by ``(timestamp, seq)``.  This is the reference
-    kernel: it is kept byte-for-byte at the behaviour the golden traces
-    were recorded against.
-
-``calendar``
-    A calendar-queue kernel (:class:`CalendarSimulator`) that partitions
-    future events into fixed-width time buckets, sorts each bucket once on
-    activation, and drains same-timestamp runs with a single ``bisect``
-    instead of per-event heap pops.  Zero-delay events — the dominant
-    class in the actor runtime, where every process resume and mailbox
-    wake-up is ``schedule(0.0, ...)`` — skip the priority queue entirely
-    and go through a plain FIFO.  Sparse epochs fall back to a lean heap
-    loop over the spill heap (the ladder fallback), with the fallback
-    horizon adapting upward whenever bucket occupancy is too low to
-    amortize activation.
-
-Both kernels produce *identical* event order for identical schedules; the
-differential harness in ``tests/sim/test_scheduler_differential.py`` and
-the golden-trace refresh tests enforce this.  Select a kernel with
-``Simulator(scheduler="heap")`` / ``Simulator(scheduler="calendar")`` or
-the ``REPRO_SIM_SCHEDULER`` environment variable.  The default is
-``calendar``.
+The event queue is a calendar queue with a zero-delay FIFO and a heap
+fallback for sparse epochs (see :class:`Simulator`).  Its contract is the
+classic ``(timestamp, insertion order)``; ``tests/sim/
+test_scheduler_differential.py`` holds it to that by diffing randomized
+schedules against a plain binary-heap oracle.
 
 Most users never schedule raw callbacks.  They start generator-based
 processes (see :mod:`repro.sim.process`) and let those block on timeouts,
@@ -41,27 +20,13 @@ signals and queues.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_right
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = [
-    "Simulator",
-    "HeapSimulator",
-    "CalendarSimulator",
-    "SimulationError",
-    "StopSimulation",
-    "DEFAULT_SCHEDULER",
-]
+__all__ = ["Simulator", "SimulationError", "StopSimulation"]
 
 _INF = float("inf")
-
-#: Kernel used when ``Simulator()`` is constructed without an explicit
-#: ``scheduler=``.  Overridable via the environment so whole test runs can
-#: be pinned to one kernel (the differential harness does this per-case
-#: instead, passing ``scheduler=`` explicitly).
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SIM_SCHEDULER", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -75,11 +40,6 @@ class StopSimulation(Exception):
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    ``Simulator(...)`` is a factory: it returns one of the concrete kernel
-    classes depending on ``scheduler=`` (``"heap"`` or ``"calendar"``),
-    defaulting to :data:`DEFAULT_SCHEDULER`.  Both kernels share the same
-    API and produce identical event order.
-
     Example
     -------
     >>> sim = Simulator()
@@ -92,33 +52,69 @@ class Simulator:
     ['sooner', 'later']
     >>> sim.now
     5.0
+
+    Future events are partitioned into fixed-width time buckets; a bucket
+    is sorted once on activation and same-timestamp runs are drained with
+    a single ``bisect`` instead of per-event heap pops.  Zero-delay events
+    — the dominant class in the actor runtime, where every process resume
+    and mailbox wake-up is ``schedule(0.0, ...)`` — skip the priority
+    queue entirely.  Event storage, in drain order for one timestamp:
+
+    ``_active`` / ``_active_pos``
+        The current bucket, sorted on activation.  Events scheduled before
+        the bucket was activated live here; same-timestamp runs are
+        located with one ``bisect_right`` and drained by index.  Bucket
+        lists are recycled through ``_free_lists`` (the slab) so steady
+        state allocates no new containers per epoch.
+    ``_spill``
+        A ``(when, seq, callback, args)`` heap for events scheduled inside
+        the ladder horizon — into the active bucket after activation, or
+        into near-future buckets during sparse epochs.  Spill entries for
+        a timestamp always carry higher ``seq`` than active-bucket entries
+        for the same timestamp (they were scheduled later), so draining
+        active before spill preserves global FIFO.
+    ``_nowq``
+        Plain FIFO of ``(callback, args)`` for events scheduled *at* the
+        current timestamp (``delay == 0.0``).  These are always the
+        youngest events of the timestamp, so they run last, in insertion
+        order, with no ordering key at all.
+
+    ``_horizon`` is the ladder fallback: future events within ``horizon``
+    buckets of the active epoch bypass bucket storage and go straight to
+    the spill heap.  Every activation that finds a nearly-empty bucket
+    doubles the horizon, so persistently sparse schedules degenerate to a
+    plain heap (which is optimal for them) instead of paying per-event
+    bucket bookkeeping; dense schedules keep ``horizon == 1`` and get
+    batched sort-and-scan drains.
     """
 
-    __slots__ = ("_counter", "_now", "_running", "_stopped")
+    __slots__ = ("_counter", "_now", "_running", "_stopped",
+                 "_nowq", "_buckets", "_bucket_heap", "_active",
+                 "_active_pos", "_active_index", "_spill", "_horizon",
+                 "_free_lists")
 
-    #: Name of the scheduler kernel; overridden by subclasses.
-    scheduler_name = "abstract"
+    # Buckets are one virtual millisecond wide, so the bucket index of an
+    # event due at ``when`` is ``int(when)``.
 
-    def __new__(cls, scheduler: Optional[str] = None, **kwargs: Any):
-        if cls is Simulator:
-            name = scheduler if scheduler is not None else DEFAULT_SCHEDULER
-            impl = _SCHEDULERS.get(name)
-            if impl is None:
-                raise SimulationError(
-                    f"unknown scheduler {name!r}; expected one of "
-                    f"{sorted(_SCHEDULERS)}")
-            return object.__new__(impl)
-        return object.__new__(cls)
+    #: Activations holding fewer events than this double the horizon.
+    SPARSE_BUCKET_MIN = 16
+    #: Upper bound on the ladder horizon, in buckets.
+    MAX_HORIZON = 1 << 20
 
-    def __init__(self, scheduler: Optional[str] = None, **kwargs: Any) -> None:
-        if scheduler is not None and scheduler != self.scheduler_name:
-            raise SimulationError(
-                f"scheduler mismatch: requested {scheduler!r} on "
-                f"{type(self).__name__}")
+    def __init__(self) -> None:
         self._counter = 0
         self._now = 0.0
         self._running = False
         self._stopped = False
+        self._nowq: deque = deque()
+        self._buckets: Dict[int, list] = {}
+        self._bucket_heap: List[int] = []
+        self._active: list = []
+        self._active_pos = 0
+        self._active_index = -1
+        self._spill: list = []
+        self._horizon = 1
+        self._free_lists: List[list] = []
 
     @property
     def now(self) -> float:
@@ -135,9 +131,9 @@ class Simulator:
         batch whose stamp is unchanged occupies consecutive sequence
         numbers, so delivering its messages in append order is exactly
         the order the unbatched events would have fired in.  Zero-delay
-        admissions may or may not bump the stamp (kernel-dependent), but
-        they can never land at a pending batch's strictly-future
-        timestamp, so they never need to close one.
+        admissions do not bump the stamp, but they can never land at a
+        pending batch's strictly-future timestamp, so they never need to
+        close one.
         """
         return self._counter
 
@@ -173,172 +169,6 @@ class Simulator:
         self.schedule(interval_ms, tick)
         return cancel
 
-    # Concrete kernels implement the queue operations.
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> None:
-        raise NotImplementedError
-
-    def schedule_at(self, when: float, callback: Callable[..., Any],
-                    *args: Any) -> None:
-        raise NotImplementedError
-
-    def run(self, until: Optional[float] = None) -> float:
-        raise NotImplementedError
-
-    def peek(self) -> Optional[float]:
-        raise NotImplementedError
-
-    def pending_events(self) -> int:
-        raise NotImplementedError
-
-
-class HeapSimulator(Simulator):
-    """Reference kernel: a single binary heap ordered by ``(when, seq)``.
-
-    This is the original engine implementation, preserved unchanged as the
-    baseline the differential harness and golden-trace refresh tests diff
-    the calendar kernel against.
-    """
-
-    __slots__ = ("_heap",)
-
-    scheduler_name = "heap"
-
-    def __init__(self, scheduler: Optional[str] = None, **kwargs: Any) -> None:
-        super().__init__(scheduler)
-        self._heap: List[Tuple[float, int, Callable[..., Any], tuple]] = []
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> None:
-        """Schedule ``callback(*args)`` to run ``delay`` ms from now.
-
-        ``delay`` must be non-negative; a zero delay runs the callback at
-        the current timestamp, after all callbacks already scheduled for
-        that timestamp.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay!r}")
-        self._counter = seq = self._counter + 1
-        heapq.heappush(self._heap, (self._now + delay, seq, callback, args))
-
-    def schedule_at(self, when: float, callback: Callable[..., Any],
-                    *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute virtual time ``when``."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when!r}, current time is {self._now!r}")
-        self._counter = seq = self._counter + 1
-        heapq.heappush(self._heap, (when, seq, callback, args))
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run scheduled events in order.
-
-        Without ``until``, runs until the event heap is empty.  With
-        ``until``, runs every event with timestamp <= ``until`` and then
-        advances the clock to exactly ``until``.  Returns the final clock.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        self._stopped = False
-        # Hot loop: hoist attribute lookups; an infinite limit folds the
-        # bounded and unbounded variants into a single comparison.
-        heap = self._heap
-        heappop = heapq.heappop
-        limit = float("inf") if until is None else until
-        try:
-            while heap and not self._stopped:
-                when = heap[0][0]
-                if when > limit:
-                    break
-                _when, _seq, callback, args = heappop(heap)
-                self._now = when
-                try:
-                    callback(*args)
-                except StopSimulation:
-                    self._stopped = True
-        finally:
-            self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
-
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next scheduled event, or ``None`` if idle."""
-        return self._heap[0][0] if self._heap else None
-
-    def pending_events(self) -> int:
-        """Number of events currently scheduled."""
-        return len(self._heap)
-
-
-class CalendarSimulator(Simulator):
-    """Calendar-queue kernel with a zero-delay FIFO and a ladder fallback.
-
-    Event storage, in drain order for any single timestamp ``t``:
-
-    ``_active`` / ``_active_pos``
-        The current bucket, sorted on activation.  Events scheduled before
-        the bucket was activated live here; same-timestamp runs are
-        located with one ``bisect_right`` and drained by index.  Bucket
-        lists are recycled through ``_free_lists`` (the slab) so steady
-        state allocates no new containers per epoch.
-    ``_spill``
-        A ``(when, seq, callback, args)`` heap for events scheduled inside
-        the ladder horizon — into the active bucket after activation, or
-        into near-future buckets during sparse epochs.  Spill entries for
-        a timestamp always carry higher ``seq`` than active-bucket entries
-        for the same timestamp (they were scheduled later), so draining
-        active before spill preserves global FIFO.
-    ``_nowq``
-        Plain FIFO of ``(callback, args)`` for events scheduled *at* the
-        current timestamp (``delay == 0.0``).  These are always the
-        youngest events of the timestamp, so they run last, in insertion
-        order, with no ordering key at all.
-
-    ``_horizon`` is the ladder fallback: future events within ``horizon``
-    buckets of the active epoch bypass bucket storage and go straight to
-    the spill heap.  Every activation that finds a nearly-empty bucket
-    doubles the horizon, so persistently sparse schedules degenerate to a
-    plain heap (which is optimal for them) instead of paying per-event
-    bucket bookkeeping; dense schedules keep ``horizon == 1`` and get
-    batched sort-and-scan drains.
-    """
-
-    __slots__ = ("_nowq", "_buckets", "_bucket_heap", "_active",
-                 "_active_pos", "_active_index", "_spill", "_width",
-                 "_inv_width", "_horizon", "_free_lists")
-
-    scheduler_name = "calendar"
-
-    #: Bucket width in virtual milliseconds.
-    BUCKET_WIDTH_MS = 1.0
-    #: Activations holding fewer events than this double the horizon.
-    SPARSE_BUCKET_MIN = 16
-    #: Upper bound on the ladder horizon, in buckets.
-    MAX_HORIZON = 1 << 20
-
-    def __init__(self, scheduler: Optional[str] = None, *,
-                 bucket_width_ms: Optional[float] = None) -> None:
-        super().__init__(scheduler)
-        width = self.BUCKET_WIDTH_MS if bucket_width_ms is None \
-            else bucket_width_ms
-        if width <= 0:
-            raise SimulationError(
-                f"bucket width must be positive: {width!r}")
-        self._nowq: deque = deque()
-        self._buckets: Dict[int, list] = {}
-        self._bucket_heap: List[int] = []
-        self._active: list = []
-        self._active_pos = 0
-        self._active_index = -1
-        self._spill: list = []
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._horizon = 1
-        self._free_lists: List[list] = []
-
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now.
@@ -356,7 +186,7 @@ class CalendarSimulator(Simulator):
             self._nowq.append((callback, args))
             return
         self._counter = seq = self._counter + 1
-        index = int(when * self._inv_width)
+        index = int(when)
         if index - self._active_index < self._horizon:
             heapq.heappush(self._spill, (when, seq, callback, args))
             return
@@ -384,7 +214,7 @@ class CalendarSimulator(Simulator):
             self._nowq.append((callback, args))
             return
         self._counter = seq = self._counter + 1
-        index = int(when * self._inv_width)
+        index = int(when)
         if index - self._active_index < self._horizon:
             heapq.heappush(self._spill, (when, seq, callback, args))
             return
@@ -435,7 +265,6 @@ class CalendarSimulator(Simulator):
         nowq = self._nowq
         nowq_popleft = nowq.popleft
         heappop = heapq.heappop
-        width = self._width
         bheap = self._bucket_heap
         spill = self._spill
         try:
@@ -506,7 +335,7 @@ class CalendarSimulator(Simulator):
                     # A pending bucket may hold older events for this
                     # timestamp range; activate it first.  Fresh read of
                     # bheap[0] because callbacks create buckets.
-                    if bheap and when >= bheap[0] * width:
+                    if bheap and when >= bheap[0]:
                         break
                     if when > limit:
                         stop_run = True
@@ -583,9 +412,3 @@ class CalendarSimulator(Simulator):
         for bucket in self._buckets.values():
             total += len(bucket)
         return total
-
-
-_SCHEDULERS: Dict[str, type] = {
-    "heap": HeapSimulator,
-    "calendar": CalendarSimulator,
-}

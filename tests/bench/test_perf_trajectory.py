@@ -1,6 +1,7 @@
 """Unit tests for the BENCH_perf.json gate logic (repro.bench.perf)."""
 
 import json
+import os
 
 from repro.bench.perf import (check_floors, check_regression, load_bench,
                               record_metrics)
@@ -16,14 +17,15 @@ def bench_doc(**benchmarks):
 
 
 def test_check_regression_flags_only_ratios():
-    baseline = bench_doc(sim=dict(events_per_sec=1_000_000.0,
-                                  kernel_latency_ratio=0.5))
-    current = bench_doc(sim=dict(events_per_sec=10.0,  # absolute: not gated
-                                 kernel_latency_ratio=0.58))
+    baseline = bench_doc(scale=dict(root_decide_us=30.0,
+                                    root_decision_scaling_ratio=0.5))
+    current = bench_doc(scale=dict(root_decide_us=900.0,  # absolute: not gated
+                                   root_decision_scaling_ratio=0.58))
     assert check_regression(baseline, current) == []
-    current["benchmarks"]["sim"]["kernel_latency_ratio"] = 0.61
+    current["benchmarks"]["scale"]["root_decision_scaling_ratio"] = 0.61
     failures = check_regression(baseline, current)
-    assert len(failures) == 1 and "kernel_latency_ratio" in failures[0]
+    assert len(failures) == 1
+    assert "root_decision_scaling_ratio" in failures[0]
 
 
 def test_check_regression_skips_new_benchmarks():
@@ -83,18 +85,35 @@ def test_check_floors_rejects_malformed_path():
 
 def test_record_metrics_rounds_and_merges(tmp_path):
     path = str(tmp_path / "bench.json")
-    record_metrics("sim_kernel", {
-        "engine_events_per_sec": 123456.789,
-        "kernel_latency_ratio": 0.123456,
+    record_metrics("scale_cluster", {
+        "root_decide_large_us": 123456.789,
+        "root_decision_scaling_ratio": 0.123456,
     }, path=path)
     record_metrics("other", {"ops_per_sec": 2.0}, path=path)
     data = load_bench(path)
-    sim = data["benchmarks"]["sim_kernel"]
-    assert sim["engine_events_per_sec"] == 123456.79   # 2 digits
-    assert sim["kernel_latency_ratio"] == 0.1235       # ratios get 4
-    assert set(data["benchmarks"]) == {"other", "sim_kernel"}
+    scale = data["benchmarks"]["scale_cluster"]
+    assert scale["root_decide_large_us"] == 123456.79        # 2 digits
+    assert scale["root_decision_scaling_ratio"] == 0.1235    # ratios get 4
+    assert set(data["benchmarks"]) == {"other", "scale_cluster"}
     with open(path) as handle:
         assert json.load(handle)["schema"] == 1
+
+
+def test_committed_baseline_names_no_deleted_path():
+    # Every hot-path layer has one implementation: a ratio or a number
+    # whose other side was deleted must not linger in the trajectory.
+    hot = ("gem_decision", "profiling_ingest", "profiling_snapshot",
+           "sim_kernel")
+    committed = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, os.pardir, "BENCH_perf.json")
+    benchmarks = load_bench(committed)["benchmarks"]
+    for name in hot:
+        for key in benchmarks[name]:
+            assert not key.endswith("_ratio"), f"{name}.{key}"
+            assert not key.startswith("full_"), f"{name}.{key}"
+            assert "heap" not in key, f"{name}.{key}"
+    # The floor CI still holds needs its baseline number.
+    assert benchmarks["sim_kernel"]["engine_events_per_sec"] > 0
 
 
 def test_cli_exit_codes(tmp_path):

@@ -138,7 +138,7 @@ def _hierarchical_manager(bed, **config):
         "=> balance({Spinner}, cpu);", [Spinner])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
         period_ms=5_000.0, gem_wait_ms=300.0,
-        control_plane="hierarchical", server_group_size=2, **config))
+        server_group_size=2, **config))
     manager.start()
     return manager
 
@@ -186,20 +186,14 @@ def test_kill_root_recovery_superseded_by_promotion():
     assert healed and healed[-1][2]["superseded"] is True
 
 
-def test_kill_root_skipped_without_hierarchy_or_when_already_failed():
+def test_kill_root_skipped_without_manager_or_when_already_failed():
     bed = build_cluster(4)
-    policy = compile_source(
-        "server.cpu.perc > 80 or server.cpu.perc < 60 "
-        "=> balance({Spinner}, cpu);", [Spinner])
-    flat = ElasticityManager(bed.system, policy, EmrConfig(
-        period_ms=5_000.0, gem_wait_ms=300.0))
-    flat.start()
     engine = ChaosEngine(bed.system, FaultPlan(faults=(
-        KillRoot(at_ms=100.0),)), manager=flat)
+        KillRoot(at_ms=100.0),)))
     engine.start()
     bed.run(until_ms=500.0)
     assert engine.faults_skipped == 1
-    assert engine.log[-1][2]["reason"] == "no-hierarchy"
+    assert engine.log[-1][2]["reason"] == "no-manager"
 
     bed = build_cluster(4)
     manager = _hierarchical_manager(bed)

@@ -30,11 +30,7 @@ def test_defaults_are_valid():
     {"suspicion_timeout_ms": 0.0},
     {"suspicion_timeout_ms": 60_000.0},          # == period: always suspect
     {"period_ms": 5_000.0, "suspicion_timeout_ms": 4_000.0},
-    {"client_timeout_ms": 0.0},
-    {"client_timeout_ms": -10.0},
-    {"client_max_retries": -1},
-    {"client_backoff_base_ms": 0.0},
-    {"client_backoff_base_ms": 500.0, "client_backoff_cap_ms": 100.0},
+    {"server_group_size": 0},
 ])
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -43,12 +39,21 @@ def test_invalid_configurations_rejected(kwargs):
 
 def test_failure_detection_knobs_accepted():
     config = EmrConfig(period_ms=5_000.0, suspicion_timeout_ms=6_000.0,
-                       resurrect_lost_actors=False,
-                       client_timeout_ms=2_000.0, client_max_retries=5,
-                       client_backoff_base_ms=50.0,
-                       client_backoff_cap_ms=1_000.0)
+                       resurrect_lost_actors=False)
     assert config.suspicion_timeout_ms == 6_000.0
     assert config.resurrect_lost_actors is False
+
+
+@pytest.mark.parametrize("removed", [
+    "control_plane", "incremental_profiling", "meter_backend",
+    "client_timeout_ms", "client_max_retries", "client_backoff_base_ms",
+    "client_backoff_cap_ms",
+])
+def test_removed_knobs_fail_loudly(removed):
+    # One implementation per idea: a config still naming a deleted
+    # switch must raise, not be silently ignored.
+    with pytest.raises(TypeError):
+        EmrConfig(**{removed: None})
 
 
 def test_detection_disabled_by_default():

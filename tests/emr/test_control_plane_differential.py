@@ -1,164 +1,36 @@
-"""Flat-vs-hierarchical control-plane differential harness.
+"""One-group vs multi-group control-plane differential harness.
 
-The hierarchical control plane is only admissible if it is *invisible*
-where it has nothing to do: with a single server group the GEM tree is
-degenerate and every decision, event, and placement must be
-bit-identical to the flat layout.  Three layers pin this down:
+The control plane is always a GEM tree; ``server_group_size=None`` makes
+it one group, which *is* the paper's flat plane (those runs are pinned
+to committed digests by ``tests/golden/test_golden.py``).  This harness
+covers what a digest cannot: a *real* multi-group tree must decide
+nothing the one-group plane would not.
 
-1. **Golden scenarios** — the Fig. 7 / Fig. 9 equivalence runners from
-   ``tests/profiling/test_incremental_equivalence.py`` executed under
-   both control planes, asserting byte-identical elasticity traces,
-   migration logs, and final placements.
-2. **Corpus differential** — every checked-in fuzz corpus artifact
-   replayed under both modes, asserting equal result fingerprints
-   (violations, migrations, timing, drop/checkpoint counters).
-3. **Multi-group decision equivalence** — property-based: on workloads
-   with no cross-group pressure, a *real* multi-group tree must reach
-   exactly the decisions the flat plane reaches (hypothesis-driven),
-   while a directed cross-group hot-spot must make the root tier — and
-   only the root tier — migrate across groups.
+1. **Multi-group decision equivalence** — property-based: on workloads
+   with no cross-group pressure, a multi-group tree must reach exactly
+   the decisions the one-group plane reaches (hypothesis-driven).
+2. **Directed cross-group pressure** — a cross-group hot-spot must make
+   the root tier — and only the root tier — migrate across groups.
 """
-
-import dataclasses
-import glob
-import os
-import sys
-from contextlib import contextmanager
 
 import pytest
 
 from repro.actors import Client
-from repro.apps.estore import Partition
+from repro.apps.estore import Partition, build_estore
 from repro.bench import build_cluster
-from repro.apps.estore import build_estore
 from repro.check import InvariantChecker
-from repro.cli import load_fuzz_scenario
 from repro.core import ElasticityManager, EmrConfig, compile_source
-from repro.fuzz import run_scenario
 from repro.fuzz.runner import _reset_id_counters
 from repro.sim import Timeout, spawn
 
-# The golden scenario runners live in tests/profiling/; make them
-# importable even when only this file is collected.
-_PROFILING_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                              os.pardir, "profiling")
-if _PROFILING_DIR not in sys.path:
-    sys.path.insert(0, _PROFILING_DIR)
-
-from test_incremental_equivalence import (run_estore_scenario,  # noqa: E402
-                                          run_pagerank_scenario)
-
-CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          os.pardir, "fuzz", "corpus")
-CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
-
 
 # ---------------------------------------------------------------------------
-# 1. Golden scenarios under a degenerate (single-group) hierarchy
-# ---------------------------------------------------------------------------
-
-@contextmanager
-def forced_control_plane(mode):
-    """Re-route every ``ElasticityManager`` constructed inside the block
-    onto ``mode`` with a single server group (the degenerate tree the
-    equivalence claim is about), leaving all other knobs untouched."""
-    original = ElasticityManager.__init__
-
-    def patched(self, system, policy, config=None):
-        config = dataclasses.replace(config or EmrConfig(),
-                                     control_plane=mode,
-                                     server_group_size=None)
-        original(self, system, policy, config)
-
-    ElasticityManager.__init__ = patched
-    try:
-        yield
-    finally:
-        ElasticityManager.__init__ = original
-
-
-def test_pagerank_golden_identical_across_control_planes():
-    with forced_control_plane("flat"):
-        flat = run_pagerank_scenario(incremental=True)
-    with forced_control_plane("hierarchical"):
-        tree = run_pagerank_scenario(incremental=True)
-    assert flat == tree
-
-
-def test_pagerank_differential_is_not_vacuous():
-    with forced_control_plane("hierarchical"):
-        trace, _placements, migrations = run_pagerank_scenario(
-            incremental=True)
-    assert any("migration" in line for line in trace)
-    assert migrations
-
-
-def test_estore_golden_identical_across_control_planes():
-    with forced_control_plane("flat"):
-        flat = run_estore_scenario(incremental=True)
-    with forced_control_plane("hierarchical"):
-        tree = run_estore_scenario(incremental=True)
-    assert flat == tree
-
-
-def test_estore_differential_is_not_vacuous():
-    with forced_control_plane("hierarchical"):
-        _trace, _placements, migrations = run_estore_scenario(
-            incremental=True)
-    assert migrations
-
-
-# ---------------------------------------------------------------------------
-# 2. Corpus differential: every regression artifact, both control planes
-# ---------------------------------------------------------------------------
-
-def _fingerprint(result):
-    """Everything observable about a run except ``checks_run``: the
-    checker registers extra handlers for hierarchical-only event kinds,
-    so its check *count* may legitimately differ while every decision
-    stays identical."""
-    return {
-        "crashed": result.error is not None,
-        "violations": [str(v) for v in result.violations],
-        "migrations": result.migrations,
-        "sim_time_ms": result.sim_time_ms,
-        "messages_dropped": result.messages_dropped,
-        "partition_drops": result.partition_drops,
-        "checkpoints_written": result.checkpoints_written,
-        "checkpoints_acked": result.checkpoints_acked,
-        "state_restores": result.state_restores,
-        "messages_shed": result.messages_shed,
-        "requests_rejected": result.requests_rejected,
-        "dead_letters": result.dead_letters,
-        "store_summary": result.store_summary,
-    }
-
-
-@pytest.mark.parametrize("artifact", CORPUS,
-                         ids=[os.path.basename(p) for p in CORPUS])
-def test_corpus_identical_under_degenerate_hierarchy(artifact):
-    scenario = load_fuzz_scenario(artifact)
-    flat = run_scenario(dataclasses.replace(
-        scenario, control_plane="flat", server_group_size=None))
-    tree = run_scenario(dataclasses.replace(
-        scenario, control_plane="hierarchical", server_group_size=None))
-    assert flat.ok, flat.summary()
-    assert _fingerprint(flat) == _fingerprint(tree)
-
-
-def test_corpus_is_present():
-    # The parametrized differential above silently passes if the corpus
-    # glob matches nothing; fail loudly instead.
-    assert len(CORPUS) >= 9
-
-
-# ---------------------------------------------------------------------------
-# 3. Multi-group decision equivalence (real tree, no cross-group pressure)
+# 1. Multi-group decision equivalence (real tree, no cross-group pressure)
 # ---------------------------------------------------------------------------
 
 #: Actor-local colocation only: no resource rules, so LEM rounds never
 #: block on GEM replies and every decision is a pure function of the
-#: refs — the modes may only differ if the control plane itself leaks.
+#: refs — the runs may only differ if the group split itself leaks.
 COLOCATE_ONLY = """
 Partition(p2) in ref(Partition(p1).children) => colocate(p1, p2);
 """
@@ -188,10 +60,11 @@ def _deploy_split_estore(bed, num_roots=6, children_per_root=2):
     return roots, children
 
 
-def _run_multigroup(mode, *, seed, servers, group_size, rules,
+def _run_multigroup(*, seed, servers, group_size, rules,
                     pack=False, cross_group_band=95.0, clients=4,
                     duration_ms=25_000.0, instance_type="m5.large"):
-    """One deterministic estore run under ``mode``; returns decisions,
+    """One deterministic estore run with groups of ``group_size``
+    servers (``None``: one group, the flat plane); returns decisions,
     placements, started-migration events, and control-plane stats."""
     _reset_id_counters()
     bed = build_cluster(servers, instance_type, seed=seed)
@@ -206,9 +79,7 @@ def _run_multigroup(mode, *, seed, servers, group_size, rules,
     policy = compile_source(rules, [Partition])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
         period_ms=5_000.0, gem_wait_ms=300.0, lem_stagger_ms=10.0,
-        control_plane=mode,
-        server_group_size=(group_size if mode == "hierarchical" else None),
-        cross_group_band=cross_group_band))
+        server_group_size=group_size, cross_group_band=cross_group_band))
     checker = InvariantChecker(manager)
     checker.attach()
     started = []
@@ -246,12 +117,10 @@ def _run_multigroup(mode, *, seed, servers, group_size, rules,
                        for event in manager.migration_log)
     timed = [(event.time_ms, str(event.actor), event.kind,
               event.src, event.dst) for event in manager.migration_log]
-    stats = {"aggregates": 0, "root_rounds": 0, "cross_planned": 0}
-    if manager.hierarchy is not None:
-        root_gem = manager.hierarchy.root
-        stats = {"aggregates": root_gem.aggregates_received,
-                 "root_rounds": root_gem.rounds_processed,
-                 "cross_planned": root_gem.cross_migrations_planned}
+    root_gem = manager.hierarchy.root
+    stats = {"aggregates": root_gem.aggregates_received,
+             "root_rounds": root_gem.rounds_processed,
+             "cross_planned": root_gem.cross_migrations_planned}
     manager.stop()
     checker.detach()
     return {"decisions": decisions, "timed": timed,
@@ -261,29 +130,33 @@ def _run_multigroup(mode, *, seed, servers, group_size, rules,
 
 def test_multigroup_colocate_decisions_equivalent():
     """Actor-rule decisions never consult the GEM tier, so a real
-    multi-group tree must reproduce the flat run *exactly* — including
-    migration timestamps."""
-    flat = _run_multigroup("flat", seed=29, servers=4, group_size=2,
-                          rules=COLOCATE_ONLY)
-    tree = _run_multigroup("hierarchical", seed=29, servers=4,
-                          group_size=2, rules=COLOCATE_ONLY)
+    multi-group tree must reproduce the one-group run *exactly* —
+    including migration timestamps."""
+    flat = _run_multigroup(seed=29, servers=4, group_size=None,
+                           rules=COLOCATE_ONLY)
+    tree = _run_multigroup(seed=29, servers=4, group_size=2,
+                           rules=COLOCATE_ONLY)
     assert flat["decisions"], "vacuous: colocate produced no migrations"
     assert flat["timed"] == tree["timed"]
     assert flat["placements"] == tree["placements"]
 
 
 def test_multigroup_quiet_policy_adds_no_decisions():
-    """With an unreachable resource rule the full hierarchical pipeline
+    """With an unreachable resource rule the full multi-group pipeline
     runs (REPORTs, aggregates, root rounds) yet neither tier may invent
-    a migration the flat plane would not make — here, none at all."""
-    flat = _run_multigroup("flat", seed=31, servers=6, group_size=3,
-                          rules=UNREACHABLE_RESERVE)
-    tree = _run_multigroup("hierarchical", seed=31, servers=6,
-                          group_size=3, rules=UNREACHABLE_RESERVE)
+    a migration the one-group plane would not make — here, none at
+    all."""
+    flat = _run_multigroup(seed=31, servers=6, group_size=None,
+                           rules=UNREACHABLE_RESERVE)
+    tree = _run_multigroup(seed=31, servers=6, group_size=3,
+                           rules=UNREACHABLE_RESERVE)
     assert flat["decisions"] == [] == tree["decisions"]
     assert flat["placements"] == tree["placements"]
     # Not vacuous: the tree really ran — aggregates flowed and the root
-    # held rounds; it just (correctly) decided nothing.
+    # held rounds; it just (correctly) decided nothing — while the
+    # one-group root stayed inert.
+    assert flat["stats"] == {"aggregates": 0, "root_rounds": 0,
+                             "cross_planned": 0}
     assert tree["stats"]["aggregates"] > 0
     assert tree["stats"]["root_rounds"] > 0
     assert tree["stats"]["cross_planned"] == 0
@@ -293,11 +166,10 @@ def test_multigroup_quiet_policy_adds_no_decisions():
 def test_multigroup_decision_equivalence_sweep(servers, group_size):
     """The colocate equivalence holds across group shapes, including a
     ragged final group (5 servers / groups of 2)."""
-    flat = _run_multigroup("flat", seed=37 + servers, servers=servers,
-                          group_size=group_size, rules=COLOCATE_ONLY)
-    tree = _run_multigroup("hierarchical", seed=37 + servers,
-                          servers=servers, group_size=group_size,
-                          rules=COLOCATE_ONLY)
+    flat = _run_multigroup(seed=37 + servers, servers=servers,
+                           group_size=None, rules=COLOCATE_ONLY)
+    tree = _run_multigroup(seed=37 + servers, servers=servers,
+                           group_size=group_size, rules=COLOCATE_ONLY)
     assert flat["decisions"]
     assert flat["timed"] == tree["timed"]
     assert flat["placements"] == tree["placements"]
@@ -305,7 +177,7 @@ def test_multigroup_decision_equivalence_sweep(servers, group_size):
 
 def test_multigroup_property_random_seeds():
     """Property-based sweep over seeds and tree shapes: no-pressure
-    workloads decide identically under both control planes."""
+    workloads decide identically with one group and with several."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -316,12 +188,12 @@ def test_multigroup_property_random_seeds():
                       servers=st.integers(min_value=4, max_value=6),
                       group_size=st.sampled_from([2, 3]))
     def check(seed, servers, group_size):
-        flat = _run_multigroup("flat", seed=seed, servers=servers,
-                              group_size=group_size, rules=COLOCATE_ONLY,
-                              duration_ms=15_000.0, clients=2)
-        tree = _run_multigroup("hierarchical", seed=seed, servers=servers,
-                              group_size=group_size, rules=COLOCATE_ONLY,
-                              duration_ms=15_000.0, clients=2)
+        flat = _run_multigroup(seed=seed, servers=servers,
+                               group_size=None, rules=COLOCATE_ONLY,
+                               duration_ms=15_000.0, clients=2)
+        tree = _run_multigroup(seed=seed, servers=servers,
+                               group_size=group_size, rules=COLOCATE_ONLY,
+                               duration_ms=15_000.0, clients=2)
         assert flat["timed"] == tree["timed"]
         assert flat["placements"] == tree["placements"]
 
@@ -329,7 +201,7 @@ def test_multigroup_property_random_seeds():
 
 
 # ---------------------------------------------------------------------------
-# 4. Directed cross-group pressure: the root tier must act, and only it
+# 2. Directed cross-group pressure: the root tier must act, and only it
 # ---------------------------------------------------------------------------
 
 def test_root_arbitrates_cross_group_hotspot():
@@ -338,9 +210,9 @@ def test_root_arbitrates_cross_group_hotspot():
     root-issued cross-group migrations must appear — and every
     cross-group move must be root-issued (the single-authority
     invariant the checker enforces)."""
-    run = _run_multigroup("hierarchical", seed=41, servers=4,
-                          group_size=2, rules=UNREACHABLE_RESERVE,
-                          pack=True, cross_group_band=10.0, clients=12,
+    run = _run_multigroup(seed=41, servers=4, group_size=2,
+                          rules=UNREACHABLE_RESERVE, pack=True,
+                          cross_group_band=10.0, clients=12,
                           duration_ms=40_000.0, instance_type="m1.small")
     stats = run["stats"]
     assert stats["aggregates"] > 0

@@ -1,7 +1,7 @@
 """Hierarchical control-plane failover under directed chaos.
 
-The differential harness (``test_control_plane_differential.py``) proves
-the GEM tree decides nothing *extra* in calm weather; this suite proves
+``test_control_plane_differential.py`` proves the multi-group GEM tree
+decides nothing *extra* in calm weather; this suite proves
 it survives foul weather:
 
 - **Root failover mid-migration** — the root dies at the exact moment
@@ -63,7 +63,7 @@ def _run_packed(*, seed, servers, group_size, duration_ms, clients=12,
     policy = compile_source(UNREACHABLE_RESERVE, [Partition])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
         period_ms=PERIOD_MS, gem_wait_ms=300.0, lem_stagger_ms=10.0,
-        control_plane="hierarchical", server_group_size=group_size,
+        server_group_size=group_size,
         cross_group_band=10.0, suspicion_timeout_ms=suspicion_ms))
     checker = InvariantChecker(manager)
     checker.attach()
@@ -182,7 +182,7 @@ def _small_tree(servers=4, group_size=2, suspicion_ms=6_000.0):
         "=> balance({Spinner}, cpu);", [Spinner])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
         period_ms=PERIOD_MS, gem_wait_ms=300.0,
-        control_plane="hierarchical", server_group_size=group_size,
+        server_group_size=group_size,
         suspicion_timeout_ms=suspicion_ms))
     checker = InvariantChecker(manager)
     checker.attach()

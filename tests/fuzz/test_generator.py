@@ -1,5 +1,8 @@
 """Scenario generator: determinism, validity, and coverage."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.core.epl import compile_source
@@ -184,7 +187,6 @@ def test_scale_chaos_profile_always_attacks_the_control_plane():
                    "partition-network"}
     for seed in range(30):
         scenario = generate_scenario(seed, profile="scale-chaos")
-        assert scenario.control_plane == "hierarchical"
         assert scenario.servers >= 6
         assert scenario.server_group_size in (2, 3, 4)
         # Without suspicion a killed leaf is never detected, so
@@ -224,6 +226,58 @@ def test_scale_chaos_shares_the_scale_topology_draws():
 def test_scale_chaos_scenario_round_trips_through_json():
     scenario = generate_scenario(3, profile="scale-chaos")
     assert Scenario.from_jsonable(scenario.to_jsonable()) == scenario
+
+
+def test_legacy_control_plane_key_is_accepted_and_discarded():
+    """Artifacts written while a separate flat plane existed carry a
+    ``control_plane`` key (``adopter-cross-group-flagged.json`` does).
+    It is outside input: a valid value loads and is dropped, anything
+    else still raises."""
+    scenario = generate_scenario(3, profile="scale")
+    assert scenario.server_group_size is not None
+    data = scenario.to_jsonable()
+    assert "control_plane" not in data
+    data["control_plane"] = "hierarchical"
+    assert Scenario.from_jsonable(data) == scenario
+    # The flat plane ignored the group size, so "flat" clears it.
+    data["control_plane"] = "flat"
+    flat = Scenario.from_jsonable(data)
+    assert flat.server_group_size is None
+    assert flat == dataclasses.replace(scenario, server_group_size=None)
+    data["control_plane"] = "mesh"
+    with pytest.raises(ValueError, match="control_plane"):
+        Scenario.from_jsonable(data)
+
+
+#: sha256 over ``generate_scenario(seed, profile).to_json()`` for seeds
+#: 0-39, recorded on the last commit that still had the flat plane (with
+#: its ``control_plane`` key dropped before hashing).
+GENERATOR_PINS = {
+    "default":
+        "cf6e6fd41165bb652d04c06f2575e32b7ad76e98bb57d1445bea0d31e5314dd5",
+    "partition":
+        "09afd53f79f370aa0c2370898de3d3b181896ab85b373826bc5cf18076755fe8",
+    "durability":
+        "7bfa06d2af4bcf80a4db7d1420f0a5379e938501dd8754a77929aeec2e23bf87",
+    "overload":
+        "623298705a5a15dfbeaaed0fddfd42c6e461b44c71e6d5550544f2b524cc05a3",
+    "scale":
+        "5de51f2fc97ceceb1aab164cacf2e3f2f9e69617d57b32980824f0b9efb152a2",
+    "scale-chaos":
+        "2adce62442ef904bf90140a36ee78be63a3e8340395fa0ea25a7e5d7bf94ecf7",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(GENERATOR_PINS))
+def test_generator_draws_the_pinned_rng_sequence(profile):
+    """Pinned campaigns (``repro.cli fuzz --seed-start``, the e2e
+    benchmark's ``chaos_fuzz``) name scenarios by (profile, seed): the
+    mapping must not drift when the generator is edited."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        digest.update(generate_scenario(seed, profile).to_json(
+            indent=None).encode())
+    assert digest.hexdigest() == GENERATOR_PINS[profile]
 
 
 def test_unknown_profile_rejected():

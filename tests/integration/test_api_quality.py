@@ -8,12 +8,16 @@ import pytest
 PUBLIC_MODULES = [
     "repro",
     "repro.sim",
+    "repro.sim.engine",
     "repro.cluster",
+    "repro.cluster.metrics",
     "repro.actors",
     "repro.core",
     "repro.core.epl",
     "repro.core.profiling",
+    "repro.core.profiling.stats",
     "repro.core.emr",
+    "repro.core.emr.hierarchy",
     "repro.core.tracing",
     "repro.graphs",
     "repro.workload",

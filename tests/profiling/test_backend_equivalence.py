@@ -4,8 +4,7 @@ The live-runtime work re-routed every EMR-side runtime call (migrate /
 pin / actors_on / mailbox_depth / hooks / GEM scheduling) through the
 :class:`repro.runtime.RuntimeBackend` surface.  That refactor is only
 admissible if the sim backend behind the interface is *bit-identical*
-to calling the ``ActorSystem`` directly.  Two layers of evidence,
-mirroring ``test_golden_refresh``:
+to calling the ``ActorSystem`` directly.  Two layers of evidence:
 
 1. the Fig. 7 / Fig. 9 equivalence scenarios re-run with (a) a bypass
    shim that binds the backend's methods straight to the system's bound
@@ -25,6 +24,7 @@ every system the scenario builders create.
 
 import glob
 import os
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -34,14 +34,18 @@ from repro.cli import load_fuzz_scenario
 from repro.fuzz import run_scenario
 from repro.runtime import SimBackend
 
-from test_golden_refresh import result_fingerprint
-from test_incremental_equivalence import (run_estore_scenario,
-                                          run_pagerank_scenario)
+# The Fig. 7 / Fig. 9 runners live beside the golden digests; make them
+# importable even when only this file is collected.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "golden"))
+
+from scenarios import (result_fingerprint, run_estore_scenario,  # noqa: E402
+                       run_pagerank_scenario)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fuzz",
                           "corpus")
 #: ≥ 3 artifacts per the acceptance criteria; the full corpus runs in
-#: test_golden_refresh, so a spread of four profiles is enough here.
+#: tests/golden, so a spread of four profiles is enough here.
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))[:4]
 
 
@@ -137,9 +141,9 @@ def assert_surface_exercised(calls):
 
 def test_pagerank_trace_identical_behind_backend():
     with backend_shim(BypassBackend):
-        reference = run_pagerank_scenario(incremental=True)
+        reference = run_pagerank_scenario()
     with counting() as calls:
-        observed = run_pagerank_scenario(incremental=True)
+        observed = run_pagerank_scenario()
     assert observed == reference
     assert reference[2], "scenario produced no migrations"
     assert_surface_exercised(calls)
@@ -148,9 +152,9 @@ def test_pagerank_trace_identical_behind_backend():
 
 def test_estore_trace_identical_behind_backend():
     with backend_shim(BypassBackend):
-        reference = run_estore_scenario(incremental=True)
+        reference = run_estore_scenario()
     with counting() as calls:
-        observed = run_estore_scenario(incremental=True)
+        observed = run_estore_scenario()
     assert observed == reference
     assert reference[2], "scenario produced no migrations"
     assert_surface_exercised(calls)

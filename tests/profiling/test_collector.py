@@ -182,12 +182,11 @@ def test_destroyed_actor_stats_dropped():
     assert shard.actor_id not in profiler._stats
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_zero_window_profiler_does_not_divide_by_zero(incremental):
+def test_zero_window_profiler_does_not_divide_by_zero():
     # Regression: window_ms=0 made the per-minute scaling divide by an
     # effective window of zero and raise ZeroDivisionError.
     sim, system, _ = setup(profiled=False)
-    profiler = ProfilingRuntime(sim, window_ms=0.0, incremental=incremental)
+    profiler = ProfilingRuntime(sim, window_ms=0.0)
     system.add_hooks(profiler)
     shard = system.create_actor(Shard, server=system.provisioner.servers[0])
     run_calls(sim, system, shard, "read", 3)
@@ -198,13 +197,11 @@ def test_zero_window_profiler_does_not_divide_by_zero(incremental):
     assert all(v == 0.0 for v in snap.call_count_per_min.values())
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_zero_group_total_percentages_are_zero(incremental):
+def test_zero_group_total_percentages_are_zero():
     # A group whose windowed call counts all decayed to zero must produce
     # 0% shares, not a divide-by-zero (the _fill_percentages guard).
     sim, system, _ = setup(profiled=False)
-    profiler = ProfilingRuntime(sim, window_ms=10_000.0,
-                                incremental=incremental)
+    profiler = ProfilingRuntime(sim, window_ms=10_000.0)
     system.add_hooks(profiler)
     server = system.provisioner.servers[0]
     first = system.create_actor(Shard, server=server)

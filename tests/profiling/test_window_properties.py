@@ -1,8 +1,8 @@
-"""Property tests: ring-buffer meters vs brute-force and legacy meters.
+"""Property tests: ring-buffer meters vs brute-force and scan meters.
 
-The incremental profiling path is only admissible because
-:class:`RingMeter` promises *bit-identical* windowed totals to the
-original :class:`WindowedMeter` (see the exactness contract in
+The profiling hot path is only admissible because :class:`RingMeter`
+promises *bit-identical* windowed totals to the bucket-scanning
+:class:`WindowedMeter` (see the exactness contract in
 ``repro/core/profiling/ring.py``).  These properties drive both
 implementations — plus an independent brute-force reference — through
 random event sequences and assert exact ``==`` on every query, with the
@@ -166,24 +166,22 @@ class _Idle(Actor):
 
 
 def test_resurrection_resets_profile():
-    """A resurrected actor restarts from a blank profile in both modes —
-    pre-crash rates must not leak through the snapshot cache."""
-    for incremental in (True, False):
-        bed = build_cluster(1, "m5.large", seed=3)
-        ref = bed.system.create_actor(_Idle)
-        record = bed.system.directory.lookup(ref.actor_id)
-        profiler = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS,
-                                    incremental=incremental)
-        profiler.on_actor_created(record)
-        profiler.on_compute(record, 42.0)
-        bed.sim.run(until=bed.sim.now + BUCKET_MS)
-        before = profiler.snapshot_actors([record])[0]
-        assert before.cpu_ms_per_min > 0.0
-        profiler.on_actor_resurrected(record)
-        after = profiler.snapshot_actors([record])[0]
-        assert after.cpu_ms_per_min == 0.0
-        assert after.call_count_per_min == {}
-        # And the fresh profile keeps metering normally afterwards.
-        profiler.on_compute(record, 7.0)
-        again = profiler.snapshot_actors([record])[0]
-        assert again.cpu_ms_per_min > 0.0
+    """A resurrected actor restarts from a blank profile — pre-crash
+    rates must not leak through the snapshot cache."""
+    bed = build_cluster(1, "m5.large", seed=3)
+    ref = bed.system.create_actor(_Idle)
+    record = bed.system.directory.lookup(ref.actor_id)
+    profiler = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS)
+    profiler.on_actor_created(record)
+    profiler.on_compute(record, 42.0)
+    bed.sim.run(until=bed.sim.now + BUCKET_MS)
+    before = profiler.snapshot_actors([record])[0]
+    assert before.cpu_ms_per_min > 0.0
+    profiler.on_actor_resurrected(record)
+    after = profiler.snapshot_actors([record])[0]
+    assert after.cpu_ms_per_min == 0.0
+    assert after.call_count_per_min == {}
+    # And the fresh profile keeps metering normally afterwards.
+    profiler.on_compute(record, 7.0)
+    again = profiler.snapshot_actors([record])[0]
+    assert again.cpu_ms_per_min > 0.0

@@ -1,9 +1,12 @@
-"""Differential harness: heap kernel vs calendar kernel.
+"""Differential harness: the calendar kernel vs a binary-heap oracle.
 
-The calendar-queue kernel is only admissible if it is *indistinguishable*
-from the reference heap kernel: same callbacks, in the same order, at the
-same ``now``, for any schedule.  These tests run randomized seeded
-schedule programs against both kernels and diff the full pop trajectory.
+The calendar-queue kernel (``repro.sim.Simulator``) is only admissible if
+it is *indistinguishable* from a plain ``(timestamp, insertion order)``
+heap: same callbacks, in the same order, at the same ``now``, for any
+schedule.  The heap used to be a selectable kernel in ``src/``; it now
+lives beside this file (``heap_oracle.py``) purely as the oracle.  These
+tests run randomized seeded schedule programs against both and diff the
+full pop trajectory.
 Shapes are chosen to hit every storage class of the calendar kernel:
 
 - **dense** sub-bucket delays (active-bucket bisect drains),
@@ -19,14 +22,13 @@ identical draws *because* they fire callbacks in identical order, so any
 ordering divergence snowballs into an obvious log mismatch.
 """
 
-import os
 import random
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import (DEFAULT_SCHEDULER, CalendarSimulator,
-                              HeapSimulator, SimulationError)
+
+from heap_oracle import HeapSimulator
 
 try:
     from hypothesis import given, settings
@@ -35,7 +37,7 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
-KERNELS = ("heap", "calendar")
+KERNELS = {"heap": HeapSimulator, "calendar": Simulator}
 
 # Delay menus per shape.  Values are chosen to straddle the calendar
 # kernel's 1.0 ms bucket width: same-bucket, adjacent-bucket, far-bucket.
@@ -44,7 +46,7 @@ SPARSE_DELAYS = (0.0, 1.0, 2.5, 40.0, 400.0, 3_000.0, 25_000.0)
 BURST_DELAYS = (0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 5.0, 10.0)
 
 
-def run_program(scheduler, seed, delays, initial=40, budget=2_500,
+def run_program(kernel, seed, delays, initial=40, budget=2_500,
                 fanout=3, with_timers=False, until_steps=None):
     """Run one randomized schedule program; return its full trajectory.
 
@@ -52,7 +54,7 @@ def run_program(scheduler, seed, delays, initial=40, budget=2_500,
     pending count)`` — callback identity, firing time, and a queue-size
     probe — plus the periodic-timer fires and the final clock.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = KERNELS[kernel]()
     rng = random.Random(seed)
     log = []
     state = {"next_id": 0, "scheduled": 0}
@@ -137,9 +139,9 @@ def test_stepped_until_runs_identical(seed):
                          until_steps=[7.0, 0.0, 13.5, 250.0, 9_000.0])
 
 
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_stop_mid_run_leaves_identical_state(scheduler):
-    sim = Simulator(scheduler=scheduler)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_stop_mid_run_leaves_identical_state(kernel):
+    sim = KERNELS[kernel]()
     seen = []
     for index in range(20):
         sim.schedule(float(index), seen.append, index)
@@ -155,9 +157,9 @@ def test_stop_mid_run_leaves_identical_state(scheduler):
     assert remaining == 9
 
 
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_peek_tracks_next_event(scheduler):
-    sim = Simulator(scheduler=scheduler)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_peek_tracks_next_event(kernel):
+    sim = KERNELS[kernel]()
     assert sim.peek() is None
     sim.schedule(5.0, lambda: None)
     sim.schedule(2.0, lambda: None)
@@ -172,40 +174,19 @@ def test_peek_tracks_next_event(scheduler):
     assert sim.peek() is None
 
 
-def test_default_scheduler_dispatch():
-    # The default kernel follows $REPRO_SIM_SCHEDULER (calendar unless
-    # overridden) so the whole suite can be re-run on the heap kernel.
-    assert DEFAULT_SCHEDULER == os.environ.get(
-        "REPRO_SIM_SCHEDULER", "calendar")
-    assert Simulator().scheduler_name == DEFAULT_SCHEDULER
-    assert isinstance(Simulator(scheduler="calendar"), CalendarSimulator)
-    assert isinstance(Simulator(scheduler="heap"), HeapSimulator)
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="splay-tree")
-
-
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_direct_kernel_construction(scheduler):
-    cls = {"heap": HeapSimulator, "calendar": CalendarSimulator}[scheduler]
-    sim = cls()
-    assert sim.scheduler_name == scheduler
-    with pytest.raises(SimulationError):
-        cls(scheduler="heap" if scheduler == "calendar" else "calendar")
-
-
-def test_calendar_bucket_width_knob():
-    sim = CalendarSimulator(bucket_width_ms=0.25)
-    seen = []
-    for index in range(8):
-        sim.schedule(index * 0.1, seen.append, index)
-    sim.run()
-    assert seen == list(range(8))
-    with pytest.raises(SimulationError):
-        CalendarSimulator(bucket_width_ms=0.0)
+def test_constructor_rejects_unknown_keywords():
+    # There is one kernel and no selector; a typo'd (or legacy) keyword
+    # must fail loudly instead of being swallowed.
+    with pytest.raises(TypeError):
+        Simulator(scheduler="heap")
+    with pytest.raises(TypeError):
+        Simulator(bucket_width_ms=0.25)
+    with pytest.raises(TypeError):
+        Simulator("calendar")
 
 
 def test_calendar_horizon_adapts_on_sparse_schedules():
-    sim = CalendarSimulator()
+    sim = Simulator()
     for index in range(64):
         sim.schedule(1_000.0 * (index + 1), lambda: None)
     sim.run()
@@ -224,18 +205,18 @@ if HAVE_HYPOTHESIS:
         """Events at equal timestamps fire in insertion order — on both
         kernels, for arbitrary quantized schedules."""
         logs = {}
-        for scheduler in KERNELS:
-            sim = Simulator(scheduler=scheduler)
-            log = logs[scheduler] = []
+        for kernel, make_sim in KERNELS.items():
+            sim = make_sim()
+            log = logs[kernel] = []
             for order, delay in enumerate(delays):
                 sim.schedule(delay, log.append, (delay, order))
             sim.run()
-        for scheduler, log in logs.items():
+        for kernel, log in logs.items():
             by_time = {}
             for delay, order in log:
                 by_time.setdefault(delay, []).append(order)
             for delay, orders in by_time.items():
-                assert orders == sorted(orders), (scheduler, delay)
+                assert orders == sorted(orders), (kernel, delay)
         assert logs["heap"] == logs["calendar"]
 
     @given(st.integers(min_value=0, max_value=2**31),
