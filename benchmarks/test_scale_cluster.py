@@ -24,7 +24,8 @@ from types import SimpleNamespace
 from repro.actors.refs import ActorRef
 from repro.bench import record_metrics, time_ops
 from repro.core import EmrConfig
-from repro.core.emr.hierarchy import RootGem, build_aggregate
+from repro.core.emr.hierarchy import (GROUP_TOP_K, RootGem,
+                                      build_aggregate)
 from repro.core.profiling import ActorSnapshot, ServerSnapshot
 
 if os.environ.get("SCALE_SMOKE"):
@@ -62,12 +63,11 @@ class _FakeGem:
 
 def _stub_root(config):
     manager = SimpleNamespace(
-        config=config, system=SimpleNamespace(sim=SimpleNamespace(
-            now=NOW_MS)))
+        config=config, backend=SimpleNamespace(now=NOW_MS))
     return RootGem(manager, hierarchy=None)
 
 
-def _build_views(num_servers, group_size, config):
+def _build_views(num_servers, group_size):
     """Fold a synthetic fleet into per-group root views, one group at a
     time — exactly the real pipeline's memory profile: no global
     per-actor view ever materializes, only bounded aggregates survive.
@@ -109,7 +109,7 @@ def _build_views(num_servers, group_size, config):
             total_actors += ACTORS_PER_SERVER
         gem = _FakeGem(gem_id=group)
         aggregate = build_aggregate(group, gem, servers, actors_by_server,
-                                    config.group_top_k)
+                                    GROUP_TOP_K)
         # What the root actually folds: the first publish's full delta.
         views[group] = aggregate.delta_against(None)
     return views, total_actors
@@ -118,9 +118,9 @@ def _build_views(num_servers, group_size, config):
 def _bench_fleet(num_servers, config):
     group_size = max(1, round(math.sqrt(num_servers)))
     build_timing = time_ops(
-        lambda: _build_views(num_servers, group_size, config),
+        lambda: _build_views(num_servers, group_size),
         ops=num_servers * ACTORS_PER_SERVER, repeats=1)
-    views, total_actors = _build_views(num_servers, group_size, config)
+    views, total_actors = _build_views(num_servers, group_size)
     root = _stub_root(config)
     actions = root.arbitrate(views)
     assert actions, "arbitration found no hot spot: benchmark is vacuous"

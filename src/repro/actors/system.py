@@ -69,10 +69,10 @@ class ActorSystem:
         #: authoritative view.
         self.directory = directory if directory is not None else Directory()
         #: The :class:`~repro.runtime.RuntimeBackend` view of this
-        #: system: the narrow clock + migrate/pin/place + profiling
-        #: surface the elasticity layer drives.  Pure delegation — the
-        #: module-level name is looked up (not bound) so equivalence
-        #: tests can substitute a counting/bypassing shim.
+        #: system: the narrow clock + migrate/pin/place + fleet +
+        #: profiling surface the elasticity layer drives.  Pure
+        #: delegation — the module-level name is looked up (not bound)
+        #: so tests can substitute a call-counting subclass.
         self.backend = SimBackend(self)
         self.hooks: List[RuntimeHooks] = []
         self.placement_policy: Optional[PlacementPolicy] = None
@@ -87,8 +87,7 @@ class ActorSystem:
         #: decisions (set by the elasticity manager; ``None`` stamps 0).
         self.epoch_source: Optional[Callable[[], int]] = None
         #: How long each phase of the migration protocol waits for an ack
-        #: that cannot arrive (severed link) before rolling back.  The
-        #: elasticity manager overrides this from its config.
+        #: that cannot arrive (severed link) before rolling back.
         self.migration_phase_timeout_ms = 2_000.0
         #: Migrations holding a prepared (not yet committed) copy of
         #: state on their destination, by actor id: ``(record, target)``.

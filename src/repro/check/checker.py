@@ -1069,10 +1069,10 @@ class InvariantChecker:
         bound is generous — drain + two phase-timeout waits + transfer —
         so tripping it means the protocol genuinely lost the migration,
         not that it is merely slow."""
-        now = self.manager.system.sim.now
-        config = self.manager.config
-        bound = (3 * config.migration_phase_timeout_ms
-                 + 2 * config.period_ms)
+        system = self.manager.system
+        now = system.sim.now
+        bound = (3 * system.migration_phase_timeout_ms
+                 + 2 * self.manager.config.period_ms)
         for actor_id, started in list(self._root_inflight.items()):
             if now - started > bound:
                 del self._root_inflight[actor_id]

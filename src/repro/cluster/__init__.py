@@ -9,13 +9,14 @@ from .instances import INSTANCE_TYPES, InstanceType, instance_type
 from .metrics import AvailabilityMeter, GaugeSeries, WindowedMeter
 from .network import NetworkFabric
 from .provisioner import Provisioner
-from .server import CpuJob, Server
+from .server import CpuJob, Server, ServerGauges
 
 __all__ = [
     "InstanceType",
     "INSTANCE_TYPES",
     "instance_type",
     "Server",
+    "ServerGauges",
     "ServerGroupMap",
     "CpuJob",
     "NetworkFabric",

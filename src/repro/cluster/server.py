@@ -17,7 +17,7 @@ from ..sim import Queue, Signal, Simulator, Timeout, spawn
 from .instances import InstanceType
 from .metrics import WindowedMeter
 
-__all__ = ["Server", "CpuJob"]
+__all__ = ["Server", "ServerGauges", "CpuJob"]
 
 _server_ids = itertools.count(1)
 
@@ -37,7 +37,77 @@ class CpuJob:
         self.done = Signal(sim)
 
 
-class Server:
+class ServerGauges:
+    """What a placement domain answers regardless of how it executes
+    work: an instance type, a memory ledger, and windowed CPU/NIC meters
+    read as the utilization percentages PLASMA rules consume.  ``clock``
+    is anything with a ``now`` in milliseconds (the simulator, or the
+    live runtime's wall clock)."""
+
+    def __init__(self, clock: Any, itype: InstanceType, server_id: int,
+                 name: str) -> None:
+        self.clock = clock
+        self.itype = itype
+        self.server_id = server_id
+        self.name = name
+        self.started_at = clock.now
+        self.running = True
+        self.cpu_meter = WindowedMeter(clock)
+        self.net_meter = WindowedMeter(clock)
+        self.memory_used_mb = 0.0
+
+    # -- memory --------------------------------------------------------------
+
+    def allocate_memory(self, mb: float) -> None:
+        """Claim ``mb`` of memory.  Oversubscription is permitted (the paper's
+        runtime does not kill actors on memory pressure) but shows up in
+        :meth:`memory_percent` > 100, which memory rules can react to."""
+        if mb < 0:
+            raise ValueError(f"negative memory allocation: {mb!r}")
+        self.memory_used_mb += mb
+
+    def free_memory(self, mb: float) -> None:
+        self.memory_used_mb = max(0.0, self.memory_used_mb - mb)
+
+    # -- utilization percentages --------------------------------------------
+
+    def _effective_window(self, window_ms: float) -> float:
+        uptime = self.clock.now - self.started_at
+        if uptime <= 0:
+            return 0.0
+        return min(window_ms, uptime)
+
+    def cpu_percent(self, window_ms: float) -> float:
+        """CPU utilization (0–100) over the trailing window."""
+        effective = self._effective_window(window_ms)
+        if effective <= 0:
+            return 0.0
+        capacity = effective * self.itype.vcpus
+        return min(100.0, 100.0 * self.cpu_meter.total(window_ms) / capacity)
+
+    def memory_percent(self, window_ms: float = 0.0) -> float:
+        """Memory utilization (instantaneous; window kept for symmetry)."""
+        return 100.0 * self.memory_used_mb / self.itype.memory_mb
+
+    def net_percent(self, window_ms: float) -> float:
+        """NIC utilization (0–100) over the trailing window."""
+        effective = self._effective_window(window_ms)
+        if effective <= 0:
+            return 0.0
+        capacity = effective * self.itype.net_bytes_per_ms()
+        return min(100.0, 100.0 * self.net_meter.total(window_ms) / capacity)
+
+    def resource_percent(self, resource: str, window_ms: float) -> float:
+        """Utilization of ``cpu`` or ``net`` over the trailing window;
+        any other resource name reads memory."""
+        if resource == "cpu":
+            return self.cpu_percent(window_ms)
+        if resource == "net":
+            return self.net_percent(window_ms)
+        return self.memory_percent()
+
+
+class Server(ServerGauges):
     """One simulated machine in the cluster.
 
     Public resource API:
@@ -50,20 +120,15 @@ class Server:
 
     def __init__(self, sim: Simulator, itype: InstanceType,
                  name: Optional[str] = None) -> None:
+        server_id = next(_server_ids)
+        super().__init__(sim, itype, server_id,
+                         name or f"{itype.name}-{server_id}")
         self.sim = sim
-        self.itype = itype
-        self.server_id = next(_server_ids)
-        self.name = name or f"{itype.name}-{self.server_id}"
-        self.started_at = sim.now
-        self.running = True
         #: Chaos "limping server" multiplier: effective core speed is
         #: ``itype.cpu_speed * speed_factor``.  1.0 = healthy.
         self.speed_factor = 1.0
 
         self._run_queue: Queue[CpuJob] = Queue(sim)
-        self.cpu_meter = WindowedMeter(sim)
-        self.net_meter = WindowedMeter(sim)
-        self.memory_used_mb = 0.0
         self._cores = [
             spawn(sim, self._core_loop(), name=f"{self.name}/core{i}")
             for i in range(itype.vcpus)
@@ -102,47 +167,6 @@ class Server:
     def run_queue_length(self) -> int:
         """Jobs waiting for a core (excludes jobs currently executing)."""
         return len(self._run_queue)
-
-    # -- memory --------------------------------------------------------------
-
-    def allocate_memory(self, mb: float) -> None:
-        """Claim ``mb`` of memory.  Oversubscription is permitted (the paper's
-        runtime does not kill actors on memory pressure) but shows up in
-        :meth:`memory_percent` > 100, which memory rules can react to."""
-        if mb < 0:
-            raise ValueError(f"negative memory allocation: {mb!r}")
-        self.memory_used_mb += mb
-
-    def free_memory(self, mb: float) -> None:
-        self.memory_used_mb = max(0.0, self.memory_used_mb - mb)
-
-    # -- utilization percentages --------------------------------------------
-
-    def _effective_window(self, window_ms: float) -> float:
-        uptime = self.sim.now - self.started_at
-        if uptime <= 0:
-            return 0.0
-        return min(window_ms, uptime)
-
-    def cpu_percent(self, window_ms: float) -> float:
-        """CPU utilization (0–100) over the trailing window."""
-        effective = self._effective_window(window_ms)
-        if effective <= 0:
-            return 0.0
-        capacity = effective * self.itype.vcpus
-        return min(100.0, 100.0 * self.cpu_meter.total(window_ms) / capacity)
-
-    def memory_percent(self, window_ms: float = 0.0) -> float:
-        """Memory utilization (instantaneous; window kept for symmetry)."""
-        return 100.0 * self.memory_used_mb / self.itype.memory_mb
-
-    def net_percent(self, window_ms: float) -> float:
-        """NIC utilization (0–100) over the trailing window."""
-        effective = self._effective_window(window_ms)
-        if effective <= 0:
-            return 0.0
-        capacity = effective * self.itype.net_bytes_per_ms()
-        return min(100.0, 100.0 * self.net_meter.total(window_ms) / capacity)
 
     def idle_cpu_headroom(self, window_ms: float) -> float:
         """Unused CPU capacity, in CPU-ms per ms (used by admission checks)."""

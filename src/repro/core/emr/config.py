@@ -8,7 +8,10 @@ from typing import Optional
 from ...durability import DurabilityConfig
 from ...overload import OverloadConfig
 
-__all__ = ["EmrConfig"]
+__all__ = ["EmrConfig", "CONTROL_LATENCY_MS"]
+
+#: One-way latency of a LEM<->GEM (or leaf<->root) control message.
+CONTROL_LATENCY_MS = 1.0
 
 
 @dataclass
@@ -31,8 +34,6 @@ class EmrConfig:
     #: Benchmarks size it ~sqrt(fleet) so root decision cost stays
     #: sub-linear in servers.
     server_group_size: Optional[int] = None
-    #: Hot actors each leaf aggregate carries to the root (per group).
-    group_top_k: int = 8
     #: Mean-CPU gap (percentage points) between the hottest and coldest
     #: group before the root plans cross-group migrations.
     cross_group_band: float = 20.0
@@ -62,8 +63,6 @@ class EmrConfig:
     scale_instance_type: Optional[str] = None
     #: Offset between successive LEM period timers (avoids thundering herd).
     lem_stagger_ms: float = 50.0
-    #: One-way latency for LEM<->GEM control messages.
-    control_latency_ms: float = 1.0
     #: CPU charged per profiled message (EPR overhead model, Table 3).
     profiling_overhead_cpu_ms: float = 0.0
     #: Failure detection: a server whose LEM has not reported for this
@@ -74,16 +73,6 @@ class EmrConfig:
     #: Re-create actors lost to a confirmed server failure through the
     #: rule-aware placement path (only effective with detection on).
     resurrect_lost_actors: bool = True
-    #: While a partition is active, the manager re-probes GEM quorums at
-    #: this interval (fleet changes mid-partition can flip a side's
-    #: majority).  ``None`` means half an elasticity period.  The probe
-    #: process only exists while a partition is active, so a fault-free
-    #: run schedules nothing.
-    partition_probe_interval_ms: Optional[float] = None
-    #: Per-phase ack timeout of the prepare/transfer/commit migration
-    #: protocol: how long the source waits on a severed link before
-    #: rolling back (pushed onto the actor system at start()).
-    migration_phase_timeout_ms: float = 2_000.0
     #: Durable actor state (checkpoints, journaling, state-preserving
     #: recovery).  ``None`` — or a config with ``enabled=False`` — keeps
     #: the subsystem fully inert: no hooks, no scheduling, no RNG, so
@@ -109,8 +98,6 @@ class EmrConfig:
         if (self.server_group_size is not None
                 and self.server_group_size < 1):
             raise ValueError("server_group_size must be positive (or None)")
-        if self.group_top_k < 1:
-            raise ValueError("group_top_k must be at least 1")
         if self.cross_group_band <= 0:
             raise ValueError("cross_group_band must be positive")
         if self.stability_ms is not None and self.stability_ms < 0:
@@ -129,8 +116,6 @@ class EmrConfig:
             raise ValueError("invalid fleet scaling bounds")
         if self.lem_stagger_ms < 0:
             raise ValueError("lem_stagger_ms must be non-negative")
-        if self.control_latency_ms < 0:
-            raise ValueError("control_latency_ms must be non-negative")
         if self.profiling_overhead_cpu_ms < 0:
             raise ValueError("profiling_overhead_cpu_ms must be "
                              "non-negative")
@@ -140,12 +125,6 @@ class EmrConfig:
                 "suspicion_timeout_ms must exceed period_ms: LEMs report "
                 "once per period, so a shorter timeout suspects every "
                 "healthy server")
-        if (self.partition_probe_interval_ms is not None
-                and self.partition_probe_interval_ms <= 0):
-            raise ValueError(
-                "partition_probe_interval_ms must be positive (or None)")
-        if self.migration_phase_timeout_ms <= 0:
-            raise ValueError("migration_phase_timeout_ms must be positive")
         if (self.durability is not None
                 and not isinstance(self.durability, DurabilityConfig)):
             raise ValueError("durability must be a DurabilityConfig or None, "

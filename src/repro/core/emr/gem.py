@@ -20,6 +20,7 @@ from ...sim import Signal
 from ..epl import Balance, Reserve
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action
+from .config import CONTROL_LATENCY_MS
 from .evaluate import (EvaluationScope, bound_snapshot, colocate_groups,
                        evaluate_rule, extract_bounds)
 from .planning import plan_balance, plan_drain, plan_reserve
@@ -99,11 +100,10 @@ class GEM:
             # reports with empty action lists and plan nothing.  The
             # LEMs proceed with local actions only, exactly as if this
             # GEM had timed out.
-            delay = self.manager.config.control_latency_ms
             for _lem, _actors, server_snap, reply in reports:
                 if self.manager.reply_reachable(self, server_snap.server):
                     self.manager.backend.schedule(
-                        delay, reply.trigger, ((), self.epoch))
+                        CONTROL_LATENCY_MS, reply.trigger, ((), self.epoch))
             return
         self.rounds_processed += 1
         self._boots_this_round = 0
@@ -149,13 +149,12 @@ class GEM:
         queues: Dict[int, List[Action]] = {}
         for action in actions:
             queues.setdefault(action.src.server_id, []).append(action)
-        delay = self.manager.config.control_latency_ms
         for lem, _actors, server_snap, reply in reports:
             if not self.manager.reply_reachable(self, server_snap.server):
                 continue
             lem_actions = queues.get(server_snap.server.server_id, [])
-            self.manager.backend.schedule(delay, reply.trigger,
-                                             (lem_actions, self.epoch))
+            self.manager.backend.schedule(CONTROL_LATENCY_MS, reply.trigger,
+                                          (lem_actions, self.epoch))
 
         # Ship a delta-compressed aggregate up to the root tier for
         # every group this leaf serves — its home group plus any group
@@ -349,15 +348,14 @@ class GEM:
             return
         if self._boots_this_round >= config.max_scale_out_per_period:
             return
-        if self.manager.system.provisioner.pending_boots() > 0:
+        if self.manager.backend.pending_boots() > 0:
             return
         if not self.manager.vote(self, "overloaded"):
             return
         self._boots_this_round += 1
         self.manager.emit("scale-out", gem_id=self.gem_id,
                           overload_fraction=self.overload_fraction)
-        self.manager.system.provisioner.boot_server(
-            config.scale_instance_type)
+        self.manager.backend.boot_server(config.scale_instance_type)
 
     def _try_scale_in(self, servers: List[ServerSnapshot],
                       actors_by_server: Dict[int, List[ActorSnapshot]],
@@ -366,8 +364,7 @@ class GEM:
         if not config.allow_scale_in or self.degraded or len(servers) < 2:
             return []
         lower, upper = bounds if bounds else (60.0, 80.0)
-        fleet = self.manager.system.provisioner.fleet_size()
-        if fleet <= config.min_servers:
+        if len(self.manager.backend.servers()) <= config.min_servers:
             return []
         below = [s for s in servers if s.resource_perc("cpu") < lower
                  and not self.manager.is_draining(s.server)]

@@ -61,12 +61,16 @@ from ...cluster import Server, ServerGroupMap
 from ...sim import Timeout, spawn
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action
+from .config import CONTROL_LATENCY_MS
 from .gem import GEM
 
 if TYPE_CHECKING:  # pragma: no cover
     from .manager import ElasticityManager
 
-__all__ = ["ControlHierarchy", "GroupAggregate", "RootGem"]
+__all__ = ["ControlHierarchy", "GroupAggregate", "RootGem", "GROUP_TOP_K"]
+
+#: Hot actors each leaf aggregate carries to the root (per group).
+GROUP_TOP_K = 8
 
 
 @dataclass
@@ -201,7 +205,7 @@ class RootGem:
             # Batch: every aggregate landing within one collection
             # window rides the same root round.
             self._flush_scheduled = True
-            self.manager.system.sim.schedule(
+            self.manager.backend.schedule(
                 self.manager.config.gem_wait_ms, self._flush)
 
     def _flush(self) -> None:
@@ -216,7 +220,7 @@ class RootGem:
             for group, view in sorted(self.views.items())))
         for action in self.arbitrate(self.views):
             self.cross_migrations_planned += 1
-            spawn(self.manager.system.sim, self._execute_cross(action),
+            spawn(self.manager.backend, self._execute_cross(action),
                   name=f"root/cross-migrate/{action.actor_id}")
 
     # -- cross-group arbitration ----------------------------------------
@@ -244,7 +248,7 @@ class RootGem:
         least = views[cold].get("least_loaded")
         if least is None or not least.server.running:
             return []
-        now = self.manager.system.sim.now
+        now = self.manager.backend.now
         stability = config.stability_window_ms()
         actions: List[Action] = []
         for snap in views[hot].get("top_actors", ()):
@@ -273,7 +277,7 @@ class RootGem:
         rollback regardless of what happens to the root).
         """
         manager = self.manager
-        sim = manager.system.sim
+        backend = manager.backend
         config = manager.config
         generation = self.generation
         record = manager.system.directory.try_lookup(action.actor_id)
@@ -286,22 +290,23 @@ class RootGem:
         if (manager.server_quorumless(action.src)
                 or manager.server_quorumless(action.dst)):
             return
-        if sim.now - record.last_placed_at < config.stability_window_ms():
+        if (backend.now - record.last_placed_at
+                < config.stability_window_ms()):
             return
         target_lem = manager.lem_for(action.dst)
         if target_lem is None:
             return
-        yield Timeout(sim, config.control_latency_ms)
+        yield Timeout(backend, CONTROL_LATENCY_MS)
         if self.failed or self.generation != generation:
             return
         accepted = target_lem.check_idle_res(action)
-        yield Timeout(sim, config.control_latency_ms)
+        yield Timeout(backend, CONTROL_LATENCY_MS)
         if not accepted:
             return
         if (self.failed or self.generation != generation
                 or self.epoch < manager.epoch):
             return  # issuing incarnation lost authority mid-flight
-        manager.system.migrate_actor(record.ref, action.dst)
+        backend.migrate_actor(record.ref, action.dst)
         manager.note_migration(action, issuer="root")
 
     # -- fleet-scaling arbitration --------------------------------------
@@ -349,7 +354,7 @@ class ControlHierarchy:
         #: is flushed the moment a second group opens.
         self._memberships: List[Tuple[str, int, int]] = []
         self._announced = 0
-        for server in manager.system.provisioner.servers:
+        for server in manager.backend.servers():
             self.groups.assign(server)
 
     def build_leaf_gems(self) -> List["GEM"]:
@@ -422,7 +427,7 @@ class ControlHierarchy:
         return adopter
 
     def _group_has_running_member(self, group: int) -> bool:
-        for server in self.manager.system.provisioner.servers:
+        for server in self.manager.backend.servers():
             if (server.running
                     and self.groups.group_of(server.server_id) == group):
                 return True
@@ -545,7 +550,6 @@ class ControlHierarchy:
         inputs are full aggregates — within one report period of the
         failure, without waiting for the suspicion timer.
         """
-        config = self.manager.config
         home = self.leaf_group.get(gem.gem_id)
         if home is None:
             # Groupless emergency respawn (see respawn_gem): it may have
@@ -570,7 +574,7 @@ class ControlHierarchy:
                           for server_id, snaps in actors_by_server.items()
                           if self.groups.group_of(server_id) == group}
             aggregate = build_aggregate(group, gem, own, own_actors,
-                                        config.group_top_k)
+                                        GROUP_TOP_K)
             delta = aggregate.delta_against(self._last_published.get(group))
             self._last_published[group] = aggregate
             self.manager.emit(
@@ -582,6 +586,6 @@ class ControlHierarchy:
                 server_count=aggregate.server_count,
                 actor_count=aggregate.actor_count,
                 delta_fields=tuple(sorted(delta)))
-            self.manager.system.sim.schedule(
-                config.control_latency_ms, self.root.receive_aggregate,
+            self.manager.backend.schedule(
+                CONTROL_LATENCY_MS, self.root.receive_aggregate,
                 group, delta)

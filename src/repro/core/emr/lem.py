@@ -26,6 +26,7 @@ from ...sim import Signal, Timeout, spawn
 from ..epl import Colocate, Pin, Separate
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action, resolve_actions
+from .config import CONTROL_LATENCY_MS
 from .evaluate import EvaluationScope, evaluate_rule
 from .planning import contribution_perc
 
@@ -54,8 +55,12 @@ class LEM:
         self._process = None
 
     def start(self) -> None:
-        sim = self.manager.system.sim
-        self._process = spawn(sim, self._run(), name=f"lem/{self.server.name}")
+        """Start this LEM's own period timer (one per server, as in the
+        paper).  A runtime whose servers all share one process drives
+        :meth:`begin_round`/:meth:`finish_round` from a single timer
+        instead and never calls this."""
+        self._process = spawn(self.manager.backend, self._run(),
+                              name=f"lem/{self.server.name}")
 
     def cancel(self) -> None:
         """Stop this LEM's period timer (its host server crashed)."""
@@ -65,7 +70,7 @@ class LEM:
     # ------------------------------------------------------------------
 
     def _run(self):
-        sim = self.manager.system.sim
+        backend = self.manager.backend
         config = self.manager.config
         # Align rounds to global period boundaries (plus a small stagger)
         # so every LEM's REPORT reaches its GEM within one collection
@@ -75,11 +80,11 @@ class LEM:
         offset = min(config.lem_stagger_ms * self.index,
                      config.gem_wait_ms / 2.0)
         while self.manager.running and self.server.running:
-            to_boundary = config.period_ms - (sim.now % config.period_ms)
-            yield Timeout(sim, to_boundary + offset)
+            to_boundary = config.period_ms - (backend.now % config.period_ms)
+            yield Timeout(backend, to_boundary + offset)
             if not (self.manager.running and self.server.running):
                 return
-            yield from self._round()
+            yield from self.finish_round(*self.begin_round())
             overload = self.manager.overload
             if (overload is not None
                     and overload.is_browned_out(self.server.name)
@@ -88,11 +93,13 @@ class LEM:
                 # stretch-1 boundaries, then realign as usual.  Every
                 # skipped round is profiling and control traffic a
                 # saturated server does not pay.
-                yield Timeout(sim, (overload.config.brownout_stretch - 1)
+                yield Timeout(backend, (overload.config.brownout_stretch - 1)
                               * config.period_ms)
 
-    def _round(self):
-        sim = self.manager.system.sim
+    def begin_round(self):
+        """The synchronous head of a round: heartbeat, snapshots, actor
+        rules, REPORT.  Returns the arguments of :meth:`finish_round`."""
+        backend = self.manager.backend
         config = self.manager.config
         self.rounds_run += 1
         self._reserved_perc = {}
@@ -101,7 +108,7 @@ class LEM:
         # (where no REPORT would otherwise reach a GEM).
         self.manager.note_report(self.server)
 
-        records = self.manager.backend.actors_on(self.server)
+        records = backend.actors_on(self.server)
         actor_snaps = self.manager.profiler.snapshot_actors(records)
         server_snap = self.manager.profiler.snapshot_server(
             self.server, records)
@@ -115,29 +122,38 @@ class LEM:
         browned_out = False
         if overload is not None:
             server_snap.mailbox_backlog = sum(
-                self.manager.backend.mailbox_depth(record.ref.actor_id)
+                backend.mailbox_depth(record.ref.actor_id)
                 for record in records)
             server_snap.messages_shed = overload.shed_by_server.get(
                 self.server.name, 0)
             browned_out = overload.note_lem_round(
-                self.server, server_snap.cpu_perc, sim.now)
+                self.server, server_snap.cpu_perc, backend.now)
 
         lem_actions = self._apply_act_rules(actor_snaps, server_snap)
 
-        gem_actions: List[Action] = []
+        reply = None
         gem = self.manager.pick_gem(self.server)
         if gem is not None and self.manager.policy.resource_rules:
             related = self._collect_actors_for_res_rules(actor_snaps)
             if (browned_out
                     and len(related) > overload.config.brownout_top_k):
                 related = self._truncate_report(related)
-            reply = Signal(sim)
+            reply = Signal(backend)
             if self.manager.report_reachable(self.server, gem):
-                sim.schedule(config.control_latency_ms, gem.receive_report,
-                             self, related, server_snap, reply)
+                backend.schedule(CONTROL_LATENCY_MS, gem.receive_report,
+                                 self, related, server_snap, reply)
             # A REPORT a partition ate still costs the full reply wait:
             # the LEM cannot tell a lost message from a slow GEM.
-            sim.schedule(config.gem_reply_timeout_ms, reply.trigger, None)
+            backend.schedule(config.gem_reply_timeout_ms, reply.trigger, None)
+        return (lem_actions, gem, reply,
+                (actor_snaps, server_snap, mem_used_mb))
+
+    def finish_round(self, lem_actions: List[Action], gem, reply,
+                     snapshot):
+        """The generator tail of a round: await the RREPLY (if a REPORT
+        went out), resolve conflicts, QUERY targets, migrate."""
+        gem_actions: List[Action] = []
+        if reply is not None:
             result = yield reply
             if result is not None:
                 actions, gem_epoch = result
@@ -156,8 +172,8 @@ class LEM:
 
         final = resolve_actions(lem_actions, gem_actions)
         if self.manager.debug_events:
-            self._emit_round_debug(actor_snaps, server_snap, mem_used_mb,
-                                   lem_actions, gem_actions, final)
+            self._emit_round_debug(*snapshot, lem_actions, gem_actions,
+                                   final)
         for action in final:
             yield from self._execute(action)
 
@@ -333,7 +349,7 @@ class LEM:
         # A draining scale-in victim looks ideally idle — exclude it, or
         # separated actors land on a server about to retire.
         candidates = [
-            s for s in self.manager.system.provisioner.servers
+            s for s in self.manager.backend.servers()
             if (s.running and s is not avoid and s is not mover.server
                 and not self.manager.is_draining(s)
                 and not self.manager.server_quorumless(s))]
@@ -360,7 +376,7 @@ class LEM:
     # -- action execution ------------------------------------------------------
 
     def _execute(self, action: Action):
-        sim = self.manager.system.sim
+        backend = self.manager.backend
         config = self.manager.config
         if self.manager.server_quorumless(self.server):
             # This server sits on the minority side of a partition: its
@@ -390,23 +406,23 @@ class LEM:
             # this (planner and executor are both on the majority side),
             # so recheck the destination at execute time.
             return
-        if (sim.now - record.last_placed_at
+        if (backend.now - record.last_placed_at
                 < config.stability_window_ms()):
             return
         target_lem = self.manager.lem_for(action.dst)
         if target_lem is None:
             return
         # QUERY the target server; one control-message round trip.
-        yield Timeout(sim, config.control_latency_ms)
+        yield Timeout(backend, CONTROL_LATENCY_MS)
         accepted = target_lem.check_idle_res(action)
-        yield Timeout(sim, config.control_latency_ms)
+        yield Timeout(backend, CONTROL_LATENCY_MS)
         if not accepted:
             return
         # Fire-and-continue: the live-migration protocol runs on its own
         # (the actor is flagged `migrating`, which blocks double moves);
         # blocking here would make a slow state transfer eat whole
         # elasticity periods for every other actor on this server.
-        self.manager.backend.migrate_actor(
+        backend.migrate_actor(
             record.ref, action.dst, force=action.kind == "reserve")
         self.migrations_started += 1
         self.manager.note_migration(action)
@@ -420,13 +436,8 @@ class LEM:
         (Alg. 1 line 19) so concurrent senders cannot overload us.
         """
         resource = action.resource or "cpu"
-        window = self.manager.config.period_ms
-        if resource == "cpu":
-            current = self.server.cpu_percent(window)
-        elif resource == "net":
-            current = self.server.net_percent(window)
-        else:
-            current = self.server.memory_percent()
+        current = self.server.resource_percent(
+            resource, self.manager.config.period_ms)
         reserved = self._reserved_perc.get(resource, 0.0)
         contrib = contribution_perc(action.actor, self.server, resource)
         projected = current + reserved + contrib

@@ -105,7 +105,7 @@ class ElasticityManager:
         self.config = config or EmrConfig()
         self.running = False
         self.profiler = ProfilingRuntime(
-            system.sim, window_ms=self.config.period_ms,
+            self.backend.clock, window_ms=self.config.period_ms,
             overhead_cpu_ms=self.config.profiling_overhead_cpu_ms,
             warm_start=self.config.warm_start_profiles)
         #: Durable-state subsystem; created at start() when an enabled
@@ -113,8 +113,8 @@ class ElasticityManager:
         self.durability = None
         #: Overload-protection subsystem; created at start() when an
         #: OverloadConfig is carried on the EmrConfig, else None.  The
-        #: same object is installed as ``system.overload`` so the data
-        #: plane and control plane share one ledger + brownout machine.
+        #: same object is installed on the data plane so both planes
+        #: share one ledger + brownout machine.
         self.overload = None
         self.placement = PlasmaPlacement(self)
         #: Two-tier GEM tree: server groups, per-group leaf GEMs, and the
@@ -127,7 +127,7 @@ class ElasticityManager:
         self.migration_log: List[MigrationEvent] = []
         self._draining: Set[int] = set()
         self._lem_counter = 0
-        self._gem_rng = system.streams.stream("lem-gem-shuffle")
+        self._gem_rng = self.backend.rng_stream("lem-gem-shuffle")
         self._listeners: List[Callable[[str, dict], None]] = []
         #: When true, LEMs/GEMs emit verbose per-round events
         #: (``lem-round``, ``actions-resolved``, ``gem-vote``) on the
@@ -157,7 +157,7 @@ class ElasticityManager:
         #: happens until a heal confirms the server's fate.
         self._unreachable: Dict[int, Tuple[Server, float]] = {}
         self._probe_running = False
-        system.provisioner.add_join_listener(self._on_server_join)
+        self.backend.add_join_listener(self._on_server_join)
 
     # ------------------------------------------------------------------
 
@@ -168,30 +168,27 @@ class ElasticityManager:
         self.running = True
         self.backend.add_hooks(self.profiler)
         self.backend.add_hooks(self._system_hooks)
-        self.system.placement_policy = self.placement
-        self.system.epoch_source = lambda: self.epoch
-        self.system.migration_phase_timeout_ms = \
-            self.config.migration_phase_timeout_ms
+        if self.config.overload is not None:
+            from ...overload import OverloadManager
+            self.overload = OverloadManager(
+                self.system, self.config.overload, emit=self.emit)
+        self.backend.install(self.placement, lambda: self.epoch,
+                             self.overload)
         if (self.config.durability is not None
                 and self.config.durability.enabled):
             from ...durability import DurabilityManager
             self.durability = DurabilityManager(self)
             self.durability.start()
-        if self.config.overload is not None:
-            from ...overload import OverloadManager
-            self.overload = OverloadManager(
-                self.system, self.config.overload, emit=self.emit)
-            self.system.overload = self.overload
-        for server in self.system.provisioner.servers:
+        for server in self.backend.servers():
             self._add_lem(server)
         bind_hosts = getattr(self.system.directory, "bind_hosts", None)
         if bind_hosts is not None:
             # Sharded directory: pin each shard to a host server so a
             # crash can take its shard range down (and remap it).
-            bind_hosts(self.system.provisioner.servers)
-        spawn(self.system.sim, self._janitor(), name="emr/janitor")
+            bind_hosts(self.backend.servers())
+        spawn(self.backend, self._janitor(), name="emr/janitor")
         if self.config.suspicion_timeout_ms is not None:
-            spawn(self.system.sim, self._failure_detector(),
+            spawn(self.backend, self._failure_detector(),
                   name="emr/failure-detector")
 
     def stop(self) -> None:
@@ -202,17 +199,12 @@ class ElasticityManager:
         if self.durability is not None:
             self.durability.stop()
             self.durability = None
-        if self.overload is not None:
-            if self.system.overload is self.overload:
-                self.system.overload = None
-            self.overload = None
+        self.backend.uninstall(self.placement, self.overload)
+        self.overload = None
         if self.profiler in self.system.hooks:
             self.backend.remove_hooks(self.profiler)
         if self._system_hooks in self.system.hooks:
             self.backend.remove_hooks(self._system_hooks)
-        if self.system.placement_policy is self.placement:
-            self.system.placement_policy = None
-        self.system.epoch_source = None
 
     def _add_lem(self, server: Server) -> None:
         if server.server_id in self.lems:
@@ -227,7 +219,12 @@ class ElasticityManager:
         self.lems[server.server_id] = lem
         # Baseline heartbeat: a server that never manages a first round
         # must still become suspect once the timeout elapses.
-        self._last_report[server] = self.system.sim.now
+        self._last_report[server] = self.backend.now
+        self._start_lem(lem)
+
+    def _start_lem(self, lem: LEM) -> None:
+        """Each LEM owns its period timer; a runtime whose servers share
+        one process overrides this to drive them all from one."""
         lem.start()
 
     def _on_server_join(self, server: Server) -> None:
@@ -238,7 +235,7 @@ class ElasticityManager:
         """Periodic housekeeping: retire fully drained servers even when
         no migration event fires the check."""
         while self.running:
-            yield Timeout(self.system.sim, self.config.period_ms / 2.0)
+            yield Timeout(self.backend, self.config.period_ms / 2.0)
             self._maybe_retire()
 
     # ------------------------------------------------------------------
@@ -273,7 +270,7 @@ class ElasticityManager:
         """
         if self._partitions and server.server_id in self._isolated_servers:
             return
-        self._last_report[server] = self.system.sim.now
+        self._last_report[server] = self.backend.now
         if self.overload is not None:
             # The LEM spoke: if it had been flagged as drowning, the
             # next silence starts a fresh announcement.
@@ -315,13 +312,13 @@ class ElasticityManager:
         the same tick and their servers adopted by a surviving (or
         freshly respawned) GEM.
         """
-        sim = self.system.sim
+        backend = self.backend
         timeout = self.config.suspicion_timeout_ms
         while self.running:
-            yield Timeout(sim, timeout / 2.0)
+            yield Timeout(backend, timeout / 2.0)
             if not self.running:
                 return
-            now = sim.now
+            now = backend.now
             for server, last in list(self._last_report.items()):
                 if now - last > timeout:
                     if (self.overload is not None
@@ -435,7 +432,7 @@ class ElasticityManager:
         self._refresh_gem_modes()
         if not self._probe_running:
             self._probe_running = True
-            spawn(self.system.sim, self._quorum_probe(),
+            spawn(self.backend, self._quorum_probe(),
                   name="emr/quorum-probe")
 
     def note_partition_healed(self, token: int) -> None:
@@ -457,12 +454,10 @@ class ElasticityManager:
         # Universe for side membership: the provisioner forgets crashed
         # servers, but a server that died behind a cut is still "behind
         # the cut" until a heal lets the majority confirm its fate.
-        all_ids = {server.server_id
-                   for server in self.system.provisioner.servers}
+        all_ids = {server.server_id for server in self.backend.servers()}
         all_ids.update(server.server_id for server in self._last_report)
         all_ids.update(self._unreachable)
-        running = {server.server_id
-                   for server in self.system.provisioner.servers
+        running = {server.server_id for server in self.backend.servers()
                    if server.running}
         isolated_servers: Set[int] = set()
         isolated_gems: Set[int] = set()
@@ -544,7 +539,7 @@ class ElasticityManager:
         a strict majority of the running servers' LEMs."""
         if not self._partitions:
             return False
-        running = [server for server in self.system.provisioner.servers
+        running = [server for server in self.backend.servers()
                    if server.running]
         if not running:
             return False
@@ -573,12 +568,8 @@ class ElasticityManager:
         or boot mid-partition can flip which side holds the majority.
         The process exists only between the first inject and the last
         heal, so fault-free runs schedule nothing."""
-        sim = self.system.sim
-        interval = self.config.partition_probe_interval_ms
-        if interval is None:
-            interval = self.config.period_ms / 2.0
         while self.running and self._partitions:
-            yield Timeout(sim, interval)
+            yield Timeout(self.backend, self.config.period_ms / 2.0)
             if self._partitions:
                 self._recompute_isolation()
                 self._refresh_gem_modes()
@@ -590,8 +581,7 @@ class ElasticityManager:
         the directory is authoritative and every record carries the
         epoch of its last placement, so a stale minority view can never
         overwrite a newer placement)."""
-        sim = self.system.sim
-        now = sim.now
+        now = self.backend.now
         readmitted: List[str] = []
         for server_id in sorted(healed.cut_server_ids):
             if server_id in self._cut_off_servers:
@@ -675,7 +665,7 @@ class ElasticityManager:
         actor there would strand it behind the cut.
         """
         window = self.config.period_ms
-        candidates = [s for s in self.system.provisioner.servers
+        candidates = [s for s in self.backend.servers()
                       if s.running and s is not exclude
                       and s.server_id not in self._draining]
         if self._partitions:
@@ -683,14 +673,9 @@ class ElasticityManager:
                           if s.server_id not in self._isolated_servers]
         if not candidates:
             return None
-        if resource == "cpu":
-            return min(candidates,
-                       key=lambda s: (s.cpu_percent(window), s.server_id))
-        if resource == "net":
-            return min(candidates,
-                       key=lambda s: (s.net_percent(window), s.server_id))
         return min(candidates,
-                   key=lambda s: (s.memory_percent(), s.server_id))
+                   key=lambda s: (s.resource_percent(resource, window),
+                                  s.server_id))
 
     def note_migration(self, action: Action, issuer: str = "lem") -> None:
         """Record a started migration in the explainable event log.
@@ -705,7 +690,7 @@ class ElasticityManager:
             rule_line = self.policy.source_policy.rules[
                 action.rule_index].line
         self.migration_log.append(MigrationEvent(
-            time_ms=self.system.sim.now, actor=action.actor.ref,
+            time_ms=self.backend.now, actor=action.actor.ref,
             kind=action.kind, src=action.src.name, dst=action.dst.name,
             rule_line=rule_line))
         if self._listeners:
@@ -811,8 +796,7 @@ class ElasticityManager:
     def _maybe_retire(self) -> None:
         if not self._draining:
             return
-        provisioner = self.system.provisioner
-        for server in list(provisioner.servers):
+        for server in list(self.backend.servers()):
             if server.server_id not in self._draining:
                 continue
             if self.backend.actors_on(server):
@@ -821,7 +805,7 @@ class ElasticityManager:
             self.lems.pop(server.server_id, None)
             # Deliberately retired, not crashed: stop monitoring it.
             self._last_report.pop(server, None)
-            provisioner.retire_server(server)
+            self.backend.retire_server(server)
             self.hierarchy.note_server_gone(server)
             self._note_directory_host_gone(server)
 

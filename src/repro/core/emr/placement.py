@@ -105,12 +105,6 @@ class PlasmaPlacement:
                    if s.running and not self.manager.server_quorumless(s)]
         if not running:
             return None
-
-        def load(server: Server) -> float:
-            if resource == "cpu":
-                return server.cpu_percent(window)
-            if resource == "net":
-                return server.net_percent(window)
-            return server.memory_percent()
-
-        return min(running, key=lambda s: (load(s), s.server_id))
+        return min(running,
+                   key=lambda s: (s.resource_percent(resource, window),
+                                  s.server_id))

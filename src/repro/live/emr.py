@@ -1,224 +1,113 @@
-"""Live elasticity manager: the EMR control loop on a wall clock.
+"""The EMR on a wall clock: a lifecycle adapter, not a second manager.
 
-This is deliberately a *small* EMR — one periodic asyncio task playing
-the roles of LEM and GEM for a single-process fleet — but it is built
-from the same parts as the simulated control plane:
+The elasticity manager that runs here *is*
+:class:`repro.core.emr.ElasticityManager` — the same LEM rounds, GEM
+REPORT/RREPLY protocol, conflict resolution, admission control,
+stability window and explainable ``migration_log`` as under the
+simulator — reaching the live runtime only through
+:class:`~repro.live.LiveBackend`.  :class:`LiveElasticityManager` adds
+the two things a wall clock needs:
 
-* the **profiling runtime** is literally
-  :class:`repro.core.profiling.ProfilingRuntime` (the EPR), subscribed
-  through ``system.backend.add_hooks`` and fed by the live runtime's
-  hook calls;
-* **policies** are compiled EPL (:func:`repro.core.compile_source`):
-  ``pin`` actor rules are evaluated with the shared snapshot-based
-  :func:`~repro.core.emr.evaluate.evaluate_rule`, and ``balance``
-  resource rules supply the (lower, upper) CPU bounds through the
-  shared :func:`~repro.core.emr.evaluate.extract_bounds`;
-* **actuation** goes exclusively through the
-  :class:`~repro.runtime.RuntimeBackend` surface (``actors_on``,
-  ``mailbox_depth``, ``pin``, ``migrate_actor``), so this manager never
-  reaches into live-runtime internals.
+* **one period timer.**  Every logical server shares this process, so
+  instead of one self-timed LEM per server a single timer calls
+  :meth:`~LiveElasticityManager.run_round`, which runs every LEM's round
+  head (heartbeat, snapshots, actor rules, REPORT) synchronously; the
+  tails (await the RREPLY, resolve, QUERY, migrate) continue as
+  processes on the backend clock.
+* **an asyncio lifecycle.**  ``start()`` / ``await stop()``; ``stop``
+  cancels pending control timers, waits out in-flight migrations and
+  re-raises anything a control callback raised.
 
-Balancing is the paper's greedy shape: when some server exceeds the
-upper bound while another sits below the lower bound, move the hottest
-movable actor from the hottest server to the coldest; when *every*
-server is hot, scale out by adding a server first.
+The protocol timers are fixed fractions of ``period_ms``, not knobs.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..core.emr.evaluate import EvaluationScope, evaluate_rule, extract_bounds
-from ..core.epl.ast import Balance, Pin
+from ..core.emr import LEM, ElasticityManager, EmrConfig, MigrationEvent
 from ..core.epl.compiler import CompiledPolicy
-from ..core.profiling import ProfilingRuntime
+from ..sim import spawn
 from .system import LiveActorSystem
 
 __all__ = ["LiveEmrConfig", "LiveElasticityManager"]
 
+#: How long a GEM collects REPORTs, as a fraction of the period.  All
+#: LEM heads run in one call, so this only has to outlast loop jitter.
+GEM_WAIT_FRACTION = 0.1
+#: How long a LEM waits for its RREPLY, as a fraction of the period:
+#: well past the GEM wait, and over before the next round starts.
+GEM_REPLY_TIMEOUT_FRACTION = 0.5
+
 
 @dataclass
 class LiveEmrConfig:
-    """Knobs for the live control loop (all times wall-clock ms)."""
+    """The live control loop's one knob (wall-clock ms)."""
 
     period_ms: float = 250.0
-    window_ms: float = 2_000.0
-    #: Fallback CPU bounds when the policy has no balance rule.
-    lower_cpu_perc: float = 30.0
-    upper_cpu_perc: float = 75.0
-    #: An actor placed more recently than this is not moved again.
-    stability_window_ms: float = 1_000.0
-    #: Scale out (add a server) when every running server is hot.
-    scale_out: bool = True
-    max_servers: int = 8
 
 
-@dataclass
-class LiveEmrEvent:
-    """One control decision, for observability and tests."""
+class _SharedTimerManager(ElasticityManager):
+    """LEMs here do not time themselves; the adapter's timer does."""
 
-    at_ms: float
-    kind: str  # "migrate" | "scale-out" | "pin"
-    detail: Dict[str, Any] = field(default_factory=dict)
+    def _start_lem(self, lem: LEM) -> None:
+        pass
 
 
 class LiveElasticityManager:
-    """Periodic elasticity control for a :class:`LiveActorSystem`."""
+    """Runs the real EMR against a :class:`LiveActorSystem`."""
 
-    def __init__(self, system: LiveActorSystem,
-                 policy: Optional[CompiledPolicy] = None,
+    def __init__(self, system: LiveActorSystem, policy: CompiledPolicy,
                  config: Optional[LiveEmrConfig] = None) -> None:
         self.system = system
         self.backend = system.backend
-        self.policy = policy
         self.config = config or LiveEmrConfig()
-        self.profiler = ProfilingRuntime(
-            system.clock, window_ms=self.config.window_ms)
-        self.running = False
+        period = self.config.period_ms
+        #: The elasticity manager proper (LEMs, GEMs, ``migration_log``,
+        #: ``add_listener`` ...).
+        self.emr = _SharedTimerManager(system, policy, EmrConfig(
+            period_ms=period,
+            gem_wait_ms=period * GEM_WAIT_FRACTION,
+            gem_reply_timeout_ms=period * GEM_REPLY_TIMEOUT_FRACTION))
         self.rounds_run = 0
-        self.migrations_started = 0
-        self.events: List[LiveEmrEvent] = []
-        self._task: Optional[asyncio.Task] = None
-        self._migration_tasks: List[asyncio.Task] = []
 
-        lower = self.config.lower_cpu_perc
-        upper = self.config.upper_cpu_perc
-        self._balance_types: Optional[frozenset] = None
-        if policy is not None:
-            for rule in policy.resource_rules:
-                for behavior in rule.behaviors:
-                    if isinstance(behavior, Balance):
-                        lower, upper = extract_bounds(
-                            rule, behavior.resource,
-                            default_lower=lower, default_upper=upper)
-                        self._balance_types = frozenset(behavior.actor_types)
-        self.lower_cpu = lower
-        self.upper_cpu = upper
+    @property
+    def running(self) -> bool:
+        return self.emr.running
 
-    # -- lifecycle -----------------------------------------------------
+    @property
+    def migration_log(self) -> List[MigrationEvent]:
+        return self.emr.migration_log
+
+    @property
+    def migrations_started(self) -> int:
+        return len(self.emr.migration_log)
 
     def start(self) -> None:
         if self.running:
             return
-        self.running = True
-        self.backend.add_hooks(self.profiler)
-        self._task = self.backend.spawn(self._run(), name="live-emr")
+        self.emr.start()
+        self.backend.schedule(self.config.period_ms, self._tick)
 
     async def stop(self) -> None:
+        """Stop the control loop; raises what a control callback raised."""
+        self.emr.stop()
+        await self.backend.drain()
+
+    def _tick(self) -> None:
         if not self.running:
             return
-        self.running = False
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        for task in self._migration_tasks:
-            if not task.done():
-                await task
-        if self.profiler in self.system.hooks:
-            self.backend.remove_hooks(self.profiler)
-
-    async def _run(self) -> None:
-        while self.running:
-            await asyncio.sleep(self.config.period_ms / 1000.0)
-            try:
-                self.run_round()
-            except Exception:  # control loop must not die silently
-                self.running = False
-                raise
-
-    # -- one control round ---------------------------------------------
+        self.run_round()
+        # Re-armed only after a clean round: a round that raises ends
+        # the loop, and stop() reports why.
+        self.backend.schedule(self.config.period_ms, self._tick)
 
     def run_round(self) -> None:
-        """Snapshot the fleet, apply pin rules, then balance."""
+        """One control period, now: every LEM's synchronous round head;
+        the tails carry on by themselves on the backend clock."""
         self.rounds_run += 1
-        now = self.backend.now
-        fleet = []
-        all_actor_snaps = []
-        for server in self.system.running_servers():
-            records = self.backend.actors_on(server)
-            actor_snaps = self.profiler.snapshot_actors(records)
-            server_snap = self.profiler.snapshot_server(server, records)
-            server_snap.mailbox_backlog = sum(
-                self.backend.mailbox_depth(record.ref.actor_id)
-                for record in records)
-            fleet.append((server, server_snap, actor_snaps))
-            all_actor_snaps.extend(actor_snaps)
-
-        self._apply_pin_rules(fleet)
-        self._balance(fleet, now)
-
-    def _apply_pin_rules(self, fleet) -> None:
-        if self.policy is None:
-            return
-        resolver = self._resolve_ref(fleet)
-        for _server, server_snap, actor_snaps in fleet:
-            scope = EvaluationScope(servers=[server_snap],
-                                    actors=actor_snaps,
-                                    resolve_ref=resolver)
-            for rule in self.policy.actor_rules:
-                pins = [b for b in rule.behaviors if isinstance(b, Pin)]
-                if not pins:
-                    continue
-                for match in evaluate_rule(rule, scope):
-                    for behavior in pins:
-                        snap = match.bindings.get(behavior.target.var)
-                        if snap is None or snap.pinned:
-                            continue
-                        self.backend.pin(snap.ref, True)
-                        snap.pinned = True
-                        self.events.append(LiveEmrEvent(
-                            self.backend.now, "pin",
-                            {"actor": snap.actor_id}))
-
-    @staticmethod
-    def _resolve_ref(fleet):
-        by_id = {}
-        for _server, _server_snap, actor_snaps in fleet:
-            for snap in actor_snaps:
-                by_id[snap.actor_id] = snap
-
-        def resolve(ref):
-            return by_id.get(ref.actor_id)
-        return resolve
-
-    def _balance(self, fleet, now: float) -> None:
-        if len(fleet) == 0:
-            return
-        fleet = sorted(fleet, key=lambda item: item[1].cpu_perc)
-        coldest_server, coldest_snap, _ = fleet[0]
-        hottest_server, hottest_snap, hottest_actors = fleet[-1]
-        if hottest_snap.cpu_perc <= self.upper_cpu:
-            return
-
-        if coldest_snap.cpu_perc >= self.lower_cpu:
-            # Nobody has headroom: scale out, then move onto the new
-            # server next round (its meters need a beat of uptime).
-            if (self.config.scale_out
-                    and len(self.system.servers) < self.config.max_servers):
-                server = self.system.add_server()
-                self.events.append(LiveEmrEvent(
-                    now, "scale-out", {"server": server.name}))
-            return
-
-        candidates = [
-            snap for snap in hottest_actors
-            if not snap.pinned and not snap.migrating
-            and now - snap.last_placed_at >= self.config.stability_window_ms
-            and (self._balance_types is None
-                 or snap.type_name in self._balance_types)]
-        if not candidates:
-            return
-        mover = max(candidates, key=lambda snap: snap.cpu_perc)
-        task = self.backend.migrate_actor(mover.ref, coldest_server)
-        self._migration_tasks.append(task)
-        self.migrations_started += 1
-        self.events.append(LiveEmrEvent(
-            now, "migrate",
-            {"actor": mover.actor_id, "src": hottest_server.name,
-             "dst": coldest_server.name, "cpu_perc": mover.cpu_perc}))
+        for lem in self.emr.lems.values():
+            if lem.server.running:
+                spawn(self.backend, lem.finish_round(*lem.begin_round()),
+                      name=f"lem/{lem.server.name}")

@@ -152,11 +152,13 @@ async def run_live_loadtest(app_name: str = "chatroom",
 
     if side_tasks:
         await asyncio.gather(*side_tasks)
-    if manager is not None:
-        await manager.stop()
-    await system.quiesce(timeout_s=5.0)
-    await front.stop()
-    await system.shutdown()
+    try:
+        if manager is not None:
+            await manager.stop()  # raises what a control callback raised
+    finally:
+        await system.quiesce(timeout_s=5.0)
+        await front.stop()
+        await system.shutdown()
 
     result: Dict[str, Any] = {
         "app": app_name,
@@ -184,10 +186,11 @@ async def run_live_loadtest(app_name: str = "chatroom",
         result["emr"] = {
             "rounds_run": manager.rounds_run,
             "migrations_started": manager.migrations_started,
-            "lower_cpu": manager.lower_cpu,
-            "upper_cpu": manager.upper_cpu,
-            "events": [{"at_ms": round(e.at_ms, 1), "kind": e.kind,
-                        **e.detail} for e in manager.events],
+            "migration_log": [
+                {"at_ms": round(e.time_ms, 1), "actor": e.actor.actor_id,
+                 "kind": e.kind, "src": e.src, "dst": e.dst,
+                 "rule_line": e.rule_line}
+                for e in manager.migration_log],
         }
     return result
 

@@ -3,9 +3,10 @@
 A :class:`LiveServer` is a placement domain, not an OS process: actors
 "on" it share one asyncio event loop with every other server, but the
 directory, the profiler, and the EMR treat it exactly like a simulated
-:class:`~repro.cluster.Server` — it has an instance type, windowed CPU
-and NIC meters, and a memory ledger, and it answers the same
-``cpu_percent`` / ``memory_percent`` / ``net_percent`` questions.
+:class:`~repro.cluster.Server` — both are
+:class:`~repro.cluster.ServerGauges`: an instance type, windowed CPU and
+NIC meters, a memory ledger, and the same ``cpu_percent`` /
+``memory_percent`` / ``net_percent`` answers.
 
 CPU accounting is *charge-based*, mirroring the simulator: handlers
 declare their cost through ``LiveActor.compute(cpu_ms)`` and those
@@ -15,34 +16,13 @@ overhead is deliberately not attributed (see docs/live-runtime.md).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..cluster.instances import INSTANCE_TYPES, InstanceType
-from ..cluster.metrics import WindowedMeter
-from .clock import LiveClock
+from ..cluster import ServerGauges
 
 __all__ = ["LiveServer"]
 
 
-class LiveServer:
+class LiveServer(ServerGauges):
     """One placement domain in a live actor system."""
-
-    def __init__(self, clock: LiveClock, itype: InstanceType,
-                 server_id: int, name: Optional[str] = None) -> None:
-        self.clock = clock
-        self.itype = itype
-        self.server_id = server_id
-        self.name = name or f"live-{itype.name}-{server_id}"
-        self.running = True
-        self.started_at = clock.now
-        self.memory_used_mb = 0.0
-        self.cpu_meter = WindowedMeter(clock)
-        self.net_meter = WindowedMeter(clock)
-
-    @classmethod
-    def of_type(cls, clock: LiveClock, type_name: str, server_id: int,
-                name: Optional[str] = None) -> "LiveServer":
-        return cls(clock, INSTANCE_TYPES[type_name], server_id, name=name)
 
     # -- metering ------------------------------------------------------
 
@@ -63,41 +43,6 @@ class LiveServer:
         join — the demand is just accounted.
         """
         self.note_busy(demand_ms)
-
-    # -- memory --------------------------------------------------------
-
-    def allocate_memory(self, mb: float) -> None:
-        if mb < 0:
-            raise ValueError(f"negative memory allocation: {mb!r}")
-        self.memory_used_mb += mb
-
-    def free_memory(self, mb: float) -> None:
-        self.memory_used_mb = max(0.0, self.memory_used_mb - mb)
-
-    # -- utilization percentages (simulated-Server-compatible) ---------
-
-    def _effective_window(self, window_ms: float) -> float:
-        uptime = self.clock.now - self.started_at
-        if uptime <= 0:
-            return 0.0
-        return min(window_ms, uptime)
-
-    def cpu_percent(self, window_ms: float) -> float:
-        effective = self._effective_window(window_ms)
-        if effective <= 0:
-            return 0.0
-        capacity = effective * self.itype.vcpus
-        return min(100.0, 100.0 * self.cpu_meter.total(window_ms) / capacity)
-
-    def memory_percent(self, window_ms: float = 0.0) -> float:
-        return 100.0 * self.memory_used_mb / self.itype.memory_mb
-
-    def net_percent(self, window_ms: float) -> float:
-        effective = self._effective_window(window_ms)
-        if effective <= 0:
-            return 0.0
-        capacity = effective * self.itype.net_bytes_per_ms()
-        return min(100.0, 100.0 * self.net_meter.total(window_ms) / capacity)
 
     # -- lifecycle -----------------------------------------------------
 

@@ -35,7 +35,7 @@ import asyncio
 import inspect
 import itertools
 from time import perf_counter
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Type
 
 from ..actors.actor import Actor
 from ..actors.directory import ActorRecord, Directory
@@ -43,7 +43,9 @@ from ..actors.hooks import RuntimeHooks
 from ..actors.message import (CLIENT_KIND, DEFAULT_REPLY_BYTES, Message,
                               Overloaded)
 from ..actors.refs import ActorRef
+from ..cluster import INSTANCE_TYPES
 from ..runtime import RuntimeBackend
+from ..sim import RandomStreams
 from .clock import LiveClock
 from .servers import LiveServer
 
@@ -102,6 +104,10 @@ class LiveActorSystem:
         self.directory = Directory()
         self.servers: List[LiveServer] = []
         self.hooks: List[RuntimeHooks] = []
+        #: Rule-aware placement of new actors, installed by a running
+        #: EMR (``None``: fewest-actors placement only).
+        self.placement_policy: Optional[Callable[..., Any]] = None
+        self._join_listeners: List[Callable[[LiveServer], None]] = []
         self.default_instance_type = default_instance_type
         #: Bounded-mailbox overload protection: client sends beyond this
         #: depth are shed with a retriable ``Overloaded`` NACK (``None``
@@ -140,10 +146,13 @@ class LiveActorSystem:
 
     def add_server(self, instance_type: Optional[str] = None,
                    name: Optional[str] = None) -> LiveServer:
-        server = LiveServer.of_type(
-            self.clock, instance_type or self.default_instance_type,
-            next(self._server_ids), name=name)
+        itype = INSTANCE_TYPES[instance_type or self.default_instance_type]
+        server_id = next(self._server_ids)
+        server = LiveServer(self.clock, itype, server_id,
+                            name or f"live-{itype.name}-{server_id}")
         self.servers.append(server)
+        for listener in self._join_listeners:
+            listener(server)
         return server
 
     def running_servers(self) -> List[LiveServer]:
@@ -156,7 +165,8 @@ class LiveActorSystem:
                      **kwargs: Any) -> ActorRef:
         """Place and start a new actor; returns its ref.
 
-        Placement: the explicit ``server`` wins; otherwise the running
+        Placement: the explicit ``server`` wins; then an installed
+        :attr:`placement_policy` (it may abstain); otherwise the running
         server currently hosting the fewest actors (ties broken by
         server id, so placement is reproducible for a fixed call
         order).
@@ -165,9 +175,13 @@ class LiveActorSystem:
             candidates = self.running_servers()
             if not candidates:
                 raise RuntimeError("no running servers to place on")
-            server = min(candidates,
-                         key=lambda s: (len(self.directory.on_server(s)),
-                                        s.server_id))
+            if self.placement_policy is not None:
+                server = self.placement_policy(cls, candidates, None)
+            if server is None:
+                server = min(
+                    candidates,
+                    key=lambda s: (len(self.directory.on_server(s)),
+                                   s.server_id))
         elif not server.running:
             raise RuntimeError(f"server {server.name} is not running")
 
@@ -207,6 +221,9 @@ class LiveActorSystem:
         self._gates.pop(aid, None)
         self._busy.pop(aid, None)
         self._idle_events.pop(aid, None)
+        # The dispatch task ends by itself on the _STOP just queued (or
+        # when its in-flight handler returns and finds no mailbox).
+        self._tasks.pop(aid, None)
         for hooks in self.hooks:
             hooks.on_actor_destroyed(record)
 
@@ -467,42 +484,73 @@ class LiveActorSystem:
 
 
 class LiveBackend(RuntimeBackend):
-    """The :class:`RuntimeBackend` face of :class:`LiveActorSystem`."""
+    """The :class:`RuntimeBackend` face of :class:`LiveActorSystem`.
 
-    name = "live"
-    wall_clock = True
+    Control callbacks run as event-loop timers and migrations as tasks;
+    the backend keeps hold of both, so an EMR can be stopped cleanly
+    (:meth:`drain`) and an exception in a callback is never lost.
+    """
 
     def __init__(self, system: LiveActorSystem) -> None:
         self.system = system
+        self.clock = system.clock
+        self._streams = RandomStreams()
+        self._timers: Set[asyncio.TimerHandle] = set()
+        self._migrations: Set["asyncio.Task[bool]"] = set()
+        #: First exception raised by a scheduled callback or a migration
+        #: task since the last :meth:`drain`.
+        self.failure: Optional[BaseException] = None
 
     # -- clock ---------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        return self.system.clock.now
-
     def schedule(self, delay_ms: float, callback: Callable[..., Any],
                  *args: Any) -> None:
-        asyncio.get_running_loop().call_later(
-            delay_ms / 1000.0, callback, *args)
+        def fire() -> None:
+            self._timers.discard(handle)
+            try:
+                callback(*args)
+            except Exception as exc:
+                # Re-raised into the loop's exception handler (which logs
+                # it now) and kept for drain() to hand to the owner.
+                if self.failure is None:
+                    self.failure = exc
+                raise
 
-    def spawn(self, proc: Awaitable[Any],
-              name: Optional[str] = None) -> "asyncio.Task[Any]":
-        return asyncio.get_running_loop().create_task(proc, name=name)
+        handle = asyncio.get_running_loop().call_later(
+            delay_ms / 1000.0, fire)
+        self._timers.add(handle)
+
+    def rng_stream(self, name: str) -> Any:
+        return self._streams.stream(name)
+
+    async def drain(self) -> None:
+        """Cancel every pending scheduled callback, wait out the
+        migrations this backend started, and re-raise the first failure
+        among them — a control loop must not die silently."""
+        for handle in self._timers:
+            handle.cancel()
+        self._timers.clear()
+        await asyncio.gather(*self._migrations, return_exceptions=True)
+        failure, self.failure = self.failure, None
+        if failure is not None:
+            raise failure
 
     # -- control surface -----------------------------------------------
 
-    def create_actor(self, cls: type, *args: Any, **kwargs: Any) -> ActorRef:
-        return self.system.create_actor(cls, *args, **kwargs)
-
     def migrate_actor(self, ref: ActorRef, target: LiveServer,
                       force: bool = False) -> "asyncio.Task[bool]":
-        return asyncio.get_running_loop().create_task(
+        task = asyncio.get_running_loop().create_task(
             self.system.migrate_actor(ref, target, force=force),
             name=f"live-migrate-{ref.actor_id}")
+        self._migrations.add(task)
+        task.add_done_callback(self._migration_done)
+        return task
 
-    def pin(self, ref: ActorRef, pinned: bool = True) -> None:
-        self.system.pin(ref, pinned)
+    def _migration_done(self, task: "asyncio.Task[bool]") -> None:
+        self._migrations.discard(task)
+        if (not task.cancelled() and task.exception() is not None
+                and self.failure is None):
+            self.failure = task.exception()
 
     def resurrect_actor(self, tombstone: ActorRecord,
                         server: Optional[LiveServer] = None) -> None:
@@ -510,24 +558,36 @@ class LiveBackend(RuntimeBackend):
             "live backend has no crash/resurrect surface yet; "
             "see docs/live-runtime.md")
 
-    # -- observation surface -------------------------------------------
+    def install(self, placement_policy: Any,
+                epoch_source: Callable[[], int],
+                overload: Optional[Any]) -> None:
+        # Epochs only advance on partition events and overload
+        # protection lives in the simulated data plane; the live runtime
+        # has neither yet (docs/live-runtime.md).
+        if overload is not None:
+            raise NotImplementedError(
+                "overload protection is sim-only; see docs/live-runtime.md")
+        self.system.placement_policy = placement_policy
 
-    def actors_on(self, server: LiveServer) -> List[ActorRecord]:
-        return self.system.actors_on(server)
+    def uninstall(self, placement_policy: Any,
+                  overload: Optional[Any]) -> None:
+        if self.system.placement_policy is placement_policy:
+            self.system.placement_policy = None
 
-    def mailbox_depth(self, actor_id: int) -> int:
-        return self.system.mailbox_depth(actor_id)
-
-    def server_of(self, ref: ActorRef) -> LiveServer:
-        return self.system.server_of(ref)
+    # -- fleet verbs ---------------------------------------------------
 
     def servers(self) -> Sequence[LiveServer]:
-        return list(self.system.servers)
+        return self.system.running_servers()
 
-    # -- profiling subscribers -----------------------------------------
+    def boot_server(self, type_name: Optional[str] = None) -> None:
+        self.system.add_server(type_name)
 
-    def add_hooks(self, hooks: RuntimeHooks) -> None:
-        self.system.add_hooks(hooks)
+    def retire_server(self, server: LiveServer) -> None:
+        server.shutdown()
 
-    def remove_hooks(self, hooks: RuntimeHooks) -> None:
-        self.system.remove_hooks(hooks)
+    def pending_boots(self) -> int:
+        return 0  # a logical server joins the moment it is added
+
+    def add_join_listener(
+            self, listener: Callable[[LiveServer], None]) -> None:
+        self.system._join_listeners.append(listener)

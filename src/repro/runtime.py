@@ -2,25 +2,33 @@
 
 PLASMA's EMR is *decoupled* from the actor runtime (paper §2): LEMs and
 GEMs consume profiling snapshots and drive a narrow migrate/pin/place
-API — nothing in the elasticity layer should care whether messages move
+API — nothing in the elasticity layer cares whether messages move
 through a discrete-event simulator or a real asyncio event loop.  This
-module pins that contract down as :class:`RuntimeBackend`:
+module pins that contract down as :class:`RuntimeBackend`, the *only*
+way :mod:`repro.core.emr` reaches a runtime (an import-boundary test in
+``tests/integration/test_api_quality.py`` keeps it that way):
 
-* **clock** — ``now`` in milliseconds (virtual or wall), plus
-  ``schedule``/``spawn`` so periodic control loops can be expressed
-  against either timebase;
-* **control surface** — ``migrate_actor`` / ``pin`` / ``create_actor`` /
-  ``resurrect_actor``, the only mutating verbs the EMR is allowed;
-* **observation surface** — ``actors_on`` / ``mailbox_depth`` /
-  ``server_of`` / ``servers`` plus hook (profiling subscriber)
-  registration, the only reads the EMR is allowed.
+* **clock** — ``now`` in milliseconds (virtual or wall) and
+  ``schedule(delay_ms, callback, *args)``.  That pair is all
+  :class:`repro.sim.Process`, :class:`~repro.sim.Timeout` and
+  :class:`~repro.sim.Signal` need, so the LEM/GEM generator protocol
+  runs over either backend unchanged; ``rng_stream`` hands out the named
+  random streams the control plane draws from;
+* **control surface** — ``migrate_actor`` / ``pin`` /
+  ``resurrect_actor``, plus ``install``/``uninstall`` for what a running
+  EMR plugs into the data plane (rule-aware placement of new actors, the
+  epoch source, overload protection);
+* **fleet verbs** — ``servers`` / ``boot_server`` / ``retire_server`` /
+  ``pending_boots`` / ``add_join_listener``, how GEMs scale the fleet
+  and how the manager learns of servers that join;
+* **observation surface** — ``actors_on`` / ``mailbox_depth`` plus hook
+  (profiling subscriber) registration.
 
 :class:`SimBackend` adapts the deterministic simulator-backed
-:class:`~repro.actors.system.ActorSystem`; every method is a pure
-delegation, so running the EMR through the backend is bit-identical to
-calling the system directly (guarded by
-``tests/profiling/test_backend_equivalence.py``).  The wall-clock
-counterpart lives in :mod:`repro.live` (:class:`repro.live.LiveBackend`).
+:class:`~repro.actors.system.ActorSystem`; every method is a one-hop
+delegation that adds, removes and reorders no kernel event (the golden
+digests in ``tests/golden`` are recorded through it).  The wall-clock
+counterpart is :class:`repro.live.LiveBackend`.
 
 Module-level imports here are deliberately limited to the standard
 library: ``actors.system`` imports this module, so pulling any repro
@@ -50,19 +58,21 @@ class RuntimeBackend(ABC):
     (the LEM's ``_execute``) can ignore it on either backend.
     """
 
-    #: Short identifier (``"sim"`` / ``"live"``) used in logs and docs.
-    name: str = "abstract"
+    #: The actor system behind this backend.  Both runtimes answer the
+    #: plain pass-through verbs below under the same names.
+    system: Any
 
-    #: True when ``now`` advances with wall time even if nobody is
-    #: pumping an event loop; False for virtual (simulated) time.
-    wall_clock: bool = False
+    #: The runtime's clock object.  Meters read ``clock.now`` once per
+    #: profiled message, so they are handed this directly instead of
+    #: paying the backend hop on the data path.
+    clock: Any
 
     # -- clock ---------------------------------------------------------
 
     @property
-    @abstractmethod
     def now(self) -> float:
         """Current time in milliseconds since the runtime epoch."""
+        return self.clock.now
 
     @abstractmethod
     def schedule(self, delay_ms: float, callback: Callable[..., Any],
@@ -70,18 +80,10 @@ class RuntimeBackend(ABC):
         """Run ``callback(*args)`` after ``delay_ms`` milliseconds."""
 
     @abstractmethod
-    def spawn(self, proc: Any, name: Optional[str] = None) -> Any:
-        """Launch a background control-loop process.
-
-        ``proc`` is backend-native: a generator of waitables under the
-        simulator, a coroutine under asyncio.
-        """
+    def rng_stream(self, name: str) -> Any:
+        """The runtime's named ``random.Random`` stream (cached by name)."""
 
     # -- control surface (the migrate/pin/place API) -------------------
-
-    @abstractmethod
-    def create_actor(self, cls: type, *args: Any, **kwargs: Any) -> Any:
-        """Place a new actor; returns its ``ActorRef``."""
 
     @abstractmethod
     def migrate_actor(self, ref: Any, target: Any,
@@ -92,42 +94,69 @@ class RuntimeBackend(ABC):
         (pinned without force, already migrating, target down, ...).
         """
 
-    @abstractmethod
     def pin(self, ref: Any, pinned: bool = True) -> None:
         """Mark ``ref`` immovable (``pin`` EPL behavior)."""
+        self.system.pin(ref, pinned)
 
     @abstractmethod
     def resurrect_actor(self, tombstone: Any,
                         server: Optional[Any] = None) -> Any:
         """Re-create a crashed actor from its directory tombstone."""
 
-    # -- observation surface -------------------------------------------
+    @abstractmethod
+    def install(self, placement_policy: Any,
+                epoch_source: Callable[[], int],
+                overload: Optional[Any]) -> None:
+        """Plug a starting EMR into the data plane: rule-aware placement
+        of new actors, the control-plane epoch stamped on placements,
+        and (when configured) the shared overload-protection state."""
 
     @abstractmethod
-    def actors_on(self, server: Any) -> List[Any]:
-        """Directory records of actors currently placed on ``server``."""
+    def uninstall(self, placement_policy: Any,
+                  overload: Optional[Any]) -> None:
+        """Undo :meth:`install` (only what is still this EMR's)."""
 
-    @abstractmethod
-    def mailbox_depth(self, actor_id: int) -> int:
-        """Queued (undelivered) messages for one actor."""
-
-    @abstractmethod
-    def server_of(self, ref: Any) -> Any:
-        """Current placement of ``ref``."""
+    # -- fleet verbs ---------------------------------------------------
 
     @abstractmethod
     def servers(self) -> Sequence[Any]:
-        """All known servers, running or not."""
+        """The current fleet."""
+
+    @abstractmethod
+    def boot_server(self, type_name: Optional[str] = None) -> None:
+        """Request one more server (it may join after a boot delay)."""
+
+    @abstractmethod
+    def retire_server(self, server: Any) -> None:
+        """Shut an (emptied) server down and stop paying for it."""
+
+    @abstractmethod
+    def pending_boots(self) -> int:
+        """Servers requested but not yet joined."""
+
+    @abstractmethod
+    def add_join_listener(self, listener: Callable[[Any], None]) -> None:
+        """Call ``listener(server)`` whenever a server joins the fleet."""
+
+    # -- observation surface -------------------------------------------
+
+    def actors_on(self, server: Any) -> List[Any]:
+        """Directory records of actors currently placed on ``server``."""
+        return self.system.actors_on(server)
+
+    def mailbox_depth(self, actor_id: int) -> int:
+        """Queued (undelivered) messages for one actor."""
+        return self.system.mailbox_depth(actor_id)
 
     # -- profiling subscribers -----------------------------------------
 
-    @abstractmethod
     def add_hooks(self, hooks: Any) -> None:
         """Subscribe a :class:`~repro.actors.hooks.RuntimeHooks`."""
+        self.system.add_hooks(hooks)
 
-    @abstractmethod
     def remove_hooks(self, hooks: Any) -> None:
         """Unsubscribe a previously added hooks object."""
+        self.system.remove_hooks(hooks)
 
 
 class SimBackend(RuntimeBackend):
@@ -135,67 +164,61 @@ class SimBackend(RuntimeBackend):
 
     Every method is a one-hop delegation to the exact call the EMR made
     before the backend indirection existed; no reordering, no extra
-    simulator events, no added randomness.  The golden-trace equivalence
-    guard pins this down by comparing full result fingerprints against a
-    bypassing shim.
+    simulator events, no added randomness.
     """
-
-    name = "sim"
-    wall_clock = False
 
     def __init__(self, system: Any) -> None:
         self.system = system
+        self.clock = system.sim
 
     # -- clock ---------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        return self.system.sim.now
-
     def schedule(self, delay_ms: float, callback: Callable[..., Any],
                  *args: Any) -> None:
-        self.system.sim.schedule(delay_ms, callback, *args)
+        self.clock.schedule(delay_ms, callback, *args)
 
-    def spawn(self, proc: Any, name: Optional[str] = None) -> Any:
-        # Local import: sim is cheap to import but keeping the module
-        # header stdlib-only avoids any chance of an import cycle.
-        from .sim import spawn as sim_spawn
-        return sim_spawn(self.system.sim, proc, name=name)
+    def rng_stream(self, name: str) -> Any:
+        return self.system.streams.stream(name)
 
     # -- control surface -----------------------------------------------
-
-    def create_actor(self, cls: type, *args: Any, **kwargs: Any) -> Any:
-        return self.system.create_actor(cls, *args, **kwargs)
 
     def migrate_actor(self, ref: Any, target: Any,
                       force: bool = False) -> Any:
         return self.system.migrate_actor(ref, target, force=force)
 
-    def pin(self, ref: Any, pinned: bool = True) -> None:
-        self.system.pin(ref, pinned)
-
     def resurrect_actor(self, tombstone: Any,
                         server: Optional[Any] = None) -> Any:
         return self.system.resurrect_actor(tombstone, server)
 
-    # -- observation surface -------------------------------------------
+    def install(self, placement_policy: Any,
+                epoch_source: Callable[[], int],
+                overload: Optional[Any]) -> None:
+        self.system.placement_policy = placement_policy
+        self.system.epoch_source = epoch_source
+        if overload is not None:
+            self.system.overload = overload
 
-    def actors_on(self, server: Any) -> List[Any]:
-        return self.system.actors_on(server)
+    def uninstall(self, placement_policy: Any,
+                  overload: Optional[Any]) -> None:
+        if overload is not None and self.system.overload is overload:
+            self.system.overload = None
+        if self.system.placement_policy is placement_policy:
+            self.system.placement_policy = None
+        self.system.epoch_source = None
 
-    def mailbox_depth(self, actor_id: int) -> int:
-        return self.system.mailbox_depth(actor_id)
-
-    def server_of(self, ref: Any) -> Any:
-        return self.system.server_of(ref)
+    # -- fleet verbs ---------------------------------------------------
 
     def servers(self) -> Sequence[Any]:
         return self.system.provisioner.servers
 
-    # -- profiling subscribers -----------------------------------------
+    def boot_server(self, type_name: Optional[str] = None) -> None:
+        self.system.provisioner.boot_server(type_name)
 
-    def add_hooks(self, hooks: Any) -> None:
-        self.system.add_hooks(hooks)
+    def retire_server(self, server: Any) -> None:
+        self.system.provisioner.retire_server(server)
 
-    def remove_hooks(self, hooks: Any) -> None:
-        self.system.remove_hooks(hooks)
+    def pending_boots(self) -> int:
+        return self.system.provisioner.pending_boots()
+
+    def add_join_listener(self, listener: Callable[[Any], None]) -> None:
+        self.system.provisioner.add_join_listener(listener)

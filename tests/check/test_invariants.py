@@ -162,7 +162,7 @@ def test_stranded_root_migration_detected():
     manager.emit("migration-started", actor="<Spinner#9>", actor_id=9,
                  action="balance", src="s-1", dst="s-2", issuer="root")
     assert not checker.violations
-    bound = (3 * manager.config.migration_phase_timeout_ms
+    bound = (3 * manager.system.migration_phase_timeout_ms
              + 2 * manager.config.period_ms)
     bed.run(until_ms=bound + 1_000.0)
     checker._check_stranded_root_migrations()
@@ -181,7 +181,7 @@ def test_resolved_root_migration_not_stranded():
     # Aborts arrive through the runtime hook, not the event bus.
     record = SimpleNamespace(ref=SimpleNamespace(actor_id=9))
     checker._on_migration_aborted(record, None, None, "timeout")
-    bound = (3 * manager.config.migration_phase_timeout_ms
+    bound = (3 * manager.system.migration_phase_timeout_ms
              + 2 * manager.config.period_ms)
     bed.run(until_ms=bound + 1_000.0)
     checker._check_stranded_root_migrations()

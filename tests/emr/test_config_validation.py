@@ -25,12 +25,12 @@ def test_defaults_are_valid():
     {"min_servers": -1},
     {"max_scale_out_per_period": 0},
     {"lem_stagger_ms": -1.0},
-    {"control_latency_ms": -0.5},
     {"profiling_overhead_cpu_ms": -0.01},
     {"suspicion_timeout_ms": 0.0},
     {"suspicion_timeout_ms": 60_000.0},          # == period: always suspect
     {"period_ms": 5_000.0, "suspicion_timeout_ms": 4_000.0},
     {"server_group_size": 0},
+    {"cross_group_band": 0.0},
 ])
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -47,7 +47,8 @@ def test_failure_detection_knobs_accepted():
 @pytest.mark.parametrize("removed", [
     "control_plane", "incremental_profiling", "meter_backend",
     "client_timeout_ms", "client_max_retries", "client_backoff_base_ms",
-    "client_backoff_cap_ms",
+    "client_backoff_cap_ms", "group_top_k", "control_latency_ms",
+    "partition_probe_interval_ms", "migration_phase_timeout_ms",
 ])
 def test_removed_knobs_fail_loudly(removed):
     # One implementation per idea: a config still naming a deleted

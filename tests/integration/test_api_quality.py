@@ -1,9 +1,17 @@
 """Meta-tests on the public API surface: docstrings and exports."""
 
+import ast
+import dataclasses
+import glob
 import importlib
 import inspect
+import os
+import re
 
 import pytest
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    os.pardir, os.pardir)
 
 PUBLIC_MODULES = [
     "repro",
@@ -19,6 +27,8 @@ PUBLIC_MODULES = [
     "repro.core.emr",
     "repro.core.emr.hierarchy",
     "repro.core.tracing",
+    "repro.runtime",
+    "repro.live",
     "repro.graphs",
     "repro.workload",
     "repro.apps",
@@ -68,3 +78,80 @@ def test_top_level_reexports_cover_the_workflow():
     for name in ("Actor", "ActorSystem", "Client", "ElasticityManager",
                  "EmrConfig", "compile_source", "Simulator"):
         assert name in repro.__all__
+
+
+# -- the RuntimeBackend seam has no bypass ---------------------------------
+
+def _sources(*parts):
+    paths = sorted(glob.glob(os.path.join(REPO, "src", "repro", *parts)))
+    assert paths, parts
+    for path in paths:
+        with open(path) as handle:
+            yield os.path.relpath(path, REPO), handle.read()
+
+
+def test_emr_reaches_the_runtime_only_through_the_backend():
+    # The EMR runs on two backends; a direct grab of the simulator, the
+    # provisioner or the RNG streams, or an attribute poked onto the
+    # actor system, would work on one of them only.
+    bypass = re.compile(r"system\.(sim|provisioner|streams)\b"
+                        r"|self\.system\.\w+\s*=[^=]")
+    for path, source in _sources("core", "emr", "*.py"):
+        for number, line in enumerate(source.splitlines(), 1):
+            assert not bypass.search(line), f"{path}:{number}: {line.strip()}"
+
+
+def test_live_emr_adapter_decides_nothing():
+    # One implementation decides migrations: the adapter may not import
+    # the rule evaluator or the EPL behaviours it would need to.
+    (_path, source), = _sources("live", "emr.py")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    forbidden = [name for name in imported
+                 if re.search(r"(emr\.evaluate|emr\.planning|epl\.ast)\b",
+                              name)]
+    assert not forbidden, forbidden
+
+    from repro.live import LiveEmrConfig
+    assert [f.name for f in dataclasses.fields(LiveEmrConfig)] == [
+        "period_ms"]
+
+
+# -- the benchmark's config keywords are still fields ----------------------
+
+#: ``make_config`` (benchmarks/e2e) drops unknown names silently so the
+#: benchmark survives a deleted knob; a keyword listed here is known to be
+#: gone.  Anything else it passes must still be a dataclass field, or a
+#: workload would quietly stop being the one BENCHMARK.json describes.
+LEGACY_BENCHMARK_KEYWORDS = {"control_plane"}
+
+
+def test_benchmark_config_keywords_are_still_fields():
+    from repro.core import EmrConfig
+    from repro.live import LiveEmrConfig
+
+    configs = {"EmrConfig": EmrConfig, "LiveEmrConfig": LiveEmrConfig}
+    seen = {}
+    for path in glob.glob(os.path.join(REPO, "benchmarks", "e2e", "*.py")):
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "make_config"
+                    and node.args
+                    and getattr(node.args[0], "id", None) in configs):
+                assert all(kw.arg for kw in node.keywords), \
+                    f"{path}: **kwargs hides the keywords from this test"
+                seen.setdefault(node.args[0].id, set()).update(
+                    kw.arg for kw in node.keywords)
+    assert set(seen) == set(configs), seen
+    for name, keywords in seen.items():
+        fields = {f.name for f in dataclasses.fields(configs[name])}
+        stale = keywords - fields - LEGACY_BENCHMARK_KEYWORDS
+        assert not stale, f"{name} no longer has {sorted(stale)}"

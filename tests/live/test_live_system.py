@@ -238,3 +238,26 @@ def test_compute_charges_hosting_server():
         assert server.cpu_meter.total(10_000.0) == pytest.approx(0.1)
         await system.shutdown()
     asyncio.run(main())
+
+
+def test_destroyed_actors_leave_no_bookkeeping_behind():
+    async def main():
+        system = _system(servers=2)
+        keeper = system.create_actor(Echo)
+        sizes = (len(system._tasks), len(system._mailboxes),
+                 len(system._busy))
+        baseline = asyncio.all_tasks()
+        refs = [system.create_actor(Echo) for _ in range(100)]
+        for ref in refs:
+            assert await system.client_call(ref, "poke") == "ok"
+        for ref in refs:
+            system.destroy_actor(ref)
+        assert (len(system._tasks), len(system._mailboxes),
+                len(system._busy)) == sizes
+        # The dispatch tasks themselves end on their own, without
+        # shutdown() having to cancel them.
+        await asyncio.sleep(0.01)
+        assert asyncio.all_tasks() == baseline
+        assert await system.client_call(keeper, "poke") == "ok"
+        await system.shutdown()
+    asyncio.run(main())

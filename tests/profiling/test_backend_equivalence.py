@@ -1,28 +1,22 @@
-"""Backend-indirection equivalence: ``SimBackend`` is invisible.
+"""The EMR really runs behind ``RuntimeBackend`` — and only there.
 
-The live-runtime work re-routed every EMR-side runtime call (migrate /
-pin / actors_on / mailbox_depth / hooks / GEM scheduling) through the
-:class:`repro.runtime.RuntimeBackend` surface.  That refactor is only
-admissible if the sim backend behind the interface is *bit-identical*
-to calling the ``ActorSystem`` directly.  Two layers of evidence:
-
-1. the Fig. 7 / Fig. 9 equivalence scenarios re-run with (a) a bypass
-   shim that binds the backend's methods straight to the system's bound
-   methods — the pre-refactor call graph — and (b) the real
-   ``SimBackend`` with call counting, must produce identical traces;
-2. fuzz-corpus artifacts replayed under both shims must produce the
-   same verdict fingerprint.
-
-The counting run additionally proves the test is non-vacuous: the
-backend surface must actually have been exercised (otherwise the
-equality would be comparing two identical bypasses).
+Every runtime call of :mod:`repro.core.emr` (clock and scheduling,
+migrate / pin, the fleet verbs, install/uninstall, observation, hooks)
+goes through :class:`repro.runtime.RuntimeBackend`; there is no path
+around it left to compare against.  What the seam must preserve is
+pinned by the committed digests in ``tests/golden`` (recorded through
+``SimBackend``).  This file is the other half of that evidence,
+non-vacuity: the same scenarios replayed behind a call-counting
+``SimBackend`` subclass still match their committed digests (so the
+counting itself perturbs nothing) *and* the counters show the surface
+was exercised — a seam nobody calls would make the digests pin nothing
+about it.
 
 ``ActorSystem`` looks ``SimBackend`` up on its module at construction
-time, so patching ``repro.actors.system.SimBackend`` swaps the shim for
-every system the scenario builders create.
+time, so patching ``repro.actors.system.SimBackend`` swaps the counting
+subclass in for every system the scenario builders create.
 """
 
-import glob
 import os
 import sys
 from contextlib import contextmanager
@@ -30,145 +24,121 @@ from contextlib import contextmanager
 import pytest
 
 import repro.actors.system as system_module
-from repro.cli import load_fuzz_scenario
-from repro.fuzz import run_scenario
+from repro.actors import Actor, Client
+from repro.bench import build_cluster
+from repro.core import ElasticityManager, EmrConfig, compile_source
 from repro.runtime import SimBackend
+from repro.sim import spawn
 
-# The Fig. 7 / Fig. 9 runners live beside the golden digests; make them
-# importable even when only this file is collected.
+# The scenario runners and digests live beside the golden test; make
+# them importable even when only this file is collected.
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "golden"))
 
-from scenarios import (result_fingerprint, run_estore_scenario,  # noqa: E402
-                       run_pagerank_scenario)
+import scenarios  # noqa: E402
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fuzz",
-                          "corpus")
-#: ≥ 3 artifacts per the acceptance criteria; the full corpus runs in
-#: tests/golden, so a spread of four profiles is enough here.
-CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))[:4]
+GOLDEN = scenarios.load_digests()
+#: A spread of four profiles; the full corpus replays in tests/golden.
+CORPUS = sorted(name for name in GOLDEN if name.startswith("corpus/"))[:4]
 
-
-class CountingBackend(SimBackend):
-    """The real SimBackend, with proof-of-use counters."""
-
-    calls = None  # installed by the fixture as a plain dict
-
-    def _note(self, name):
-        CountingBackend.calls[name] = CountingBackend.calls.get(name, 0) + 1
-
-    def migrate_actor(self, ref, target, force=False):
-        self._note("migrate_actor")
-        return super().migrate_actor(ref, target, force=force)
-
-    def pin(self, ref, pinned=True):
-        self._note("pin")
-        super().pin(ref, pinned)
-
-    def actors_on(self, server):
-        self._note("actors_on")
-        return super().actors_on(server)
-
-    def mailbox_depth(self, actor_id):
-        self._note("mailbox_depth")
-        return super().mailbox_depth(actor_id)
-
-    def add_hooks(self, hooks):
-        self._note("add_hooks")
-        super().add_hooks(hooks)
-
-    def schedule(self, delay_ms, callback, *args):
-        self._note("schedule")
-        super().schedule(delay_ms, callback, *args)
+COUNTED = ("schedule", "rng_stream", "migrate_actor", "pin", "install",
+           "uninstall", "servers", "boot_server", "retire_server",
+           "pending_boots", "add_join_listener", "actors_on",
+           "mailbox_depth", "add_hooks", "remove_hooks")
 
 
-class BypassBackend:
-    """Pre-refactor call graph: every method IS the system's bound
-    method — zero indirection, the reference the interface must match."""
+def _counted(name, calls):
+    original = getattr(SimBackend, name)
 
-    name = "bypass"
-    wall_clock = False
-
-    def __init__(self, system):
-        self.system = system
-        self.migrate_actor = system.migrate_actor
-        self.pin = system.pin
-        self.actors_on = system.actors_on
-        self.mailbox_depth = system.mailbox_depth
-        self.server_of = system.server_of
-        self.resurrect_actor = system.resurrect_actor
-        self.create_actor = system.create_actor
-        self.add_hooks = system.add_hooks
-        self.remove_hooks = system.remove_hooks
-        self.schedule = system.sim.schedule
-
-    @property
-    def now(self):
-        return self.system.sim.now
-
-    def spawn(self, proc, name=None):
-        from repro.sim import spawn as sim_spawn
-        return sim_spawn(self.system.sim, proc, name=name)
-
-    def servers(self):
-        return self.system.provisioner.servers
-
-
-@contextmanager
-def backend_shim(cls):
-    saved = system_module.SimBackend
-    system_module.SimBackend = cls
-    try:
-        yield
-    finally:
-        system_module.SimBackend = saved
+    def method(self, *args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(self, *args, **kwargs)
+    return method
 
 
 @contextmanager
 def counting():
-    CountingBackend.calls = {}
-    with backend_shim(CountingBackend):
-        yield CountingBackend.calls
+    """Swap in the real SimBackend with proof-of-use counters."""
+    calls = {}
+    saved = system_module.SimBackend
+    system_module.SimBackend = type(
+        "CountingBackend", (SimBackend,),
+        {name: _counted(name, calls) for name in COUNTED})
+    try:
+        yield calls
+    finally:
+        system_module.SimBackend = saved
 
 
 def assert_surface_exercised(calls):
-    # Every scenario runs an EMR, so the observation surface must have
-    # been hit; mutation counts depend on the scenario and aren't
-    # asserted here.
-    assert calls.get("actors_on", 0) > 0, calls
-    assert calls.get("add_hooks", 0) > 0, calls
+    # Every scenario runs an EMR, so the clock, the RNG stream, the
+    # install/join wiring and the observation surface must have been
+    # hit; mutation counts depend on the scenario.
+    for name in ("schedule", "rng_stream", "install", "add_join_listener",
+                 "servers", "actors_on", "add_hooks"):
+        assert calls.get(name, 0) > 0, (name, calls)
 
 
 def test_pagerank_trace_identical_behind_backend():
-    with backend_shim(BypassBackend):
-        reference = run_pagerank_scenario()
     with counting() as calls:
-        observed = run_pagerank_scenario()
-    assert observed == reference
-    assert reference[2], "scenario produced no migrations"
+        observed = scenarios.digest("fig7-pagerank")
+    assert observed == GOLDEN["fig7-pagerank"]
+    assert_surface_exercised(calls)
+    assert calls.get("migrate_actor", 0) > 0, calls
+    assert calls.get("uninstall", 0) > 0, calls
+
+
+def test_estore_trace_identical_behind_backend():
+    with counting() as calls:
+        observed = scenarios.digest("fig9-estore")
+    assert observed == GOLDEN["fig9-estore"]
     assert_surface_exercised(calls)
     assert calls.get("migrate_actor", 0) > 0, calls
 
 
-def test_estore_trace_identical_behind_backend():
-    with backend_shim(BypassBackend):
-        reference = run_estore_scenario()
+@pytest.mark.parametrize("name", CORPUS,
+                         ids=[name.split("/", 1)[1] for name in CORPUS])
+def test_corpus_replay_identical_behind_backend(name):
     with counting() as calls:
-        observed = run_estore_scenario()
-    assert observed == reference
-    assert reference[2], "scenario produced no migrations"
+        observed = scenarios.digest(name)
+    assert observed == GOLDEN[name]
     assert_surface_exercised(calls)
 
 
-@pytest.mark.parametrize(
-    "path", CORPUS, ids=[os.path.basename(p)[:-5] for p in CORPUS])
-def test_corpus_replay_identical_behind_backend(path):
-    scenario = load_fuzz_scenario(path)
-    with backend_shim(BypassBackend):
-        reference = run_scenario(scenario)
+class Spinner(Actor):
+    def spin(self, cpu_ms):
+        yield self.compute(cpu_ms)
+
+
+def test_fleet_scaling_goes_through_the_backend():
+    """Scale-out then scale-in: the GEM's boot/pending/retire calls and
+    the manager's join wiring are backend verbs, not provisioner pokes."""
     with counting() as calls:
-        observed = run_scenario(scenario)
-    assert result_fingerprint(observed) == result_fingerprint(reference)
-    assert reference.ok, reference.summary()
-    assert observed.ok, observed.summary()
-    assert_surface_exercised(calls)
+        bed = build_cluster(1, boot_delay_ms=1_000.0, max_servers=3)
+        refs = [bed.system.create_actor(Spinner, server=bed.servers[0])
+                for _ in range(8)]
+        policy = compile_source(
+            "server.cpu.perc > 80 or server.cpu.perc < 60 "
+            "=> balance({Spinner}, cpu);", [Spinner])
+        manager = ElasticityManager(bed.system, policy, EmrConfig(
+            period_ms=5_000.0, gem_wait_ms=300.0, lem_stagger_ms=10.0,
+            allow_scale_out=True, allow_scale_in=True))
+        manager.start()
+        client = Client(bed.system)
+
+        def loop(ref):
+            while bed.sim.now < 40_000.0:
+                yield client.call(ref, "spin", 60.0)
+
+        for ref in refs:
+            spawn(bed.sim, loop(ref))
+        bed.run(until_ms=40_000.0)
+        grown = bed.provisioner.fleet_size()
+        bed.run(until_ms=150_000.0)  # idle tail: scale-in pressure
+        manager.stop()
+    assert grown > 1 and bed.provisioner.fleet_size() < grown
+    # A LEM for every server that joined came through the listener.
+    assert len(manager.lems) == bed.provisioner.fleet_size()
+    for verb in ("boot_server", "pending_boots", "retire_server",
+                 "migrate_actor", "uninstall"):
+        assert calls.get(verb, 0) > 0, (verb, calls)
