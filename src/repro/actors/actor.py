@@ -27,6 +27,7 @@ from .message import DEFAULT_MESSAGE_BYTES
 from .refs import ActorRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .directory import ActorRecord
     from .system import ActorSystem
 
 __all__ = ["Actor", "ActorTypeSchema", "describe_actor_class",
@@ -97,6 +98,9 @@ class Actor:
     actor_id: int = -1
     ref: Optional[ActorRef] = None
     _system: "ActorSystem" = None  # type: ignore[assignment]
+    #: This incarnation's directory record: the primitives below act for
+    #: it even after a resurrection re-registered the id.
+    _record: "ActorRecord" = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}#{self.actor_id}>"

@@ -1,18 +1,24 @@
-"""Actor directory: the location service.
+"""Actor directory: the location service, and the one record per actor.
 
-Maps actor ids to the server currently hosting them, plus per-actor
-runtime bookkeeping the elasticity runtime needs (pinned flag, last
-migration time for the placement-stability window, migration-in-progress
-state).  In the paper this is part of AEON's distributed runtime; a
-single authoritative map reproduces its observable behaviour (lookups may
-be stale only during a migration, which we model with message forwarding
-at the old host).
+Maps actor ids to the :class:`ActorRecord` of the incarnation currently
+registered under that id.  The record carries everything either runtime
+knows about the incarnation: where it is placed and the bookkeeping the
+elasticity runtime needs (pinned flag, last migration time for the
+placement-stability window, migration-in-progress state), and — on
+:attr:`ActorRecord.cell` — its runtime state (mailbox, gate, busy flag,
+in-flight message).  There are no tables beside the directory: a
+resurrected actor reuses its id but gets a *new* record and cell, so a
+handler left over from the dead incarnation can only ever touch its own.
+In the paper this is part of AEON's distributed runtime; a single
+authoritative map reproduces its observable behaviour (lookups may be
+stale only during a migration, which we model with message forwarding at
+the old host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from .refs import ActorRef
 
@@ -20,12 +26,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import Server
     from .actor import Actor
 
-__all__ = ["ActorRecord", "Directory"]
+__all__ = ["ActorCell", "ActorRecord", "Directory"]
+
+
+class ActorCell:
+    """Runtime state of one actor incarnation, owned by its record.
+
+    Each runtime fills the slots with its own kinds of object (a sim
+    ``Queue``/``Signal`` or an asyncio queue/``Event``); the shared
+    lifecycle code only creates, hands over and drops the cell.
+    """
+
+    __slots__ = ("mailbox", "gate", "busy", "current", "idle", "task",
+                 "prepared_on")
+
+    def __init__(self, mailbox: Any) -> None:
+        self.mailbox = mailbox
+        #: Closed while a migration holds the actor; ``None`` otherwise.
+        self.gate: Any = None
+        #: A handler is running.
+        self.busy = False
+        #: The message that handler is serving.
+        self.current: Any = None
+        #: What a migration draining the in-flight handler waits on.
+        self.idle: Any = None
+        #: The dispatcher's handle, where stopping it needs one.
+        self.task: Any = None
+        #: Destination holding a prepared, not yet committed, copy.
+        self.prepared_on: Any = None
 
 
 @dataclass
 class ActorRecord:
-    """Directory entry for one live actor."""
+    """Directory entry for one actor incarnation."""
 
     instance: "Actor"
     ref: ActorRef
@@ -46,6 +79,9 @@ class ActorRecord:
     #: recovery to the host language runtime).
     spawn_args: tuple = ()
     spawn_kwargs: dict = field(default_factory=dict)
+    #: Runtime state while the incarnation lives; ``None`` once it is
+    #: destroyed, so a tombstone holds no mailbox, gate or handler state.
+    cell: Optional[ActorCell] = None
 
     @property
     def type_name(self) -> str:
@@ -92,10 +128,6 @@ class Directory:
         post-heal anti-entropy pass re-examines (highest epoch wins)."""
         return [rec for rec in self._records.values()
                 if rec.placement_epoch < epoch]
-
-    def of_type(self, type_name: str) -> List[ActorRecord]:
-        return [rec for rec in self._records.values()
-                if rec.type_name == type_name]
 
     def count(self) -> int:
         return len(self._records)

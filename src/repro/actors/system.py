@@ -1,12 +1,18 @@
 """The actor system: creation, messaging, dispatch, and live migration.
 
-This module is the AEON-runtime stand-in.  It owns the directory, one
-unbounded mailbox and dispatcher process per actor, and the live-migration
-protocol.  The elasticity runtime drives it exclusively through
-:meth:`ActorSystem.migrate_actor`, :meth:`ActorSystem.create_actor`'s
-placement hook, and the :class:`~repro.actors.hooks.RuntimeHooks`
-observation interface — the same narrow surface PLASMA requires of its
-host language runtime.
+This module is the AEON-runtime stand-in on simulated time.  What it
+records about an actor — directory record, hooks, spawn/retire/commit
+bookkeeping — is :class:`~repro.actors.base.ActorSystemBase`, shared
+with the asyncio runtime; an incarnation's runtime state is the
+:class:`~repro.actors.directory.ActorCell` on its record.  What lives
+here is what simulated time makes different: placement from the
+``actor-placement`` RNG stream, delivery through the network fabric, one
+``Queue`` mailbox and dispatcher process per actor, overload admission,
+and the partition-aware live-migration protocol.  The elasticity runtime
+drives it exclusively through :meth:`ActorSystem.migrate_actor`,
+:meth:`ActorSystem.create_actor`'s placement hook, and the
+:class:`~repro.actors.hooks.RuntimeHooks` observation interface — the
+same narrow surface PLASMA requires of its host language runtime.
 
 Semantics reproduced from the paper's substrate:
 
@@ -25,15 +31,15 @@ from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 from ..cluster import NetworkFabric, Provisioner, Server
 from ..runtime import SimBackend
 from ..sim import (Interrupted, Queue, RandomStreams, Signal, Simulator,
                    Timeout, Waitable, spawn)
 from .actor import Actor
-from .directory import ActorRecord, Directory
-from .hooks import RuntimeHooks
+from .base import ActorSystemBase
+from .directory import ActorCell, ActorRecord, Directory
 from .message import CLIENT_KIND, DEFAULT_REPLY_BYTES, Message, Overloaded
 from .refs import ActorRef
 
@@ -52,52 +58,33 @@ _STOP = object()
 _MAX_FORWARDS = 8
 
 
-class ActorSystem:
+class ActorSystem(ActorSystemBase):
     """Hosts actors on a fleet of simulated servers."""
 
     def __init__(self, sim: Simulator, provisioner: Provisioner,
                  fabric: Optional[NetworkFabric] = None,
                  streams: Optional[RandomStreams] = None,
                  directory: Optional[Directory] = None) -> None:
-        self.sim = sim
-        self.provisioner = provisioner
-        self.fabric = fabric or NetworkFabric(sim)
-        self.streams = streams or RandomStreams()
         #: ``directory`` lets a caller install a
         #: :class:`~repro.actors.sharded_directory.ShardedDirectory`;
         #: the default flat map reproduces the paper's single
         #: authoritative view.
-        self.directory = directory if directory is not None else Directory()
+        super().__init__(sim, directory if directory is not None
+                         else Directory(), _actor_ids)
+        self.sim = sim
+        self.provisioner = provisioner
+        self.fabric = fabric or NetworkFabric(sim)
+        self.streams = streams or RandomStreams()
         #: The :class:`~repro.runtime.RuntimeBackend` view of this
         #: system: the narrow clock + migrate/pin/place + fleet +
         #: profiling surface the elasticity layer drives.  Pure
         #: delegation — the module-level name is looked up (not bound)
         #: so tests can substitute a call-counting subclass.
         self.backend = SimBackend(self)
-        self.hooks: List[RuntimeHooks] = []
-        self.placement_policy: Optional[PlacementPolicy] = None
-
-        self._mailboxes: Dict[int, Queue] = {}
-        self._busy: Dict[int, bool] = {}
-        self._idle_signals: Dict[int, Signal] = {}
-        self._gates: Dict[int, Optional[Signal]] = {}
-        self._current_message: Dict[int, Message] = {}
         self._placement_rng = self.streams.stream("actor-placement")
-        #: Supplies the control-plane epoch stamped onto placement
-        #: decisions (set by the elasticity manager; ``None`` stamps 0).
-        self.epoch_source: Optional[Callable[[], int]] = None
         #: How long each phase of the migration protocol waits for an ack
         #: that cannot arrive (severed link) before rolling back.
         self.migration_phase_timeout_ms = 2_000.0
-        #: Migrations holding a prepared (not yet committed) copy of
-        #: state on their destination, by actor id: ``(record, target)``.
-        #: Purely logical bookkeeping: memory is allocated only at
-        #: commit, so a rollback leaves no trace on the destination.
-        #: The owning record is kept so an aborted transfer's late
-        #: cleanup can never prune the entry of a *superseding*
-        #: migration (started for the same actor id after a
-        #: resurrection).
-        self._prepared: Dict[int, Tuple[ActorRecord, Server]] = {}
         #: Migrations rolled back by a partition or phase timeout.
         self.migrations_rolled_back = 0
         #: Durable-state subsystem (``repro.durability``), attached by an
@@ -121,18 +108,6 @@ class ActorSystem:
         self._local_batch: Optional[List[Any]] = None
 
     # ------------------------------------------------------------------
-    # hooks
-    # ------------------------------------------------------------------
-
-    def add_hooks(self, hooks: RuntimeHooks) -> None:
-        """Subscribe an observer (typically the profiling runtime)."""
-        self.hooks.append(hooks)
-
-    def remove_hooks(self, hooks: RuntimeHooks) -> None:
-        """Unsubscribe a previously added observer."""
-        self.hooks.remove(hooks)
-
-    # ------------------------------------------------------------------
     # actor lifecycle
     # ------------------------------------------------------------------
 
@@ -150,92 +125,56 @@ class ActorSystem:
         (e.g. the Session a new Player joins); rule-aware placement uses
         it to honour colocate rules from the very first placement.
         """
-        chosen = server
-        candidates = list(self.provisioner.servers)
-        if not candidates and chosen is None:
-            raise RuntimeError("cannot create an actor with no servers")
-        if chosen is None and self.placement_policy is not None:
-            chosen = self.placement_policy(cls, candidates, related)
-        if chosen is None:
-            chosen = self._placement_rng.choice(candidates)
-
-        instance = cls(*args, **kwargs)
-        actor_id = next(_actor_ids)
-        ref = ActorRef(actor_id=actor_id, type_name=cls.__name__)
-        instance.actor_id = actor_id
-        instance.ref = ref
-        instance._system = self
-
-        record = ActorRecord(
-            instance=instance, ref=ref, server=chosen,
-            created_at=self.sim.now, last_placed_at=self.sim.now,
-            spawn_args=copy.deepcopy(tuple(args)),
-            spawn_kwargs=copy.deepcopy(dict(kwargs)),
-            placement_epoch=self._current_epoch())
-        self.directory.register(record)
-        chosen.allocate_memory(instance.state_size_mb)
-
-        self._start_dispatch(record)
-        instance.on_start()
+        if server is None:
+            candidates = list(self.provisioner.servers)
+            if not candidates:
+                raise RuntimeError("cannot create an actor with no servers")
+            server = self._choose_server(cls, candidates, related)
+        record = self._spawn(cls, server, args, kwargs)
         for hooks in self.hooks:
             hooks.on_actor_created(record)
-        return ref
+        return record.ref
 
-    def _current_epoch(self) -> int:
-        return self.epoch_source() if self.epoch_source is not None else 0
+    def _choose_server(self, cls: Type[Actor], candidates: List[Server],
+                       related: Optional[ActorRef]) -> Optional[Server]:
+        """The placement policy's pick, else uniform random; ``None``
+        only when there is nothing to pick from."""
+        chosen = None
+        if self.placement_policy is not None:
+            chosen = self.placement_policy(cls, candidates, related)
+        if chosen is None and candidates:
+            chosen = self._placement_rng.choice(candidates)
+        return chosen
 
     def _start_dispatch(self, record: ActorRecord) -> None:
-        actor_id = record.ref.actor_id
-        mailbox: Queue = Queue(self.sim)
-        self._mailboxes[actor_id] = mailbox
-        self._busy[actor_id] = False
-        self._gates[actor_id] = None
-        spawn(self.sim, self._dispatch_loop(record, mailbox),
+        cell = record.cell = ActorCell(Queue(self.sim))
+        spawn(self.sim, self._dispatch_loop(record, cell),
               name=f"dispatch/{record.ref}")
 
-    def destroy_actor(self, ref: ActorRef) -> None:
-        """Remove an actor.  Queued messages are dropped; pending callers
-        receive ``None`` replies."""
-        record = self.directory.try_lookup(ref.actor_id)
-        if record is None:
-            return
-        mailbox = self._mailboxes.pop(ref.actor_id, None)
-        if mailbox is not None:
-            for message in mailbox.clear():
-                if message is _STOP:
-                    continue
-                if self.overload is not None:
-                    if self._crashing:
-                        self.overload.note_crashed(message)
-                    else:
-                        self.overload.note_dead_target(message)
-                if message.reply is not None:
-                    message.reply.trigger(None)
-            mailbox.put(_STOP)
+    def _stop_dispatch(self, cell: ActorCell) -> None:
+        """Queued messages are dropped; their callers and the in-flight
+        one receive ``None`` replies."""
+        for message in cell.mailbox.clear():
+            if self.overload is not None:
+                if self._crashing:
+                    self.overload.note_crashed(message)
+                else:
+                    self.overload.note_dead_target(message)
+            if message.reply is not None:
+                message.reply.trigger(None)
+        cell.mailbox.put(_STOP)
         # Fail the in-flight request too (its handler dies with the
         # actor; Signal.trigger is once-only, so a handler that was
         # already about to reply cannot double-deliver).
-        inflight = self._current_message.pop(ref.actor_id, None)
+        inflight = cell.current
         if inflight is not None and inflight.reply is not None:
             inflight.reply.trigger(None)
-        record.server.free_memory(record.instance.state_size_mb)
-        self.directory.unregister(ref.actor_id)
-        self._busy.pop(ref.actor_id, None)
-        self._gates.pop(ref.actor_id, None)
         # A migration proc draining the in-flight handler blocks on this
-        # signal; trigger it so the proc wakes, sees the record is gone,
-        # and runs its abort path — otherwise it leaks forever and its
-        # bookkeeping (the migrating flag, a later _prepared entry) is
-        # never cleaned up.
-        idle = self._idle_signals.pop(ref.actor_id, None)
-        if idle is not None:
-            idle.trigger()
-        for hooks in self.hooks:
-            hooks.on_actor_destroyed(record)
-
-    def actor_instance(self, ref: ActorRef) -> Actor:
-        """The live instance behind ``ref`` (profiling/testing use)."""
-        return self.directory.lookup(ref.actor_id).instance
+        # signal; trigger it so the proc wakes, sees the incarnation is
+        # gone, and runs its abort path — otherwise it leaks forever
+        # with the tombstone still flagged migrating.
+        if cell.idle is not None:
+            cell.idle.trigger()
 
     def crash_server(self, server: Server) -> List[ActorRef]:
         """Fail a server: its actors are lost, callers get None replies.
@@ -289,38 +228,22 @@ class ActorSystem:
         if self.directory.try_lookup(ref.actor_id) is not None:
             return None
         cls = type(tombstone.instance)
-        candidates = [s for s in self.provisioner.servers if s.running]
         chosen = server
-        if chosen is None and self.placement_policy is not None:
-            chosen = self.placement_policy(cls, candidates, None)
         if chosen is None:
-            if not candidates:
+            chosen = self._choose_server(
+                cls, [s for s in self.provisioner.servers if s.running], None)
+            if chosen is None:
                 return None
-            chosen = self._placement_rng.choice(candidates)
 
-        # Two independent deep copies of the recorded constructor
-        # arguments: one consumed by the new instance, one stored on the
-        # new record.  Without them, mutable arg elements would be
-        # aliased between the instance, the new tombstone, and every
-        # earlier generation's tombstone — a later in-place mutation
-        # would silently rewrite "spawn-time" state across generations.
-        instance = cls(*copy.deepcopy(tombstone.spawn_args),
-                       **copy.deepcopy(tombstone.spawn_kwargs))
-        instance.actor_id = ref.actor_id
-        instance.ref = ref
-        instance._system = self
-
-        record = ActorRecord(
-            instance=instance, ref=ref, server=chosen,
-            created_at=self.sim.now, last_placed_at=self.sim.now,
-            spawn_args=copy.deepcopy(tombstone.spawn_args),
-            spawn_kwargs=copy.deepcopy(tombstone.spawn_kwargs),
-            placement_epoch=self._current_epoch())
-        self.directory.register(record)
-        chosen.allocate_memory(instance.state_size_mb)
-
-        self._start_dispatch(record)
-        instance.on_start()
+        # The new instance consumes its own deep copy of the recorded
+        # constructor arguments (and _spawn stores another on the new
+        # record).  Without it, mutable arg elements would be aliased
+        # between the instance and every earlier generation's tombstone
+        # — a later in-place mutation would silently rewrite
+        # "spawn-time" state across generations.
+        record = self._spawn(cls, chosen,
+                             copy.deepcopy(tombstone.spawn_args),
+                             copy.deepcopy(tombstone.spawn_kwargs), ref=ref)
         if self.durability is not None:
             # State-preserving recovery: overwrite the fresh spawn-time
             # state with the last acknowledged checkpoint (if any replica
@@ -369,23 +292,25 @@ class ActorSystem:
     def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
                          args: Tuple[Any, ...], size_bytes: float,
                          reply: Optional[Signal]) -> None:
-        src_record = self.directory.try_lookup(actor.actor_id)
         message = Message(
             target_id=ref.actor_id, function=function, args=tuple(args),
             caller_kind=actor.type_name, caller_id=actor.actor_id,
             size_bytes=size_bytes, reply=reply, sent_at=self.sim.now)
-        self._route(src_record, message)
+        # A dead incarnation's send has no source server to leave from.
+        record = actor._record
+        self._route(record if record.cell is not None else None, message)
 
     def _actor_sleep(self, delay_ms: float) -> Waitable:
         return Timeout(self.sim, delay_ms)
 
     def _actor_compute(self, actor: Actor, cpu_ms: float) -> Waitable:
-        record = self.directory.try_lookup(actor.actor_id)
-        if record is None:
-            # The actor died (server crash) while this handler was mid
-            # flight — e.g. between two chunks of a chunked compute.  Its
-            # caller already received a None reply from destroy_actor, so
-            # park the orphaned handler on a signal that never fires.
+        record = actor._record
+        if record.cell is None:
+            # This incarnation died (server crash) while its handler was
+            # mid flight — e.g. between two chunks of a chunked compute.
+            # Its caller already received a None reply from
+            # destroy_actor, so park the orphaned handler on a signal
+            # that never fires.
             return Signal(self.sim)
         job_done = record.server.execute(cpu_ms, owner=record)
         wrapped = Signal(self.sim)
@@ -475,13 +400,7 @@ class ActorSystem:
                 arrived_at, target.server, message.size_bytes)
             self.sim.schedule(delay, self._deliver, message, target.server)
             return
-        mailbox = self._mailboxes.get(message.target_id)
-        if mailbox is None:
-            if self.overload is not None:
-                self.overload.note_dead_target(message)
-            if message.reply is not None:
-                message.reply.trigger(None)
-            return
+        mailbox = target.cell.mailbox
         if self.overload is not None and not self._admit(
                 message, target, mailbox, arrived_at):
             return
@@ -553,19 +472,18 @@ class ActorSystem:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _dispatch_loop(self, record: ActorRecord, mailbox: Queue):
-        actor_id = record.ref.actor_id
+    def _dispatch_loop(self, record: ActorRecord, cell: ActorCell):
+        mailbox = cell.mailbox
         while True:
             message = yield mailbox.get()
             if message is _STOP:
                 return
             if self.overload is not None:
                 self.overload.note_consumed(message)
-            gate = self._gates.get(actor_id)
-            if gate is not None:
-                yield gate  # migration in progress: wait for it to finish
-            self._busy[actor_id] = True
-            self._current_message[actor_id] = message
+            if cell.gate is not None:
+                yield cell.gate  # migration in progress: wait it out
+            cell.busy = True
+            cell.current = message
             try:
                 handler = getattr(record.instance, message.function, None)
                 if handler is None:
@@ -575,9 +493,9 @@ class ActorSystem:
                 if hasattr(result, "send"):  # generator handler
                     result = yield from result
             finally:
-                self._busy[actor_id] = False
-                self._current_message.pop(actor_id, None)
-                idle = self._idle_signals.pop(actor_id, None)
+                cell.busy = False
+                cell.current = None
+                idle, cell.idle = cell.idle, None
                 if idle is not None:
                     idle.trigger()
             if message.reply is not None:
@@ -630,15 +548,11 @@ class ActorSystem:
         ``pin`` in PLASMA's priority order).
         """
         done = Signal(self.sim)
-        record = self.directory.try_lookup(ref.actor_id)
-        if (record is None or record.migrating
-                or (record.pinned and not force)
-                or record.server is target or not target.running):
+        record = self._begin_migration(ref, target, force)
+        if record is None:
             done.trigger(False)
             return done
-        record.migrating = True
-        gate = Signal(self.sim)
-        self._gates[ref.actor_id] = gate
+        gate = record.cell.gate = Signal(self.sim)
         spawn(self.sim, self._migration_proc(record, target, gate, done),
               name=f"migrate/{ref}")
         return done
@@ -649,27 +563,12 @@ class ActorSystem:
         return (self.fabric.link_blocked(src, dst)
                 or self.fabric.link_blocked(dst, src))
 
-    def _prune_prepared(self, record: ActorRecord) -> None:
-        """Drop ``record``'s prepared-copy entry — and only its own.
-
-        After a crash + resurrection, a *new* migration of the same
-        actor id may have prepared its own copy by the time the old
-        aborted transfer's proc wakes up; an unconditional pop here
-        would prune the superseding migration's in-progress record.
-        """
-        actor_id = record.ref.actor_id
-        entry = self._prepared.get(actor_id)
-        if entry is not None and entry[0] is record:
-            self._prepared.pop(actor_id, None)
-
     def _abort_lost(self, record: ActorRecord, gate: Signal, done: Signal,
                     source: Server, target: Server) -> None:
         # The actor died mid-protocol (its source server crashed):
-        # destroy_actor already settled memory and mailbox state.
-        self._prune_prepared(record)
-        # Clear the tombstone's in-progress flag: resurrection copies
-        # bookkeeping off the tombstone, and a stale migrating=True
-        # would make the revived actor look permanently mid-migration.
+        # destroy_actor already settled memory and dropped the cell,
+        # prepared-copy note included.  What is left is the tombstone's
+        # in-progress flag, which nothing else would ever clear.
         record.migrating = False
         gate.trigger()
         done.trigger(False)
@@ -680,13 +579,11 @@ class ActorSystem:
                   source: Server, target: Server, reason: str) -> None:
         # Source keeps the live actor; the destination discards its
         # prepared copy (nothing was ever allocated there).
-        actor_id = record.ref.actor_id
-        self._prune_prepared(record)
+        cell = record.cell
+        cell.prepared_on = None
         self.migrations_rolled_back += 1
         record.migrating = False
-        if (actor_id in self._gates
-                and self.directory.try_lookup(actor_id) is record):
-            self._gates[actor_id] = None
+        cell.gate = None
         gate.trigger()
         done.trigger(False)
         for hooks in self.hooks:
@@ -694,20 +591,17 @@ class ActorSystem:
 
     def _migration_proc(self, record: ActorRecord, target: Server,
                         gate: Signal, done: Signal):
-        actor_id = record.ref.actor_id
+        cell = record.cell
         # Wait for the in-flight handler (if any) to finish.
-        if self._busy.get(actor_id):
-            idle = self._idle_signals.get(actor_id)
-            if idle is None:
-                idle = Signal(self.sim)
-                self._idle_signals[actor_id] = idle
-            yield idle
-            if self.directory.try_lookup(actor_id) is not record:
-                # destroy_actor woke us: the actor died (or was
-                # superseded by a resurrection) while we drained its
-                # in-flight handler.
-                self._abort_lost(record, gate, done, record.server, target)
-                return
+        if cell is not None and cell.busy:
+            if cell.idle is None:
+                cell.idle = Signal(self.sim)
+            yield cell.idle
+        if record.cell is None:
+            # The actor died before this proc's first step, or
+            # destroy_actor woke us while we drained its handler.
+            self._abort_lost(record, gate, done, record.server, target)
+            return
         source = record.server
         if not target.running:
             # The destination died while we drained the in-flight
@@ -723,14 +617,16 @@ class ActorSystem:
         # heal, then roll back with no bytes transferred.
         if self._link_severed(source, target):
             yield Timeout(self.sim, self.migration_phase_timeout_ms)
-            if self.directory.try_lookup(actor_id) is not record:
+            if record.cell is None:
                 self._abort_lost(record, gate, done, source, target)
                 return
             if not target.running or self._link_severed(source, target):
                 self._rollback(record, gate, done, source, target,
                                "prepare-timeout")
                 return
-        self._prepared[actor_id] = (record, target)
+        # Purely logical: memory is allocated only at commit, so a
+        # rollback leaves no trace on the destination.
+        cell.prepared_on = target
         if self.durability is not None:
             self.durability.on_migration_prepared(record, source, target)
         # TRANSFER: full state over the slower NIC (plus the protocol's
@@ -742,7 +638,7 @@ class ActorSystem:
         state_bytes = record.instance.state_size_mb * 1024.0 * 1024.0
         delay = self.fabric.transfer_delay(source, target, state_bytes)
         yield Timeout(self.sim, delay)
-        if self.directory.try_lookup(actor_id) is not record:
+        if record.cell is None:
             self._abort_lost(record, gate, done, source, target)
             return
         if not target.running:
@@ -757,7 +653,7 @@ class ActorSystem:
         # roll back — never commit blind across a cut.
         if self._link_severed(source, target):
             yield Timeout(self.sim, self.migration_phase_timeout_ms)
-            if self.directory.try_lookup(actor_id) is not record:
+            if record.cell is None:
                 self._abort_lost(record, gate, done, source, target)
                 return
             if not target.running:
@@ -768,42 +664,10 @@ class ActorSystem:
                 self._rollback(record, gate, done, source, target,
                                "commit-timeout")
                 return
-        self._prune_prepared(record)
-        source.free_memory(record.instance.state_size_mb)
-        target.allocate_memory(record.instance.state_size_mb)
-        record.server = target
-        record.last_placed_at = self.sim.now
-        record.placement_epoch = self._current_epoch()
-        record.migrations += 1
-        record.migrating = False
-        # Epoch-fenced cache invalidation: a sharded directory drops
-        # every cached entry for this actor at the commit point (no-op
-        # on the flat map).
-        self.directory.note_commit(actor_id, record.placement_epoch)
-        self._gates[actor_id] = None
+        cell.prepared_on = None
+        cell.gate = None
+        # The dispatcher parked on the gate resumes at the next kernel
+        # step, by which time the record below has flipped.
         gate.trigger()
-        record.instance.on_migrated(source, target)
-        for hooks in self.hooks:
-            hooks.on_actor_migrated(record, source, target)
+        self._commit_migration(record, target)
         done.trigger(True)
-
-    # ------------------------------------------------------------------
-    # queries used by elasticity management and tests
-    # ------------------------------------------------------------------
-
-    def server_of(self, ref: ActorRef) -> Server:
-        """The server currently hosting ``ref``."""
-        return self.directory.lookup(ref.actor_id).server
-
-    def mailbox_depth(self, actor_id: int) -> int:
-        """Messages currently queued for ``actor_id`` (0 if gone)."""
-        mailbox = self._mailboxes.get(actor_id)
-        return len(mailbox) if mailbox is not None else 0
-
-    def actors_on(self, server: Server) -> List[ActorRecord]:
-        """Directory records of all actors hosted on ``server``."""
-        return self.directory.on_server(server)
-
-    def pin(self, ref: ActorRef, pinned: bool = True) -> None:
-        """Mark an actor immovable (EPL ``pin`` behaviour)."""
-        self.directory.lookup(ref.actor_id).pinned = pinned

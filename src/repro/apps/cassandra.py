@@ -63,9 +63,6 @@ class ReplicatedTable:
     bed: TestBed
     shards: List[List[ActorRef]]   # shards[i] = replica group
 
-    def all_replicas(self) -> List[ActorRef]:
-        return [ref for group in self.shards for ref in group]
-
 
 def build_cassandra(bed: TestBed, num_shards: int = 4,
                     replication_factor: int = 3,

@@ -154,9 +154,6 @@ class PageRankWorker(Actor):
         self.iterations_done += 1
         return delta
 
-    def get_ranks(self):
-        return dict(self.rank)
-
     # -- Mizan-style vertex migration support ------------------------------------
 
     def emigrate_nodes(self, count: int):
@@ -202,9 +199,6 @@ class IterationStats:
 
     times_ms: List[float] = field(default_factory=list)
     deltas: List[float] = field(default_factory=list)
-
-    def total_time_ms(self) -> float:
-        return sum(self.times_ms)
 
     def converged_iteration(self, tolerance: float) -> Optional[int]:
         for index, delta in enumerate(self.deltas):

@@ -265,10 +265,6 @@ class InvariantChecker:
         lines.extend(str(violation) for violation in self.violations)
         return "\n".join(lines)
 
-    def violations_of(self, invariant: str) -> List[Violation]:
-        return [violation for violation in self.violations
-                if violation.invariant == invariant]
-
     def assert_clean(self) -> None:
         """Run :meth:`final_check` and raise ``AssertionError`` with the
         full report if any invariant was violated.  The one-liner test

@@ -179,12 +179,6 @@ class AvailabilityMeter:
     def record_timeout(self) -> None:
         self.record("timeout")
 
-    def record_rejected(self) -> None:
-        self.record("rejected")
-
-    def record_shed(self) -> None:
-        self.record("shed")
-
     @property
     def issued(self) -> int:
         """Total attempts recorded, across all outcomes."""

@@ -8,10 +8,14 @@ from typing import Optional
 from ...durability import DurabilityConfig
 from ...overload import OverloadConfig
 
-__all__ = ["EmrConfig", "CONTROL_LATENCY_MS"]
+__all__ = ["EmrConfig", "ADMISSION_UPPER", "CONTROL_LATENCY_MS"]
 
 #: One-way latency of a LEM<->GEM (or leaf<->root) control message.
 CONTROL_LATENCY_MS = 1.0
+
+#: Admission upper bound (percent) used by checkIdleRes when a rule
+#: supplies no explicit bound.
+ADMISSION_UPPER = 80.0
 
 
 @dataclass
@@ -51,9 +55,6 @@ class EmrConfig:
     gem_reply_timeout_ms: float = 10_000.0
     #: Max migrations planned per source server per period.
     max_moves_per_server: int = 3
-    #: Admission upper bound used by checkIdleRes when a rule supplies
-    #: no explicit bound.
-    admission_upper: float = 80.0
     #: Scale-out/in of the server fleet (dynamic resource allocation).
     allow_scale_out: bool = False
     allow_scale_in: bool = False
@@ -110,8 +111,6 @@ class EmrConfig:
                 "LEM would time out before its GEM even starts planning")
         if self.max_moves_per_server < 1:
             raise ValueError("max_moves_per_server must be at least 1")
-        if not 0 < self.admission_upper <= 100:
-            raise ValueError("admission_upper must be in (0, 100]")
         if self.min_servers < 0 or self.max_scale_out_per_period < 1:
             raise ValueError("invalid fleet scaling bounds")
         if self.lem_stagger_ms < 0:

@@ -20,7 +20,7 @@ from ...sim import Signal
 from ..epl import Balance, Reserve
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action
-from .config import CONTROL_LATENCY_MS
+from .config import ADMISSION_UPPER, CONTROL_LATENCY_MS
 from .evaluate import (EvaluationScope, bound_snapshot, colocate_groups,
                        evaluate_rule, extract_bounds)
 from .planning import plan_balance, plan_drain, plan_reserve
@@ -245,7 +245,7 @@ class GEM:
                     projected_pop: Dict[int, int] = {}
                     _lower, trigger = extract_bounds(
                         rule, behavior.resource,
-                        default_upper=config.admission_upper)
+                        default_upper=ADMISSION_UPPER)
                     for match in matches:
                         target_snap = bound_snapshot(behavior.target, match)
                         if target_snap is None:
@@ -258,7 +258,7 @@ class GEM:
                             continue  # gradual, like balance (§4.3)
                         planned, scale = plan_reserve(
                             target_snap, scope.servers, actors_by_server,
-                            behavior.resource, config.admission_upper, now,
+                            behavior.resource, ADMISSION_UPPER, now,
                             stability, rule.index, groups=groups,
                             trigger=trigger,
                             projected_load=projected_load,

@@ -26,7 +26,7 @@ from ...sim import Signal, Timeout, spawn
 from ..epl import Colocate, Pin, Separate
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action, resolve_actions
-from .config import CONTROL_LATENCY_MS
+from .config import ADMISSION_UPPER, CONTROL_LATENCY_MS
 from .evaluate import EvaluationScope, evaluate_rule
 from .planning import contribution_perc
 
@@ -444,8 +444,7 @@ class LEM:
         # Accept within the admission bound, or when this server would
         # still end up below the sender (the move improves the imbalance
         # even if both sides are hot — see Action.src_load_perc).
-        bound = max(self.manager.config.admission_upper,
-                    action.src_load_perc - contrib)
+        bound = max(ADMISSION_UPPER, action.src_load_perc - contrib)
         if projected > bound:
             return False
         self._reserved_perc[resource] = reserved + contrib

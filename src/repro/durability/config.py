@@ -47,10 +47,6 @@ class DurabilityConfig:
         checkpoint (models incremental/delta snapshots).  The byte count
         is charged to NIC meters via the network fabric's transfer cost
         model.
-    journal:
-        Keep a write-ahead journal of directory mutations and
-        two-phase-migration phase transitions, replayed (counted and
-        reported) on recovery.
     ship_transfer_checkpoint:
         During two-phase migration, take a checkpoint at transfer start
         whose sole replica is the migration target; commit acknowledges
@@ -66,7 +62,6 @@ class DurabilityConfig:
     replication_factor: int = 2
     serialize_cpu_ms: float = 0.2
     snapshot_fraction: float = 1.0
-    journal: bool = True
     ship_transfer_checkpoint: bool = True
     max_checkpoints_per_actor: int = 4
 

@@ -107,8 +107,7 @@ class DurabilityManager:
                              "DurabilityConfig")
         self.config: DurabilityConfig = config
         self.store = StateStore(
-            max_per_actor=config.max_checkpoints_per_actor,
-            journal_enabled=config.journal)
+            max_per_actor=config.max_checkpoints_per_actor)
         self.running = False
         self.restores = 0
         self.restore_misses = 0

@@ -81,10 +81,8 @@ class JournalEntry:
 class StateStore:
     """Checkpoints plus write-ahead journal, indexed by actor id."""
 
-    def __init__(self, max_per_actor: int = 4,
-                 journal_enabled: bool = True) -> None:
+    def __init__(self, max_per_actor: int = 4) -> None:
         self.max_per_actor = max_per_actor
-        self.journal_enabled = journal_enabled
         self.journal: List[JournalEntry] = []
         self._checkpoints: Dict[int, List[Checkpoint]] = {}
         self._seq: Dict[int, int] = {}
@@ -179,9 +177,7 @@ class StateStore:
     # journal
 
     def append_journal(self, kind: str, actor_id: int, time_ms: float,
-                       **detail: Any) -> Optional[JournalEntry]:
-        if not self.journal_enabled:
-            return None
+                       **detail: Any) -> JournalEntry:
         self._journal_seq += 1
         entry = JournalEntry(seq=self._journal_seq, time_ms=time_ms,
                              kind=kind, actor_id=actor_id, detail=detail)

@@ -1,12 +1,16 @@
 """Asyncio actor runtime: real mailboxes, wall-clock time, live migration.
 
 This is the live counterpart of :class:`repro.actors.ActorSystem`.  It
-reuses the *entire* data model of the sim runtime — :class:`ActorRef`,
-:class:`ActorRecord`, :class:`Directory`, :class:`Message`, and the
-:class:`RuntimeHooks` profiling feed — but replaces simulated delivery
-with per-actor :class:`asyncio.Queue` mailboxes drained by one
+shares the sim runtime's data model — :class:`ActorRef`,
+:class:`ActorRecord` with its :class:`ActorCell`, :class:`Directory`,
+:class:`Message`, the :class:`RuntimeHooks` profiling feed — and its
+lifecycle bookkeeping (:class:`~repro.actors.base.ActorSystemBase`:
+spawn, retire, migration refusal and commit, the directory queries).
+What it replaces is what the wall clock makes different: fewest-actors
+placement, per-actor :class:`asyncio.Queue` mailboxes drained by one
 cooperative dispatch task per actor (classic actor semantics: one
-message at a time, no locks).
+message at a time, no locks), and a migration that waits on events and
+sleeps.
 
 Live migration is the same two-phase protocol as the simulator,
 expressed in asyncio:
@@ -35,11 +39,11 @@ import asyncio
 import inspect
 import itertools
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Type
+from typing import Any, Callable, List, Optional, Sequence, Set, Type
 
 from ..actors.actor import Actor
-from ..actors.directory import ActorRecord, Directory
-from ..actors.hooks import RuntimeHooks
+from ..actors.base import ActorSystemBase
+from ..actors.directory import ActorCell, ActorRecord, Directory
 from ..actors.message import (CLIENT_KIND, DEFAULT_REPLY_BYTES, Message,
                               Overloaded)
 from ..actors.refs import ActorRef
@@ -53,6 +57,17 @@ __all__ = ["LiveActor", "LiveActorSystem", "LiveBackend", "ActorGone"]
 
 _STOP = object()
 _REBIND = object()
+
+#: Instance type of a server added without naming one.
+DEFAULT_INSTANCE_TYPE = "m5.large"
+
+
+class _Mailbox(asyncio.Queue):
+    """An :class:`asyncio.Queue` that answers ``len()``, the one thing
+    the shared ``mailbox_depth`` asks of a mailbox."""
+
+    def __len__(self) -> int:
+        return self.qsize()
 
 
 class ActorGone(LookupError):
@@ -89,26 +104,18 @@ class LiveActor(Actor):
         await asyncio.sleep(delay_ms / 1000.0)
 
 
-class LiveActorSystem:
+class LiveActorSystem(ActorSystemBase):
     """Hosts actors on logical servers sharing one asyncio event loop.
 
     Construct (and use) inside a running event loop: mailbox dispatch
     runs as one task per actor.
     """
 
-    def __init__(self, clock: Optional[LiveClock] = None,
-                 default_instance_type: str = "m5.large",
-                 mailbox_capacity: Optional[int] = None,
+    def __init__(self, mailbox_capacity: Optional[int] = None,
                  transfer_ms_per_mb: float = 5.0) -> None:
-        self.clock = clock or LiveClock()
-        self.directory = Directory()
+        super().__init__(LiveClock(), Directory(), itertools.count(1))
         self.servers: List[LiveServer] = []
-        self.hooks: List[RuntimeHooks] = []
-        #: Rule-aware placement of new actors, installed by a running
-        #: EMR (``None``: fewest-actors placement only).
-        self.placement_policy: Optional[Callable[..., Any]] = None
         self._join_listeners: List[Callable[[LiveServer], None]] = []
-        self.default_instance_type = default_instance_type
         #: Bounded-mailbox overload protection: client sends beyond this
         #: depth are shed with a retriable ``Overloaded`` NACK (``None``
         #: disables).  Actor-to-actor sends are never shed, matching the
@@ -118,13 +125,7 @@ class LiveActorSystem:
         #: actor state.
         self.transfer_ms_per_mb = transfer_ms_per_mb
 
-        self._actor_ids = itertools.count(1)
         self._server_ids = itertools.count(1)
-        self._mailboxes: Dict[int, asyncio.Queue] = {}
-        self._tasks: Dict[int, asyncio.Task] = {}
-        self._gates: Dict[int, asyncio.Event] = {}
-        self._busy: Dict[int, bool] = {}
-        self._idle_events: Dict[int, asyncio.Event] = {}
 
         self.messages_delivered = 0
         self.messages_shed = 0
@@ -134,19 +135,11 @@ class LiveActorSystem:
 
         self.backend = LiveBackend(self)
 
-    # -- hooks ---------------------------------------------------------
-
-    def add_hooks(self, hooks: RuntimeHooks) -> None:
-        self.hooks.append(hooks)
-
-    def remove_hooks(self, hooks: RuntimeHooks) -> None:
-        self.hooks.remove(hooks)
-
     # -- servers -------------------------------------------------------
 
     def add_server(self, instance_type: Optional[str] = None,
                    name: Optional[str] = None) -> LiveServer:
-        itype = INSTANCE_TYPES[instance_type or self.default_instance_type]
+        itype = INSTANCE_TYPES[instance_type or DEFAULT_INSTANCE_TYPE]
         server_id = next(self._server_ids)
         server = LiveServer(self.clock, itype, server_id,
                             name or f"live-{itype.name}-{server_id}")
@@ -185,47 +178,22 @@ class LiveActorSystem:
         elif not server.running:
             raise RuntimeError(f"server {server.name} is not running")
 
-        instance = cls(*args, **kwargs)
-        actor_id = next(self._actor_ids)
-        ref = ActorRef(actor_id=actor_id, type_name=cls.__name__)
-        instance.actor_id = actor_id
-        instance.ref = ref
-        instance._system = self
-        record = ActorRecord(
-            instance=instance, ref=ref, server=server,
-            created_at=self.clock.now, last_placed_at=self.clock.now,
-            spawn_args=args, spawn_kwargs=dict(kwargs))
-        self.directory.register(record)
-        server.allocate_memory(instance.state_size_mb)
-
-        self._mailboxes[actor_id] = asyncio.Queue()
-        self._busy[actor_id] = False
-        self._tasks[actor_id] = asyncio.get_running_loop().create_task(
-            self._dispatch(record), name=f"live-actor-{actor_id}")
+        record = self._spawn(cls, server, args, kwargs)
         for hooks in self.hooks:
             hooks.on_actor_created(record)
-        instance.on_start()
-        return ref
+        return record.ref
 
-    def destroy_actor(self, ref: ActorRef) -> None:
-        record = self.directory.try_lookup(ref.actor_id)
-        if record is None:
-            return
-        aid = ref.actor_id
-        self.directory.unregister(aid)
-        record.server.free_memory(record.instance.state_size_mb)
-        mailbox = self._mailboxes.pop(aid, None)
-        if mailbox is not None:
-            mailbox.put_nowait((_STOP, None))
-            self._drain_dead(mailbox)
-        self._gates.pop(aid, None)
-        self._busy.pop(aid, None)
-        self._idle_events.pop(aid, None)
-        # The dispatch task ends by itself on the _STOP just queued (or
-        # when its in-flight handler returns and finds no mailbox).
-        self._tasks.pop(aid, None)
-        for hooks in self.hooks:
-            hooks.on_actor_destroyed(record)
+    def _start_dispatch(self, record: ActorRecord) -> None:
+        cell = record.cell = ActorCell(_Mailbox())
+        cell.task = asyncio.get_running_loop().create_task(
+            self._dispatch(record, cell),
+            name=f"live-actor-{record.ref.actor_id}")
+
+    def _stop_dispatch(self, cell: ActorCell) -> None:
+        # The dispatch task ends by itself on this _STOP, once any
+        # in-flight handler has returned.
+        cell.mailbox.put_nowait((_STOP, None))
+        self._drain_dead(cell.mailbox)
 
     @staticmethod
     def _drain_dead(mailbox: asyncio.Queue) -> None:
@@ -241,9 +209,6 @@ class LiveActorSystem:
             if reply is not None and not reply.done():
                 reply.set_exception(ActorGone(
                     f"actor #{message.target_id} destroyed"))
-
-    def actor_instance(self, ref: ActorRef) -> Actor:
-        return self.directory.lookup(ref.actor_id).instance
 
     # -- sending -------------------------------------------------------
 
@@ -265,22 +230,25 @@ class LiveActorSystem:
 
     async def _actor_call(self, actor: Actor, ref: ActorRef, function: str,
                           args: tuple, size_bytes: float) -> Any:
-        src_record = self.directory.try_lookup(actor.actor_id)
-        message = Message(
-            target_id=ref.actor_id, function=function, args=args,
-            caller_kind=actor.type_name, caller_id=actor.actor_id,
-            size_bytes=size_bytes, reply=None, sent_at=self.clock.now)
-        return await self._send(message, want_reply=True,
-                                src_record=src_record)
+        return await self._send_from_actor(actor, ref, function, args,
+                                           size_bytes, want_reply=True)
 
     def _actor_tell(self, actor: Actor, ref: ActorRef, function: str,
                     args: tuple, size_bytes: float) -> None:
-        src_record = self.directory.try_lookup(actor.actor_id)
+        self._send_from_actor(actor, ref, function, args, size_bytes,
+                              want_reply=False)
+
+    def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
+                         args: tuple, size_bytes: float, want_reply: bool,
+                         ) -> Optional["asyncio.Future[Any]"]:
         message = Message(
             target_id=ref.actor_id, function=function, args=args,
             caller_kind=actor.type_name, caller_id=actor.actor_id,
             size_bytes=size_bytes, reply=None, sent_at=self.clock.now)
-        self._send(message, want_reply=False, src_record=src_record)
+        # A dead incarnation's send has no source server to leave from.
+        record = actor._record
+        return self._send(message, want_reply,
+                          record if record.cell is not None else None)
 
     def _send(self, message: Message, want_reply: bool,
               src_record: Optional[ActorRecord],
@@ -294,7 +262,7 @@ class LiveActorSystem:
                 reply.set_exception(ActorGone(
                     f"no actor #{message.target_id}"))
             return reply
-        mailbox = self._mailboxes[message.target_id]
+        mailbox = record.cell.mailbox
         if (self.mailbox_capacity is not None
                 and message.caller_kind == CLIENT_KIND
                 and mailbox.qsize() >= self.mailbox_capacity):
@@ -324,28 +292,23 @@ class LiveActorSystem:
 
     # -- dispatch ------------------------------------------------------
 
-    async def _dispatch(self, record: ActorRecord) -> None:
-        aid = record.ref.actor_id
+    async def _dispatch(self, record: ActorRecord, cell: ActorCell) -> None:
         while True:
-            mailbox = self._mailboxes.get(aid)
-            if mailbox is None:
-                return
-            message, reply = await mailbox.get()
+            message, reply = await cell.mailbox.get()
             if message is _STOP:
                 return
             if message is _REBIND:
                 # Migration re-bound the mailbox while we were blocked on
                 # the stale queue; loop to pick up the fresh one.
                 continue
-            gate = self._gates.get(aid)
-            if gate is not None:
-                await gate.wait()
-            self._busy[aid] = True
+            if cell.gate is not None:
+                await cell.gate.wait()
+            cell.busy = True
             try:
                 await self._invoke(record, message, reply)
             finally:
-                self._busy[aid] = False
-                idle = self._idle_events.pop(aid, None)
+                cell.busy = False
+                idle, cell.idle = cell.idle, None
                 if idle is not None:
                     idle.set()
 
@@ -369,8 +332,8 @@ class LiveActorSystem:
     async def _actor_compute(self, actor: Actor, cpu_ms: float) -> None:
         if cpu_ms < 0:
             raise ValueError(f"negative compute: {cpu_ms!r}")
-        record = self.directory.try_lookup(actor.actor_id)
-        if record is not None:
+        record = actor._record
+        if record.cell is not None:  # a dead incarnation charges no one
             record.server.note_busy(cpu_ms)
             for hooks in self.hooks:
                 hooks.on_compute(record, cpu_ms)
@@ -387,98 +350,68 @@ class LiveActorSystem:
         ``force``, target not running, no-op move) return False without
         touching the actor.
         """
-        record = self.directory.try_lookup(ref.actor_id)
-        if (record is None or record.migrating
-                or (record.pinned and not force)
-                or not target.running or record.server is target):
+        record = self._begin_migration(ref, target, force)
+        if record is None:
             self.migrations_refused += 1
             return False
-        aid = ref.actor_id
-        record.migrating = True
-        gate = asyncio.Event()  # closed until commit
-        self._gates[aid] = gate
-        source = record.server
+        cell = record.cell
+        gate = cell.gate = asyncio.Event()  # closed until commit
         started = perf_counter()
         try:
             # PREPARE: wait out the in-flight handler (new messages keep
             # queueing behind the closed gate).
-            while self._busy.get(aid):
-                idle = self._idle_events.get(aid)
-                if idle is None:
-                    idle = asyncio.Event()
-                    self._idle_events[aid] = idle
-                await idle.wait()
-            if self.directory.try_lookup(aid) is not record:
+            while cell.busy:
+                if cell.idle is None:
+                    cell.idle = asyncio.Event()
+                await cell.idle.wait()
+            if record.cell is None:
                 return False  # destroyed while we waited
             # TRANSFER: state copy, charged on the wall clock.
             transfer_ms = (record.instance.state_size_mb
                            * self.transfer_ms_per_mb)
             if transfer_ms > 0.0:
                 await asyncio.sleep(transfer_ms / 1000.0)
-            if self.directory.try_lookup(aid) is not record:
+            if record.cell is None:
                 return False
             if not target.running:
                 return False  # target died mid-transfer: abort, stay put
             # COMMIT: no awaits below — atomic on the event loop.
-            old = self._mailboxes[aid]
-            fresh: asyncio.Queue = asyncio.Queue()
+            old = cell.mailbox
+            fresh = cell.mailbox = _Mailbox()
             while not old.empty():
                 fresh.put_nowait(old.get_nowait())
-            self._mailboxes[aid] = fresh
             old.put_nowait((_REBIND, None))
-            source.free_memory(record.instance.state_size_mb)
-            target.allocate_memory(record.instance.state_size_mb)
-            record.server = target
-            record.last_placed_at = self.clock.now
-            record.migrations += 1
+            self._commit_migration(record, target)
             self.migrations_completed += 1
-            record.instance.on_migrated(source, target)
-            for hooks in self.hooks:
-                hooks.on_actor_migrated(record, source, target)
             return True
         finally:
             record.migrating = False
-            self._gates.pop(aid, None)
+            cell.gate = None
             gate.set()
             self.last_migration_wall_ms = (perf_counter() - started) * 1e3
 
     #: Wall-clock duration of the most recent migration attempt.
     last_migration_wall_ms: float = 0.0
 
-    def pin(self, ref: ActorRef, pinned: bool = True) -> None:
-        self.directory.lookup(ref.actor_id).pinned = pinned
-
-    # -- queries -------------------------------------------------------
-
-    def server_of(self, ref: ActorRef) -> LiveServer:
-        return self.directory.lookup(ref.actor_id).server
-
-    def mailbox_depth(self, actor_id: int) -> int:
-        mailbox = self._mailboxes.get(actor_id)
-        return 0 if mailbox is None else mailbox.qsize()
-
-    def actors_on(self, server: LiveServer) -> List[ActorRecord]:
-        return self.directory.on_server(server)
-
     async def quiesce(self, timeout_s: float = 5.0) -> bool:
         """Wait until every mailbox is empty and no handler is running."""
         deadline = perf_counter() + timeout_s
         while perf_counter() < deadline:
-            if (all(q.empty() for q in self._mailboxes.values())
-                    and not any(self._busy.values())):
+            if all(record.cell.mailbox.empty() and not record.cell.busy
+                   for record in self.directory.records()):
                 return True
             await asyncio.sleep(0.005)
         return False
 
     async def shutdown(self) -> None:
         """Stop every dispatch task (queued messages are abandoned)."""
-        tasks = list(self._tasks.values())
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._tasks.clear()
-        for mailbox in self._mailboxes.values():
-            self._drain_dead(mailbox)
+        cells = [record.cell for record in self.directory.records()]
+        for cell in cells:
+            cell.task.cancel()
+        await asyncio.gather(*(cell.task for cell in cells),
+                             return_exceptions=True)
+        for cell in cells:
+            self._drain_dead(cell.mailbox)
         for server in self.servers:
             server.shutdown()
 

@@ -49,8 +49,6 @@ class OverloadConfig:
     admission_cpu_perc: float = 0.0
     #: Trailing window for the admission CPU check.
     admission_cpu_window_ms: float = 1_000.0
-    #: Enable the control-plane brownout state machine.
-    brownout_enabled: bool = True
     #: Enter brownout after ``brownout_enter_rounds`` consecutive LEM
     #: rounds at or above this CPU percentage.
     brownout_enter_cpu_perc: float = 90.0

@@ -179,8 +179,6 @@ class OverloadManager:
         REPORT it is about to ship and stretch its next period.
         """
         config = self.config
-        if not config.brownout_enabled:
-            return False
         state = self._state(server.name)
         if not state.active:
             if cpu_perc >= config.brownout_enter_cpu_perc:
@@ -212,10 +210,6 @@ class OverloadManager:
     def is_browned_out(self, server_name: str) -> bool:
         state = self._brownout.get(server_name)
         return state is not None and state.active
-
-    def browned_out_servers(self) -> List[str]:
-        return sorted(name for name, state in self._brownout.items()
-                      if state.active)
 
     def note_drowning(self, server_name: str) -> bool:
         """Mark the drowning announcement for a server; returns True the

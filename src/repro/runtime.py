@@ -58,8 +58,9 @@ class RuntimeBackend(ABC):
     (the LEM's ``_execute``) can ignore it on either backend.
     """
 
-    #: The actor system behind this backend.  Both runtimes answer the
-    #: plain pass-through verbs below under the same names.
+    #: The actor system behind this backend.  The plain pass-through
+    #: verbs below land on :class:`~repro.actors.base.ActorSystemBase`,
+    #: which both runtimes inherit.
     system: Any
 
     #: The runtime's clock object.  Meters read ``clock.now`` once per

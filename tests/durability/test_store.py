@@ -136,13 +136,6 @@ def test_journal_since_filters_by_actor_and_mark():
     assert store.journal_since(7, store.journal_mark) == []
 
 
-def test_journal_can_be_disabled():
-    store = StateStore(journal_enabled=False)
-    assert store.append_journal("actor-created", 1, 0.0) is None
-    assert store.journal == []
-    assert store.journal_mark == 0
-
-
 def test_summary_shape():
     store = StateStore()
     server = FakeServer("a")

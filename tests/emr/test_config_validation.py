@@ -3,6 +3,10 @@
 import pytest
 
 from repro.core import EmrConfig
+from repro.durability import DurabilityConfig
+from repro.durability.store import StateStore
+from repro.live import LiveActorSystem
+from repro.overload import OverloadConfig
 
 
 def test_defaults_are_valid():
@@ -20,8 +24,6 @@ def test_defaults_are_valid():
     {"gem_reply_timeout_ms": 0.0},
     {"gem_wait_ms": 5_000.0, "gem_reply_timeout_ms": 4_000.0},
     {"max_moves_per_server": 0},
-    {"admission_upper": 0.0},
-    {"admission_upper": 150.0},
     {"min_servers": -1},
     {"max_scale_out_per_period": 0},
     {"lem_stagger_ms": -1.0},
@@ -49,12 +51,26 @@ def test_failure_detection_knobs_accepted():
     "client_timeout_ms", "client_max_retries", "client_backoff_base_ms",
     "client_backoff_cap_ms", "group_top_k", "control_latency_ms",
     "partition_probe_interval_ms", "migration_phase_timeout_ms",
+    "admission_upper",
 ])
 def test_removed_knobs_fail_loudly(removed):
     # One implementation per idea: a config still naming a deleted
     # switch must raise, not be silently ignored.
     with pytest.raises(TypeError):
         EmrConfig(**{removed: None})
+
+
+@pytest.mark.parametrize("factory,removed", [
+    (OverloadConfig, "brownout_enabled"),
+    (DurabilityConfig, "journal"),
+    (StateStore, "journal_enabled"),
+    (LiveActorSystem, "clock"),
+    (LiveActorSystem, "default_instance_type"),
+], ids=lambda value: getattr(value, "__name__", value))
+def test_removed_subsystem_knobs_fail_loudly(factory, removed):
+    # Same contract for the knobs that lived outside EmrConfig.
+    with pytest.raises(TypeError):
+        factory(**{removed: None})
 
 
 def test_detection_disabled_by_default():

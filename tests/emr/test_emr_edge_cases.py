@@ -91,8 +91,7 @@ def test_admission_rejects_move_that_would_overload_target():
                for _ in range(4)]
     policy = compile_source(
         "server.cpu.perc > 70 => balance({Spinner}, cpu);", [Spinner])
-    manager = ElasticityManager(bed.system, policy, EmrConfig(
-        admission_upper=80.0, **CONFIG))
+    manager = ElasticityManager(bed.system, policy, EmrConfig(**CONFIG))
     manager.start()
     client = Client(bed.system)
 

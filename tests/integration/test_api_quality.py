@@ -155,3 +155,53 @@ def test_benchmark_config_keywords_are_still_fields():
         fields = {f.name for f in dataclasses.fields(configs[name])}
         stale = keywords - fields - LEGACY_BENCHMARK_KEYWORDS
         assert not stale, f"{name} no longer has {sorted(stale)}"
+
+
+# -- the benchmark tracer's targets still exist, where it looks for them ---
+
+def _trace_targets():
+    path = os.path.join(REPO, "benchmarks", "e2e", "trace.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id.endswith(
+                "_TARGETS"):
+            tables[node.target.id] = ast.literal_eval(node.value)
+    assert set(tables) == {"SPAN_TARGETS", "ASYNC_SPAN_TARGETS",
+                           "COUNT_TARGETS", "MANAGER_START_TARGETS"}
+    return sorted((name, target) for table in tables.values()
+                  for name, target in table.items())
+
+
+@pytest.mark.parametrize("name,target", _trace_targets())
+def test_trace_target_is_defined_on_the_class_it_names(name, target):
+    # The tracer wraps the first class in the MRO that defines the
+    # attribute: a target inherited from a shared base would resolve,
+    # and silently start counting every subclass of that base.
+    module_name, _, path = target.partition(":")
+    class_name, _, attr = path.partition(".")
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert callable(getattr(cls, attr)), target
+    assert attr in cls.__dict__, \
+        f"{name}: {class_name}.{attr} is inherited, not defined there"
+
+
+# -- an actor's runtime state lives on its record, not beside it -----------
+
+def test_actor_systems_keep_no_per_actor_side_tables():
+    # Every id-keyed table next to the directory has to be kept honest
+    # by hand across destroy and resurrection (same id, new record);
+    # ActorRecord.cell is where per-incarnation state goes.
+    offenders = []
+    for parts in (("actors", "system.py"), ("live", "system.py")):
+        (path, source), = _sources(*parts)
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Attribute)
+                    and getattr(node.target.value, "id", None) == "self"
+                    and re.match(r"(typing\.)?Dict\[int\b",
+                                 ast.unparse(node.annotation))):
+                offenders.append(f"{path}:{node.lineno}: "
+                                 f"self.{node.target.attr}")
+    assert not offenders, offenders

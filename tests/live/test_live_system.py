@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.actors import RuntimeHooks
 from repro.actors.message import Overloaded
 from repro.live import LiveActor, LiveActorSystem
 from repro.live.system import ActorGone
@@ -240,20 +241,53 @@ def test_compute_charges_hosting_server():
     asyncio.run(main())
 
 
+def test_spawn_record_copies_constructor_arguments_and_starts_before_hooks():
+    class Tagged(LiveActor):
+        started = False
+
+        def __init__(self, tags, extra=None):
+            self.tags = tags
+            self.extra = extra
+
+        def on_start(self):
+            self.started = True
+
+    class Watcher(RuntimeHooks):
+        def on_actor_created(self, record):
+            # Same order as the simulator: on_start() ran first.
+            self.saw_started = record.instance.started
+
+    async def main():
+        system = _system(servers=1)
+        watcher = Watcher()
+        system.add_hooks(watcher)
+        tags, extra = ["a"], {"k": [1]}
+        ref = system.create_actor(Tagged, tags, extra=extra)
+        tags.append("b")
+        extra["k"].append(2)
+        record = system.directory.lookup(ref.actor_id)
+        assert record.spawn_args == (["a"],)
+        assert record.spawn_kwargs == {"extra": {"k": [1]}}
+        assert watcher.saw_started is True
+        await system.shutdown()
+    asyncio.run(main())
+
+
 def test_destroyed_actors_leave_no_bookkeeping_behind():
     async def main():
         system = _system(servers=2)
         keeper = system.create_actor(Echo)
-        sizes = (len(system._tasks), len(system._mailboxes),
-                 len(system._busy))
         baseline = asyncio.all_tasks()
         refs = [system.create_actor(Echo) for _ in range(100)]
+        records = [system.directory.lookup(ref.actor_id) for ref in refs]
         for ref in refs:
             assert await system.client_call(ref, "poke") == "ok"
         for ref in refs:
             system.destroy_actor(ref)
-        assert (len(system._tasks), len(system._mailboxes),
-                len(system._busy)) == sizes
+        # All runtime state hangs off the record's cell, and a destroyed
+        # record has none; only the keeper is left in the directory.
+        assert all(record.cell is None for record in records)
+        assert [r.ref for r in system.directory.records()] == [keeper]
         # The dispatch tasks themselves end on their own, without
         # shutdown() having to cancel them.
         await asyncio.sleep(0.01)
