@@ -142,7 +142,7 @@ class ActorSystemBase:
         size_mb = record.instance.state_size_mb
         source.free_memory(size_mb)
         target.allocate_memory(size_mb)
-        record.server = target
+        self.directory.place(record, target)
         record.last_placed_at = self.clock.now
         record.placement_epoch = self._current_epoch()
         record.migrations += 1

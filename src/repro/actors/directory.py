@@ -9,6 +9,14 @@ placement-stability window, migration-in-progress state), and — on
 in-flight message).  There are no tables beside the directory: a
 resurrected actor reuses its id but gets a *new* record and cell, so a
 handler left over from the dead incarnation can only ever touch its own.
+
+Beside the id map the directory keeps one index, ``server → records
+hosted there``, so that "who lives on this server?" — the question every
+LEM round opens with — costs what that server holds, not what the fleet
+holds.  ``register``, ``unregister`` and :meth:`Directory.place` maintain
+it, and ``place`` is the only code that writes
+:attr:`ActorRecord.server`; the whole-map scan it replaced survives as
+the oracle in ``tests/actors/test_directory_index.py``.
 In the paper this is part of AEON's distributed runtime; a single
 authoritative map reproduces its observable behaviour (lookups may be
 stale only during a migration, which we model with message forwarding at
@@ -82,6 +90,9 @@ class ActorRecord:
     #: Runtime state while the incarnation lives; ``None`` once it is
     #: destroyed, so a tombstone holds no mailbox, gate or handler state.
     cell: Optional[ActorCell] = None
+    #: Registration rank, stamped by :meth:`Directory.register`: the
+    #: order ``records()`` iterates in, which ``on_server`` reproduces.
+    rank: int = 0
 
     @property
     def type_name(self) -> str:
@@ -93,14 +104,39 @@ class Directory:
 
     def __init__(self) -> None:
         self._records: Dict[int, ActorRecord] = {}
+        #: server -> {registration rank: record} for the registered
+        #: records placed there.  A server hosting nothing has no entry,
+        #: so a retired or crashed server is not kept alive from here.
+        self._by_server: Dict[Any, Dict[int, ActorRecord]] = {}
+        self._next_rank = 0
 
     def register(self, record: ActorRecord) -> None:
         if record.ref.actor_id in self._records:
             raise ValueError(f"actor {record.ref} already registered")
         self._records[record.ref.actor_id] = record
+        record.rank = self._next_rank
+        self._next_rank += 1
+        self._by_server.setdefault(record.server, {})[record.rank] = record
 
     def unregister(self, actor_id: int) -> None:
-        self._records.pop(actor_id, None)
+        record = self._records.pop(actor_id, None)
+        if record is not None:
+            self._unindex(record)
+
+    def place(self, record: ActorRecord, server: "Server") -> None:
+        """Move ``record`` to ``server`` — the only writer of
+        :attr:`ActorRecord.server`.  A tombstone (a record no longer
+        registered) moves without touching the index."""
+        if self._records.get(record.ref.actor_id) is record:
+            self._unindex(record)
+            self._by_server.setdefault(server, {})[record.rank] = record
+        record.server = server
+
+    def _unindex(self, record: ActorRecord) -> None:
+        hosted = self._by_server[record.server]
+        del hosted[record.rank]
+        if not hosted:
+            del self._by_server[record.server]
 
     def lookup(self, actor_id: int) -> ActorRecord:
         try:
@@ -120,8 +156,18 @@ class Directory:
         return self._records.values()
 
     def on_server(self, server: "Server") -> List[ActorRecord]:
-        """All actors currently hosted on ``server``."""
-        return [rec for rec in self._records.values() if rec.server is server]
+        """All actors currently hosted on ``server``, in registration
+        order (the order ``records()`` yields them), in time
+        proportional to their number.  The list is the caller's own:
+        sorting, clearing or walking it while actors die is safe."""
+        hosted = self._by_server.get(server)
+        if hosted is None:
+            return []
+        return [hosted[rank] for rank in sorted(hosted)]
+
+    def count_on(self, server: "Server") -> int:
+        """How many actors ``server`` hosts, in O(1)."""
+        return len(self._by_server.get(server, ()))
 
     def stale_records(self, epoch: int) -> List[ActorRecord]:
         """Records whose placement predates ``epoch`` — the candidates a

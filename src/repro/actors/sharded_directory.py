@@ -32,10 +32,13 @@ over a virtual-node consistent-hash ring:
   crash/remap event), not only at the periodic sweep.
 
 The class subclasses ``Directory`` so iteration-order-sensitive
-consumers (the invariant checker's sweep, ``on_server``, golden traces)
-see the exact same insertion-ordered view as the flat map; the shard
-maps partition the same records for routing and are what the
-``shard-coverage`` invariant audits.
+consumers (the invariant checker's sweep, golden traces) see the exact
+same insertion-ordered view as the flat map, and it inherits the flat
+map's per-server placement index unchanged: ``on_server``, ``count_on``
+and ``place`` are not overridden, and answer in registration order
+without a pass over the fleet.  The shard maps partition the same
+records for routing and are what the ``shard-coverage`` invariant
+audits.
 
 Hashing uses ``blake2b`` (stable across processes — never builtin
 ``hash``, which ``PYTHONHASHSEED`` would randomize and break replay
@@ -100,8 +103,9 @@ class ShardedDirectory(Directory):
     """Directory whose id space is partitioned over a hash ring.
 
     Drop-in for :class:`Directory`: the inherited insertion-ordered map
-    stays authoritative for iteration (``records``/``on_server``/...),
-    while per-shard maps partition the same records for ownership and
+    stays authoritative for iteration (``records``), the inherited
+    per-server index answers ``on_server``/``count_on``, while
+    per-shard maps partition the same records for ownership and
     the per-LEM caches model the lookup path a real deployment would
     take.  ``try_lookup`` routes through the owning shard's map, so a
     shard-bookkeeping bug surfaces as a failed lookup, not silence.

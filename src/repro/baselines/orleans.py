@@ -36,7 +36,8 @@ class OrleansBalancer(PeriodicBalancer):
         servers = self.servers()
         if len(servers) < 2:
             return
-        counts = {s.server_id: len(self.actors_on(s)) for s in servers}
+        directory = self.system.directory
+        counts = {s.server_id: directory.count_on(s) for s in servers}
         total = sum(counts.values())
         if total == 0:
             return

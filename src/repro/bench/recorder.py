@@ -70,7 +70,7 @@ class ClusterRecorder:
             net.record(now, server.net_percent(self.window_ms))
             count = self.actor_counts.setdefault(
                 server.name, GaugeSeries(f"actors/{server.name}"))
-            count.record(now, len(self.system.actors_on(server)))
+            count.record(now, self.system.directory.count_on(server))
 
     # -- summaries -------------------------------------------------------------
 

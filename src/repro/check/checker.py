@@ -1084,9 +1084,11 @@ class InvariantChecker:
     def _sweep(self) -> None:
         self.checks_run += 1
         system = self.manager.system
+        directory = system.directory
         directory_ids = set()
         mem_by_server: Dict[int, float] = {}
-        for record in system.directory.records():
+        hosted_by_server: Dict[int, List[ActorRecord]] = {}
+        for record in directory.records():
             directory_ids.add(record.ref.actor_id)
             if not record.server.running:
                 self._violate(
@@ -1096,9 +1098,25 @@ class InvariantChecker:
             sid = record.server.server_id
             mem_by_server[sid] = (mem_by_server.get(sid, 0.0)
                                   + record.instance.state_size_mb)
+            hosted = hosted_by_server.get(sid)
+            if hosted is None:
+                hosted_by_server[sid] = [record]
+            else:
+                hosted.append(record)
         for server in system.provisioner.servers:
             if not server.running:
                 continue
+            # The directory's per-server index against the walk above
+            # (the scan the index replaced): same records, same order.
+            indexed = directory.on_server(server)
+            scanned = hosted_by_server.get(server.server_id, [])
+            if indexed != scanned:
+                self._violate(
+                    "placement-consistency",
+                    f"{server.name}: the directory's placement index "
+                    f"lists {[str(r.ref) for r in indexed]}, its records "
+                    f"place {[str(r.ref) for r in scanned]} there",
+                    server=server.name)
             expected = mem_by_server.get(server.server_id, 0.0)
             if abs(server.memory_used_mb - expected) > _MEM_EPS_MB:
                 self._violate(

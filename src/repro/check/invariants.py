@@ -58,7 +58,10 @@ INVARIANTS: Dict[str, str] = {
         "fault-free run is 100% available"),
     "placement-consistency": (
         "at every sweep, each directory record is hosted on a running "
-        "server and pending placements match the provisioner's fleet"),
+        "server, pending placements match the provisioner's fleet, and "
+        "the directory's per-server placement index lists, for every "
+        "running server, exactly the records placed there, in "
+        "registration order"),
     "no-split-brain": (
         "while a partition denies a GEM its quorum, that GEM requests "
         "no scale votes, executes no fleet changes, and no migration "

@@ -604,9 +604,10 @@ class ElasticityManager:
                 # finally runs.
                 self._on_server_suspected(since[0], now - since[1])
         directory = self.system.directory
+        # Crashed and retired servers have left the fleet and host nothing.
         minority_actors = sum(
-            1 for record in directory.records()
-            if record.server.server_id in healed.minority_server_ids)
+            directory.count_on(server) for server in self.backend.servers()
+            if server.server_id in healed.minority_server_ids)
         stale = len(directory.stale_records(self.epoch))
         self.emit("partition-healed", epoch=self.epoch,
                   readmitted=tuple(readmitted),

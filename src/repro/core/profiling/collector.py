@@ -51,6 +51,9 @@ from .stats import ActorStats
 __all__ = ["ProfilingRuntime"]
 
 _MS_PER_MIN = 60_000.0
+#: Exact types of attribute values that plainly hold no actor ref
+#: (``Actor.property_refs`` resolves each of them to nothing).
+_NEVER_REFS = frozenset((type(None), bool, int, float, str, bytes))
 
 
 class _SnapEntry:
@@ -265,9 +268,11 @@ class ProfilingRuntime(RuntimeHooks):
         """Capture every property of the actor that holds actor refs."""
         refs: Dict[str, tuple] = {}
         instance_vars = getattr(record.instance, "__dict__", {})
-        for pname in instance_vars:
+        for pname, value in instance_vars.items():
             if pname.startswith("_") or pname == "ref":
                 continue  # 'ref' is the actor's own injected handle
+            if type(value) in _NEVER_REFS:
+                continue
             held = record.instance.property_refs(pname)
             if held:
                 refs[pname] = tuple(held)

@@ -68,7 +68,9 @@ class RingMeter:
         # Enough buckets to cover the window plus the partially expired
         # boundary bucket WindowedMeter's cutoff comparison still counts.
         self._max_buckets = int(window_ms // bucket_ms) + 2
-        self._buckets: Deque[List[float]] = deque()  # [bucket index, total]
+        # [bucket index, total] pairs; allocated by the first ``add``, so
+        # a meter of an actor that is never active owns no deque.
+        self._buckets: Optional[Deque[List[float]]] = None
         self._closed_sum = 0.0   # left-to-right sum of all but the last bucket
         self._stale = False      # closed_sum needs a recompute (post-eviction)
         self._lifetime = 0.0
@@ -94,6 +96,8 @@ class RingMeter:
                 last[1] += amount
                 return
             self._closed_sum += last[1]
+        elif buckets is None:
+            buckets = self._buckets = deque()
         buckets.append([index, amount])
         # Bound memory without waiting for a query: anything this far
         # behind the newest bucket is below every future cutoff.

@@ -118,7 +118,7 @@ async def run_live_loadtest(app_name: str = "chatroom",
         others = [s for s in system.running_servers() if s is not source]
         if not others:
             others = [system.add_server()]
-        target = min(others, key=lambda s: (len(system.actors_on(s)),
+        target = min(others, key=lambda s: (system.directory.count_on(s),
                                             s.server_id))
         started = system.clock.now
         moved = await system.migrate_actor(ref, target, force=True)
@@ -176,7 +176,7 @@ async def run_live_loadtest(app_name: str = "chatroom",
             "migrations_refused": system.migrations_refused,
             "servers": [
                 {"name": s.name, "running": s.running,
-                 "actors": len(system.actors_on(s)),
+                 "actors": system.directory.count_on(s),
                  "cpu_perc": round(s.cpu_percent(2_000.0), 2),
                  "mem_mb": round(s.memory_used_mb, 2)}
                 for s in system.servers],

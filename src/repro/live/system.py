@@ -173,7 +173,7 @@ class LiveActorSystem(ActorSystemBase):
             if server is None:
                 server = min(
                     candidates,
-                    key=lambda s: (len(self.directory.on_server(s)),
+                    key=lambda s: (self.directory.count_on(s),
                                    s.server_id))
         elif not server.running:
             raise RuntimeError(f"server {server.name} is not running")

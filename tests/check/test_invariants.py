@@ -188,6 +188,24 @@ def test_resolved_root_migration_not_stranded():
     assert not checker.violations
 
 
+def test_sweep_audits_the_placement_index_without_counting_a_check():
+    bed, _manager, checker = make_checker()
+    here, there = bed.servers
+    ref = bed.system.create_actor(Spinner, server=here)
+    bed.system.create_actor(Spinner, server=there)
+    checker._sweep()
+    assert not checker.violations
+    checks = checker.checks_run
+    # A placement written behind Directory.place's back: the records
+    # say ``there``, the index still says ``here``.
+    bed.system.directory.lookup(ref.actor_id).server = there
+    checker._sweep()
+    assert checker.checks_run == checks + 1      # the sweep's own, no more
+    flagged = [v for v in checker.violations
+               if v.invariant == "placement-consistency"]
+    assert {v.detail["server"] for v in flagged} == {here.name, there.name}
+
+
 def test_strict_mode_raises_invariant_error():
     _bed, manager, _checker = make_checker(strict=True)
     with pytest.raises(InvariantError, match="scale-in-majority"):

@@ -205,3 +205,23 @@ def test_actor_systems_keep_no_per_actor_side_tables():
                 offenders.append(f"{path}:{node.lineno}: "
                                  f"self.{node.target.attr}")
     assert not offenders, offenders
+
+
+def test_only_the_directory_writes_a_records_server():
+    # Directory.on_server answers from a per-server index that
+    # Directory.place keeps in step; a `record.server = x` anywhere
+    # else would move the record behind the index's back.
+    offenders = []
+    pattern = os.path.join(REPO, "src", "repro", "**", "*.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        if path.endswith(os.path.join("actors", "directory.py")):
+            continue
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "server"
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) != "self"):
+                offenders.append(
+                    f"{os.path.relpath(path, REPO)}:{node.lineno}")
+    assert not offenders, offenders
