@@ -54,6 +54,7 @@ Every tier has a failure-and-recovery story (PR 9):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -122,8 +123,8 @@ def build_aggregate(group: int, gem: "GEM",
     actors: List[ActorSnapshot] = []
     for snaps in actors_by_server.values():
         actors.extend(snaps)
-    top = tuple(sorted(actors,
-                       key=lambda s: (-s.cpu_perc, s.actor_id))[:top_k])
+    top = tuple(heapq.nsmallest(top_k, actors,
+                                key=lambda s: (-s.cpu_perc, s.actor_id)))
     least = None
     if servers:
         least = min(servers, key=lambda s: (s.cpu_perc, s.server.server_id))

@@ -27,7 +27,12 @@ provably unchanged:
   and no events since its last snapshot still has zero activity later
   (the window only slides forward), so its all-zero payload stays valid
   at *any* later time.  Cold actors therefore cost O(1) per period, the
-  property that keeps decision latency flat as actor counts grow.
+  property that keeps decision latency flat as actor counts grow;
+* **no profile until first use** — an actor's :class:`ActorStats` is
+  built by the first ingest hook that touches it (delivery, compute,
+  bytes sent or received).  Until then its snapshot is served from one
+  shared all-zero idle payload, counted in the cache exactly as the
+  payload of a fresh profile would be.
 
 Fields that can change without a profiling hook firing (server, pinned,
 migrating, state size, property refs, placement time) are read fresh
@@ -40,7 +45,7 @@ dictionaries are shared between snapshots and must never be mutated;
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ...actors import ActorRecord, ActorRef, Message, RuntimeHooks
 from ...cluster import Server
@@ -63,6 +68,25 @@ class _SnapEntry:
                  "cpu_ms_per_min", "net_bytes_per_min", "net_perc",
                  "call_count_per_min", "call_bytes_per_min",
                  "pair_count_per_min")
+
+
+def _idle_entry() -> _SnapEntry:
+    entry = _SnapEntry()
+    entry.now = entry.server_id = None  # idle: valid at any time, anywhere
+    entry.version = 0
+    entry.idle = True
+    entry.cpu_perc = entry.cpu_ms_per_min = 0.0
+    entry.net_bytes_per_min = entry.net_perc = 0.0
+    entry.call_count_per_min = {}
+    entry.call_bytes_per_min = {}
+    entry.pair_count_per_min = {}
+    return entry
+
+
+#: The payload of every actor that has no profile yet — exactly what a
+#: fresh ``ActorStats`` computes to.  Shared by all of them, so (like
+#: every cached payload) never mutated.
+_IDLE_ENTRY = _idle_entry()
 
 
 class ProfilingRuntime(RuntimeHooks):
@@ -95,24 +119,26 @@ class ProfilingRuntime(RuntimeHooks):
         self.warm_start = warm_start
         self._stats: Dict[int, ActorStats] = {}
         self._snap_cache: Dict[int, _SnapEntry] = {}
-        self._retired: Dict[int, ActorStats] = {}
+        self._retired: Dict[int, Optional[ActorStats]] = {}
         self.messages_profiled = 0
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
         self.warm_starts = 0
 
-    def _new_stats(self) -> ActorStats:
-        return ActorStats(self.sim, window_ms=self.window_ms)
+    def _new_stats(self, actor_id: int) -> ActorStats:
+        """Build an actor's profile on its first ingest."""
+        stats = self._stats[actor_id] = ActorStats(self.sim,
+                                                   window_ms=self.window_ms)
+        return stats
 
     # -- RuntimeHooks ---------------------------------------------------------
-
-    def on_actor_created(self, record: ActorRecord) -> None:
-        self._stats[record.ref.actor_id] = self._new_stats()
 
     def on_actor_destroyed(self, record: ActorRecord) -> None:
         stats = self._stats.pop(record.ref.actor_id, None)
         self._snap_cache.pop(record.ref.actor_id, None)
-        if self.warm_start and stats is not None:
+        if self.warm_start:
+            # A never-profiled actor retires as None: its resurrection
+            # is a warm start of an all-zero profile.
             self._retired[record.ref.actor_id] = stats
             while len(self._retired) > self._RETIRED_CAP:
                 self._retired.pop(next(iter(self._retired)))
@@ -123,21 +149,20 @@ class ProfilingRuntime(RuntimeHooks):
         # post-crash rules.  With warm_start (meant to pair with
         # checkpoint restore, where the state actually survives), the
         # pre-crash stats are carried over instead.
-        self._snap_cache.pop(record.ref.actor_id, None)
-        if self.warm_start:
-            stats = self._retired.pop(record.ref.actor_id, None)
+        actor_id = record.ref.actor_id
+        self._snap_cache.pop(actor_id, None)
+        self._stats.pop(actor_id, None)
+        if self.warm_start and actor_id in self._retired:
+            stats = self._retired.pop(actor_id)
             if stats is not None:
-                self._stats[record.ref.actor_id] = stats
-                self.warm_starts += 1
-                return
-        self._stats[record.ref.actor_id] = self._new_stats()
+                self._stats[actor_id] = stats
+            self.warm_starts += 1
 
     def on_message_delivered(self, record: ActorRecord,
                              message: Message) -> None:
         stats = self._stats.get(record.ref.actor_id)
-        if stats is None:  # actor created before profiling attached
-            stats = self._new_stats()
-            self._stats[record.ref.actor_id] = stats
+        if stats is None:
+            stats = self._new_stats(record.ref.actor_id)
         stats.record_message(message.caller_kind, message.caller_id,
                              message.function, message.size_bytes)
         self.messages_profiled += 1
@@ -146,18 +171,21 @@ class ProfilingRuntime(RuntimeHooks):
 
     def on_compute(self, record: ActorRecord, busy_ms: float) -> None:
         stats = self._stats.get(record.ref.actor_id)
-        if stats is not None:
-            stats.add_cpu(busy_ms)
+        if stats is None:
+            stats = self._new_stats(record.ref.actor_id)
+        stats.add_cpu(busy_ms)
 
     def on_bytes_sent(self, record: ActorRecord, nbytes: float) -> None:
         stats = self._stats.get(record.ref.actor_id)
-        if stats is not None:
-            stats.add_net_out(nbytes)
+        if stats is None:
+            stats = self._new_stats(record.ref.actor_id)
+        stats.add_net_out(nbytes)
 
     def on_bytes_received(self, record: ActorRecord, nbytes: float) -> None:
         stats = self._stats.get(record.ref.actor_id)
-        if stats is not None:
-            stats.add_net_in(nbytes)
+        if stats is None:
+            stats = self._new_stats(record.ref.actor_id)
+        stats.add_net_in(nbytes)
 
     # -- snapshot API (Table 2: getActorsRuntime / getServerRuntime) -----------
 
@@ -184,19 +212,19 @@ class ProfilingRuntime(RuntimeHooks):
         return snapshots
 
     def _snapshot_one(self, record: ActorRecord) -> ActorSnapshot:
-        stats = self._stats.get(record.ref.actor_id)
-        if stats is None:
-            stats = self._new_stats()
-            self._stats[record.ref.actor_id] = stats
-        entry = self._snap_cache.get(record.ref.actor_id)
-        if (entry is not None and entry.version == stats.version
+        actor_id = record.ref.actor_id
+        stats = self._stats.get(actor_id)
+        entry = self._snap_cache.get(actor_id)
+        if (entry is not None
+                and entry.version == (0 if stats is None else stats.version)
                 and (entry.idle
                      or (entry.now == self.sim.now
                          and entry.server_id == record.server.server_id))):
             self.snapshot_cache_hits += 1
         else:
-            entry = self._compute_entry(record, stats)
-            self._snap_cache[record.ref.actor_id] = entry
+            entry = (_IDLE_ENTRY if stats is None
+                     else self._compute_entry(record, stats))
+            self._snap_cache[actor_id] = entry
             self.snapshot_cache_misses += 1
         server = record.server
         return ActorSnapshot(

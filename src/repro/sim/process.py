@@ -180,7 +180,9 @@ class Process(Waitable):
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._finished = False
-        self._done_signal = Signal(sim)
+        # Created by the first join: most processes (every actor's
+        # dispatcher) are never waited on.
+        self._done_signal: Optional[Signal] = None
         self._current_wait: Optional[Tuple[Waitable,
                                            Callable[[Any], None]]] = None
         self._interrupt_pending: Optional[Interrupted] = None
@@ -211,10 +213,17 @@ class Process(Waitable):
     # -- waitable protocol (join) ----------------------------------------
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
-        self._done_signal._subscribe(callback)
+        signal = self._done_signal
+        if signal is None:
+            signal = self._done_signal = Signal(self._sim)
+            if self._finished:
+                # A late joiner still resumes at the next step.
+                signal.trigger(self.result)
+        signal._subscribe(callback)
 
     def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
-        self._done_signal._unsubscribe(callback)
+        if self._done_signal is not None:
+            self._done_signal._unsubscribe(callback)
 
     # -- engine plumbing --------------------------------------------------
 
@@ -261,7 +270,8 @@ class Process(Waitable):
         self._finished = True
         self.result = result
         self.exception = exception
-        self._done_signal.trigger(result)
+        if self._done_signal is not None:
+            self._done_signal.trigger(result)
 
 
 def spawn(sim: Simulator, generator: Generator[Waitable, Any, Any],

@@ -4,12 +4,16 @@
 ``put`` never blocks (mailboxes are unbounded, as in AEON/Orleans) while
 ``get`` returns a waitable that resumes the caller with the next item.
 Items are delivered to getters in FIFO order on both sides.
+
+A queue allocates its item and in-flight buffers on first use: the
+mailbox of an actor that is never messaged owns no buffer at all, only
+the list holding its dispatcher's pending ``get``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generic, List, TypeVar
+from typing import Any, Callable, Deque, Generic, List, Optional, TypeVar
 
 from .engine import Simulator
 from .process import Waitable
@@ -19,6 +23,10 @@ __all__ = ["Queue", "QueueGet"]
 T = TypeVar("T")
 
 
+def _ignore(value: Any) -> None:
+    """Callback of a getter nobody has subscribed to yet."""
+
+
 class QueueGet(Waitable, Generic[T]):
     """Waitable returned by :meth:`Queue.get`."""
 
@@ -26,7 +34,7 @@ class QueueGet(Waitable, Generic[T]):
 
     def __init__(self, queue: "Queue[T]") -> None:
         self._queue = queue
-        self._callback: Callable[[Any], None] = lambda value: None
+        self._callback: Callable[[Any], None] = _ignore
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         self._callback = callback
@@ -44,8 +52,12 @@ class QueueGet(Waitable, Generic[T]):
         # reclaimed getter can be re-delivered in the same timestamp,
         # while the cancelled fire is still pending.
         entry = [self, item, False]  # [getter, item, cancelled]
-        self._queue._inflight.append(entry)
-        self._queue._sim.schedule(0.0, self._fire, entry)
+        queue = self._queue
+        inflight = queue._inflight
+        if inflight is None:
+            inflight = queue._inflight = deque()
+        inflight.append(entry)
+        queue._sim.schedule(0.0, self._fire, entry)
 
     def _fire(self, entry: list) -> None:
         if entry[2]:
@@ -68,24 +80,32 @@ class Queue(Generic[T]):
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._items: Deque[T] = deque()
-        # A deque so waking the oldest getter is O(1); mailboxes with a
-        # deep backlog of waiters used to pay O(n) per put.
-        self._getters: Deque[QueueGet[T]] = deque()
+        # Allocated by the first put that finds no waiting getter.
+        self._items: Optional[Deque[T]] = None
+        # A plain list: an empty deque costs ~770 bytes against a list's
+        # ~60, and no queue in the tree has more than a few dozen waiters
+        # (a mailbox has its dispatcher, a run queue one per vCPU), so
+        # popping the oldest from the front stays cheap.
+        self._getters: List[QueueGet[T]] = []
         # Deliveries handed to a getter but not yet fired (the zero-delay
-        # hop in QueueGet._deliver).  clear() reclaims these.
-        self._inflight: Deque[tuple] = deque()
+        # hop in QueueGet._deliver), allocated by the first delivery.
+        # clear() reclaims these.
+        self._inflight: Optional[Deque[list]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        items = self._items
+        return len(items) if items is not None else 0
 
     def put(self, item: T) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter._deliver(item)
-        else:
-            self._items.append(item)
+        getters = self._getters
+        if getters:
+            getters.pop(0)._deliver(item)
+            return
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        items.append(item)
 
     def get(self) -> QueueGet[T]:
         """Return a waitable that resumes with the next item."""
@@ -93,11 +113,15 @@ class Queue(Generic[T]):
 
     def get_nowait(self) -> T:
         """Dequeue immediately; raises :class:`IndexError` when empty."""
-        return self._items.popleft()
+        items = self._items
+        if not items:
+            raise IndexError("get_nowait() on an empty queue")
+        return items.popleft()
 
     def peek_all(self) -> List[T]:
         """Snapshot of queued items without consuming them."""
-        return list(self._items)
+        items = self._items
+        return list(items) if items is not None else []
 
     def clear(self) -> List[T]:
         """Drop and return all queued *and in-flight* items (used when
@@ -120,9 +144,13 @@ class Queue(Generic[T]):
                 items.append(entry[1])
             # Reclaimed getters were dequeued before anyone currently in
             # _getters arrived; restore them at the front, oldest first.
-            self._getters.extendleft(reversed(getters))
-        items.extend(self._items)
-        self._items.clear()
+            self._getters[:0] = getters
+        if self._items is not None:
+            # Kept, not dropped: a cleared mailbox is put its _STOP next,
+            # and a free-then-reallocate per destroyed busy actor raised
+            # the churn-heavy chaos runs' peak RSS.
+            items.extend(self._items)
+            self._items.clear()
         return items
 
     # -- plumbing for QueueGet --------------------------------------------

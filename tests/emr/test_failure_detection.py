@@ -107,12 +107,24 @@ def test_resurrection_emits_hook_and_resets_profile():
 
     bed.system.add_hooks(Watch())
     ref = bed.system.create_actor(Spinner, server=bed.servers[0])
+    bed.system.client_call(ref, "spin", 5.0)
     bed.run(until_ms=2_100.0)
+    profiler = manager.profiler
+    record = bed.system.directory.lookup(ref.actor_id)
+    before = profiler.snapshot_actors([record])[0]
+    assert ("client", "spin") in before.call_count_per_min
     bed.system.crash_server(bed.servers[0])
     bed.run(until_ms=12_000.0)
     assert [r.ref for r in resurrected] == [ref]
-    # Fresh profiling stats were installed for the resurrected actor.
-    assert ref.actor_id in manager.profiler._stats
+    # The resurrected actor reads a fresh, all-zero profile: not even the
+    # pre-crash call key (which a stale profile keeps at rate 0) is left.
+    after = profiler.snapshot_actors(
+        [bed.system.directory.lookup(ref.actor_id)])[0]
+    assert (after.cpu_ms_per_min, after.cpu_perc, after.net_bytes_per_min,
+            after.net_perc) == (0.0, 0.0, 0.0, 0.0)
+    assert after.call_count_per_min == {}
+    assert after.call_bytes_per_min == {}
+    assert after.pair_count_per_min == {}
 
 
 def test_gem_failover_adoption_by_survivor():

@@ -73,18 +73,35 @@ def test_retired_cache_is_bounded():
     profiler = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS,
                                 warm_start=True)
     profiler._RETIRED_CAP = 4
-    records = []
-    for _ in range(10):
-        ref = bed.system.create_actor(_Idle)
-        record = bed.system.directory.lookup(ref.actor_id)
-        profiler.on_actor_created(record)
-        records.append(record)
-    for record in records:
-        profiler.on_actor_destroyed(record)
+    bed.system.add_hooks(profiler)
+    refs = [bed.system.create_actor(_Idle) for _ in range(10)]
+    for ref in refs:
+        bed.system.client_call(ref, "poke")  # one message: a real profile
+    bed.sim.run(until=bed.sim.now + 500.0)
+    assert profiler.messages_profiled == 10
+    for ref in refs:
+        bed.system.destroy_actor(ref)
     assert len(profiler._retired) == 4
     # FIFO: the survivors are the newest retirees.
-    assert sorted(profiler._retired) == \
-        sorted(r.ref.actor_id for r in records[-4:])
+    assert sorted(profiler._retired) == sorted(r.actor_id for r in refs[-4:])
+    assert all(stats.messages_processed == 1
+               for stats in profiler._retired.values())
+
+
+def test_warm_start_counts_actor_destroyed_without_a_profile():
+    bed = build_cluster(1, "m5.large", seed=3)
+    ref = bed.system.create_actor(_Idle)
+    record = bed.system.directory.lookup(ref.actor_id)
+    profiler = ProfilingRuntime(bed.sim, window_ms=WINDOW_MS,
+                                warm_start=True)
+    profiler.on_actor_created(record)
+    # Destroyed before anything was profiled: its all-zero profile is
+    # still carried over, and counted, on resurrection.
+    profiler.on_actor_destroyed(record)
+    profiler.on_actor_resurrected(record)
+    assert profiler.warm_starts == 1
+    assert profiler._retired == {}
+    assert profiler.snapshot_actors([record])[0].cpu_ms_per_min == 0.0
 
 
 # -- end-to-end through EmrConfig + durability ---------------------------

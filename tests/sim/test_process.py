@@ -212,3 +212,88 @@ def test_interleaved_processes_share_the_clock():
     sim.run()
     assert trace == [(4.0, "fast"), (8.0, "fast"), (10.0, "slow"),
                      (12.0, "fast"), (16.0, "fast"), (20.0, "slow")]
+
+
+# -- join signal allocated on first join --------------------------------------
+
+
+def test_join_after_child_finished_resumes_next_step_with_result():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield Timeout(sim, 1.0)
+        return "done"
+
+    kid = spawn(sim, child())
+
+    def parent():
+        yield Timeout(sim, 5.0)
+        assert kid.finished
+        sim.schedule(0.0, seen.append, "probe")
+        result = yield kid
+        seen.append((sim.now, result))
+
+    spawn(sim, parent())
+    sim.run()
+    # Not resumed synchronously inside the yield: one step later.
+    assert seen == ["probe", (5.0, "done")]
+
+
+def test_two_joiners_both_resume():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield Timeout(sim, 3.0)
+        return 7
+
+    kid = spawn(sim, child())
+
+    def joiner(name, delay):
+        yield Timeout(sim, delay)
+        value = yield kid
+        seen.append((name, sim.now, value))
+
+    spawn(sim, joiner("early", 1.0))
+    spawn(sim, joiner("late", 4.0))
+    sim.run()
+    assert seen == [("early", 3.0, 7), ("late", 4.0, 7)]
+
+
+def test_interrupted_joiner_gets_no_stray_resume():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield Timeout(sim, 10.0)
+        return "late"
+
+    kid = spawn(sim, child())
+
+    def joiner():
+        try:
+            yield kid
+        except Interrupted:
+            seen.append(("interrupted", sim.now))
+        value = yield Timeout(sim, 20.0, "slept")
+        seen.append((value, sim.now))
+
+    proc = spawn(sim, joiner())
+    sim.schedule(2.0, proc.interrupt)
+    sim.run()
+    assert kid.finished
+    assert seen == [("interrupted", 2.0), ("slept", 22.0)]
+
+
+def test_unjoined_process_allocates_no_signal():
+    sim = Simulator()
+
+    def body():
+        yield Timeout(sim, 1.0)
+        return 1
+
+    process = spawn(sim, body())
+    sim.run()
+    assert process.finished and process.result == 1
+    assert process._done_signal is None

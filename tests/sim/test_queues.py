@@ -211,3 +211,64 @@ def test_interrupted_getter_loses_no_items():
     sim.run()
     # The interrupted getter was unsubscribed; the patient one gets it.
     assert seen == ["only"]
+
+
+# -- buffers allocated on first use -----------------------------------------
+
+
+def test_fresh_queue_behaves_empty():
+    queue = Queue(Simulator())
+    assert len(queue) == 0
+    assert queue.peek_all() == []
+    with pytest.raises(IndexError):
+        queue.get_nowait()
+    assert queue.clear() == []
+    assert len(queue) == 0
+
+
+def test_drained_queue_behaves_empty():
+    queue = Queue(Simulator())
+    queue.put("a")
+    assert queue.get_nowait() == "a"
+    with pytest.raises(IndexError):
+        queue.get_nowait()
+    queue.put("b")
+    assert queue.clear() == ["b"]
+    with pytest.raises(IndexError):
+        queue.get_nowait()
+    queue.put("c")
+    assert queue.peek_all() == ["c"]
+
+
+def test_fifo_order_over_many_waiting_getters():
+    sim = Simulator()
+    queue = Queue(sim)
+    seen = []
+
+    def consumer(name):
+        item = yield queue.get()
+        seen.append((name, item))
+
+    names = [f"g{i}" for i in range(5)]
+    for name in names:
+        spawn(sim, consumer(name))
+
+    def burst():
+        for index in range(5):
+            queue.put(index)
+
+    sim.schedule(1.0, burst)
+    sim.run()
+    assert seen == list(zip(names, range(5)))
+
+
+def test_mailbox_whose_getter_waits_buffers_nothing():
+    sim = Simulator()
+    queue = Queue(sim)
+
+    def consumer():
+        yield queue.get()
+
+    spawn(sim, consumer())
+    sim.run()
+    assert queue._items is None and queue._inflight is None
