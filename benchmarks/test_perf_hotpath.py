@@ -16,7 +16,7 @@ from repro.core import compile_source
 from repro.core.emr.evaluate import (EvaluationScope, colocate_groups,
                                      evaluate_rule)
 from repro.core.profiling import ActorStats, ProfilingRuntime
-from repro.sim import Queue, Simulator
+from repro.sim import Queue, Simulator, spawn
 
 WINDOW_MS = 60_000.0
 NUM_ACTORS = 128
@@ -239,8 +239,13 @@ def test_sim_kernel_throughput(report):
         queue = Queue(sim)
         for index in range(future_events):
             queue.put(index)
-        for _ in range(future_events):
-            queue.get_nowait()
+
+        def drain():
+            for _ in range(future_events):
+                yield queue.get()
+
+        spawn(sim, drain())
+        sim.run()
 
     mailbox = time_ops(run_queue, ops=2 * future_events, repeats=3)
     report.add(f"engine: {engine.ops_per_sec:,.0f} events/s")

@@ -9,8 +9,8 @@ memory ledger), destruction, the migration refusal test and commit block,
 and the directory queries.
 
 Each runtime supplies :meth:`ActorSystemBase._start_dispatch` — build
-the incarnation's :class:`ActorCell` around its own mailbox type and
-start its own dispatcher — and the mirror ``_stop_dispatch``, and keeps
+the incarnation's :class:`ActorCell` around its own mailbox and ready
+its own dispatcher — and the mirror ``_stop_dispatch``, and keeps
 everything that differs in kind (server choice, delivery, the migration
 protocol's waits).  Nothing here knows which runtime it serves.
 """
@@ -62,7 +62,7 @@ class ActorSystemBase:
         return self.epoch_source() if self.epoch_source is not None else 0
 
     def _start_dispatch(self, record: ActorRecord) -> None:
-        """Set ``record.cell`` and start the incarnation's dispatcher."""
+        """Set ``record.cell`` and ready the incarnation's dispatcher."""
         raise NotImplementedError
 
     def _spawn(self, cls: Type[Actor], server: Any, args: tuple,
@@ -99,7 +99,7 @@ class ActorSystemBase:
         instance.on_start()
         return record
 
-    def _stop_dispatch(self, cell: ActorCell) -> None:
+    def _stop_dispatch(self, record: ActorRecord, cell: ActorCell) -> None:
         """End a destroyed incarnation's dispatcher: fail what was
         queued or in flight, wake what was waiting on it."""
         raise NotImplementedError
@@ -115,7 +115,7 @@ class ActorSystemBase:
         record.server.free_memory(record.instance.state_size_mb)
         self.directory.unregister(ref.actor_id)
         cell, record.cell = record.cell, None
-        self._stop_dispatch(cell)
+        self._stop_dispatch(record, cell)
         for hooks in self.hooks:
             hooks.on_actor_destroyed(record)
 

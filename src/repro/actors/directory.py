@@ -41,14 +41,15 @@ class ActorCell:
     """Runtime state of one actor incarnation, owned by its record.
 
     Each runtime fills the slots with its own kinds of object (a sim
-    ``Queue``/``Signal`` or an asyncio queue/``Event``); the shared
-    lifecycle code only creates, hands over and drops the cell.
+    ``Signal`` or an asyncio ``Event``); the shared lifecycle code only
+    creates, hands over and drops the cell.
     """
 
     __slots__ = ("mailbox", "gate", "busy", "current", "idle", "task",
-                 "prepared_on")
+                 "prepared_on", "armed", "handed")
 
     def __init__(self, mailbox: Any) -> None:
+        #: Messages waiting for the dispatcher; ``len()`` is the depth.
         self.mailbox = mailbox
         #: Closed while a migration holds the actor; ``None`` otherwise.
         self.gate: Any = None
@@ -58,10 +59,14 @@ class ActorCell:
         self.current: Any = None
         #: What a migration draining the in-flight handler waits on.
         self.idle: Any = None
-        #: The dispatcher's handle, where stopping it needs one.
+        #: The live runtime's drain task, while the mailbox has work.
         self.task: Any = None
         #: Destination holding a prepared, not yet committed, copy.
         self.prepared_on: Any = None
+        #: Sim dispatcher: waiting for the next message.
+        self.armed = False
+        #: Sim dispatcher: the item handed over, its run one hop away.
+        self.handed: Any = None
 
 
 @dataclass

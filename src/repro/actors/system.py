@@ -6,13 +6,14 @@ bookkeeping — is :class:`~repro.actors.base.ActorSystemBase`, shared
 with the asyncio runtime; an incarnation's runtime state is the
 :class:`~repro.actors.directory.ActorCell` on its record.  What lives
 here is what simulated time makes different: placement from the
-``actor-placement`` RNG stream, delivery through the network fabric, one
-``Queue`` mailbox and dispatcher process per actor, overload admission,
-and the partition-aware live-migration protocol.  The elasticity runtime
-drives it exclusively through :meth:`ActorSystem.migrate_actor`,
-:meth:`ActorSystem.create_actor`'s placement hook, and the
-:class:`~repro.actors.hooks.RuntimeHooks` observation interface — the
-same narrow surface PLASMA requires of its host language runtime.
+``actor-placement`` RNG stream, delivery through the network fabric, the
+dispatcher (a callback state machine on each actor's cell), overload
+admission, and the partition-aware live-migration protocol.  The
+elasticity runtime drives it exclusively through
+:meth:`ActorSystem.migrate_actor`, :meth:`ActorSystem.create_actor`'s
+placement hook, and the :class:`~repro.actors.hooks.RuntimeHooks`
+observation interface — the same narrow surface PLASMA requires of its
+host language runtime.
 
 Semantics reproduced from the paper's substrate:
 
@@ -25,17 +26,25 @@ Semantics reproduced from the paper's substrate:
   exist to avoid);
 - an actor's memory footprint moves with it and its state size determines
   migration transfer time.
+
+An idle actor holds no process: its dispatcher is the ``armed`` and
+``handed`` fields of its cell, moved by callbacks that make the
+``schedule`` calls a dispatcher process did (kept as the oracle in
+``tests/actors/dispatch_oracle.py``).  Only a generator handler gets a
+:class:`~repro.sim.Driver`, for its own lifetime.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Callable, List, Optional, Tuple, Type
+from collections import deque
+from functools import partial
+from typing import Any, Callable, List, Optional, Sized, Tuple, Type
 
 from ..cluster import NetworkFabric, Provisioner, Server
 from ..runtime import SimBackend
-from ..sim import (Interrupted, Queue, RandomStreams, Signal, Simulator,
+from ..sim import (Driver, Interrupted, RandomStreams, Signal, Simulator,
                    Timeout, Waitable, spawn)
 from .actor import Actor
 from .base import ActorSystemBase
@@ -56,6 +65,9 @@ _actor_ids = itertools.count(1)
 
 _STOP = object()
 _MAX_FORWARDS = 8
+#: A mailbox no message has had to wait in yet: empty, sized, shared.
+#: The first message that must wait replaces it with a deque.
+_NO_MAIL: Tuple[()] = ()
 
 
 class ActorSystem(ActorSystemBase):
@@ -147,14 +159,24 @@ class ActorSystem(ActorSystemBase):
         return chosen
 
     def _start_dispatch(self, record: ActorRecord) -> None:
-        cell = record.cell = ActorCell(Queue(self.sim))
-        spawn(self.sim, self._dispatch_loop(record, cell),
-              name=f"dispatch/{record.ref}")
+        cell = record.cell = ActorCell(_NO_MAIL)
+        self.sim.schedule(0.0, self._arm, record, cell)
 
-    def _stop_dispatch(self, cell: ActorCell) -> None:
+    def _stop_dispatch(self, record: ActorRecord, cell: ActorCell) -> None:
         """Queued messages are dropped; their callers and the in-flight
         one receive ``None`` replies."""
-        for message in cell.mailbox.clear():
+        dropped = list(cell.mailbox)
+        handed = cell.handed
+        if handed is not None:
+            # Reclaim the hand-over in flight ahead of the backlog: its
+            # pending _run finds it gone, and the dispatcher waits again.
+            cell.handed = None
+            cell.armed = True
+            dropped.insert(0, handed)
+        if cell.mailbox:
+            # Emptied, not dropped: _STOP may be queued in it next.
+            cell.mailbox.clear()
+        for message in dropped:
             if self.overload is not None:
                 if self._crashing:
                     self.overload.note_crashed(message)
@@ -162,7 +184,7 @@ class ActorSystem(ActorSystemBase):
                     self.overload.note_dead_target(message)
             if message.reply is not None:
                 message.reply.trigger(None)
-        cell.mailbox.put(_STOP)
+        self._put(record, cell, _STOP)
         # Fail the in-flight request too (its handler dies with the
         # actor; Signal.trigger is once-only, so a handler that was
         # already about to reply cannot double-deliver).
@@ -400,19 +422,19 @@ class ActorSystem(ActorSystemBase):
                 arrived_at, target.server, message.size_bytes)
             self.sim.schedule(delay, self._deliver, message, target.server)
             return
-        mailbox = target.cell.mailbox
+        cell = target.cell
         if self.overload is not None and not self._admit(
-                message, target, mailbox, arrived_at):
+                message, target, cell.mailbox, arrived_at):
             return
         for hooks in self.hooks:
             hooks.on_message_delivered(target, message)
             if message.remote or message.forwards:
                 hooks.on_bytes_received(target, message.size_bytes)
-        mailbox.put(message)
+        self._put(target, cell, message)
         if self.overload is not None:
-            self.overload.note_mailbox_depth(len(mailbox))
+            self.overload.note_mailbox_depth(len(cell.mailbox))
 
-    def _admit(self, message: Message, target: ActorRecord, mailbox: Queue,
+    def _admit(self, message: Message, target: ActorRecord, mailbox: Sized,
                arrived_at: Server) -> bool:
         """Overload-protection checkpoint at the mailbox door.
 
@@ -472,34 +494,77 @@ class ActorSystem(ActorSystemBase):
 
     # -- dispatch -------------------------------------------------------------
 
-    def _dispatch_loop(self, record: ActorRecord, cell: ActorCell):
+    def _put(self, record: ActorRecord, cell: ActorCell, item: Any) -> None:
+        """Hand ``item`` to an armed dispatcher (its :meth:`_run` is one
+        zero-delay hop away), or queue it."""
+        if cell.armed:
+            cell.armed = False
+            cell.handed = item
+            self.sim.schedule(0.0, self._run, record, cell, item)
+            return
         mailbox = cell.mailbox
-        while True:
-            message = yield mailbox.get()
-            if message is _STOP:
-                return
-            if self.overload is not None:
-                self.overload.note_consumed(message)
-            if cell.gate is not None:
-                yield cell.gate  # migration in progress: wait it out
-            cell.busy = True
-            cell.current = message
-            try:
-                handler = getattr(record.instance, message.function, None)
-                if handler is None:
-                    raise AttributeError(
-                        f"{record.ref} has no function {message.function!r}")
-                result = handler(*message.args)
-                if hasattr(result, "send"):  # generator handler
-                    result = yield from result
-            finally:
-                cell.busy = False
-                cell.current = None
-                idle, cell.idle = cell.idle, None
-                if idle is not None:
-                    idle.trigger()
-            if message.reply is not None:
-                self._send_reply(record, message, result)
+        if mailbox is _NO_MAIL:
+            mailbox = cell.mailbox = deque()
+        mailbox.append(item)
+
+    def _arm(self, record: ActorRecord, cell: ActorCell) -> None:
+        """The dispatcher is ready: take the next queued item, or wait."""
+        mailbox = cell.mailbox
+        if mailbox:
+            item = cell.handed = mailbox.popleft()
+            self.sim.schedule(0.0, self._run, record, cell, item)
+        else:
+            cell.armed = True
+
+    def _run(self, record: ActorRecord, cell: ActorCell, item: Any) -> None:
+        if cell.handed is not item:
+            return  # reclaimed by _stop_dispatch
+        cell.handed = None
+        if item is _STOP:
+            return
+        if self.overload is not None:
+            self.overload.note_consumed(item)
+        if cell.gate is not None:
+            # Migration in progress: serve once the gate opens.
+            cell.gate._subscribe(partial(self._serve, record, cell, item))
+            return
+        self._serve(record, cell, item)
+
+    def _serve(self, record: ActorRecord, cell: ActorCell, message: Message,
+               _opened: Any = None) -> None:
+        cell.busy = True
+        cell.current = message
+        try:
+            handler = getattr(record.instance, message.function, None)
+            if handler is None:
+                raise AttributeError(
+                    f"{record.ref} has no function {message.function!r}")
+            result = handler(*message.args)
+        except Interrupted:  # ends the dispatcher silently, as in a Driver
+            self._served(record, cell, message, None, failed=True)
+            return
+        except BaseException:
+            self._served(record, cell, message, None, failed=True)
+            raise
+        if hasattr(result, "send"):  # generator handler
+            _HandlerRun(self, record, cell, message, result)._step(None, None)
+        else:
+            self._served(record, cell, message, result, failed=False)
+
+    def _served(self, record: ActorRecord, cell: ActorCell, message: Message,
+                result: Any, failed: bool) -> None:
+        """The handler ended.  A failed one leaves the dispatcher
+        disarmed for good: its error ends the run, as it always has."""
+        cell.busy = False
+        cell.current = None
+        idle, cell.idle = cell.idle, None
+        if idle is not None:
+            idle.trigger()
+        if failed:
+            return
+        if message.reply is not None:
+            self._send_reply(record, message, result)
+        self._arm(record, cell)
 
     def _send_reply(self, record: ActorRecord, message: Message,
                     result: Any) -> None:
@@ -671,3 +736,27 @@ class ActorSystem(ActorSystemBase):
         gate.trigger()
         self._commit_migration(record, target)
         done.trigger(True)
+
+
+class _HandlerRun(Driver):
+    """Steps one generator handler for that handler's lifetime; the
+    first step runs synchronously inside :meth:`ActorSystem._serve`."""
+
+    __slots__ = ("_system", "_record", "_cell", "_message")
+
+    def __init__(self, system: ActorSystem, record: ActorRecord,
+                 cell: ActorCell, message: Message, handler: Any) -> None:
+        super().__init__(system.sim, handler)
+        self._system = system
+        self._record = record
+        self._cell = cell
+        self._message = message
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        return f"dispatch/{self._record.ref}"
+
+    def _finish(self, result: Any, exception: Optional[BaseException]) -> None:
+        self._finished = True
+        self._system._served(self._record, self._cell, self._message, result,
+                             failed=exception is not None)

@@ -37,7 +37,8 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     high = max(points)
     if high == low:
         return _SPARK_BLOCKS[3] * len(points)
-    scale = (len(_SPARK_BLOCKS) - 1) / (high - low)
+    # Floor the span: dividing by a subnormal one overflows to inf.
+    scale = (len(_SPARK_BLOCKS) - 1) / max(high - low, 1e-300)
     return "".join(_SPARK_BLOCKS[int((v - low) * scale)] for v in points)
 
 

@@ -6,14 +6,19 @@ cores services jobs FIFO, scaled by the instance type's ``cpu_speed``.
 This reproduces the contention behaviour elasticity management reacts to:
 when offered load exceeds ``vcpus * cpu_speed`` CPU-ms per ms, queueing
 delay grows and the windowed CPU utilization saturates near 100%.
+
+Cores are a count, not processes: a server keeps how many cores wait for
+work and a FIFO of jobs waiting for a core, and a job's life is two
+scheduled callbacks (start on a core, finish).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Deque, Optional
 
-from ..sim import Queue, Signal, Simulator, Timeout, spawn
+from ..sim import Signal, Simulator
 from .instances import InstanceType
 from .metrics import WindowedMeter
 
@@ -128,11 +133,15 @@ class Server(ServerGauges):
         #: ``itype.cpu_speed * speed_factor``.  1.0 = healthy.
         self.speed_factor = 1.0
 
-        self._run_queue: Queue[CpuJob] = Queue(sim)
-        self._cores = [
-            spawn(sim, self._core_loop(), name=f"{self.name}/core{i}")
-            for i in range(itype.vcpus)
-        ]
+        #: Cores waiting for a job.
+        self._free_cores = 0
+        #: Jobs waiting for a core, allocated by the first job that has
+        #: to wait; ``None`` entries are shutdown sentinels.
+        self._jobs: Optional[Deque[Optional[CpuJob]]] = None
+        # One arm event per core: the schedule order the golden digests
+        # and the dispatch differential pin.
+        for _ in range(itype.vcpus):
+            sim.schedule(0.0, self._next_job)
 
     def __repr__(self) -> str:
         return f"<Server {self.name}>"
@@ -148,25 +157,46 @@ class Server(ServerGauges):
         if demand_ms < 0:
             raise ValueError(f"negative CPU demand: {demand_ms!r}")
         job = CpuJob(self.sim, demand_ms, owner)
-        self._run_queue.put(job)
+        self._submit(job)
         return job.done
 
-    def _core_loop(self):
-        while True:
-            job = yield self._run_queue.get()
-            if job is None:  # shutdown sentinel
-                return
-            scaled = job.demand_ms / (self.itype.cpu_speed
-                                      * self.speed_factor)
-            if scaled > 0:
-                yield Timeout(self.sim, scaled)
-            if self.running:
-                self.cpu_meter.add(scaled)
-            job.done.trigger(scaled)
+    def _submit(self, job: Optional[CpuJob]) -> None:
+        """Hand ``job`` to a waiting core (it starts at the next step),
+        or queue it behind the jobs already waiting."""
+        if self._free_cores:
+            self._free_cores -= 1
+            self.sim.schedule(0.0, self._start_job, job)
+            return
+        jobs = self._jobs
+        if jobs is None:
+            jobs = self._jobs = deque()
+        jobs.append(job)
+
+    def _next_job(self) -> None:
+        """A core is free: take the oldest waiting job, or wait."""
+        if self._jobs:
+            self.sim.schedule(0.0, self._start_job, self._jobs.popleft())
+        else:
+            self._free_cores += 1
+
+    def _start_job(self, job: Optional[CpuJob]) -> None:
+        if job is None:  # shutdown sentinel: this core stops
+            return
+        scaled = job.demand_ms / (self.itype.cpu_speed * self.speed_factor)
+        if scaled > 0:
+            self.sim.schedule(scaled, self._end_job, job, scaled)
+        else:
+            self._end_job(job, scaled)
+
+    def _end_job(self, job: CpuJob, scaled: float) -> None:
+        if self.running:
+            self.cpu_meter.add(scaled)
+        job.done.trigger(scaled)
+        self._next_job()
 
     def run_queue_length(self) -> int:
         """Jobs waiting for a core (excludes jobs currently executing)."""
-        return len(self._run_queue)
+        return len(self._jobs) if self._jobs is not None else 0
 
     def idle_cpu_headroom(self, window_ms: float) -> float:
         """Unused CPU capacity, in CPU-ms per ms (used by admission checks)."""
@@ -184,9 +214,16 @@ class Server(ServerGauges):
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop the server's cores.  Queued work is abandoned."""
+        """Stop the server's cores.
+
+        Each core stops on a sentinel queued *behind* the work already
+        waiting, so jobs submitted before shutdown still run to
+        completion and fire their ``done`` signals; from now on no job
+        is added to the CPU meter.  Work submitted after shutdown is
+        never run.
+        """
         if not self.running:
             return
         self.running = False
-        for _ in self._cores:
-            self._run_queue.put(None)  # type: ignore[arg-type]
+        for _ in range(self.itype.vcpus):
+            self._submit(None)

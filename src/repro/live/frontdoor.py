@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 from time import perf_counter
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..actors.message import Overloaded
 from ..core.profiling.latency import LatencyRecorder
@@ -96,6 +96,8 @@ class FrontDoor:
         self.recorder = recorder or LatencyRecorder(capacity=32768)
         self.ledger = ledger or RequestLedger()
         self._server: Optional[asyncio.base_events.Server] = None
+        #: One task per open connection.
+        self._connections: Set["asyncio.Task[None]"] = set()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -107,9 +109,12 @@ class FrontDoor:
         return self
 
     async def stop(self) -> None:
+        """Stop listening and wait until every open connection has
+        closed (before Python 3.12 ``Server.wait_closed`` does not)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             self._server = None
 
     @property
@@ -120,6 +125,8 @@ class FrontDoor:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 request = await self._read_request(reader)
@@ -148,6 +155,8 @@ class FrontDoor:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            finally:
+                self._connections.discard(task)
 
     async def _dispatch(self, method: str, path: str, body: bytes,
                         parse_ok: bool) -> Tuple[int, Dict, str]:

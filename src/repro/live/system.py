@@ -7,10 +7,10 @@ shares the sim runtime's data model — :class:`ActorRef`,
 lifecycle bookkeeping (:class:`~repro.actors.base.ActorSystemBase`:
 spawn, retire, migration refusal and commit, the directory queries).
 What it replaces is what the wall clock makes different: fewest-actors
-placement, per-actor :class:`asyncio.Queue` mailboxes drained by one
-cooperative dispatch task per actor (classic actor semantics: one
-message at a time, no locks), and a migration that waits on events and
-sleeps.
+placement, per-actor deque mailboxes drained by a cooperative task that
+exists only while its mailbox has work (classic actor semantics: one
+message at a time, no locks; an idle actor holds no task), and a
+migration that waits on events and sleeps.
 
 Live migration is the same two-phase protocol as the simulator,
 expressed in asyncio:
@@ -22,9 +22,9 @@ expressed in asyncio:
    (``transfer_ms_per_mb``), modelling state copy time on the wall
    clock.
 3. **commit** — in one synchronous (and therefore, on an event loop,
-   atomic) block: re-bind the mailbox to a fresh queue (draining any
-   messages queued during the transfer, order preserved), move the
-   memory ledger, flip the directory record, and open the gate.
+   atomic) block: move the memory ledger, flip the directory record,
+   and open the gate; messages queued during the transfer are served
+   next, in order, from the same mailbox.
 
 The ``LiveActor`` base subclasses the sim ``Actor`` so one class
 hierarchy serves both runtimes: ``describe_actor_class`` (EPL schema
@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import itertools
+from collections import deque
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence, Set, Type
 
@@ -55,19 +56,8 @@ from .servers import LiveServer
 
 __all__ = ["LiveActor", "LiveActorSystem", "LiveBackend", "ActorGone"]
 
-_STOP = object()
-_REBIND = object()
-
 #: Instance type of a server added without naming one.
 DEFAULT_INSTANCE_TYPE = "m5.large"
-
-
-class _Mailbox(asyncio.Queue):
-    """An :class:`asyncio.Queue` that answers ``len()``, the one thing
-    the shared ``mailbox_depth`` asks of a mailbox."""
-
-    def __len__(self) -> int:
-        return self.qsize()
 
 
 class ActorGone(LookupError):
@@ -107,8 +97,9 @@ class LiveActor(Actor):
 class LiveActorSystem(ActorSystemBase):
     """Hosts actors on logical servers sharing one asyncio event loop.
 
-    Construct (and use) inside a running event loop: mailbox dispatch
-    runs as one task per actor.
+    Construct (and use) inside a running event loop: an actor's
+    mailbox is drained by a task started when a message arrives to find
+    no task draining it.
     """
 
     def __init__(self, mailbox_capacity: Optional[int] = None,
@@ -184,28 +175,18 @@ class LiveActorSystem(ActorSystemBase):
         return record.ref
 
     def _start_dispatch(self, record: ActorRecord) -> None:
-        cell = record.cell = ActorCell(_Mailbox())
-        cell.task = asyncio.get_running_loop().create_task(
-            self._dispatch(record, cell),
-            name=f"live-actor-{record.ref.actor_id}")
+        record.cell = ActorCell(deque())
 
-    def _stop_dispatch(self, cell: ActorCell) -> None:
-        # The dispatch task ends by itself on this _STOP, once any
-        # in-flight handler has returned.
-        cell.mailbox.put_nowait((_STOP, None))
-        self._drain_dead(cell.mailbox)
+    def _stop_dispatch(self, record: ActorRecord, cell: ActorCell) -> None:
+        # A drain task finds the emptied mailbox once any in-flight
+        # handler has returned, and ends by itself.
+        self._fail_queued(cell.mailbox)
 
     @staticmethod
-    def _drain_dead(mailbox: asyncio.Queue) -> None:
-        """Fail every message still queued behind a _STOP."""
-        backlog = []
-        while not mailbox.empty():
-            backlog.append(mailbox.get_nowait())
-        for item in backlog:
-            message, reply = item
-            if message is _STOP or message is _REBIND:
-                mailbox.put_nowait(item)
-                continue
+    def _fail_queued(mailbox: "deque[Any]") -> None:
+        """Fail every message still queued."""
+        while mailbox:
+            message, reply = mailbox.popleft()
             if reply is not None and not reply.done():
                 reply.set_exception(ActorGone(
                     f"actor #{message.target_id} destroyed"))
@@ -262,10 +243,10 @@ class LiveActorSystem(ActorSystemBase):
                 reply.set_exception(ActorGone(
                     f"no actor #{message.target_id}"))
             return reply
-        mailbox = record.cell.mailbox
+        cell = record.cell
         if (self.mailbox_capacity is not None
                 and message.caller_kind == CLIENT_KIND
-                and mailbox.qsize() >= self.mailbox_capacity):
+                and len(cell.mailbox) >= self.mailbox_capacity):
             self.messages_shed += 1
             for hooks in self.hooks:
                 hooks.on_message_shed(record, message, "shed")
@@ -287,30 +268,33 @@ class LiveActorSystem(ActorSystemBase):
         self.messages_delivered += 1
         for hooks in self.hooks:
             hooks.on_message_delivered(record, message)
-        mailbox.put_nowait((message, reply))
+        cell.mailbox.append((message, reply))
+        if cell.task is None:
+            cell.task = asyncio.get_running_loop().create_task(
+                self._drain(record, cell),
+                name=f"live-actor-{record.ref.actor_id}")
         return reply
 
     # -- dispatch ------------------------------------------------------
 
-    async def _dispatch(self, record: ActorRecord, cell: ActorCell) -> None:
-        while True:
-            message, reply = await cell.mailbox.get()
-            if message is _STOP:
-                return
-            if message is _REBIND:
-                # Migration re-bound the mailbox while we were blocked on
-                # the stale queue; loop to pick up the fresh one.
-                continue
-            if cell.gate is not None:
-                await cell.gate.wait()
-            cell.busy = True
-            try:
-                await self._invoke(record, message, reply)
-            finally:
-                cell.busy = False
-                idle, cell.idle = cell.idle, None
-                if idle is not None:
-                    idle.set()
+    async def _drain(self, record: ActorRecord, cell: ActorCell) -> None:
+        """Serve the mailbox, one message at a time, until it is empty."""
+        mailbox = cell.mailbox
+        try:
+            while mailbox:
+                message, reply = mailbox.popleft()
+                if cell.gate is not None:
+                    await cell.gate.wait()
+                cell.busy = True
+                try:
+                    await self._invoke(record, message, reply)
+                finally:
+                    cell.busy = False
+                    idle, cell.idle = cell.idle, None
+                    if idle is not None:
+                        idle.set()
+        finally:
+            cell.task = None
 
     async def _invoke(self, record: ActorRecord, message: Message,
                       reply: Optional["asyncio.Future[Any]"]) -> None:
@@ -376,11 +360,6 @@ class LiveActorSystem(ActorSystemBase):
             if not target.running:
                 return False  # target died mid-transfer: abort, stay put
             # COMMIT: no awaits below — atomic on the event loop.
-            old = cell.mailbox
-            fresh = cell.mailbox = _Mailbox()
-            while not old.empty():
-                fresh.put_nowait(old.get_nowait())
-            old.put_nowait((_REBIND, None))
             self._commit_migration(record, target)
             self.migrations_completed += 1
             return True
@@ -394,24 +373,26 @@ class LiveActorSystem(ActorSystemBase):
     last_migration_wall_ms: float = 0.0
 
     async def quiesce(self, timeout_s: float = 5.0) -> bool:
-        """Wait until every mailbox is empty and no handler is running."""
+        """Wait until no actor has a drain task: every mailbox is empty
+        and no handler is running or waiting on a migration gate."""
         deadline = perf_counter() + timeout_s
         while perf_counter() < deadline:
-            if all(record.cell.mailbox.empty() and not record.cell.busy
+            if all(record.cell.task is None
                    for record in self.directory.records()):
                 return True
             await asyncio.sleep(0.005)
         return False
 
     async def shutdown(self) -> None:
-        """Stop every dispatch task (queued messages are abandoned)."""
+        """Stop every drain task; queued messages fail with
+        :class:`ActorGone`."""
         cells = [record.cell for record in self.directory.records()]
+        tasks = [cell.task for cell in cells if cell.task is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         for cell in cells:
-            cell.task.cancel()
-        await asyncio.gather(*(cell.task for cell in cells),
-                             return_exceptions=True)
-        for cell in cells:
-            self._drain_dead(cell.mailbox)
+            self._fail_queued(cell.mailbox)
         for server in self.servers:
             server.shutdown()
 

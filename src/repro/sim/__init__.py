@@ -4,13 +4,15 @@ Public surface:
 
 - :class:`Simulator` — the event loop and virtual clock (milliseconds).
 - :class:`Process`, :func:`spawn` — generator-based processes.
+- :class:`Driver` — the stepping primitive under a process.
 - :class:`Timeout`, :class:`Signal`, :class:`AllOf` — waitables.
-- :class:`Queue` — blocking FIFO used for actor mailboxes.
+- :class:`Queue` — blocking FIFO between processes.
 - :class:`RandomStreams` — named deterministic RNG streams.
 """
 
 from .engine import SimulationError, Simulator, StopSimulation
-from .process import AllOf, Interrupted, Process, Signal, Timeout, Waitable, spawn
+from .process import (AllOf, Driver, Interrupted, Process, Signal, Timeout,
+                      Waitable, spawn)
 from .queues import Queue
 from .rng import RandomStreams
 
@@ -20,6 +22,7 @@ __all__ = [
     "StopSimulation",
     "Process",
     "spawn",
+    "Driver",
     "Timeout",
     "Signal",
     "AllOf",

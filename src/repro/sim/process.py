@@ -19,6 +19,9 @@ Waitables
 Processes may be interrupted: :meth:`Process.interrupt` raises
 :class:`Interrupted` inside the generator at its current yield point, which
 the process may catch to clean up or re-wait.
+
+:class:`Driver` is the stepping primitive under :class:`Process`; the
+actor runtime also uses it directly, to step one generator handler.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .engine import SimulationError, Simulator
 
-__all__ = ["Process", "Timeout", "Signal", "Interrupted", "Waitable",
-           "AllOf"]
+__all__ = ["Process", "Driver", "Timeout", "Signal", "Interrupted",
+           "Waitable", "AllOf"]
 
 
 class Interrupted(Exception):
@@ -51,6 +54,8 @@ class Waitable:
     :meth:`_unsubscribe`, used when a waiting process is interrupted.
     """
 
+    __slots__ = ()
+
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         raise NotImplementedError
 
@@ -60,6 +65,8 @@ class Waitable:
 
 class Timeout(Waitable):
     """Fires ``delay`` ms after creation; resumes with ``value``."""
+
+    __slots__ = ("_sim", "_delay", "_value", "_cancelled")
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
         self._sim = sim
@@ -86,6 +93,8 @@ class Signal(Waitable):
     waiting on an already-triggered signal resumes immediately (at the next
     event-loop step).  Call :meth:`reset` to rearm.
     """
+
+    __slots__ = ("_sim", "_waiters", "_triggered", "_value")
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
@@ -133,6 +142,8 @@ class AllOf(Waitable):
     """Fires once every child waitable has fired; resumes with their results
     in order."""
 
+    __slots__ = ("_sim", "_waitables")
+
     def __init__(self, sim: Simulator, waitables: List[Waitable]) -> None:
         self._sim = sim
         self._waitables = list(waitables)
@@ -158,74 +169,37 @@ class AllOf(Waitable):
             waitable._subscribe(make_child(i))
 
 
-class Process(Waitable):
-    """A running generator process.
+class Driver:
+    """Steps one generator over the waitables it yields.
 
-    Created via :func:`spawn` (or directly).  The generator starts at the
-    next event-loop step.  A finished process exposes :attr:`result` (the
-    generator's return value) and :attr:`exception`.  Unhandled exceptions
-    other than :class:`Interrupted` propagate out of the event loop —
-    silent process death hides bugs.
+    Each :meth:`_step` sends a result (or throws an exception) into the
+    generator and subscribes a one-shot resume callback to the waitable
+    it yields next.  How the generator ends is reported to
+    :meth:`_finish`: a return with its value; an :class:`Interrupted`
+    escaping the generator, silently; any other exception — a yielded
+    non-waitable included, as :class:`SimulationError` — after
+    :meth:`_finish`, out of the event loop.  Nothing is scheduled until
+    the owner takes the first step.
     """
 
+    __slots__ = ("_sim", "_gen", "_finished", "_current_wait",
+                 "_interrupt_pending")
+
+    #: What error messages call the generator.
+    name = "generator"
+
     def __init__(self, sim: Simulator,
-                 generator: Generator[Waitable, Any, Any],
-                 name: str = "") -> None:
-        if not hasattr(generator, "send"):
-            raise SimulationError(
-                f"process body must be a generator, got {generator!r}")
+                 generator: Generator[Waitable, Any, Any]) -> None:
         self._sim = sim
         self._gen = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self.result: Any = None
-        self.exception: Optional[BaseException] = None
         self._finished = False
-        # Created by the first join: most processes (every actor's
-        # dispatcher) are never waited on.
-        self._done_signal: Optional[Signal] = None
         self._current_wait: Optional[Tuple[Waitable,
                                            Callable[[Any], None]]] = None
         self._interrupt_pending: Optional[Interrupted] = None
-        sim.schedule(0.0, self._step, None, None)
-
-    # -- public API ------------------------------------------------------
 
     @property
     def finished(self) -> bool:
         return self._finished
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupted` inside the process at its yield point.
-
-        Interrupting a finished process is a no-op.
-        """
-        if self._finished:
-            return
-        if self._current_wait is not None:
-            waitable, callback = self._current_wait
-            waitable._unsubscribe(callback)
-            self._current_wait = None
-            self._sim.schedule(0.0, self._step, None, Interrupted(cause))
-        else:
-            # Not yet started or between steps: deliver on next step.
-            self._interrupt_pending = Interrupted(cause)
-
-    # -- waitable protocol (join) ----------------------------------------
-
-    def _subscribe(self, callback: Callable[[Any], None]) -> None:
-        signal = self._done_signal
-        if signal is None:
-            signal = self._done_signal = Signal(self._sim)
-            if self._finished:
-                # A late joiner still resumes at the next step.
-                signal.trigger(self.result)
-        signal._subscribe(callback)
-
-    def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
-        if self._done_signal is not None:
-            self._done_signal._unsubscribe(callback)
-
-    # -- engine plumbing --------------------------------------------------
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self._finished:
@@ -265,6 +239,69 @@ class Process(Waitable):
 
         self._current_wait = (target, resume)
         target._subscribe(resume)
+
+    def _finish(self, result: Any, exception: Optional[BaseException]) -> None:
+        """The generator ended: returned ``result``, or raised
+        ``exception``.  Called exactly once."""
+        self._finished = True
+
+
+class Process(Driver, Waitable):
+    """A running generator process.
+
+    Created via :func:`spawn` (or directly).  The generator starts at the
+    next event-loop step.  A finished process exposes :attr:`result` (the
+    generator's return value) and :attr:`exception`.  Unhandled exceptions
+    other than :class:`Interrupted` propagate out of the event loop —
+    silent process death hides bugs.
+    """
+
+    def __init__(self, sim: Simulator,
+                 generator: Generator[Waitable, Any, Any],
+                 name: str = "") -> None:
+        if not hasattr(generator, "send"):
+            raise SimulationError(
+                f"process body must be a generator, got {generator!r}")
+        super().__init__(sim, generator)
+        self.name = name or getattr(generator, "__name__", "process")
+        self.result: Any = None
+        self.exception: Optional[BaseException] = None
+        # Created by the first join: most processes are never waited on.
+        self._done_signal: Optional[Signal] = None
+        sim.schedule(0.0, self._step, None, None)
+
+    # -- public API ------------------------------------------------------
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Raise :class:`Interrupted` inside the process at its yield point.
+
+        Interrupting a finished process is a no-op.
+        """
+        if self._finished:
+            return
+        if self._current_wait is not None:
+            waitable, callback = self._current_wait
+            waitable._unsubscribe(callback)
+            self._current_wait = None
+            self._sim.schedule(0.0, self._step, None, Interrupted(cause))
+        else:
+            # Not yet started or between steps: deliver on next step.
+            self._interrupt_pending = Interrupted(cause)
+
+    # -- waitable protocol (join) ----------------------------------------
+
+    def _subscribe(self, callback: Callable[[Any], None]) -> None:
+        signal = self._done_signal
+        if signal is None:
+            signal = self._done_signal = Signal(self._sim)
+            if self._finished:
+                # A late joiner still resumes at the next step.
+                signal.trigger(self.result)
+        signal._subscribe(callback)
+
+    def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
+        if self._done_signal is not None:
+            self._done_signal._unsubscribe(callback)
 
     def _finish(self, result: Any, exception: Optional[BaseException]) -> None:
         self._finished = True

@@ -31,6 +31,11 @@ def test_single_value():
     assert len(sparkline([42.0])) == 1
 
 
+def test_subnormal_span():
+    # A property-test find: 7 / 1.1e-308 overflows to inf.
+    assert len(sparkline([1.1125369292536007e-308, 0.0], width=2)) == 2
+
+
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False), min_size=1, max_size=200),
        st.integers(min_value=1, max_value=100))

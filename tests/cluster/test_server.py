@@ -114,6 +114,42 @@ def test_shutdown_stops_cores():
     assert not done.triggered
 
 
+def _finishes(sim, server, demands):
+    """Submit jobs now; returns the (time, busy ms) each one finishes at."""
+    done = []
+    for demand in demands:
+        server.execute(demand)._subscribe(
+            lambda busy: done.append((sim.now, busy)))
+    return done
+
+
+def test_shutdown_lets_queued_work_finish_unmetered():
+    # The cores stop on sentinels queued behind the waiting work: both
+    # jobs submitted before shutdown complete (crash scenarios depend on
+    # their done signals firing), but a stopped server meters nothing.
+    sim = Simulator()
+    server = make_server(sim, "m1.small")  # 1 vCPU at half speed
+    done = _finishes(sim, server, [10.0, 10.0])
+    sim.schedule(1.0, server.shutdown)
+    sim.run()
+    assert done == [(20.0, 20.0), (40.0, 20.0)]
+    assert server.cpu_meter.lifetime_total == 0.0
+    late = server.execute(1.0)
+    sim.run()
+    assert not late.triggered and server.run_queue_length() == 1
+
+
+def test_speed_factor_applies_when_a_job_is_dequeued():
+    sim = Simulator()
+    server = make_server(sim, "m1.small")
+    done = _finishes(sim, server, [10.0, 10.0])
+    # The running job keeps its speed; the queued one, submitted at the
+    # old speed, starts at the new one.
+    sim.schedule(5.0, server.set_speed_factor, 2.0)
+    sim.run()
+    assert done == [(20.0, 20.0), (30.0, 10.0)]
+
+
 def test_run_queue_length_counts_waiting_jobs():
     sim = Simulator()
     server = make_server(sim, "m5.large")

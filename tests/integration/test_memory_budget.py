@@ -2,11 +2,12 @@
 
 PLASMA's profiling runtime tracks every actor on every server, and most
 of a large fleet is idle (``fleet_hier`` in the end-to-end benchmark).
-An idle actor's mailbox buffers, profile and dispatcher join signal are
-allocated on first use, so an actor that is never messaged pays only for
-its record, instance, mailbox shell and dispatcher.  This gate holds
-that cost to a byte budget and checks it is linear in the actor count
-(not O(fleet) per actor).
+An idle actor's mailbox buffer and profile are allocated on first use,
+and its dispatcher is two fields on its cell, not a process, so an actor
+that is never messaged pays only for its record, cell, ref and
+instance.  This gate holds that cost to a byte budget, checks it is
+linear in the actor count (not O(fleet) per actor), and checks that no
+simulation process exists per actor.
 
 Measured with tracemalloc: the bytes still allocated after three
 elasticity periods, minus the same scenario with no idle actors,
@@ -19,11 +20,13 @@ import tracemalloc
 from repro.apps import Partition
 from repro.bench import build_cluster
 from repro.core import ElasticityManager, EmrConfig, compile_source
+from repro.sim import Process
 
 SERVERS = 20
 PERIOD_MS = 5_000.0
-#: Bytes per idle actor.  Eager allocation measured ~5,300.
-BUDGET_BYTES = 2_500
+#: Bytes per idle actor.  Eager allocation measured ~5,300; lazy
+#: buffers with a dispatcher process per actor ~1,980; without it ~920.
+BUDGET_BYTES = 1_200
 
 #: The never-firing policy of the ``fleet_hier`` benchmark workload.
 QUIET_POLICY = """
@@ -47,7 +50,8 @@ def _scenario(actors):
     return bed, manager
 
 
-def _traced_bytes(actors):
+def _measure(actors):
+    """Traced bytes held after the scenario, and its live processes."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -56,15 +60,21 @@ def _traced_bytes(actors):
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    processes = sum(isinstance(obj, Process) for obj in gc.get_objects())
     del scenario
-    return size
+    return size, processes
 
 
 def test_idle_actor_memory_is_bounded_and_linear():
     _scenario(50)  # warm interpreter caches outside the measurement
-    empty = _traced_bytes(0)
-    per_actor = {n: (_traced_bytes(n) - empty) / n for n in (500, 2_000)}
+    empty, _ = _measure(0)
+    measured = {n: _measure(n) for n in (500, 2_000)}
+    per_actor = {n: (size - empty) / n for n, (size, _) in measured.items()}
     assert per_actor[500] <= BUDGET_BYTES, per_actor
     assert per_actor[2_000] <= BUDGET_BYTES, per_actor
     assert abs(per_actor[2_000] - per_actor[500]) <= 0.10 * per_actor[500], \
         per_actor
+    # Control-plane processes scale with the 20 servers; none is an
+    # actor's.
+    processes = {n: count for n, (_, count) in measured.items()}
+    assert processes[500] == processes[2_000], processes

@@ -273,6 +273,26 @@ def test_spawn_record_copies_constructor_arguments_and_starts_before_hooks():
     asyncio.run(main())
 
 
+def test_idle_actors_hold_no_task():
+    async def main():
+        system = _system(servers=2)
+        baseline = asyncio.all_tasks()
+        refs = [system.create_actor(Echo) for _ in range(64)]
+        await asyncio.sleep(0)
+        assert asyncio.all_tasks() == baseline
+        cells = [system.directory.lookup(ref.actor_id).cell for ref in refs]
+        assert all(cell.task is None for cell in cells)
+        # A message starts one drain task, which ends with the mailbox.
+        reply = system.client_call(refs[0], "poke")
+        assert cells[0].task is not None
+        assert len(asyncio.all_tasks() - baseline) == 1
+        assert await reply == "ok"
+        assert cells[0].task is None
+        assert asyncio.all_tasks() == baseline
+        await system.shutdown()
+    asyncio.run(main())
+
+
 def test_destroyed_actors_leave_no_bookkeeping_behind():
     async def main():
         system = _system(servers=2)
