@@ -15,16 +15,14 @@ migration, phased by *scheduled* arrival so there is no coordinated
 omission), plus the disposition ledger — which must balance to zero
 lost or unaccounted requests across ≥ 10k real HTTP round trips.
 
-Metrics land in BENCH_perf.json as absolute numbers (requests/s, phase
-p99s).  They are trajectory data, not gated ratios: wall-clock latency
-on shared CI boxes is too noisy to gate, but the series is worth
-keeping.
+The numbers land in ``benchmarks/results/live_latency.txt``.  They are
+reported, not gated: wall-clock latency on shared CI boxes is too noisy
+to gate.
 """
 
 import asyncio
 import random
 
-from repro.bench import record_metrics
 from repro.core import compile_source
 from repro.live import (FrontDoor, LiveActorSystem, LiveChatRoom,
                         LiveChatUser, LiveElasticityManager, LiveEmrConfig,
@@ -104,15 +102,6 @@ def test_live_latency_across_migration(report):
 
     # The EMR observed the run (profiling hooks live on the wall clock).
     assert result["emr"]["rounds_run"] > 0
-
-    record_metrics("live_latency", {
-        "requests_per_sec": requests["rps"],
-        "p50_before_ms": phases["1-before"]["p50"],
-        "p99_before_ms": phases["1-before"]["p99"],
-        "p99_during_ms": phases["2-during"]["p99"],
-        "p99_after_ms": phases["3-after"]["p99"],
-        "migration_wall_ms": max(m["wall_ms"] for m in forced),
-    })
 
 
 # -- directed: nothing forced, the EMR has to do the work -------------------

@@ -2,14 +2,10 @@
 
 from .harness import (TestBed, build_cluster, format_series, format_table,
                       sparkline)
-from .perf import (Timing, check_regression, default_bench_path, load_bench,
-                   record_metrics, time_ops)
 from .recorder import ClusterRecorder, latency_curve, mean
 
 __all__ = [
     "TestBed", "build_cluster", "format_series", "format_table",
     "sparkline",
     "ClusterRecorder", "latency_curve", "mean",
-    "Timing", "time_ops", "default_bench_path", "load_bench",
-    "record_metrics", "check_regression",
 ]

@@ -43,6 +43,7 @@ class Provisioner:
         self._retired: List[Server] = []
         self._pending_boots = 0
         self._join_listeners: List[Callable[[Server], None]] = []
+        self._retire_listeners: List[Callable[[Server], None]] = []
         self._cost_accumulated = 0.0
         self._retired_server_ms = 0.0
         self._cost_marks: Dict[int, float] = {}
@@ -52,6 +53,22 @@ class Provisioner:
     def add_join_listener(self, listener: Callable[[Server], None]) -> None:
         """Register a callback invoked whenever a server joins the fleet."""
         self._join_listeners.append(listener)
+
+    def remove_join_listener(self, listener: Callable[[Server], None]) -> None:
+        """Unregister a callback added with :meth:`add_join_listener`."""
+        if listener in self._join_listeners:
+            self._join_listeners.remove(listener)
+
+    def add_retire_listener(self, listener: Callable[[Server], None]) -> None:
+        """Register a callback invoked whenever a server is retired, while
+        it is still in :attr:`servers`."""
+        self._retire_listeners.append(listener)
+
+    def remove_retire_listener(self,
+                               listener: Callable[[Server], None]) -> None:
+        """Unregister a callback added with :meth:`add_retire_listener`."""
+        if listener in self._retire_listeners:
+            self._retire_listeners.remove(listener)
 
     def boot_server(self, type_name: Optional[str] = None,
                     immediate: bool = False) -> Signal:
@@ -87,6 +104,8 @@ class Provisioner:
         """
         if server not in self.servers:
             raise ValueError(f"{server!r} is not part of this fleet")
+        for listener in self._retire_listeners:
+            listener(server)
         self.servers.remove(server)
         self._retired.append(server)
         started = self._cost_marks.pop(server.server_id, server.started_at)

@@ -14,8 +14,9 @@ Usage::
         print(event)
     print(tracer.summary())
 
-The tracer is pure observation: it wraps manager/GEM entry points and
-subscribes to runtime hooks, never altering decisions.
+The tracer is pure observation: it subscribes to runtime hooks,
+provisioner listeners and the manager's event bus, and detaching
+unsubscribes it from all three.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class ElasticityTracer:
         self.dropped = 0
         self._hooks = _TracerHooks(self)
         self._attached = False
-        self._original_boot = None
-        self._original_retire = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -106,17 +105,9 @@ class ElasticityTracer:
         self._attached = True
         system = self.manager.system
         system.add_hooks(self._hooks)
-        provisioner = system.provisioner
-        provisioner.add_join_listener(self._on_server_join)
-        self._original_retire = provisioner.retire_server
-
-        def retire_traced(server: Server) -> None:
-            self._record("server-retired", server=server.name)
-            self._original_retire(server)
-
-        provisioner.retire_server = retire_traced  # type: ignore[assignment]
-        if hasattr(self.manager, "add_listener"):
-            self.manager.add_listener(self._on_emr_event)
+        system.provisioner.add_join_listener(self._on_server_join)
+        system.provisioner.add_retire_listener(self._on_server_retire)
+        self.manager.add_listener(self._on_emr_event)
 
     def detach(self) -> None:
         if not self._attached:
@@ -125,10 +116,9 @@ class ElasticityTracer:
         system = self.manager.system
         if self._hooks in system.hooks:
             system.remove_hooks(self._hooks)
-        if self._original_retire is not None:
-            system.provisioner.retire_server = self._original_retire
-        if hasattr(self.manager, "remove_listener"):
-            self.manager.remove_listener(self._on_emr_event)
+        system.provisioner.remove_join_listener(self._on_server_join)
+        system.provisioner.remove_retire_listener(self._on_server_retire)
+        self.manager.remove_listener(self._on_emr_event)
 
     # -- event intake -------------------------------------------------------------
 
@@ -142,6 +132,9 @@ class ElasticityTracer:
     def _on_server_join(self, server: Server) -> None:
         self._record("server-joined", server=server.name,
                      type=server.itype.name)
+
+    def _on_server_retire(self, server: Server) -> None:
+        self._record("server-retired", server=server.name)
 
     def _on_emr_event(self, kind: str, detail: Dict[str, Any]) -> None:
         """EMR event-bus intake (server-suspected, gem-failover, faults)."""

@@ -131,10 +131,6 @@ class Scenario:
         payload["faults"] = tuple(payload.get("faults", ()))
         return cls(**payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_jsonable(json.loads(text))
-
     # -- convenience ---------------------------------------------------
 
     def policy_source(self) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..sim import Queue, Signal, Simulator, Timeout, spawn
+from ..sim import Signal, Simulator, Timeout, spawn
 
 __all__ = ["FunctionPlatform", "InvocationStats"]
 

@@ -6,16 +6,24 @@ stateful applications: ~25 ms per DynamoDB write and >70 s to persist a
 22 MB graph.  This model reproduces those characteristics: per-request
 base latency, size-dependent transfer time, and a concurrency limit
 (provisioned throughput) that queues excess requests.
+
+Workers are a count, not processes: the tier keeps how many workers
+wait for a request and a FIFO of requests waiting for a worker, and a
+request's life is two scheduled callbacks (start on a worker, finish).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Optional, Tuple
 
-from ..sim import Queue, Signal, Simulator, Timeout, spawn
+from ..sim import Signal, Simulator
 
 __all__ = ["StorageTier", "StorageStats"]
+
+#: A queued request: op, key, value, size, completion signal, enqueue time.
+_Request = Tuple[str, str, Any, float, Signal, float]
 
 
 @dataclass
@@ -52,46 +60,80 @@ class StorageTier:
         self.concurrency = concurrency
         self.stats = StorageStats()
         self._data: Dict[str, Tuple[Any, float]] = {}
-        self._queue: Queue = Queue(sim)
+        #: Workers waiting for a request.
+        self._free_workers = 0
+        #: Requests waiting for a worker, allocated by the first request
+        #: that has to wait.
+        self._requests: Optional[Deque[_Request]] = None
+        # One arm event per worker: requests start at the same steps a
+        # process per worker would start them.
         for _ in range(concurrency):
-            spawn(sim, self._worker(), name="storage-worker")
+            sim.schedule(0.0, self._next_request)
 
     # -- client API (yield the returned signal) ---------------------------------
 
     def get(self, key: str) -> Signal:
         """Read ``key``; the signal resolves to the stored value or None."""
         done = Signal(self.sim)
-        self._queue.put(("get", key, None, 0.0, done, self.sim.now))
+        self._submit(("get", key, None, 0.0, done, self.sim.now))
         return done
 
     def put(self, key: str, value: Any, size_bytes: float) -> Signal:
         """Write ``key``; the signal resolves to True when durable."""
         done = Signal(self.sim)
-        self._queue.put(("put", key, value, size_bytes, done, self.sim.now))
+        self._submit(("put", key, value, size_bytes, done, self.sim.now))
         return done
 
-    # -- service loop -----------------------------------------------------------
+    # -- service ------------------------------------------------------------------
 
-    def _worker(self):
-        while True:
-            op, key, value, size, done, enqueued = yield self._queue.get()
-            if op == "get":
-                stored = self._data.get(key)
-                payload_size = stored[1] if stored else 0.0
-                delay = self.read_latency_ms + payload_size / self.bytes_per_ms
-                yield Timeout(self.sim, delay)
-                self.stats.reads += 1
-                self.stats.bytes_read += payload_size
-                self.stats.total_latency_ms += self.sim.now - enqueued
-                done.trigger(stored[0] if stored else None)
-            else:
-                delay = self.write_latency_ms + size / self.bytes_per_ms
-                yield Timeout(self.sim, delay)
-                self._data[key] = (value, size)
-                self.stats.writes += 1
-                self.stats.bytes_written += size
-                self.stats.total_latency_ms += self.sim.now - enqueued
-                done.trigger(True)
+    def _submit(self, request: _Request) -> None:
+        """Hand ``request`` to a waiting worker (it starts at the next
+        step), or queue it behind the requests already waiting."""
+        if self._free_workers:
+            self._free_workers -= 1
+            self.sim.schedule(0.0, self._start, request)
+            return
+        requests = self._requests
+        if requests is None:
+            requests = self._requests = deque()
+        requests.append(request)
+
+    def _next_request(self) -> None:
+        """A worker is free: take the oldest waiting request, or wait."""
+        if self._requests:
+            self.sim.schedule(0.0, self._start, self._requests.popleft())
+        else:
+            self._free_workers += 1
+
+    def _start(self, request: _Request) -> None:
+        """A worker takes ``request``.  A read is sized by what is stored
+        when it starts, and returns that."""
+        op, key, _value, size, _done, _enqueued = request
+        stored = None
+        if op == "get":
+            stored = self._data.get(key)
+            size = stored[1] if stored else 0.0
+            delay = self.read_latency_ms + size / self.bytes_per_ms
+        else:
+            delay = self.write_latency_ms + size / self.bytes_per_ms
+        self.sim.schedule(delay, self._finish, request, stored)
+
+    def _finish(self, request: _Request,
+                stored: Optional[Tuple[Any, float]]) -> None:
+        op, key, value, size, done, enqueued = request
+        stats = self.stats
+        if op == "get":
+            stats.reads += 1
+            stats.bytes_read += stored[1] if stored else 0.0
+            result = stored[0] if stored else None
+        else:
+            self._data[key] = (value, size)
+            stats.writes += 1
+            stats.bytes_written += size
+            result = True
+        stats.total_latency_ms += self.sim.now - enqueued
+        done.trigger(result)
+        self._next_request()
 
     # -- inspection ---------------------------------------------------------------
 

@@ -6,14 +6,12 @@ Public surface:
 - :class:`Process`, :func:`spawn` — generator-based processes.
 - :class:`Driver` — the stepping primitive under a process.
 - :class:`Timeout`, :class:`Signal`, :class:`AllOf` — waitables.
-- :class:`Queue` — blocking FIFO between processes.
 - :class:`RandomStreams` — named deterministic RNG streams.
 """
 
 from .engine import SimulationError, Simulator, StopSimulation
 from .process import (AllOf, Driver, Interrupted, Process, Signal, Timeout,
                       Waitable, spawn)
-from .queues import Queue
 from .rng import RandomStreams
 
 __all__ = [
@@ -28,6 +26,5 @@ __all__ = [
     "AllOf",
     "Waitable",
     "Interrupted",
-    "Queue",
     "RandomStreams",
 ]

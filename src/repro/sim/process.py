@@ -6,8 +6,7 @@ resumed with the waitable's result once it fires:
 
     def worker(sim):
         yield Timeout(sim, 10.0)          # sleep 10 ms
-        item = yield queue.get()          # block on a queue
-        yield signal.wait()               # block on a broadcast signal
+        value = yield signal              # block on a broadcast signal
 
 Waitables
 ---------

@@ -79,6 +79,30 @@ def test_concurrency_limit_queues_requests():
     assert t_second >= t_first + 10.0  # serialized behind one worker
 
 
+def test_two_workers_serve_requests_in_fifo_order():
+    sim = Simulator()
+    store = StorageTier(sim, read_latency_ms=10.0, write_latency_ms=25.0,
+                        bytes_per_ms=1.0, concurrency=2)
+    requests = [store.put("a", "A", 0.0),    # worker 1:  0 -> 25
+                store.put("b", "B", 15.0),   # worker 2:  0 -> 40
+                store.get("a"),              # worker 1: 25 -> 35
+                store.get("b"),              # worker 1: 35 -> 45, b not yet stored
+                store.get("b")]              # worker 2: 40 -> 65, reads 15 bytes
+    done = {}
+
+    def wait(index, signal):
+        value = yield signal
+        done[index] = (sim.now, value)
+
+    for index, signal in enumerate(requests):
+        spawn(sim, wait(index, signal))
+    sim.run()
+    assert done == {0: (25.0, True), 1: (40.0, True), 2: (35.0, "A"),
+                    3: (45.0, None), 4: (65.0, "B")}
+    assert store.stats.total_latency_ms == 25.0 + 40.0 + 35.0 + 45.0 + 65.0
+    assert store.stats.bytes_read == 15.0
+
+
 def test_stats_accounting():
     sim = Simulator()
     store = StorageTier(sim)

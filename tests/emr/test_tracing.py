@@ -84,6 +84,30 @@ def test_detach_stops_recording():
     tracer.detach()  # idempotent
 
 
+def test_detached_tracer_records_no_server_joins():
+    bed, manager, tracer, _refs = setup_traced()
+    tracer.detach()
+    bed.provisioner.boot_server(immediate=True)
+    bed.run(until_ms=1.0)
+    assert tracer.of_kind("server-joined") == []
+
+
+def test_tracers_detached_in_attach_order_unwind_cleanly():
+    bed, manager, first, _refs = setup_traced()
+    second = ElasticityTracer(manager)
+    second.attach()
+    joined = [bed.provisioner.boot_server(immediate=True) for _ in range(2)]
+    bed.run(until_ms=1.0)
+    first.detach()
+    bed.provisioner.retire_server(joined[0].value)
+    assert first.of_kind("server-retired") == []
+    assert len(second.of_kind("server-retired")) == 1
+    second.detach()
+    bed.provisioner.retire_server(joined[1].value)
+    assert first.of_kind("server-retired") == []
+    assert len(second.of_kind("server-retired")) == 1
+
+
 def test_event_rendering():
     event = TraceEvent(time_ms=1234.5, kind="migration",
                        detail={"actor": "<W#1>", "src": "a", "dst": "b"})
