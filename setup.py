@@ -14,5 +14,5 @@ setup(
         "Cloud Computing Applications (EuroSys 2020)"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.11",
 )

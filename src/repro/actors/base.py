@@ -21,7 +21,7 @@ import copy
 from typing import Any, Callable, Iterator, List, Optional, Type
 
 from .actor import Actor
-from .directory import ActorCell, ActorRecord, Directory
+from .directory import NO_KWARGS, ActorCell, ActorRecord, Directory
 from .hooks import RuntimeHooks
 from .refs import ActorRef
 
@@ -73,10 +73,11 @@ class ActorSystemBase:
         ``ref`` it revives.  The record keeps its own deep copy of the
         constructor arguments, taken before the constructor can touch
         them, so later in-place mutation by the caller or the instance
-        never rewrites what a resurrection will replay.
+        never rewrites what a resurrection will replay.  No keywords
+        store the shared, read-only :data:`NO_KWARGS`.
         """
         spawn_args = copy.deepcopy(tuple(args))
-        spawn_kwargs = copy.deepcopy(dict(kwargs))
+        spawn_kwargs = copy.deepcopy(dict(kwargs)) if kwargs else NO_KWARGS
         instance = cls(*args, **kwargs)
         if ref is None:
             ref = ActorRef(actor_id=next(self._actor_ids),

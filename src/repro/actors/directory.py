@@ -26,7 +26,9 @@ the old host).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import (Any, Dict, Iterable, List, Mapping, Optional,
+                    TYPE_CHECKING)
 
 from .refs import ActorRef
 
@@ -34,7 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import Server
     from .actor import Actor
 
-__all__ = ["ActorCell", "ActorRecord", "Directory"]
+__all__ = ["ActorCell", "ActorRecord", "Directory", "NO_KWARGS"]
+
+#: The constructor keywords of every actor created without any.
+NO_KWARGS: Mapping[str, Any] = MappingProxyType({})
 
 
 class ActorCell:
@@ -69,7 +74,7 @@ class ActorCell:
         self.handed: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActorRecord:
     """Directory entry for one actor incarnation."""
 
@@ -89,9 +94,10 @@ class ActorRecord:
     placement_epoch: int = 0
     #: Constructor arguments the actor was created with, kept so a crash
     #: tombstone can resurrect the actor (fresh state; §2.2 leaves state
-    #: recovery to the host language runtime).
+    #: recovery to the host language runtime).  Read only: an actor
+    #: created without keywords shares :data:`NO_KWARGS`.
     spawn_args: tuple = ()
-    spawn_kwargs: dict = field(default_factory=dict)
+    spawn_kwargs: Mapping[str, Any] = field(default_factory=lambda: NO_KWARGS)
     #: Runtime state while the incarnation lives; ``None`` once it is
     #: destroyed, so a tombstone holds no mailbox, gate or handler state.
     cell: Optional[ActorCell] = None

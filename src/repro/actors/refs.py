@@ -16,7 +16,7 @@ from dataclasses import dataclass
 __all__ = ["ActorRef"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorRef:
     """Stable, location-transparent handle for one actor."""
 

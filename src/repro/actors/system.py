@@ -265,7 +265,8 @@ class ActorSystem(ActorSystemBase):
         # "spawn-time" state across generations.
         record = self._spawn(cls, chosen,
                              copy.deepcopy(tombstone.spawn_args),
-                             copy.deepcopy(tombstone.spawn_kwargs), ref=ref)
+                             copy.deepcopy(dict(tombstone.spawn_kwargs)),
+                             ref=ref)
         if self.durability is not None:
             # State-preserving recovery: overwrite the fresh spawn-time
             # state with the last acknowledged checkpoint (if any replica

@@ -145,13 +145,18 @@ class LEM:
             # A REPORT a partition ate still costs the full reply wait:
             # the LEM cannot tell a lost message from a slow GEM.
             backend.schedule(config.gem_reply_timeout_ms, reply.trigger, None)
-        return (lem_actions, gem, reply,
-                (actor_snaps, server_snap, mem_used_mb))
+        # Only the debug event reads the round's snapshots after the
+        # wait; otherwise the wait does not keep them alive.
+        snapshot = ((actor_snaps, server_snap, mem_used_mb)
+                    if self.manager.debug_events else None)
+        return lem_actions, gem, reply, snapshot
 
     def finish_round(self, lem_actions: List[Action], gem, reply,
                      snapshot):
         """The generator tail of a round: await the RREPLY (if a REPORT
-        went out), resolve conflicts, QUERY targets, migrate."""
+        went out), resolve conflicts, QUERY targets, migrate.
+        ``snapshot`` is what :meth:`_emit_round_debug` reports, or
+        ``None`` when debug events were off as the round began."""
         gem_actions: List[Action] = []
         if reply is not None:
             result = yield reply
@@ -171,7 +176,7 @@ class LEM:
                     gem_actions = list(actions)
 
         final = resolve_actions(lem_actions, gem_actions)
-        if self.manager.debug_events:
+        if snapshot is not None and self.manager.debug_events:
             self._emit_round_debug(*snapshot, lem_actions, gem_actions,
                                    final)
         for action in final:

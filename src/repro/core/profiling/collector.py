@@ -36,21 +36,23 @@ provably unchanged:
 
 Fields that can change without a profiling hook firing (server, pinned,
 migrating, state size, property refs, placement time) are read fresh
-from the live record on every snapshot, cached or not.  The cached rate
-dictionaries are shared between snapshots and must never be mutated;
-``call_perc`` is always a fresh dict (it is filled per server group).
+from the live record on every snapshot, cached or not.  The cached
+payload itself is what the snapshot points at (see
+:mod:`~repro.core.profiling.snapshot`), so it is never mutated: a
+recompute builds a new one.  ``call_perc`` is a fresh dict whenever the
+payload has call counts (it is filled per server group).
 
 ``tests/golden/test_golden.py`` pins the cache end to end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ...actors import ActorRecord, ActorRef, Message, RuntimeHooks
 from ...cluster import Server
 from ...sim import Simulator
-from .snapshot import ActorSnapshot, ServerSnapshot
+from .snapshot import EMPTY, ActorSnapshot, Rates, ServerSnapshot
 from .stats import ActorStats
 
 __all__ = ["ProfilingRuntime"]
@@ -61,13 +63,12 @@ _MS_PER_MIN = 60_000.0
 _NEVER_REFS = frozenset((type(None), bool, int, float, str, bytes))
 
 
-class _SnapEntry:
-    """Cached meter-derived snapshot payload for one actor."""
+class _SnapEntry(Rates):
+    """Cached meter-derived snapshot payload for one actor: its rates,
+    keyed by when, where and from which meter version they were
+    computed."""
 
-    __slots__ = ("now", "version", "server_id", "idle", "cpu_perc",
-                 "cpu_ms_per_min", "net_bytes_per_min", "net_perc",
-                 "call_count_per_min", "call_bytes_per_min",
-                 "pair_count_per_min")
+    __slots__ = ("now", "version", "server_id", "idle")
 
 
 def _idle_entry() -> _SnapEntry:
@@ -77,9 +78,9 @@ def _idle_entry() -> _SnapEntry:
     entry.idle = True
     entry.cpu_perc = entry.cpu_ms_per_min = 0.0
     entry.net_bytes_per_min = entry.net_perc = 0.0
-    entry.call_count_per_min = {}
-    entry.call_bytes_per_min = {}
-    entry.pair_count_per_min = {}
+    entry.call_count_per_min = EMPTY
+    entry.call_bytes_per_min = EMPTY
+    entry.pair_count_per_min = EMPTY
     return entry
 
 
@@ -227,24 +228,16 @@ class ProfilingRuntime(RuntimeHooks):
             self._snap_cache[actor_id] = entry
             self.snapshot_cache_misses += 1
         server = record.server
-        return ActorSnapshot(
-            ref=record.ref,
-            server=server,
-            cpu_perc=entry.cpu_perc,
-            cpu_ms_per_min=entry.cpu_ms_per_min,
-            mem_mb=record.instance.state_size_mb,
-            mem_perc=(100.0 * record.instance.state_size_mb
-                      / server.itype.memory_mb),
-            net_bytes_per_min=entry.net_bytes_per_min,
-            net_perc=entry.net_perc,
-            call_count_per_min=entry.call_count_per_min,
-            call_bytes_per_min=entry.call_bytes_per_min,
-            pair_count_per_min=entry.pair_count_per_min,
+        state_size_mb = record.instance.state_size_mb
+        return ActorSnapshot.sharing(
+            entry, record.ref, server,
+            mem_mb=state_size_mb,
+            mem_perc=100.0 * state_size_mb / server.itype.memory_mb,
             refs=self._extract_refs(record),
             pinned=record.pinned,
             migrating=record.migrating,
             last_placed_at=record.last_placed_at,
-            state_size_mb=record.instance.state_size_mb)
+            state_size_mb=state_size_mb)
 
     def _compute_entry(self, record: ActorRecord,
                        stats: ActorStats) -> _SnapEntry:
@@ -292,9 +285,10 @@ class ProfilingRuntime(RuntimeHooks):
         return entry
 
     @staticmethod
-    def _extract_refs(record: ActorRecord) -> Dict[str, tuple]:
-        """Capture every property of the actor that holds actor refs."""
-        refs: Dict[str, tuple] = {}
+    def _extract_refs(record: ActorRecord) -> Mapping[str, tuple]:
+        """Capture every property of the actor that holds actor refs
+        (the shared :data:`EMPTY` when none does)."""
+        refs: Mapping[str, tuple] = EMPTY
         instance_vars = getattr(record.instance, "__dict__", {})
         for pname, value in instance_vars.items():
             if pname.startswith("_") or pname == "ref":
@@ -303,6 +297,8 @@ class ProfilingRuntime(RuntimeHooks):
                 continue
             held = record.instance.property_refs(pname)
             if held:
+                if refs is EMPTY:
+                    refs = {}
                 refs[pname] = tuple(held)
         return refs
 

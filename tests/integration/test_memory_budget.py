@@ -5,13 +5,17 @@ of a large fleet is idle (``fleet_hier`` in the end-to-end benchmark).
 An idle actor's mailbox buffer and profile are allocated on first use,
 and its dispatcher is two fields on its cell, not a process, so an actor
 that is never messaged pays only for its record, cell, ref and
-instance.  This gate holds that cost to a byte budget, checks it is
-linear in the actor count (not O(fleet) per actor), and checks that no
-simulation process exists per actor.
+instance.  Each round also snapshots every actor; an idle actor's
+snapshot points at the profiler's shared all-zero rates instead of
+copying them.  This gate holds both costs to byte budgets, checks the
+held cost is linear in the actor count (not O(fleet) per actor), and
+checks that no simulation process exists per actor.
 
-Measured with tracemalloc: the bytes still allocated after three
-elasticity periods, minus the same scenario with no idle actors,
-divided by the number of idle actors.
+Measured with tracemalloc over three elasticity periods, minus the same
+scenario with no idle actors, divided by the number of idle actors:
+the bytes still allocated at the end (*held*), and the high-water mark
+(*peak*), which includes the snapshots a round holds while its GEMs
+decide.
 """
 
 import gc
@@ -24,9 +28,13 @@ from repro.sim import Process
 
 SERVERS = 20
 PERIOD_MS = 5_000.0
-#: Bytes per idle actor.  Eager allocation measured ~5,300; lazy
-#: buffers with a dispatcher process per actor ~1,980; without it ~920.
-BUDGET_BYTES = 1_200
+#: Held bytes per idle actor.  Eager allocation measured ~5,300; lazy
+#: buffers with a dispatcher process per actor ~1,980; without it ~920;
+#: with slotted records and refs and shared empty keywords ~760.
+BUDGET_BYTES = 850
+#: Peak bytes per idle actor.  ~1,400 with a copied snapshot per actor
+#: per round; ~1,000 with snapshots that share the profiler's rates.
+PEAK_BUDGET_BYTES = 1_150
 
 #: The never-firing policy of the ``fleet_hier`` benchmark workload.
 QUIET_POLICY = """
@@ -51,30 +59,36 @@ def _scenario(actors):
 
 
 def _measure(actors):
-    """Traced bytes held after the scenario, and its live processes."""
+    """Traced bytes held after the scenario, the traced peak during it,
+    and its live processes."""
     gc.collect()
     tracemalloc.start()
     try:
         scenario = _scenario(actors)
         gc.collect()
-        size = tracemalloc.get_traced_memory()[0]
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     processes = sum(isinstance(obj, Process) for obj in gc.get_objects())
     del scenario
-    return size, processes
+    return size, peak, processes
 
 
 def test_idle_actor_memory_is_bounded_and_linear():
     _scenario(50)  # warm interpreter caches outside the measurement
-    empty, _ = _measure(0)
+    empty, empty_peak, _ = _measure(0)
     measured = {n: _measure(n) for n in (500, 2_000)}
-    per_actor = {n: (size - empty) / n for n, (size, _) in measured.items()}
+    per_actor = {n: (size - empty) / n
+                 for n, (size, _, _) in measured.items()}
     assert per_actor[500] <= BUDGET_BYTES, per_actor
     assert per_actor[2_000] <= BUDGET_BYTES, per_actor
     assert abs(per_actor[2_000] - per_actor[500]) <= 0.10 * per_actor[500], \
         per_actor
+    peak_per_actor = {n: (peak - empty_peak) / n
+                      for n, (_, peak, _) in measured.items()}
+    assert peak_per_actor[500] <= PEAK_BUDGET_BYTES, peak_per_actor
+    assert peak_per_actor[2_000] <= PEAK_BUDGET_BYTES, peak_per_actor
     # Control-plane processes scale with the 20 servers; none is an
     # actor's.
-    processes = {n: count for n, (_, count) in measured.items()}
+    processes = {n: count for n, (_, _, count) in measured.items()}
     assert processes[500] == processes[2_000], processes
