@@ -67,7 +67,7 @@ def run_dynamic(graph, iterations=80, max_servers=16, seed=4,
                                 placement=[0] * NUM_PARTITIONS)
     policy = compile_source(PAGERANK_POLICY, [PageRankWorker])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
-        period_ms=PERIOD_MS, gem_wait_ms=2_000.0, allow_scale_out=True,
+        period_ms=PERIOD_MS, gem_wait_ms=2_000.0,
         max_scale_out_per_period=2))
     manager.start()
     recorder = None

@@ -58,8 +58,7 @@ def run_steady_state(interval_ms, duration_ms=60_000.0):
     durability = None
     if interval_ms is not None:
         durability = DurabilityConfig(
-            enabled=True, checkpoint_interval_ms=interval_ms,
-            replication_factor=2)
+            checkpoint_interval_ms=interval_ms, replication_factor=2)
     manager = ElasticityManager(
         bed.system, compile_source(ACCOUNT_POLICY, [Account]),
         EmrConfig(durability=durability, **EMR))
@@ -146,7 +145,6 @@ def test_estore_recovery_preserves_acknowledged_state(report):
         bed.system, compile_source(ESTORE_POLICY, [Partition]),
         EmrConfig(suspicion_timeout_ms=6_000.0,
                   durability=DurabilityConfig(
-                      enabled=True,
                       checkpoint_interval_ms=CHECKPOINT_INTERVAL_MS),
                   **EMR))
     manager.start()

@@ -65,6 +65,9 @@ _actor_ids = itertools.count(1)
 
 _STOP = object()
 _MAX_FORWARDS = 8
+#: Trailing window over which ``_admit`` reads the host's CPU
+#: utilisation for ``OverloadConfig.admission_cpu_perc``.
+ADMISSION_CPU_WINDOW_MS = 1_000.0
 #: A mailbox no message has had to wait in yet: empty, sized, shared.
 #: The first message that must wait replaces it with a deque.
 _NO_MAIL: Tuple[()] = ()
@@ -99,8 +102,8 @@ class ActorSystem(ActorSystemBase):
         self.migration_phase_timeout_ms = 2_000.0
         #: Migrations rolled back by a partition or phase timeout.
         self.migrations_rolled_back = 0
-        #: Durable-state subsystem (``repro.durability``), attached by an
-        #: enabled ``DurabilityManager``; ``None`` keeps every durability
+        #: Durable-state subsystem (``repro.durability``), attached by a
+        #: ``DurabilityManager``; ``None`` keeps every durability
         #: call site in this module a single attribute check.
         self.durability = None
         #: Overload-protection subsystem (``repro.overload``), attached
@@ -463,8 +466,7 @@ class ActorSystem(ActorSystemBase):
                 (config.admission_queue_depth
                  and len(mailbox) >= config.admission_queue_depth)
                 or (config.admission_cpu_perc
-                    and target.server.cpu_percent(
-                        config.admission_cpu_window_ms)
+                    and target.server.cpu_percent(ADMISSION_CPU_WINDOW_MS)
                     >= config.admission_cpu_perc)):
             overload.note_rejected(message)
             for hooks in self.hooks:

@@ -296,9 +296,7 @@ def run_media_experiment(period_ms: float = 60_000.0,
         policy = compile_source(MEDIA_POLICY, MEDIA_ACTOR_CLASSES)
         manager = ElasticityManager(bed.system, policy, EmrConfig(
             period_ms=period_ms, gem_wait_ms=2_000.0,
-            allow_scale_out=True, allow_scale_in=True,
-            min_servers=initial_servers,
-            max_scale_out_per_period=8,
+            min_servers=initial_servers, max_scale_out_per_period=8,
             scale_instance_type="m1.small"))
         manager.start()
 

@@ -295,7 +295,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     else:
         scenario = generate_scenario(args.seed, profile="durability")
     durability = dict(scenario.durability or {})
-    durability["enabled"] = True
     durability.setdefault("checkpoint_interval_ms", scenario.period_ms)
     if args.interval_ms is not None:
         durability["checkpoint_interval_ms"] = args.interval_ms

@@ -48,18 +48,16 @@ class EmrConfig:
     gem_count: int = 1
     #: How long a GEM collects REPORTs after the first one each round.
     gem_wait_ms: float = 2_000.0
-    #: Minimum number of reports before a GEM processes (paper's K).
-    min_reports: int = 1
     #: LEM waits at most this long for its GEM's RREPLY before proceeding
     #: with local actions only (GEM failure tolerance, §4.3).
     gem_reply_timeout_ms: float = 10_000.0
     #: Max migrations planned per source server per period.
     max_moves_per_server: int = 3
-    #: Scale-out/in of the server fleet (dynamic resource allocation).
-    allow_scale_out: bool = False
-    allow_scale_in: bool = False
-    min_servers: int = 1
-    max_scale_out_per_period: int = 1
+    #: Fleet scaling: a GEM boots at most this many servers per period
+    #: (``0``, the default, means no scale-out) and drains a server only
+    #: while the fleet exceeds ``min_servers`` (``None``: no scale-in).
+    max_scale_out_per_period: int = 0
+    min_servers: Optional[int] = None
     #: Instance type to boot on scale-out; ``None`` = provisioner default.
     scale_instance_type: Optional[str] = None
     #: Offset between successive LEM period timers (avoids thundering herd).
@@ -67,17 +65,13 @@ class EmrConfig:
     #: CPU charged per profiled message (EPR overhead model, Table 3).
     profiling_overhead_cpu_ms: float = 0.0
     #: Failure detection: a server whose LEM has not reported for this
-    #: long is suspected dead and its lost actors are resurrected.
+    #: long is suspected dead and its lost actors are resurrected cold.
     #: ``None`` (the default) disables detection; when set it must exceed
     #: ``period_ms``, because healthy LEMs report once per period.
     suspicion_timeout_ms: Optional[float] = None
-    #: Re-create actors lost to a confirmed server failure through the
-    #: rule-aware placement path (only effective with detection on).
-    resurrect_lost_actors: bool = True
     #: Durable actor state (checkpoints, journaling, state-preserving
-    #: recovery).  ``None`` — or a config with ``enabled=False`` — keeps
-    #: the subsystem fully inert: no hooks, no scheduling, no RNG, so
-    #: fault-free golden traces stay bit-identical.
+    #: recovery).  ``None`` keeps the subsystem fully inert: no hooks, no
+    #: scheduling, no RNG, so fault-free golden traces stay bit-identical.
     durability: Optional[DurabilityConfig] = None
     #: Overload protection (bounded mailboxes, admission control,
     #: brownout reporting).  ``None`` keeps the subsystem fully inert:
@@ -85,11 +79,6 @@ class EmrConfig:
     #: always ship full REPORTs, and the failure detector grants no
     #: drowning grace — golden traces stay bit-identical.
     overload: Optional[OverloadConfig] = None
-    #: Seed a resurrected actor's EPR profile from its pre-crash stats
-    #: instead of starting cold, so rules re-converge faster after a
-    #: recovery.  Off by default (a restarted actor's past rates may no
-    #: longer describe it).
-    warm_start_profiles: bool = False
 
     def __post_init__(self) -> None:
         if self.period_ms <= 0:
@@ -111,7 +100,7 @@ class EmrConfig:
                 "LEM would time out before its GEM even starts planning")
         if self.max_moves_per_server < 1:
             raise ValueError("max_moves_per_server must be at least 1")
-        if self.min_servers < 0 or self.max_scale_out_per_period < 1:
+        if self.max_scale_out_per_period < 0 or (self.min_servers or 0) < 0:
             raise ValueError("invalid fleet scaling bounds")
         if self.lem_stagger_ms < 0:
             raise ValueError("lem_stagger_ms must be non-negative")

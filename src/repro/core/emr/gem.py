@@ -77,12 +77,11 @@ class GEM:
                        server_snap: ServerSnapshot, reply: Signal) -> None:
         """REPORT from a LEM.  Processing starts ``gem_wait_ms`` after the
         first report of a round, so co-managed servers are considered
-        together (the paper waits for |servers| > K reports)."""
+        together (the paper's K of reports to wait for is fixed at one)."""
         if self.failed:
             return
         self._reports.append((lem, actors, server_snap, reply))
-        enough = len(self._reports) >= max(1, self.manager.config.min_reports)
-        if not self._processing_scheduled and enough:
+        if not self._processing_scheduled:
             self._processing_scheduled = True
             self.manager.backend.schedule(
                 self.manager.config.gem_wait_ms, self._process)
@@ -344,9 +343,8 @@ class GEM:
 
     def _try_scale_out(self) -> None:
         config = self.manager.config
-        if not config.allow_scale_out or self.degraded:
-            return
-        if self._boots_this_round >= config.max_scale_out_per_period:
+        if (self.degraded
+                or self._boots_this_round >= config.max_scale_out_per_period):
             return
         if self.manager.backend.pending_boots() > 0:
             return
@@ -361,7 +359,8 @@ class GEM:
                       actors_by_server: Dict[int, List[ActorSnapshot]],
                       bounds: Optional[Tuple[float, float]]) -> List[Action]:
         config = self.manager.config
-        if not config.allow_scale_in or self.degraded or len(servers) < 2:
+        if (config.min_servers is None or self.degraded
+                or len(servers) < 2):
             return []
         lower, upper = bounds if bounds else (60.0, 80.0)
         if len(self.manager.backend.servers()) <= config.min_servers:

@@ -106,9 +106,8 @@ class ElasticityManager:
         self.running = False
         self.profiler = ProfilingRuntime(
             self.backend.clock, window_ms=self.config.period_ms,
-            overhead_cpu_ms=self.config.profiling_overhead_cpu_ms,
-            warm_start=self.config.warm_start_profiles)
-        #: Durable-state subsystem; created at start() when an enabled
+            overhead_cpu_ms=self.config.profiling_overhead_cpu_ms)
+        #: Durable-state subsystem; created at start() when a
         #: DurabilityConfig is carried on the EmrConfig, else None.
         self.durability = None
         #: Overload-protection subsystem; created at start() when an
@@ -174,8 +173,7 @@ class ElasticityManager:
                 self.system, self.config.overload, emit=self.emit)
         self.backend.install(self.placement, lambda: self.epoch,
                              self.overload)
-        if (self.config.durability is not None
-                and self.config.durability.enabled):
+        if self.config.durability is not None:
             from ...durability import DurabilityManager
             self.durability = DurabilityManager(self)
             self.durability.start()
@@ -358,8 +356,6 @@ class ElasticityManager:
         lost = self._lost_actors.pop(server.server_id, [])
         self.emit("server-suspected", server=server.name,
                   silence_ms=silence_ms, lost_actors=len(lost))
-        if not self.config.resurrect_lost_actors:
-            return
         for record in lost:
             self.backend.resurrect_actor(record)
 

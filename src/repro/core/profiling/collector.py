@@ -47,7 +47,7 @@ payload has call counts (it is filled per server group).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from ...actors import ActorRecord, ActorRef, Message, RuntimeHooks
 from ...cluster import Server
@@ -101,30 +101,18 @@ class ProfilingRuntime(RuntimeHooks):
     overhead_cpu_ms:
         CPU cost charged to the hosting server per profiled message
         (models the measured sub-percent EPR overhead of Table 3).
-    warm_start:
-        Keep the stats of destroyed actors in a bounded cache and, when
-        an actor is resurrected, seed its new profile from the pre-crash
-        stats instead of starting cold — rules re-converge faster after
-        a recovery at the price of briefly trusting stale rates.
     """
 
-    #: Retired-stats retention for ``warm_start`` (FIFO eviction).
-    _RETIRED_CAP = 1024
-
     def __init__(self, sim: Simulator, window_ms: float = 60_000.0,
-                 overhead_cpu_ms: float = 0.0,
-                 warm_start: bool = False) -> None:
+                 overhead_cpu_ms: float = 0.0) -> None:
         self.sim = sim
         self.window_ms = window_ms
         self.overhead_cpu_ms = overhead_cpu_ms
-        self.warm_start = warm_start
         self._stats: Dict[int, ActorStats] = {}
         self._snap_cache: Dict[int, _SnapEntry] = {}
-        self._retired: Dict[int, Optional[ActorStats]] = {}
         self.messages_profiled = 0
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
-        self.warm_starts = 0
 
     def _new_stats(self, actor_id: int) -> ActorStats:
         """Build an actor's profile on its first ingest."""
@@ -135,29 +123,15 @@ class ProfilingRuntime(RuntimeHooks):
     # -- RuntimeHooks ---------------------------------------------------------
 
     def on_actor_destroyed(self, record: ActorRecord) -> None:
-        stats = self._stats.pop(record.ref.actor_id, None)
+        self._stats.pop(record.ref.actor_id, None)
         self._snap_cache.pop(record.ref.actor_id, None)
-        if self.warm_start:
-            # A never-profiled actor retires as None: its resurrection
-            # is a warm start of an all-zero profile.
-            self._retired[record.ref.actor_id] = stats
-            while len(self._retired) > self._RETIRED_CAP:
-                self._retired.pop(next(iter(self._retired)))
 
     def on_actor_resurrected(self, record: ActorRecord) -> None:
-        # By default a resurrected actor restarts from fresh state, so
-        # its profile restarts too — pre-crash rates must not drive
-        # post-crash rules.  With warm_start (meant to pair with
-        # checkpoint restore, where the state actually survives), the
-        # pre-crash stats are carried over instead.
+        # A resurrected actor's profile restarts cold: pre-crash rates
+        # must not drive post-crash rules.
         actor_id = record.ref.actor_id
         self._snap_cache.pop(actor_id, None)
         self._stats.pop(actor_id, None)
-        if self.warm_start and actor_id in self._retired:
-            stats = self._retired.pop(actor_id)
-            if stats is not None:
-                self._stats[actor_id] = stats
-            self.warm_starts += 1
 
     def on_message_delivered(self, record: ActorRecord,
                              message: Message) -> None:

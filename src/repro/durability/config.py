@@ -1,12 +1,14 @@
 """Configuration for the durable-state subsystem.
 
-``DurabilityConfig`` is carried on ``EmrConfig.durability``.  The
-default is **off**: with ``enabled=False`` (or the field left ``None``)
-the runtime schedules nothing, charges nothing, and consumes no
+``DurabilityConfig`` is carried on ``EmrConfig.durability``, and its
+presence is the switch.  The default is **off**: with the field left
+``None`` the runtime schedules nothing, charges nothing, and consumes no
 randomness, so fault-free golden traces stay bit-identical to a build
 without the subsystem.  The subsystem itself never draws from an RNG
-even when enabled — replica placement and checkpoint timing are fully
-deterministic functions of the simulation state.
+even when on — replica placement and checkpoint timing are fully
+deterministic functions of the simulation state.  Retention is fixed:
+``repro.durability.store.MAX_CHECKPOINTS_PER_ACTOR`` acknowledged
+checkpoints per actor (4) are kept, older ones pruned.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = ["DurabilityConfig"]
 class DurabilityConfig:
     """Knobs for checkpointing, replication, and journaling.
 
-    enabled:
-        Master switch.  ``False`` makes the whole subsystem inert.
     checkpoint_interval_ms:
         Period of the background checkpoint sweep.  Each sweep
         checkpoints every actor that processed at least one message
@@ -51,19 +51,14 @@ class DurabilityConfig:
         During two-phase migration, take a checkpoint at transfer start
         whose sole replica is the migration target; commit acknowledges
         it, rollback restores the instance from it.
-    max_checkpoints_per_actor:
-        Retention cap per actor; older acknowledged checkpoints beyond
-        the cap are pruned.
     """
 
-    enabled: bool = False
     checkpoint_interval_ms: float = 10_000.0
     dirty_message_threshold: Optional[int] = None
     replication_factor: int = 2
     serialize_cpu_ms: float = 0.2
     snapshot_fraction: float = 1.0
     ship_transfer_checkpoint: bool = True
-    max_checkpoints_per_actor: int = 4
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval_ms <= 0:
@@ -82,6 +77,3 @@ class DurabilityConfig:
         if not 0.0 < self.snapshot_fraction <= 1.0:
             raise ValueError("snapshot_fraction must be in (0, 1], "
                              f"got {self.snapshot_fraction!r}")
-        if self.max_checkpoints_per_actor < 1:
-            raise ValueError("max_checkpoints_per_actor must be >= 1, "
-                             f"got {self.max_checkpoints_per_actor!r}")

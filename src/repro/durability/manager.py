@@ -102,12 +102,10 @@ class DurabilityManager:
         self.emr = emr
         self.system = emr.system
         config = emr.config.durability
-        if config is None or not config.enabled:
-            raise ValueError("DurabilityManager requires an enabled "
-                             "DurabilityConfig")
+        if config is None:
+            raise ValueError("DurabilityManager requires a DurabilityConfig")
         self.config: DurabilityConfig = config
-        self.store = StateStore(
-            max_per_actor=config.max_checkpoints_per_actor)
+        self.store = StateStore()
         self.running = False
         self.restores = 0
         self.restore_misses = 0

@@ -29,6 +29,10 @@ __all__ = ["Checkpoint", "JournalEntry", "StateStore", "state_digest"]
 #: stay valid.
 _JOURNAL_CAP = 50_000
 
+#: Checkpoint retention per actor: acknowledged checkpoints older than
+#: the newest this many are pruned.
+MAX_CHECKPOINTS_PER_ACTOR = 4
+
 
 def state_digest(state: Dict[str, Any]) -> str:
     """Deterministic content digest of a snapshot payload.
@@ -81,8 +85,7 @@ class JournalEntry:
 class StateStore:
     """Checkpoints plus write-ahead journal, indexed by actor id."""
 
-    def __init__(self, max_per_actor: int = 4) -> None:
-        self.max_per_actor = max_per_actor
+    def __init__(self) -> None:
         self.journal: List[JournalEntry] = []
         self._checkpoints: Dict[int, List[Checkpoint]] = {}
         self._seq: Dict[int, int] = {}
@@ -167,9 +170,9 @@ class StateStore:
         if history is None:
             return
         acked = [cp for cp in history if cp.acked]
-        if len(acked) <= self.max_per_actor:
+        if len(acked) <= MAX_CHECKPOINTS_PER_ACTOR:
             return
-        drop = set(id(cp) for cp in acked[:-self.max_per_actor])
+        drop = set(id(cp) for cp in acked[:-MAX_CHECKPOINTS_PER_ACTOR])
         self._checkpoints[actor_id] = [
             cp for cp in history if id(cp) not in drop]
 

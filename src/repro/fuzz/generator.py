@@ -279,14 +279,13 @@ def _gen_storm(rng: random.Random,
 
 def _gen_durability(rng: random.Random,
                     period_ms: float) -> Dict[str, Any]:
-    """A random enabled ``DurabilityConfig`` kwargs dict.
+    """A random ``DurabilityConfig`` kwargs dict.
 
     Intervals are drawn relative to the elasticity period so checkpoints
     interleave with LEM/GEM rounds and migrations rather than straddling
     whole runs.
     """
     config: Dict[str, Any] = {
-        "enabled": True,
         "checkpoint_interval_ms": round(
             period_ms * rng.choice((0.25, 0.5, 1.0)), 1),
         "replication_factor": rng.choice((1, 2)),

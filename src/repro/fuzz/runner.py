@@ -256,9 +256,9 @@ def run_scenario(scenario: Scenario, strict: bool = False,
             gem_wait_ms=scenario.gem_wait_ms,
             lem_stagger_ms=scenario.lem_stagger_ms,
             max_moves_per_server=scenario.max_moves_per_server,
-            allow_scale_out=scenario.allow_scale_out,
-            allow_scale_in=scenario.allow_scale_in,
-            min_servers=scenario.min_servers,
+            max_scale_out_per_period=int(scenario.allow_scale_out),
+            min_servers=(scenario.min_servers if scenario.allow_scale_in
+                         else None),
             suspicion_timeout_ms=scenario.suspicion_timeout_ms,
             durability=(DurabilityConfig(**scenario.durability)
                         if scenario.durability is not None else None),

@@ -46,6 +46,8 @@ class Scenario:
     gem_wait_ms: float = 300.0
     lem_stagger_ms: float = 10.0
     max_moves_per_server: int = 3
+    #: Scale-out boots at most one server per period; scale-in drains
+    #: down to ``min_servers`` (the runner maps both onto ``EmrConfig``).
     allow_scale_out: bool = False
     allow_scale_in: bool = False
     min_servers: int = 1
@@ -123,6 +125,14 @@ class Scenario:
             raise ValueError(f"unknown control_plane {legacy!r}")
         if legacy == "flat":
             payload["server_group_size"] = None
+        # Legacy key: artifacts written while ``DurabilityConfig`` had an
+        # ``enabled`` switch carry it.  The dict's presence is the switch
+        # now, so ``true`` is dropped and ``false`` turns durability off.
+        durability = payload.get("durability")
+        if durability is not None and "enabled" in durability:
+            durability = dict(durability)
+            payload["durability"] = (durability if durability.pop("enabled")
+                                     else None)
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:

@@ -44,11 +44,10 @@ class OverloadConfig:
     #: Reject new client requests when the target's mailbox already
     #: holds this many messages; 0 disables the queue-depth check.
     admission_queue_depth: int = 0
-    #: Reject new client requests when the hosting server's windowed
-    #: CPU utilisation is at or above this percentage; 0 disables.
+    #: Reject new client requests when the hosting server's CPU
+    #: utilisation over a fixed 1 s window (``ADMISSION_CPU_WINDOW_MS`` in
+    #: ``repro.actors.system``) is at or above this percentage; 0 disables.
     admission_cpu_perc: float = 0.0
-    #: Trailing window for the admission CPU check.
-    admission_cpu_window_ms: float = 1_000.0
     #: Enter brownout after ``brownout_enter_rounds`` consecutive LEM
     #: rounds at or above this CPU percentage.
     brownout_enter_cpu_perc: float = 90.0
@@ -82,8 +81,6 @@ class OverloadConfig:
             raise ValueError("admission_queue_depth must be >= 0")
         if not 0.0 <= self.admission_cpu_perc <= 100.0:
             raise ValueError("admission_cpu_perc must be in [0, 100]")
-        if self.admission_cpu_window_ms <= 0:
-            raise ValueError("admission_cpu_window_ms must be positive")
         if not 0.0 <= self.brownout_enter_cpu_perc <= 100.0:
             raise ValueError("brownout_enter_cpu_perc must be in [0, 100]")
         if not 0.0 <= self.brownout_exit_cpu_perc <= 100.0:

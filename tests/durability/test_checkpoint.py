@@ -7,6 +7,7 @@ from repro.actors import Actor, Client
 from repro.bench import build_cluster
 from repro.core import ElasticityManager, EmrConfig, compile_source
 from repro.durability import DurabilityConfig, DurabilityManager
+from repro.fuzz import Scenario
 from repro.sim import spawn
 
 
@@ -54,23 +55,21 @@ def record_events(manager):
     dict(serialize_cpu_ms=-0.1),
     dict(snapshot_fraction=0.0),
     dict(snapshot_fraction=1.5),
-    dict(max_checkpoints_per_actor=0),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ValueError):
-        DurabilityConfig(enabled=True, **bad)
+        DurabilityConfig(**bad)
 
 
 def test_emr_config_rejects_non_config_durability():
     with pytest.raises(ValueError, match="durability"):
-        EmrConfig(durability={"enabled": True})
+        EmrConfig(durability={"checkpoint_interval_ms": 1_000.0})
 
 
 def test_manager_requires_enabled_config():
     bed = build_cluster(2)
-    manager = make_manager(
-        bed, durability=DurabilityConfig(enabled=False))
-    with pytest.raises(ValueError, match="enabled"):
+    manager = make_manager(bed, durability=None)
+    with pytest.raises(ValueError, match="DurabilityConfig"):
         DurabilityManager(manager)
 
 
@@ -79,16 +78,15 @@ def test_manager_requires_enabled_config():
 
 def test_disabled_attaches_nothing():
     bed = build_cluster(2)
-    for durability in (None, DurabilityConfig(enabled=False)):
-        manager = make_manager(bed, durability=durability)
-        events = record_events(manager)
-        manager.start()
-        bed.system.create_actor(Counter)
-        bed.run(until_ms=bed.sim.now + 5_000.0)
-        assert manager.durability is None
-        assert bed.system.durability is None
-        assert not any(kind.startswith("checkpoint") for kind, _ in events)
-        manager.stop()
+    manager = make_manager(bed, durability=None)
+    events = record_events(manager)
+    manager.start()
+    bed.system.create_actor(Counter)
+    bed.run(until_ms=bed.sim.now + 5_000.0)
+    assert manager.durability is None
+    assert bed.system.durability is None
+    assert not any(kind.startswith("checkpoint") for kind, _ in events)
+    manager.stop()
 
 
 def fingerprint(seed, durability):
@@ -114,16 +112,20 @@ def fingerprint(seed, durability):
 
 
 def test_disabled_config_is_bit_identical_to_none():
-    """DurabilityConfig(enabled=False) must not perturb the execution —
-    the golden-trace guarantee for runs that never opt in."""
-    assert fingerprint(11, None) == \
-        fingerprint(11, DurabilityConfig(enabled=False))
+    """``durability=None`` is the only off-state: the legacy
+    ``enabled: false`` spelling old fuzz artifacts carry loads as exactly
+    that, so those runs keep the golden-trace guarantee."""
+    legacy = Scenario(seed=11, app="estore", durability={
+        "enabled": False, "checkpoint_interval_ms": 1_000.0}).to_jsonable()
+    off = Scenario.from_jsonable(legacy).durability
+    assert off is None
+    assert fingerprint(11, off) == fingerprint(11, None)
 
 
 def test_enabled_run_diverges_only_in_durability_events():
     base = fingerprint(11, None)
     durable = fingerprint(11, DurabilityConfig(
-        enabled=True, checkpoint_interval_ms=1_000.0,
+        checkpoint_interval_ms=1_000.0,
         serialize_cpu_ms=0.0))
     stripped = tuple(kind for kind in durable[0]
                      if not kind.startswith("checkpoint"))
@@ -156,7 +158,7 @@ def run_durable(durability, until_ms=10_000.0, servers=3, load=True):
 
 
 def test_baseline_and_periodic_checkpoints():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=1_000.0)
+    config = DurabilityConfig(checkpoint_interval_ms=1_000.0)
     bed, manager, refs, events = run_durable(config)
     written = [d for k, d in events if k == "checkpoint-written"]
     acked = [d for k, d in events if k == "checkpoint-replicated"]
@@ -177,7 +179,7 @@ def test_baseline_and_periodic_checkpoints():
 
 
 def test_idle_actors_are_not_rewritten():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=1_000.0)
+    config = DurabilityConfig(checkpoint_interval_ms=1_000.0)
     _bed, manager, refs, events = run_durable(config, load=False)
     written = [d for k, d in events if k == "checkpoint-written"]
     # Nothing dirtied the actors after the baseline: one write each.
@@ -185,8 +187,7 @@ def test_idle_actors_are_not_rewritten():
 
 
 def test_dirty_threshold_triggers_immediate_checkpoint():
-    config = DurabilityConfig(enabled=True,
-                              checkpoint_interval_ms=60_000.0,
+    config = DurabilityConfig(checkpoint_interval_ms=60_000.0,
                               dirty_message_threshold=5)
     _bed, manager, refs, events = run_durable(config, until_ms=5_000.0)
     triggers = [d["trigger"] for k, d in events
@@ -196,7 +197,7 @@ def test_dirty_threshold_triggers_immediate_checkpoint():
 
 
 def test_replication_charges_nic_meters():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0,
+    config = DurabilityConfig(checkpoint_interval_ms=500.0,
                               replication_factor=2)
     bed, manager, _refs, _events = run_durable(config, load=True)
     assert manager.durability.store.bytes_replicated > 0
@@ -207,7 +208,7 @@ def test_replication_charges_nic_meters():
 
 
 def test_host_crash_aborts_inflight_writes():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0,
+    config = DurabilityConfig(checkpoint_interval_ms=500.0,
                               # Slow the copies down so some are in
                               # flight at crash time.
                               snapshot_fraction=1.0)
@@ -223,7 +224,7 @@ def test_host_crash_aborts_inflight_writes():
 
 
 def test_replica_holder_crash_discards_its_copies():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0,
+    config = DurabilityConfig(checkpoint_interval_ms=500.0,
                               replication_factor=2)
     bed, manager, _refs, _events = run_durable(config, until_ms=3_000.0)
     crash_at = bed.sim.now
@@ -235,7 +236,7 @@ def test_replica_holder_crash_discards_its_copies():
 
 
 def test_replica_choice_is_deterministic_and_spread():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0,
+    config = DurabilityConfig(checkpoint_interval_ms=500.0,
                               replication_factor=1)
     bed, manager, _refs, _events = run_durable(config)
     choose = manager.durability._choose_replicas
@@ -248,7 +249,7 @@ def test_replica_choice_is_deterministic_and_spread():
 
 
 def test_stop_detaches_cleanly():
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0)
+    config = DurabilityConfig(checkpoint_interval_ms=500.0)
     bed, manager, _refs, events = run_durable(config, until_ms=2_000.0)
     assert bed.system.durability is manager.durability
     manager.stop()

@@ -53,7 +53,7 @@ def record_events(manager):
 
 def test_resurrection_restores_last_acknowledged_state():
     bed = build_cluster(3, seed=3)
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0)
+    config = DurabilityConfig(checkpoint_interval_ms=500.0)
     manager = make_manager(bed, config)
     events = record_events(manager)
     ref = bed.system.create_actor(Counter, server=bed.servers[0])
@@ -106,7 +106,7 @@ def test_without_durability_resurrection_is_fresh():
 
 def test_restore_miss_when_no_checkpoint_survives():
     bed = build_cluster(3, seed=3)
-    config = DurabilityConfig(enabled=True, checkpoint_interval_ms=500.0)
+    config = DurabilityConfig(checkpoint_interval_ms=500.0)
     manager = make_manager(bed, config)
     events = record_events(manager)
     ref = bed.system.create_actor(Counter, server=bed.servers[0])
@@ -124,8 +124,7 @@ def test_restore_miss_when_no_checkpoint_survives():
 
 def test_journal_suffix_replayed_on_restore():
     bed = build_cluster(3, seed=3)
-    config = DurabilityConfig(enabled=True,
-                              checkpoint_interval_ms=500.0)
+    config = DurabilityConfig(checkpoint_interval_ms=500.0)
     manager = make_manager(bed, config)
     events = record_events(manager)
     ref = bed.system.create_actor(Counter, server=bed.servers[0])
@@ -157,8 +156,7 @@ class BigCounter(Counter):
 
 def test_rollback_restores_transfer_checkpoint():
     bed = build_cluster(2, seed=3)
-    config = DurabilityConfig(enabled=True,
-                              checkpoint_interval_ms=60_000.0)
+    config = DurabilityConfig(checkpoint_interval_ms=60_000.0)
     manager = make_manager(bed, config, suspicion_timeout_ms=None)
     events = record_events(manager)
     src, dst = bed.servers
@@ -188,8 +186,7 @@ def test_rollback_restores_transfer_checkpoint():
 
 def test_committed_migration_acks_transfer_checkpoint():
     bed = build_cluster(2, seed=3)
-    config = DurabilityConfig(enabled=True,
-                              checkpoint_interval_ms=60_000.0)
+    config = DurabilityConfig(checkpoint_interval_ms=60_000.0)
     manager = make_manager(bed, config, suspicion_timeout_ms=None)
     events = record_events(manager)
     src, dst = bed.servers
@@ -249,8 +246,7 @@ def run_client_through_crash(durability, seed=13):
 def test_call_in_flight_across_crash_observes_restored_state():
     # Checkpoint after every message: the acknowledged tail at crash
     # time is within one write of the applied total.
-    config = DurabilityConfig(enabled=True,
-                              checkpoint_interval_ms=2_000.0,
+    config = DurabilityConfig(checkpoint_interval_ms=2_000.0,
                               dirty_message_threshold=1)
     replies, final, attempts = run_client_through_crash(config)
     pre = [value for t, value in replies if t < 4_000.0]

@@ -97,17 +97,18 @@ def test_discard_replicas_on_crashed_server():
 
 
 def test_prune_keeps_only_max_acked_checkpoints():
-    store = StateStore(max_per_actor=2)
+    keep = store_module.MAX_CHECKPOINTS_PER_ACTOR
+    store = StateStore()
     server = FakeServer("a")
     acked = []
-    for i in range(4):
+    for i in range(keep + 1):
         checkpoint = make_checkpoint(store, state={"total": i},
                                      replicas=(server,))
         store.add(checkpoint)
         store.ack(checkpoint, float(i))
         acked.append(checkpoint)
     history = store.checkpoints(1)
-    assert [cp.seq for cp in history] == [3, 4]
+    assert [cp.seq for cp in history] == list(range(2, keep + 2))
     assert store.latest_acked(1) is acked[-1]
 
 

@@ -123,19 +123,6 @@ def test_report_filtering_sends_only_rule_relevant_types():
     assert {snap.type_name for snap in related} == {"Spinner"}
 
 
-def test_min_reports_delays_gem_processing():
-    bed = build_cluster(2)
-    policy = compile_source(
-        "server.cpu.perc > 80 => balance({Spinner}, cpu);", [Spinner])
-    manager = ElasticityManager(bed.system, policy, EmrConfig(
-        min_reports=2, **CONFIG))
-    manager.start()
-    bed.system.create_actor(Spinner, server=bed.servers[0])
-    bed.run(until_ms=16_000.0)
-    # With two servers reporting, rounds process normally.
-    assert manager.gems[0].rounds_processed >= 1
-
-
 def test_zero_period_config_not_allowed_in_practice():
     # Guard against degenerate configuration values.
     config = EmrConfig(period_ms=5_000.0, stability_ms=None)

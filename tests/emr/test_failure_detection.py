@@ -64,16 +64,6 @@ def test_suspicion_fires_after_silence_and_resurrects_actors():
         assert record.server.running
 
 
-def test_resurrection_can_be_disabled():
-    bed = build_cluster(2)
-    manager = make_manager(bed, resurrect_lost_actors=False)
-    ref = bed.system.create_actor(Spinner, server=bed.servers[0])
-    bed.run(until_ms=100.0)
-    bed.system.crash_server(bed.servers[0])
-    bed.run(until_ms=10_000.0)
-    assert bed.system.directory.try_lookup(ref.actor_id) is None
-
-
 def test_no_detection_without_suspicion_timeout():
     bed = build_cluster(2)
     manager = make_manager(bed, suspicion_timeout_ms=None)

@@ -190,7 +190,7 @@ def test_scale_out_boots_servers_when_all_overloaded():
     policy = compile_source(
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Spinner}, cpu);", [Spinner])
-    config = EmrConfig(allow_scale_out=True, **CONFIG)
+    config = EmrConfig(max_scale_out_per_period=1, **CONFIG)
     manager = ElasticityManager(system, policy, config)
     manager.start()
     drive_load(system, refs, cpu_ms=60.0, until_ms=120_000.0)
@@ -207,7 +207,7 @@ def test_scale_in_drains_and_retires_idle_server():
     policy = compile_source(
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Spinner}, cpu);", [Spinner])
-    config = EmrConfig(allow_scale_in=True, min_servers=1, **CONFIG)
+    config = EmrConfig(min_servers=1, **CONFIG)
     manager = ElasticityManager(system, policy, config)
     manager.start()
     # Very light load: everything is far below the lower bound.

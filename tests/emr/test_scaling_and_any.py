@@ -65,7 +65,7 @@ def test_scale_out_respects_fleet_cap():
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Alpha}, cpu);", [Alpha])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
-        allow_scale_out=True, max_scale_out_per_period=4, **CONFIG))
+        max_scale_out_per_period=4, **CONFIG))
     manager.start()
     drive(bed, refs, 60.0, 60_000.0)
     bed.run(until_ms=60_000.0)
@@ -79,7 +79,7 @@ def test_scale_in_respects_min_servers():
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Alpha}, cpu);", [Alpha])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
-        allow_scale_in=True, min_servers=2, **CONFIG))
+        min_servers=2, **CONFIG))
     manager.start()
     bed.run(until_ms=60_000.0)  # idle fleet: scale-in pressure
     assert bed.provisioner.fleet_size() >= 2

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import json
+import os
 
 import pytest
 
@@ -92,7 +94,7 @@ def test_durability_profile_always_checkpoints_through_a_crash():
         scenario = generate_scenario(seed, profile="durability")
         assert scenario.servers >= 3
         durability = scenario.durability
-        assert durability is not None and durability["enabled"]
+        assert durability is not None and "enabled" not in durability
         assert durability["checkpoint_interval_ms"] > 0
         assert durability["replication_factor"] < scenario.servers
         # Every durability scenario exercises recovery: at least one
@@ -249,16 +251,43 @@ def test_legacy_control_plane_key_is_accepted_and_discarded():
         Scenario.from_jsonable(data)
 
 
+def test_legacy_durability_enabled_key_is_accepted():
+    """Artifacts written while ``DurabilityConfig`` had an ``enabled``
+    switch carry it (``silent-abort-target-crash-while-draining.json``
+    does).  The dict's presence is the switch now: ``true`` loads as the
+    same dict without the key, ``false`` as durability off."""
+    scenario = generate_scenario(3, profile="durability")
+    data = scenario.to_jsonable()
+    assert "enabled" not in data["durability"]
+    data["durability"]["enabled"] = True
+    assert Scenario.from_jsonable(data) == scenario
+    data["durability"]["enabled"] = False
+    assert Scenario.from_jsonable(data) == dataclasses.replace(
+        scenario, durability=None)
+    assert data["durability"]["enabled"] is False     # input not mutated
+    path = os.path.join(os.path.dirname(__file__), "corpus",
+                        "silent-abort-target-crash-while-draining.json")
+    with open(path) as handle:
+        artifact = json.load(handle)["scenario"]
+    assert artifact["durability"]["enabled"] is True
+    loaded = Scenario.from_jsonable(artifact)
+    artifact["durability"].pop("enabled")
+    assert loaded.durability == artifact["durability"]
+
+
 #: sha256 over ``generate_scenario(seed, profile).to_json()`` for seeds
 #: 0-39, recorded on the last commit that still had the flat plane (with
-#: its ``control_plane`` key dropped before hashing).
+#: its ``control_plane`` key dropped before hashing).  The durability pin
+#: was re-recorded on the last commit whose generator wrote a
+#: ``"enabled": true`` durability key, with that key dropped before
+#: hashing: the RNG draws did not move, only the dict literal.
 GENERATOR_PINS = {
     "default":
         "cf6e6fd41165bb652d04c06f2575e32b7ad76e98bb57d1445bea0d31e5314dd5",
     "partition":
         "09afd53f79f370aa0c2370898de3d3b181896ab85b373826bc5cf18076755fe8",
     "durability":
-        "7bfa06d2af4bcf80a4db7d1420f0a5379e938501dd8754a77929aeec2e23bf87",
+        "acddd32ccc736c55f175597bd6d1d216694f83cf3b8a8f0651afcbf1a6d75aaa",
     "overload":
         "623298705a5a15dfbeaaed0fddfd42c6e461b44c71e6d5550544f2b524cc05a3",
     "scale":

@@ -161,8 +161,8 @@ def run_gem_respawn_scenario():
     policy = compile_source(ESTORE_POLICY, [Partition])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
         period_ms=2_000.0, gem_wait_ms=300.0, lem_stagger_ms=10.0,
-        suspicion_timeout_ms=3_000.0, allow_scale_out=True,
-        allow_scale_in=True))
+        suspicion_timeout_ms=3_000.0, max_scale_out_per_period=1,
+        min_servers=1))
     tracer, checker = _start_instrumented(manager)
     ChaosEngine(bed.system, FaultPlan(faults=(
         KillGem(at_ms=2_500.0, gem_id=0, recover_after_ms=5_000.0),)),

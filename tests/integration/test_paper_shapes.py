@@ -68,8 +68,7 @@ def test_fig6b_shape_dynamic_allocation_converges():
     deployment = build_pagerank(bed, graph, 16, placement=[0] * 16)
     policy = compile_source(PAGERANK_POLICY, [PageRankWorker])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
-        period_ms=4_000.0, gem_wait_ms=300.0, allow_scale_out=True,
-        max_scale_out_per_period=2))
+        period_ms=4_000.0, gem_wait_ms=300.0, max_scale_out_per_period=2))
     checker = InvariantChecker(manager)
     checker.attach()
     manager.start()

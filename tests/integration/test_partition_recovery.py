@@ -46,7 +46,7 @@ def build_stack():
         period_ms=5_000.0, gem_wait_ms=300.0, lem_stagger_ms=10.0,
         suspicion_timeout_ms=6_000.0, gem_reply_timeout_ms=2_000.0,
         gem_count=2,
-        allow_scale_out=True, allow_scale_in=True, min_servers=2))
+        max_scale_out_per_period=1, min_servers=2))
     checker = InvariantChecker(manager)
     checker.attach()
     manager.start()

@@ -241,17 +241,17 @@ def test_admission_spares_actor_to_actor_traffic():
 
 def test_admission_cpu_threshold_rejects_under_load():
     bed = build_cluster(1)
-    overload = _protect(bed, mailbox_capacity=0, admission_cpu_perc=50.0,
-                        admission_cpu_window_ms=500.0)
+    overload = _protect(bed, mailbox_capacity=0, admission_cpu_perc=50.0)
     ref = bed.system.create_actor(Worker)
     client = Client(bed.system)
     replies = []
 
     def body():
         # Saturate the server's CPU with a stream of short jobs (CPU
-        # time is booked per completed job), then knock on the door.
+        # time is booked per completed job), then knock on the door once
+        # the flood has filled the whole 1 s admission window.
         signals = _flood(bed, client, ref, 40, cpu_ms=50.0)
-        yield Timeout(bed.sim, 800.0)
+        yield Timeout(bed.sim, 1_400.0)
         replies.append((yield client.call(ref, "work", 1.0)))
         for signal in signals:
             yield signal

@@ -122,7 +122,7 @@ def test_fleet_scaling_goes_through_the_backend():
             "=> balance({Spinner}, cpu);", [Spinner])
         manager = ElasticityManager(bed.system, policy, EmrConfig(
             period_ms=5_000.0, gem_wait_ms=300.0, lem_stagger_ms=10.0,
-            allow_scale_out=True, allow_scale_in=True))
+            max_scale_out_per_period=1, min_servers=1))
         manager.start()
         client = Client(bed.system)
 
