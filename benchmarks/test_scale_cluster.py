@@ -63,7 +63,7 @@ class _FakeGem:
 
 def _stub_root(config):
     manager = SimpleNamespace(
-        config=config, backend=SimpleNamespace(now=NOW_MS))
+        config=config, system=SimpleNamespace(now=NOW_MS))
     return RootGem(manager, hierarchy=None)
 
 

@@ -24,9 +24,8 @@ from .core import (CompiledPolicy, ElasticityManager, EmrConfig,
                    parse_policy)
 from .core.profiling import LatencyRecorder
 from .durability import DurabilityConfig, DurabilityManager, StateStore
-from .live import (FrontDoor, LiveActor, LiveActorSystem, LiveBackend,
-                   LiveClock, LiveElasticityManager, LiveServer)
-from .runtime import RuntimeBackend, SimBackend
+from .live import (FrontDoor, LiveActor, LiveActorSystem, LiveClock,
+                   LiveElasticityManager, LiveServer)
 from .sim import RandomStreams, Signal, Simulator, Timeout, spawn
 
 __version__ = "1.0.0"
@@ -43,8 +42,7 @@ __all__ = [
     "DurabilityConfig", "DurabilityManager", "StateStore",
     "RandomStreams", "Signal", "Simulator", "Timeout", "spawn",
     "WindowedMeter", "LatencyRecorder",
-    "RuntimeBackend", "SimBackend",
     "LiveClock", "LiveServer", "LiveActor", "LiveActorSystem",
-    "LiveBackend", "LiveElasticityManager", "FrontDoor",
+    "LiveElasticityManager", "FrontDoor",
     "__version__",
 ]

@@ -1,4 +1,5 @@
-"""Lifecycle bookkeeping both actor runtimes share.
+"""What both actor runtimes share: the contract the EMR drives, and the
+lifecycle bookkeeping.
 
 :class:`~repro.actors.system.ActorSystem` (simulated time) and
 :class:`~repro.live.LiveActorSystem` (asyncio, wall clock) differ in how
@@ -6,13 +7,15 @@ a message moves and how a migration waits.  What they *record* about an
 actor is the same, and lives here once: the hooks list, the spawn path
 (instance wiring, the :class:`ActorRecord`, directory registration, the
 memory ledger), destruction, the migration refusal test and commit block,
-and the directory queries.
+and the directory queries.  So does the part of the elasticity contract
+(see :class:`ActorSystemBase`) that does not depend on the clock.
 
 Each runtime supplies :meth:`ActorSystemBase._start_dispatch` — build
 the incarnation's :class:`ActorCell` around its own mailbox and ready
-its own dispatcher — and the mirror ``_stop_dispatch``, and keeps
-everything that differs in kind (server choice, delivery, the migration
-protocol's waits).  Nothing here knows which runtime it serves.
+its own dispatcher — and the mirror ``_stop_dispatch``, the contract
+verbs that do depend on the clock or the fleet, and everything else that
+differs in kind (server choice, delivery, the migration protocol's
+waits).  Nothing here knows which runtime it serves.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Iterator, List, Optional, Type
 
+from ..sim import RandomStreams
 from .actor import Actor
 from .directory import NO_KWARGS, ActorCell, ActorRecord, Directory
 from .hooks import RuntimeHooks
@@ -29,14 +33,50 @@ __all__ = ["ActorSystemBase"]
 
 
 class ActorSystemBase:
-    """Directory, hooks and per-incarnation bookkeeping of a runtime."""
+    """The surface an elasticity runtime needs from an actor runtime.
+
+    PLASMA's EMR is decoupled from the actor runtime (paper §2): LEMs
+    and GEMs consume profiling snapshots and drive a narrow
+    migrate/pin/place API.  Both runtimes inherit this class and the
+    :class:`~repro.core.emr.ElasticityManager` drives either one through
+    the same members, reading nothing else off it but ``clock`` and
+    ``directory`` (an AST gate in ``tests/integration/test_api_quality.py``
+    holds it to that list):
+
+    * **clock** — :attr:`now` in milliseconds (virtual or wall) and
+      ``schedule(delay_ms, callback, *args)``.  That pair is all
+      :class:`repro.sim.Process`, :class:`~repro.sim.Timeout` and
+      :class:`~repro.sim.Signal` need, so the LEM/GEM generator protocol
+      runs over either runtime unchanged; :meth:`rng_stream` hands out
+      the named random streams the control plane draws from;
+    * **control surface** — ``start_migration`` / :meth:`pin` /
+      ``resurrect_actor``, plus :meth:`install` / :meth:`uninstall` for
+      what a running EMR plugs into the data plane (rule-aware placement
+      of new actors, the epoch source, overload protection).
+      ``start_migration`` returns the runtime's completion handle — a
+      :class:`~repro.sim.Signal` under the simulator, an
+      :class:`asyncio.Task` under the live runtime — which a
+      fire-and-continue caller may ignore;
+    * **fleet verbs** — ``running_servers`` / ``boot_server`` /
+      ``retire_server`` / ``pending_boots`` / ``add_join_listener``, how
+      GEMs scale the fleet and how the manager learns of servers that
+      join;
+    * **observation surface** — :meth:`actors_on` / :meth:`mailbox_depth`
+      plus hook (profiling subscriber) registration.
+
+    Time is always milliseconds as float, so meters, windows and policy
+    periods carry over unchanged between runtimes.
+    """
 
     def __init__(self, clock: Any, directory: Directory,
-                 actor_ids: Iterator[int]) -> None:
+                 actor_ids: Iterator[int],
+                 streams: Optional[RandomStreams] = None) -> None:
         #: Anything with a ``now`` in milliseconds (the simulator, or a
-        #: :class:`~repro.live.LiveClock`).
+        #: :class:`~repro.live.LiveClock`).  Meters read ``clock.now``
+        #: once per profiled message, so they are handed this directly.
         self.clock = clock
         self.directory = directory
+        self.streams = streams or RandomStreams()
         self.hooks: List[RuntimeHooks] = []
         #: Rule-aware placement of new actors, installed by a running
         #: EMR; may abstain by returning ``None``.
@@ -44,7 +84,45 @@ class ActorSystemBase:
         #: Supplies the control-plane epoch stamped onto placement
         #: decisions (set by the elasticity manager; ``None`` stamps 0).
         self.epoch_source: Optional[Callable[[], int]] = None
+        #: Overload-protection subsystem (``repro.overload``), installed
+        #: by the elasticity manager when its config enables it; ``None``
+        #: keeps every overload call site a single attribute check and
+        #: the delivery path byte-identical to an unprotected run.
+        self.overload: Any = None
         self._actor_ids = actor_ids
+
+    # -- clock ---------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """Current time in milliseconds since the runtime epoch."""
+        return self.clock.now
+
+    def rng_stream(self, name: str) -> Any:
+        """The runtime's named ``random.Random`` stream (cached by name)."""
+        return self.streams.stream(name)
+
+    # -- what a running EMR plugs into the data plane -------------------
+
+    def install(self, placement_policy: Any,
+                epoch_source: Callable[[], int],
+                overload: Optional[Any]) -> None:
+        """Plug a starting EMR into the data plane: rule-aware placement
+        of new actors, the control-plane epoch stamped on placements,
+        and (when configured) the shared overload-protection state."""
+        self.placement_policy = placement_policy
+        self.epoch_source = epoch_source
+        if overload is not None:
+            self.overload = overload
+
+    def uninstall(self, placement_policy: Any,
+                  overload: Optional[Any]) -> None:
+        """Undo :meth:`install` (only what is still this EMR's)."""
+        if overload is not None and self.overload is overload:
+            self.overload = None
+        if self.placement_policy is placement_policy:
+            self.placement_policy = None
+        self.epoch_source = None
 
     # -- hooks ---------------------------------------------------------
 
@@ -53,8 +131,9 @@ class ActorSystemBase:
         self.hooks.append(hooks)
 
     def remove_hooks(self, hooks: RuntimeHooks) -> None:
-        """Unsubscribe a previously added observer."""
-        self.hooks.remove(hooks)
+        """Unsubscribe an observer (no-op if it is not subscribed)."""
+        if hooks in self.hooks:
+            self.hooks.remove(hooks)
 
     # -- incarnations --------------------------------------------------
 

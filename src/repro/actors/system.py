@@ -8,12 +8,12 @@ with the asyncio runtime; an incarnation's runtime state is the
 here is what simulated time makes different: placement from the
 ``actor-placement`` RNG stream, delivery through the network fabric, the
 dispatcher (a callback state machine on each actor's cell), overload
-admission, and the partition-aware live-migration protocol.  The
-elasticity runtime drives it exclusively through
-:meth:`ActorSystem.migrate_actor`, :meth:`ActorSystem.create_actor`'s
-placement hook, and the :class:`~repro.actors.hooks.RuntimeHooks`
-observation interface — the same narrow surface PLASMA requires of its
-host language runtime.
+admission, the partition-aware live-migration protocol, and the
+clock and fleet verbs of the elasticity contract (virtual time and the
+:class:`~repro.cluster.Provisioner`).  The elasticity runtime drives it
+only through that contract (:class:`~repro.actors.base.ActorSystemBase`)
+and the :class:`~repro.actors.hooks.RuntimeHooks` observation interface
+— the same narrow surface PLASMA requires of its host language runtime.
 
 Semantics reproduced from the paper's substrate:
 
@@ -43,7 +43,6 @@ from functools import partial
 from typing import Any, Callable, List, Optional, Sized, Tuple, Type
 
 from ..cluster import NetworkFabric, Provisioner, Server
-from ..runtime import SimBackend
 from ..sim import (Driver, Interrupted, RandomStreams, Signal, Simulator,
                    Timeout, Waitable, spawn)
 from .actor import Actor
@@ -85,17 +84,10 @@ class ActorSystem(ActorSystemBase):
         #: the default flat map reproduces the paper's single
         #: authoritative view.
         super().__init__(sim, directory if directory is not None
-                         else Directory(), _actor_ids)
+                         else Directory(), _actor_ids, streams)
         self.sim = sim
         self.provisioner = provisioner
         self.fabric = fabric or NetworkFabric(sim)
-        self.streams = streams or RandomStreams()
-        #: The :class:`~repro.runtime.RuntimeBackend` view of this
-        #: system: the narrow clock + migrate/pin/place + fleet +
-        #: profiling surface the elasticity layer drives.  Pure
-        #: delegation — the module-level name is looked up (not bound)
-        #: so tests can substitute a call-counting subclass.
-        self.backend = SimBackend(self)
         self._placement_rng = self.streams.stream("actor-placement")
         #: How long each phase of the migration protocol waits for an ack
         #: that cannot arrive (severed link) before rolling back.
@@ -106,11 +98,6 @@ class ActorSystem(ActorSystemBase):
         #: ``DurabilityManager``; ``None`` keeps every durability
         #: call site in this module a single attribute check.
         self.durability = None
-        #: Overload-protection subsystem (``repro.overload``), attached
-        #: by the elasticity manager when its config enables it; ``None``
-        #: keeps every overload call site a single attribute check and
-        #: the delivery path byte-identical to an unprotected run.
-        self.overload = None
         #: True only inside :meth:`crash_server`'s destroy loop, so the
         #: disposition ledger can tell "lost with its server" apart from
         #: "target destroyed under it".
@@ -121,6 +108,35 @@ class ActorSystem(ActorSystemBase):
         #: Never cleared — a stale batch can never match again because
         #: any later send's due time is strictly greater (delay > 0).
         self._local_batch: Optional[List[Any]] = None
+
+    # ------------------------------------------------------------------
+    # the elasticity contract's clock and fleet verbs
+    # ------------------------------------------------------------------
+
+    def schedule(self, delay_ms: float, callback: Callable[..., Any],
+                 *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay_ms`` virtual ms."""
+        self.sim.schedule(delay_ms, callback, *args)
+
+    def running_servers(self) -> List[Server]:
+        """The provisioned fleet (a retired server leaves it)."""
+        return self.provisioner.servers
+
+    def boot_server(self, type_name: Optional[str] = None) -> None:
+        """Request one more server; it joins after the boot delay."""
+        self.provisioner.boot_server(type_name)
+
+    def retire_server(self, server: Server) -> None:
+        """Shut an (emptied) server down and stop paying for it."""
+        self.provisioner.retire_server(server)
+
+    def pending_boots(self) -> int:
+        """Servers requested but not yet joined."""
+        return self.provisioner.pending_boots()
+
+    def add_join_listener(self, listener: Callable[[Server], None]) -> None:
+        """Call ``listener(server)`` whenever a server joins the fleet."""
+        self.provisioner.add_join_listener(listener)
 
     # ------------------------------------------------------------------
     # actor lifecycle
@@ -624,6 +640,12 @@ class ActorSystem(ActorSystemBase):
         spawn(self.sim, self._migration_proc(record, target, gate, done),
               name=f"migrate/{ref}")
         return done
+
+    def start_migration(self, ref: ActorRef, target: Server,
+                        force: bool = False) -> Signal:
+        """The elasticity contract's migrate verb: :meth:`migrate_actor`,
+        whose signal is already the completion handle."""
+        return self.migrate_actor(ref, target, force=force)
 
     def _link_severed(self, src: Server, dst: Server) -> bool:
         """A migration phase needs a request *and* its ack to cross, so

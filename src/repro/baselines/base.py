@@ -47,7 +47,7 @@ class PeriodicBalancer:
         if not self.running:
             return
         self.running = False
-        if self.profiler is not None and self.profiler in self.system.hooks:
+        if self.profiler is not None:
             self.system.remove_hooks(self.profiler)
 
     def migrations_total(self) -> int:

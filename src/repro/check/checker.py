@@ -229,9 +229,7 @@ class InvariantChecker:
         if not self._attached:
             return
         self._attached = False
-        system = self.manager.system
-        if self._hooks in system.hooks:
-            system.remove_hooks(self._hooks)
+        self.manager.system.remove_hooks(self._hooks)
         self.manager.remove_listener(self._on_emr_event)
         self.manager.debug_events = self._prev_debug_events
         if self._cancel_sweep is not None:

@@ -83,7 +83,7 @@ class GEM:
         self._reports.append((lem, actors, server_snap, reply))
         if not self._processing_scheduled:
             self._processing_scheduled = True
-            self.manager.backend.schedule(
+            self.manager.system.schedule(
                 self.manager.config.gem_wait_ms, self._process)
 
     # ------------------------------------------------------------------
@@ -101,7 +101,7 @@ class GEM:
             # GEM had timed out.
             for _lem, _actors, server_snap, reply in reports:
                 if self.manager.reply_reachable(self, server_snap.server):
-                    self.manager.backend.schedule(
+                    self.manager.system.schedule(
                         CONTROL_LATENCY_MS, reply.trigger, ((), self.epoch))
             return
         self.rounds_processed += 1
@@ -152,8 +152,8 @@ class GEM:
             if not self.manager.reply_reachable(self, server_snap.server):
                 continue
             lem_actions = queues.get(server_snap.server.server_id, [])
-            self.manager.backend.schedule(CONTROL_LATENCY_MS, reply.trigger,
-                                          (lem_actions, self.epoch))
+            self.manager.system.schedule(CONTROL_LATENCY_MS, reply.trigger,
+                                         (lem_actions, self.epoch))
 
         # Ship a delta-compressed aggregate up to the root tier for
         # every group this leaf serves — its home group plus any group
@@ -182,7 +182,7 @@ class GEM:
         one.
         """
         overload = self.manager.overload
-        now = self.manager.backend.now
+        now = self.manager.system.now
         for _lem, actor_snaps, server_snap, _reply in reports:
             self._last_known_good[server_snap.server.server_id] = (
                 now, server_snap, list(actor_snaps))
@@ -209,7 +209,7 @@ class GEM:
     def _apply_res_rules(self, scope: EvaluationScope,
                          actors_by_server: Dict[int, List[ActorSnapshot]]):
         config = self.manager.config
-        now = self.manager.backend.now
+        now = self.manager.system.now
         stability = config.stability_window_ms()
         actions: List[Action] = []
         need_scale_out = False
@@ -346,14 +346,14 @@ class GEM:
         if (self.degraded
                 or self._boots_this_round >= config.max_scale_out_per_period):
             return
-        if self.manager.backend.pending_boots() > 0:
+        if self.manager.system.pending_boots() > 0:
             return
         if not self.manager.vote(self, "overloaded"):
             return
         self._boots_this_round += 1
         self.manager.emit("scale-out", gem_id=self.gem_id,
                           overload_fraction=self.overload_fraction)
-        self.manager.backend.boot_server(config.scale_instance_type)
+        self.manager.system.boot_server(config.scale_instance_type)
 
     def _try_scale_in(self, servers: List[ServerSnapshot],
                       actors_by_server: Dict[int, List[ActorSnapshot]],
@@ -363,7 +363,7 @@ class GEM:
                 or len(servers) < 2):
             return []
         lower, upper = bounds if bounds else (60.0, 80.0)
-        if len(self.manager.backend.servers()) <= config.min_servers:
+        if len(self.manager.system.running_servers()) <= config.min_servers:
             return []
         below = [s for s in servers if s.resource_perc("cpu") < lower
                  and not self.manager.is_draining(s.server)]
@@ -377,7 +377,7 @@ class GEM:
         if not others:
             return []
         victim_actors = actors_by_server.get(victim.server.server_id, [])
-        now = self.manager.backend.now
+        now = self.manager.system.now
         drain = plan_drain(victim, others, victim_actors, "cpu", upper,
                            now, config.stability_window_ms())
         if drain is None:

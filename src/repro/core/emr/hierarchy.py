@@ -206,7 +206,7 @@ class RootGem:
             # Batch: every aggregate landing within one collection
             # window rides the same root round.
             self._flush_scheduled = True
-            self.manager.backend.schedule(
+            self.manager.system.schedule(
                 self.manager.config.gem_wait_ms, self._flush)
 
     def _flush(self) -> None:
@@ -221,7 +221,7 @@ class RootGem:
             for group, view in sorted(self.views.items())))
         for action in self.arbitrate(self.views):
             self.cross_migrations_planned += 1
-            spawn(self.manager.backend, self._execute_cross(action),
+            spawn(self.manager.system, self._execute_cross(action),
                   name=f"root/cross-migrate/{action.actor_id}")
 
     # -- cross-group arbitration ----------------------------------------
@@ -249,7 +249,7 @@ class RootGem:
         least = views[cold].get("least_loaded")
         if least is None or not least.server.running:
             return []
-        now = self.manager.backend.now
+        now = self.manager.system.now
         stability = config.stability_window_ms()
         actions: List[Action] = []
         for snap in views[hot].get("top_actors", ()):
@@ -278,10 +278,10 @@ class RootGem:
         rollback regardless of what happens to the root).
         """
         manager = self.manager
-        backend = manager.backend
+        system = manager.system
         config = manager.config
         generation = self.generation
-        record = manager.system.directory.try_lookup(action.actor_id)
+        record = system.directory.try_lookup(action.actor_id)
         if record is None or record.migrating or record.pinned:
             return
         if record.server is not action.src:
@@ -291,23 +291,23 @@ class RootGem:
         if (manager.server_quorumless(action.src)
                 or manager.server_quorumless(action.dst)):
             return
-        if (backend.now - record.last_placed_at
+        if (system.now - record.last_placed_at
                 < config.stability_window_ms()):
             return
         target_lem = manager.lem_for(action.dst)
         if target_lem is None:
             return
-        yield Timeout(backend, CONTROL_LATENCY_MS)
+        yield Timeout(system, CONTROL_LATENCY_MS)
         if self.failed or self.generation != generation:
             return
         accepted = target_lem.check_idle_res(action)
-        yield Timeout(backend, CONTROL_LATENCY_MS)
+        yield Timeout(system, CONTROL_LATENCY_MS)
         if not accepted:
             return
         if (self.failed or self.generation != generation
                 or self.epoch < manager.epoch):
             return  # issuing incarnation lost authority mid-flight
-        backend.migrate_actor(record.ref, action.dst)
+        system.start_migration(record.ref, action.dst)
         manager.note_migration(action, issuer="root")
 
     # -- fleet-scaling arbitration --------------------------------------
@@ -355,7 +355,7 @@ class ControlHierarchy:
         #: is flushed the moment a second group opens.
         self._memberships: List[Tuple[str, int, int]] = []
         self._announced = 0
-        for server in manager.backend.servers():
+        for server in manager.system.running_servers():
             self.groups.assign(server)
 
     def build_leaf_gems(self) -> List["GEM"]:
@@ -428,7 +428,7 @@ class ControlHierarchy:
         return adopter
 
     def _group_has_running_member(self, group: int) -> bool:
-        for server in self.manager.backend.servers():
+        for server in self.manager.system.running_servers():
             if (server.running
                     and self.groups.group_of(server.server_id) == group):
                 return True
@@ -587,6 +587,6 @@ class ControlHierarchy:
                 server_count=aggregate.server_count,
                 actor_count=aggregate.actor_count,
                 delta_fields=tuple(sorted(delta)))
-            self.manager.backend.schedule(
+            self.manager.system.schedule(
                 CONTROL_LATENCY_MS, self.root.receive_aggregate,
                 group, delta)

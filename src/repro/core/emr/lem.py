@@ -59,7 +59,7 @@ class LEM:
         paper).  A runtime whose servers all share one process drives
         :meth:`begin_round`/:meth:`finish_round` from a single timer
         instead and never calls this."""
-        self._process = spawn(self.manager.backend, self._run(),
+        self._process = spawn(self.manager.system, self._run(),
                               name=f"lem/{self.server.name}")
 
     def cancel(self) -> None:
@@ -70,7 +70,7 @@ class LEM:
     # ------------------------------------------------------------------
 
     def _run(self):
-        backend = self.manager.backend
+        system = self.manager.system
         config = self.manager.config
         # Align rounds to global period boundaries (plus a small stagger)
         # so every LEM's REPORT reaches its GEM within one collection
@@ -80,8 +80,8 @@ class LEM:
         offset = min(config.lem_stagger_ms * self.index,
                      config.gem_wait_ms / 2.0)
         while self.manager.running and self.server.running:
-            to_boundary = config.period_ms - (backend.now % config.period_ms)
-            yield Timeout(backend, to_boundary + offset)
+            to_boundary = config.period_ms - (system.now % config.period_ms)
+            yield Timeout(system, to_boundary + offset)
             if not (self.manager.running and self.server.running):
                 return
             yield from self.finish_round(*self.begin_round())
@@ -93,13 +93,13 @@ class LEM:
                 # stretch-1 boundaries, then realign as usual.  Every
                 # skipped round is profiling and control traffic a
                 # saturated server does not pay.
-                yield Timeout(backend, (overload.config.brownout_stretch - 1)
+                yield Timeout(system, (overload.config.brownout_stretch - 1)
                               * config.period_ms)
 
     def begin_round(self):
         """The synchronous head of a round: heartbeat, snapshots, actor
         rules, REPORT.  Returns the arguments of :meth:`finish_round`."""
-        backend = self.manager.backend
+        system = self.manager.system
         config = self.manager.config
         self.rounds_run += 1
         self._reserved_perc = {}
@@ -108,7 +108,7 @@ class LEM:
         # (where no REPORT would otherwise reach a GEM).
         self.manager.note_report(self.server)
 
-        records = backend.actors_on(self.server)
+        records = system.actors_on(self.server)
         actor_snaps = self.manager.profiler.snapshot_actors(records)
         server_snap = self.manager.profiler.snapshot_server(
             self.server, records)
@@ -122,12 +122,12 @@ class LEM:
         browned_out = False
         if overload is not None:
             server_snap.mailbox_backlog = sum(
-                backend.mailbox_depth(record.ref.actor_id)
+                system.mailbox_depth(record.ref.actor_id)
                 for record in records)
             server_snap.messages_shed = overload.shed_by_server.get(
                 self.server.name, 0)
             browned_out = overload.note_lem_round(
-                self.server, server_snap.cpu_perc, backend.now)
+                self.server, server_snap.cpu_perc, system.now)
 
         lem_actions = self._apply_act_rules(actor_snaps, server_snap)
 
@@ -138,13 +138,13 @@ class LEM:
             if (browned_out
                     and len(related) > overload.config.brownout_top_k):
                 related = self._truncate_report(related)
-            reply = Signal(backend)
+            reply = Signal(system)
             if self.manager.report_reachable(self.server, gem):
-                backend.schedule(CONTROL_LATENCY_MS, gem.receive_report,
-                                 self, related, server_snap, reply)
+                system.schedule(CONTROL_LATENCY_MS, gem.receive_report,
+                                self, related, server_snap, reply)
             # A REPORT a partition ate still costs the full reply wait:
             # the LEM cannot tell a lost message from a slow GEM.
-            backend.schedule(config.gem_reply_timeout_ms, reply.trigger, None)
+            system.schedule(config.gem_reply_timeout_ms, reply.trigger, None)
         # Only the debug event reads the round's snapshots after the
         # wait; otherwise the wait does not keep them alive.
         snapshot = ((actor_snaps, server_snap, mem_used_mb)
@@ -206,7 +206,7 @@ class LEM:
         """Verbose per-round events for the invariant checker (gated on
         ``manager.debug_events`` so normal runs pay nothing)."""
         manager = self.manager
-        depths = tuple(manager.backend.mailbox_depth(snap.actor_id)
+        depths = tuple(manager.system.mailbox_depth(snap.actor_id)
                        for snap in actor_snaps)
         overload = manager.overload
         manager.emit(
@@ -285,7 +285,7 @@ class LEM:
     def _apply_pin(self, behavior: Pin, match) -> None:
         snap = self._bound(behavior.target, match)
         if snap is not None:
-            self.manager.backend.pin(snap.ref, True)
+            self.manager.system.pin(snap.ref, True)
             snap.pinned = True
 
     def _plan_colocate(self, behavior: Colocate, match,
@@ -354,7 +354,7 @@ class LEM:
         # A draining scale-in victim looks ideally idle — exclude it, or
         # separated actors land on a server about to retire.
         candidates = [
-            s for s in self.manager.backend.servers()
+            s for s in self.manager.system.running_servers()
             if (s.running and s is not avoid and s is not mover.server
                 and not self.manager.is_draining(s)
                 and not self.manager.server_quorumless(s))]
@@ -381,7 +381,7 @@ class LEM:
     # -- action execution ------------------------------------------------------
 
     def _execute(self, action: Action):
-        backend = self.manager.backend
+        system = self.manager.system
         config = self.manager.config
         if self.manager.server_quorumless(self.server):
             # This server sits on the minority side of a partition: its
@@ -391,7 +391,7 @@ class LEM:
         # Resolve through this LEM's lookup cache when the directory is
         # sharded (epoch-fenced, so a commit since the fill forces the
         # shard-consultation miss path); the flat map resolves directly.
-        directory = self.manager.system.directory
+        directory = system.directory
         cached = getattr(directory, "cached_lookup", None)
         if cached is not None:
             record = cached(self.server.server_id, action.actor_id)
@@ -411,23 +411,23 @@ class LEM:
             # this (planner and executor are both on the majority side),
             # so recheck the destination at execute time.
             return
-        if (backend.now - record.last_placed_at
+        if (system.now - record.last_placed_at
                 < config.stability_window_ms()):
             return
         target_lem = self.manager.lem_for(action.dst)
         if target_lem is None:
             return
         # QUERY the target server; one control-message round trip.
-        yield Timeout(backend, CONTROL_LATENCY_MS)
+        yield Timeout(system, CONTROL_LATENCY_MS)
         accepted = target_lem.check_idle_res(action)
-        yield Timeout(backend, CONTROL_LATENCY_MS)
+        yield Timeout(system, CONTROL_LATENCY_MS)
         if not accepted:
             return
         # Fire-and-continue: the live-migration protocol runs on its own
         # (the actor is flagged `migrating`, which blocks double moves);
         # blocking here would make a slow state transfer eat whole
         # elasticity periods for every other actor on this server.
-        backend.migrate_actor(
+        system.start_migration(
             record.ref, action.dst, force=action.kind == "reserve")
         self.migrations_started += 1
         self.manager.note_migration(action)

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ...actors import ActorRecord, ActorRef, ActorSystem, RuntimeHooks
+from ...actors import ActorRecord, ActorRef, RuntimeHooks
+from ...actors.base import ActorSystemBase
 from ...cluster import Server
 from ...sim import Timeout, spawn
 from ..epl import CompiledPolicy
@@ -93,19 +94,18 @@ class _EmrSystemHooks(RuntimeHooks):
 class ElasticityManager:
     """PLASMA's elasticity management runtime (EMR)."""
 
-    def __init__(self, system: ActorSystem, policy: CompiledPolicy,
+    def __init__(self, system: ActorSystemBase, policy: CompiledPolicy,
                  config: Optional[EmrConfig] = None) -> None:
+        #: The actor runtime, sim or live.  The EMR reads only the
+        #: contract of :class:`~repro.actors.base.ActorSystemBase` off
+        #: it, plus ``clock`` and ``directory``, so it runs unchanged on
+        #: either runtime.
         self.system = system
-        #: The narrow :class:`~repro.runtime.RuntimeBackend` surface the
-        #: elasticity layer drives — every migrate/pin/observe call below
-        #: goes through it, never through runtime internals, so the EMR
-        #: stays portable across the sim and live backends.
-        self.backend = system.backend
         self.policy = policy
         self.config = config or EmrConfig()
         self.running = False
         self.profiler = ProfilingRuntime(
-            self.backend.clock, window_ms=self.config.period_ms,
+            self.system.clock, window_ms=self.config.period_ms,
             overhead_cpu_ms=self.config.profiling_overhead_cpu_ms)
         #: Durable-state subsystem; created at start() when a
         #: DurabilityConfig is carried on the EmrConfig, else None.
@@ -126,7 +126,7 @@ class ElasticityManager:
         self.migration_log: List[MigrationEvent] = []
         self._draining: Set[int] = set()
         self._lem_counter = 0
-        self._gem_rng = self.backend.rng_stream("lem-gem-shuffle")
+        self._gem_rng = self.system.rng_stream("lem-gem-shuffle")
         self._listeners: List[Callable[[str, dict], None]] = []
         #: When true, LEMs/GEMs emit verbose per-round events
         #: (``lem-round``, ``actions-resolved``, ``gem-vote``) on the
@@ -156,7 +156,7 @@ class ElasticityManager:
         #: happens until a heal confirms the server's fate.
         self._unreachable: Dict[int, Tuple[Server, float]] = {}
         self._probe_running = False
-        self.backend.add_join_listener(self._on_server_join)
+        self.system.add_join_listener(self._on_server_join)
 
     # ------------------------------------------------------------------
 
@@ -165,28 +165,28 @@ class ElasticityManager:
         if self.running:
             return
         self.running = True
-        self.backend.add_hooks(self.profiler)
-        self.backend.add_hooks(self._system_hooks)
+        self.system.add_hooks(self.profiler)
+        self.system.add_hooks(self._system_hooks)
         if self.config.overload is not None:
             from ...overload import OverloadManager
             self.overload = OverloadManager(
                 self.system, self.config.overload, emit=self.emit)
-        self.backend.install(self.placement, lambda: self.epoch,
-                             self.overload)
+        self.system.install(self.placement, lambda: self.epoch,
+                            self.overload)
         if self.config.durability is not None:
             from ...durability import DurabilityManager
             self.durability = DurabilityManager(self)
             self.durability.start()
-        for server in self.backend.servers():
+        for server in self.system.running_servers():
             self._add_lem(server)
         bind_hosts = getattr(self.system.directory, "bind_hosts", None)
         if bind_hosts is not None:
             # Sharded directory: pin each shard to a host server so a
             # crash can take its shard range down (and remap it).
-            bind_hosts(self.backend.servers())
-        spawn(self.backend, self._janitor(), name="emr/janitor")
+            bind_hosts(self.system.running_servers())
+        spawn(self.system, self._janitor(), name="emr/janitor")
         if self.config.suspicion_timeout_ms is not None:
-            spawn(self.backend, self._failure_detector(),
+            spawn(self.system, self._failure_detector(),
                   name="emr/failure-detector")
 
     def stop(self) -> None:
@@ -197,12 +197,10 @@ class ElasticityManager:
         if self.durability is not None:
             self.durability.stop()
             self.durability = None
-        self.backend.uninstall(self.placement, self.overload)
+        self.system.uninstall(self.placement, self.overload)
         self.overload = None
-        if self.profiler in self.system.hooks:
-            self.backend.remove_hooks(self.profiler)
-        if self._system_hooks in self.system.hooks:
-            self.backend.remove_hooks(self._system_hooks)
+        self.system.remove_hooks(self.profiler)
+        self.system.remove_hooks(self._system_hooks)
 
     def _add_lem(self, server: Server) -> None:
         if server.server_id in self.lems:
@@ -217,7 +215,7 @@ class ElasticityManager:
         self.lems[server.server_id] = lem
         # Baseline heartbeat: a server that never manages a first round
         # must still become suspect once the timeout elapses.
-        self._last_report[server] = self.backend.now
+        self._last_report[server] = self.system.now
         self._start_lem(lem)
 
     def _start_lem(self, lem: LEM) -> None:
@@ -233,7 +231,7 @@ class ElasticityManager:
         """Periodic housekeeping: retire fully drained servers even when
         no migration event fires the check."""
         while self.running:
-            yield Timeout(self.backend, self.config.period_ms / 2.0)
+            yield Timeout(self.system, self.config.period_ms / 2.0)
             self._maybe_retire()
 
     # ------------------------------------------------------------------
@@ -268,7 +266,7 @@ class ElasticityManager:
         """
         if self._partitions and server.server_id in self._isolated_servers:
             return
-        self._last_report[server] = self.backend.now
+        self._last_report[server] = self.system.now
         if self.overload is not None:
             # The LEM spoke: if it had been flagged as drowning, the
             # next silence starts a fresh announcement.
@@ -310,13 +308,13 @@ class ElasticityManager:
         the same tick and their servers adopted by a surviving (or
         freshly respawned) GEM.
         """
-        backend = self.backend
+        system = self.system
         timeout = self.config.suspicion_timeout_ms
         while self.running:
-            yield Timeout(backend, timeout / 2.0)
+            yield Timeout(system, timeout / 2.0)
             if not self.running:
                 return
-            now = backend.now
+            now = system.now
             for server, last in list(self._last_report.items()):
                 if now - last > timeout:
                     if (self.overload is not None
@@ -357,7 +355,7 @@ class ElasticityManager:
         self.emit("server-suspected", server=server.name,
                   silence_ms=silence_ms, lost_actors=len(lost))
         for record in lost:
-            self.backend.resurrect_actor(record)
+            self.system.resurrect_actor(record)
 
     def _check_gems(self) -> None:
         """Note newly failed GEMs and hand their servers to a survivor.
@@ -428,7 +426,7 @@ class ElasticityManager:
         self._refresh_gem_modes()
         if not self._probe_running:
             self._probe_running = True
-            spawn(self.backend, self._quorum_probe(),
+            spawn(self.system, self._quorum_probe(),
                   name="emr/quorum-probe")
 
     def note_partition_healed(self, token: int) -> None:
@@ -450,11 +448,11 @@ class ElasticityManager:
         # Universe for side membership: the provisioner forgets crashed
         # servers, but a server that died behind a cut is still "behind
         # the cut" until a heal lets the majority confirm its fate.
-        all_ids = {server.server_id for server in self.backend.servers()}
+        fleet = self.system.running_servers()
+        all_ids = {server.server_id for server in fleet}
         all_ids.update(server.server_id for server in self._last_report)
         all_ids.update(self._unreachable)
-        running = {server.server_id for server in self.backend.servers()
-                   if server.running}
+        running = {server.server_id for server in fleet if server.running}
         isolated_servers: Set[int] = set()
         isolated_gems: Set[int] = set()
         cut_off: Set[int] = set()
@@ -535,7 +533,7 @@ class ElasticityManager:
         a strict majority of the running servers' LEMs."""
         if not self._partitions:
             return False
-        running = [server for server in self.backend.servers()
+        running = [server for server in self.system.running_servers()
                    if server.running]
         if not running:
             return False
@@ -565,7 +563,7 @@ class ElasticityManager:
         The process exists only between the first inject and the last
         heal, so fault-free runs schedule nothing."""
         while self.running and self._partitions:
-            yield Timeout(self.backend, self.config.period_ms / 2.0)
+            yield Timeout(self.system, self.config.period_ms / 2.0)
             if self._partitions:
                 self._recompute_isolation()
                 self._refresh_gem_modes()
@@ -577,7 +575,7 @@ class ElasticityManager:
         the directory is authoritative and every record carries the
         epoch of its last placement, so a stale minority view can never
         overwrite a newer placement)."""
-        now = self.backend.now
+        now = self.system.now
         readmitted: List[str] = []
         for server_id in sorted(healed.cut_server_ids):
             if server_id in self._cut_off_servers:
@@ -602,7 +600,8 @@ class ElasticityManager:
         directory = self.system.directory
         # Crashed and retired servers have left the fleet and host nothing.
         minority_actors = sum(
-            directory.count_on(server) for server in self.backend.servers()
+            directory.count_on(server)
+            for server in self.system.running_servers()
             if server.server_id in healed.minority_server_ids)
         stale = len(directory.stale_records(self.epoch))
         self.emit("partition-healed", epoch=self.epoch,
@@ -662,7 +661,7 @@ class ElasticityManager:
         actor there would strand it behind the cut.
         """
         window = self.config.period_ms
-        candidates = [s for s in self.backend.servers()
+        candidates = [s for s in self.system.running_servers()
                       if s.running and s is not exclude
                       and s.server_id not in self._draining]
         if self._partitions:
@@ -687,7 +686,7 @@ class ElasticityManager:
             rule_line = self.policy.source_policy.rules[
                 action.rule_index].line
         self.migration_log.append(MigrationEvent(
-            time_ms=self.backend.now, actor=action.actor.ref,
+            time_ms=self.system.now, actor=action.actor.ref,
             kind=action.kind, src=action.src.name, dst=action.dst.name,
             rule_line=rule_line))
         if self._listeners:
@@ -793,16 +792,16 @@ class ElasticityManager:
     def _maybe_retire(self) -> None:
         if not self._draining:
             return
-        for server in list(self.backend.servers()):
+        for server in list(self.system.running_servers()):
             if server.server_id not in self._draining:
                 continue
-            if self.backend.actors_on(server):
+            if self.system.actors_on(server):
                 continue
             self._draining.discard(server.server_id)
             self.lems.pop(server.server_id, None)
             # Deliberately retired, not crashed: stop monitoring it.
             self._last_report.pop(server, None)
-            self.backend.retire_server(server)
+            self.system.retire_server(server)
             self.hierarchy.note_server_gone(server)
             self._note_directory_host_gone(server)
 

@@ -114,8 +114,7 @@ class ElasticityTracer:
             return
         self._attached = False
         system = self.manager.system
-        if self._hooks in system.hooks:
-            system.remove_hooks(self._hooks)
+        system.remove_hooks(self._hooks)
         system.provisioner.remove_join_listener(self._on_server_join)
         system.provisioner.remove_retire_listener(self._on_server_retire)
         self.manager.remove_listener(self._on_emr_event)

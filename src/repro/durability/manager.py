@@ -141,8 +141,7 @@ class DurabilityManager:
         if not self.running:
             return
         self.running = False
-        if self._hooks in self.system.hooks:
-            self.system.remove_hooks(self._hooks)
+        self.system.remove_hooks(self._hooks)
         if self.system.durability is self:
             self.system.durability = None
 

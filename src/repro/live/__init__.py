@@ -1,4 +1,4 @@
-"""Wall-clock runtime: the second backend behind ``RuntimeBackend``.
+"""Wall-clock runtime: the second actor runtime behind the EMR's contract.
 
 Everything in this package runs on a real asyncio event loop against a
 monotonic millisecond clock — same directory, same profiling runtime,
@@ -17,11 +17,11 @@ from .harness import live_loadtest, run_live_loadtest
 from .loadgen import (LoadGenerator, LoadReport, flash_crowd_arrivals,
                       poisson_arrivals)
 from .servers import LiveServer
-from .system import LiveActor, LiveActorSystem, LiveBackend
+from .system import LiveActor, LiveActorSystem
 
 __all__ = [
     "LiveClock", "LiveServer", "LiveActor", "LiveActorSystem",
-    "LiveBackend", "LiveElasticityManager", "LiveEmrConfig",
+    "LiveElasticityManager", "LiveEmrConfig",
     "FrontDoor", "RequestLedger",
     "LoadGenerator", "LoadReport", "poisson_arrivals",
     "flash_crowd_arrivals", "run_live_loadtest", "live_loadtest",

@@ -4,16 +4,17 @@ The elasticity manager that runs here *is*
 :class:`repro.core.emr.ElasticityManager` — the same LEM rounds, GEM
 REPORT/RREPLY protocol, conflict resolution, admission control,
 stability window and explainable ``migration_log`` as under the
-simulator — reaching the live runtime only through
-:class:`~repro.live.LiveBackend`.  :class:`LiveElasticityManager` adds
-the two things a wall clock needs:
+simulator — driving :class:`~repro.live.LiveActorSystem` through the
+same :class:`~repro.actors.base.ActorSystemBase` contract as the
+simulated runtime.  :class:`LiveElasticityManager` adds the two things a
+wall clock needs:
 
 * **one period timer.**  Every logical server shares this process, so
   instead of one self-timed LEM per server a single timer calls
   :meth:`~LiveElasticityManager.run_round`, which runs every LEM's round
   head (heartbeat, snapshots, actor rules, REPORT) synchronously; the
   tails (await the RREPLY, resolve, QUERY, migrate) continue as
-  processes on the backend clock.
+  processes on the runtime's clock.
 * **an asyncio lifecycle.**  ``start()`` / ``await stop()``; ``stop``
   cancels pending control timers, waits out in-flight migrations and
   re-raises anything a control callback raised.
@@ -61,7 +62,6 @@ class LiveElasticityManager:
     def __init__(self, system: LiveActorSystem, policy: CompiledPolicy,
                  config: Optional[LiveEmrConfig] = None) -> None:
         self.system = system
-        self.backend = system.backend
         self.config = config or LiveEmrConfig()
         period = self.config.period_ms
         #: The elasticity manager proper (LEMs, GEMs, ``migration_log``,
@@ -88,12 +88,12 @@ class LiveElasticityManager:
         if self.running:
             return
         self.emr.start()
-        self.backend.schedule(self.config.period_ms, self._tick)
+        self.system.schedule(self.config.period_ms, self._tick)
 
     async def stop(self) -> None:
         """Stop the control loop; raises what a control callback raised."""
         self.emr.stop()
-        await self.backend.drain()
+        await self.system.drain()
 
     def _tick(self) -> None:
         if not self.running:
@@ -101,13 +101,13 @@ class LiveElasticityManager:
         self.run_round()
         # Re-armed only after a clean round: a round that raises ends
         # the loop, and stop() reports why.
-        self.backend.schedule(self.config.period_ms, self._tick)
+        self.system.schedule(self.config.period_ms, self._tick)
 
     def run_round(self) -> None:
         """One control period, now: every LEM's synchronous round head;
-        the tails carry on by themselves on the backend clock."""
+        the tails carry on by themselves on the runtime's clock."""
         self.rounds_run += 1
         for lem in self.emr.lems.values():
             if lem.server.running:
-                spawn(self.backend, lem.finish_round(*lem.begin_round()),
+                spawn(self.system, lem.finish_round(*lem.begin_round()),
                       name=f"lem/{lem.server.name}")

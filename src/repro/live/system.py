@@ -9,8 +9,12 @@ spawn, retire, migration refusal and commit, the directory queries).
 What it replaces is what the wall clock makes different: fewest-actors
 placement, per-actor deque mailboxes drained by a cooperative task that
 exists only while its mailbox has work (classic actor semantics: one
-message at a time, no locks; an idle actor holds no task), and a
-migration that waits on events and sleeps.
+message at a time, no locks; an idle actor holds no task), a migration
+that waits on events and sleeps, and the clock and fleet verbs of the
+elasticity contract: control callbacks run as event-loop timers and
+EMR-started migrations as tasks, both kept so an EMR can be stopped
+cleanly (:meth:`LiveActorSystem.drain`) and an exception in a callback
+is never lost.
 
 Live migration is the same two-phase protocol as the simulator,
 expressed in asyncio:
@@ -40,7 +44,7 @@ import inspect
 import itertools
 from collections import deque
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Sequence, Set, Type
+from typing import Any, Callable, List, Optional, Set, Type
 
 from ..actors.actor import Actor
 from ..actors.base import ActorSystemBase
@@ -49,12 +53,10 @@ from ..actors.message import (CLIENT_KIND, DEFAULT_REPLY_BYTES, Message,
                               Overloaded)
 from ..actors.refs import ActorRef
 from ..cluster import INSTANCE_TYPES
-from ..runtime import RuntimeBackend
-from ..sim import RandomStreams
 from .clock import LiveClock
 from .servers import LiveServer
 
-__all__ = ["LiveActor", "LiveActorSystem", "LiveBackend", "ActorGone"]
+__all__ = ["LiveActor", "LiveActorSystem", "ActorGone"]
 
 #: Instance type of a server added without naming one.
 DEFAULT_INSTANCE_TYPE = "m5.large"
@@ -124,7 +126,45 @@ class LiveActorSystem(ActorSystemBase):
         self.migrations_completed = 0
         self.migrations_refused = 0
 
-        self.backend = LiveBackend(self)
+        self._timers: Set[asyncio.TimerHandle] = set()
+        self._migrations: Set["asyncio.Task[bool]"] = set()
+        #: First exception raised by a scheduled callback or a migration
+        #: task since the last :meth:`drain`.
+        self.failure: Optional[BaseException] = None
+
+    # -- the elasticity contract's clock -------------------------------
+
+    def schedule(self, delay_ms: float, callback: Callable[..., Any],
+                 *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay_ms`` wall-clock ms, as
+        an event-loop timer :meth:`drain` can cancel."""
+        def fire() -> None:
+            self._timers.discard(handle)
+            try:
+                callback(*args)
+            except Exception as exc:
+                # Re-raised into the loop's exception handler (which logs
+                # it now) and kept for drain() to hand to the owner.
+                if self.failure is None:
+                    self.failure = exc
+                raise
+
+        handle = asyncio.get_running_loop().call_later(
+            delay_ms / 1000.0, fire)
+        self._timers.add(handle)
+
+    async def drain(self) -> None:
+        """Cancel every pending scheduled callback, wait out the
+        migrations :meth:`start_migration` started, and re-raise the
+        first failure among them — a control loop must not die
+        silently."""
+        for handle in self._timers:
+            handle.cancel()
+        self._timers.clear()
+        await asyncio.gather(*self._migrations, return_exceptions=True)
+        failure, self.failure = self.failure, None
+        if failure is not None:
+            raise failure
 
     # -- servers -------------------------------------------------------
 
@@ -140,7 +180,36 @@ class LiveActorSystem(ActorSystemBase):
         return server
 
     def running_servers(self) -> List[LiveServer]:
+        """The servers not shut down."""
         return [s for s in self.servers if s.running]
+
+    def boot_server(self, type_name: Optional[str] = None) -> None:
+        """Add a server; a logical server joins the moment it is added."""
+        self.add_server(type_name)
+
+    def retire_server(self, server: LiveServer) -> None:
+        """Shut ``server`` down."""
+        server.shutdown()
+
+    def pending_boots(self) -> int:
+        """Always 0: no server is ever waiting to join."""
+        return 0
+
+    def add_join_listener(
+            self, listener: Callable[[LiveServer], None]) -> None:
+        """Call ``listener(server)`` whenever a server is added."""
+        self._join_listeners.append(listener)
+
+    def install(self, placement_policy: Any,
+                epoch_source: Callable[[], int],
+                overload: Optional[Any]) -> None:
+        """:meth:`ActorSystemBase.install`, refusing an overload manager:
+        overload protection lives in the simulated data plane, and the
+        live runtime sheds at the mailbox instead."""
+        if overload is not None:
+            raise NotImplementedError(
+                "overload protection is sim-only; see docs/live-runtime.md")
+        super().install(placement_policy, epoch_source, overload)
 
     # -- actor lifecycle -----------------------------------------------
 
@@ -173,6 +242,14 @@ class LiveActorSystem(ActorSystemBase):
         for hooks in self.hooks:
             hooks.on_actor_created(record)
         return record.ref
+
+    def resurrect_actor(self, tombstone: ActorRecord,
+                        server: Optional[LiveServer] = None) -> None:
+        """Not supported: the live runtime has no crash/resurrect
+        surface yet."""
+        raise NotImplementedError(
+            "live runtime has no crash/resurrect surface yet; "
+            "see docs/live-runtime.md")
 
     def _start_dispatch(self, record: ActorRecord) -> None:
         record.cell = ActorCell(deque())
@@ -372,6 +449,24 @@ class LiveActorSystem(ActorSystemBase):
     #: Wall-clock duration of the most recent migration attempt.
     last_migration_wall_ms: float = 0.0
 
+    def start_migration(self, ref: ActorRef, target: LiveServer,
+                        force: bool = False) -> "asyncio.Task[bool]":
+        """The elasticity contract's migrate verb: :meth:`migrate_actor`
+        as a task, kept until it ends so :meth:`drain` can wait it out
+        and report its failure."""
+        task = asyncio.get_running_loop().create_task(
+            self.migrate_actor(ref, target, force=force),
+            name=f"live-migrate-{ref.actor_id}")
+        self._migrations.add(task)
+        task.add_done_callback(self._migration_done)
+        return task
+
+    def _migration_done(self, task: "asyncio.Task[bool]") -> None:
+        self._migrations.discard(task)
+        if (not task.cancelled() and task.exception() is not None
+                and self.failure is None):
+            self.failure = task.exception()
+
     async def quiesce(self, timeout_s: float = 5.0) -> bool:
         """Wait until no actor has a drain task: every mailbox is empty
         and no handler is running or waiting on a migration gate."""
@@ -395,113 +490,3 @@ class LiveActorSystem(ActorSystemBase):
             self._fail_queued(cell.mailbox)
         for server in self.servers:
             server.shutdown()
-
-
-class LiveBackend(RuntimeBackend):
-    """The :class:`RuntimeBackend` face of :class:`LiveActorSystem`.
-
-    Control callbacks run as event-loop timers and migrations as tasks;
-    the backend keeps hold of both, so an EMR can be stopped cleanly
-    (:meth:`drain`) and an exception in a callback is never lost.
-    """
-
-    def __init__(self, system: LiveActorSystem) -> None:
-        self.system = system
-        self.clock = system.clock
-        self._streams = RandomStreams()
-        self._timers: Set[asyncio.TimerHandle] = set()
-        self._migrations: Set["asyncio.Task[bool]"] = set()
-        #: First exception raised by a scheduled callback or a migration
-        #: task since the last :meth:`drain`.
-        self.failure: Optional[BaseException] = None
-
-    # -- clock ---------------------------------------------------------
-
-    def schedule(self, delay_ms: float, callback: Callable[..., Any],
-                 *args: Any) -> None:
-        def fire() -> None:
-            self._timers.discard(handle)
-            try:
-                callback(*args)
-            except Exception as exc:
-                # Re-raised into the loop's exception handler (which logs
-                # it now) and kept for drain() to hand to the owner.
-                if self.failure is None:
-                    self.failure = exc
-                raise
-
-        handle = asyncio.get_running_loop().call_later(
-            delay_ms / 1000.0, fire)
-        self._timers.add(handle)
-
-    def rng_stream(self, name: str) -> Any:
-        return self._streams.stream(name)
-
-    async def drain(self) -> None:
-        """Cancel every pending scheduled callback, wait out the
-        migrations this backend started, and re-raise the first failure
-        among them — a control loop must not die silently."""
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
-        await asyncio.gather(*self._migrations, return_exceptions=True)
-        failure, self.failure = self.failure, None
-        if failure is not None:
-            raise failure
-
-    # -- control surface -----------------------------------------------
-
-    def migrate_actor(self, ref: ActorRef, target: LiveServer,
-                      force: bool = False) -> "asyncio.Task[bool]":
-        task = asyncio.get_running_loop().create_task(
-            self.system.migrate_actor(ref, target, force=force),
-            name=f"live-migrate-{ref.actor_id}")
-        self._migrations.add(task)
-        task.add_done_callback(self._migration_done)
-        return task
-
-    def _migration_done(self, task: "asyncio.Task[bool]") -> None:
-        self._migrations.discard(task)
-        if (not task.cancelled() and task.exception() is not None
-                and self.failure is None):
-            self.failure = task.exception()
-
-    def resurrect_actor(self, tombstone: ActorRecord,
-                        server: Optional[LiveServer] = None) -> None:
-        raise NotImplementedError(
-            "live backend has no crash/resurrect surface yet; "
-            "see docs/live-runtime.md")
-
-    def install(self, placement_policy: Any,
-                epoch_source: Callable[[], int],
-                overload: Optional[Any]) -> None:
-        # Epochs only advance on partition events and overload
-        # protection lives in the simulated data plane; the live runtime
-        # has neither yet (docs/live-runtime.md).
-        if overload is not None:
-            raise NotImplementedError(
-                "overload protection is sim-only; see docs/live-runtime.md")
-        self.system.placement_policy = placement_policy
-
-    def uninstall(self, placement_policy: Any,
-                  overload: Optional[Any]) -> None:
-        if self.system.placement_policy is placement_policy:
-            self.system.placement_policy = None
-
-    # -- fleet verbs ---------------------------------------------------
-
-    def servers(self) -> Sequence[LiveServer]:
-        return self.system.running_servers()
-
-    def boot_server(self, type_name: Optional[str] = None) -> None:
-        self.system.add_server(type_name)
-
-    def retire_server(self, server: LiveServer) -> None:
-        server.shutdown()
-
-    def pending_boots(self) -> int:
-        return 0  # a logical server joins the moment it is added
-
-    def add_join_listener(
-            self, listener: Callable[[LiveServer], None]) -> None:
-        self.system._join_listeners.append(listener)

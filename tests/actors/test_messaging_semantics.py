@@ -154,6 +154,7 @@ def test_remove_hooks():
     system.add_hooks(spy)
     system.create_actor(Recorder)
     system.remove_hooks(spy)
+    system.remove_hooks(spy)  # no longer subscribed: a no-op
     system.create_actor(Recorder)
     assert len(spy_calls) == 1
 

@@ -27,7 +27,6 @@ PUBLIC_MODULES = [
     "repro.core.emr",
     "repro.core.emr.hierarchy",
     "repro.core.tracing",
-    "repro.runtime",
     "repro.live",
     "repro.graphs",
     "repro.workload",
@@ -80,7 +79,24 @@ def test_top_level_reexports_cover_the_workflow():
         assert name in repro.__all__
 
 
-# -- the RuntimeBackend seam has no bypass ---------------------------------
+# -- the EMR reaches a runtime only through its contract --------------------
+
+#: The contract of :class:`repro.actors.base.ActorSystemBase` the EMR
+#: drives; both runtimes must implement every verb.
+CONTRACT_VERBS = (
+    "schedule", "rng_stream",
+    "start_migration", "pin", "resurrect_actor", "install", "uninstall",
+    "running_servers", "boot_server", "retire_server", "pending_boots",
+    "add_join_listener",
+    "actors_on", "mailbox_depth", "add_hooks", "remove_hooks",
+)
+#: Everything the EMR may read off the runtime object: the contract, the
+#: ``now`` property, the clock (meters read it directly) and the
+#: directory.
+RUNTIME_READS = {"now", "clock", "directory", *CONTRACT_VERBS}
+#: The live adapter also owns the runtime's asyncio lifecycle.
+LIVE_ADAPTER_READS = RUNTIME_READS | {"drain"}
+
 
 def _sources(*parts):
     paths = sorted(glob.glob(os.path.join(REPO, "src", "repro", *parts)))
@@ -90,15 +106,69 @@ def _sources(*parts):
             yield os.path.relpath(path, REPO), handle.read()
 
 
+def _is_runtime(node):
+    """``system`` or ``<anything>.system``: the runtime object."""
+    return (isinstance(node, ast.Name) and node.id == "system"
+            or isinstance(node, ast.Attribute) and node.attr == "system")
+
+
 def test_emr_reaches_the_runtime_only_through_the_backend():
-    # The EMR runs on two backends; a direct grab of the simulator, the
-    # provisioner or the RNG streams, or an attribute poked onto the
-    # actor system, would work on one of them only.
-    bypass = re.compile(r"system\.(sim|provisioner|streams)\b"
-                        r"|self\.system\.\w+\s*=[^=]")
-    for path, source in _sources("core", "emr", "*.py"):
-        for number, line in enumerate(source.splitlines(), 1):
-            assert not bypass.search(line), f"{path}:{number}: {line.strip()}"
+    # The EMR runs on two runtimes; a read of anything outside the
+    # contract (the simulator, the provisioner, the RNG streams, the
+    # hooks list) would work on one of them only.  A store onto the
+    # system and an alias of it under another local name are rejected
+    # too: either would let such a read slip past the check.
+    sources = [(path, source, RUNTIME_READS)
+               for path, source in _sources("core", "emr", "*.py")]
+    sources += [(path, source, LIVE_ADAPTER_READS)
+                for path, source in _sources("live", "emr.py")]
+    offenders = []
+    for path, source, allowed in sources:
+        for node in ast.walk(ast.parse(source)):
+            where = f"{path}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and _is_runtime(node.value):
+                if (isinstance(node.ctx, ast.Store)
+                        or node.attr not in allowed):
+                    offenders.append(f"{where}: .{node.attr}")
+            elif (isinstance(node, ast.Assign) and _is_runtime(node.value)
+                    and not all(_is_runtime(target)
+                                for target in node.targets)):
+                offenders.append(f"{where}: runtime aliased")
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("runtime", ["ActorSystem", "LiveActorSystem"])
+def test_both_runtimes_implement_the_contract(runtime):
+    cls = getattr(importlib.import_module("repro"), runtime)
+    missing = [verb for verb in CONTRACT_VERBS
+               if not callable(getattr(cls, verb, None))]
+    assert not missing, missing
+    assert isinstance(cls.now, property)
+
+
+def _sim_system():
+    from repro import ActorSystem, Provisioner, Simulator
+    sim = Simulator()
+    return ActorSystem(sim, Provisioner(sim))
+
+
+@pytest.mark.parametrize("probe,error", [
+    (lambda: importlib.import_module("repro.runtime"), ImportError),
+    (lambda: importlib.import_module("repro").RuntimeBackend,
+     AttributeError),
+    (lambda: importlib.import_module("repro").SimBackend, AttributeError),
+    (lambda: importlib.import_module("repro").LiveBackend, AttributeError),
+    (lambda: importlib.import_module("repro.live").LiveBackend,
+     AttributeError),
+    (lambda: _sim_system().backend, AttributeError),
+], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
+        "repro.LiveBackend", "repro.live.LiveBackend",
+        "ActorSystem.backend"])
+def test_removed_runtime_adapters_fail_loudly(probe, error):
+    # Each runtime is its own backend: code still reaching for the
+    # adapter layer must fail, not find a stale shim.
+    with pytest.raises(error):
+        probe()
 
 
 def test_live_emr_adapter_decides_nothing():

@@ -1,4 +1,4 @@
-"""The real EMR on the asyncio backend.
+"""The real EMR on the asyncio runtime.
 
 ``LiveElasticityManager`` is a lifecycle adapter around the one
 ``ElasticityManager``: these tests show migrations on the live runtime
@@ -220,11 +220,10 @@ def test_stop_leaves_nothing_on_the_event_loop():
         workers = [system.create_actor(Worker, server=system.servers[0])
                    for _ in range(6)]
         baseline = asyncio.all_tasks()
-        backend = system.backend
         manager = _manager(system, BALANCE, [Worker])
         manager.start()
         await _load(system, workers, seconds=2.5 * PERIOD_S)
-        assert backend._timers, "no control timer pending mid-run"
+        assert system._timers, "no control timer pending mid-run"
         # Stop in the middle of a round: REPORTs out, migrations flying.
         manager.run_round()
         await asyncio.sleep(PERIOD_S * 0.15)
@@ -232,7 +231,7 @@ def test_stop_leaves_nothing_on_the_event_loop():
 
         assert not manager.running
         assert asyncio.all_tasks() == baseline
-        assert not backend._timers and not backend._migrations
+        assert not system._timers and not system._migrations
         assert system.placement_policy is None
         assert manager.emr.profiler not in system.hooks
         assert not any(system.directory.lookup(ref.actor_id).migrating
@@ -247,7 +246,6 @@ def test_stop_leaves_nothing_on_the_event_loop():
 def test_fleet_verbs_and_rule_aware_placement():
     async def main():
         system = _system(servers=2)
-        backend = system.backend
         hot_server, calm_server = system.servers
         hot = system.create_actor(Worker, server=hot_server)
         for _ in range(2):
@@ -263,12 +261,12 @@ def test_fleet_verbs_and_rule_aware_placement():
 
         # A server that joins mid-run gets its LEM; a retired one leaves
         # the fleet the EMR sees.
-        backend.boot_server()
+        system.boot_server()
         joined = system.servers[-1]
-        assert backend.pending_boots() == 0
+        assert system.pending_boots() == 0
         assert joined.server_id in manager.emr.lems
-        backend.retire_server(joined)
-        assert joined not in backend.servers()
+        system.retire_server(joined)
+        assert joined not in system.running_servers()
         manager.run_round()  # skips the retired server's LEM
         await manager.stop()
         assert system.server_of(system.create_actor(Worker)) is hot_server

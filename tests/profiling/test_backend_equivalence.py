@@ -1,20 +1,16 @@
-"""The EMR really runs behind ``RuntimeBackend`` — and only there.
+"""The EMR really runs on the runtime's contract — and the goldens show it.
 
 Every runtime call of :mod:`repro.core.emr` (clock and scheduling,
 migrate / pin, the fleet verbs, install/uninstall, observation, hooks)
-goes through :class:`repro.runtime.RuntimeBackend`; there is no path
-around it left to compare against.  What the seam must preserve is
-pinned by the committed digests in ``tests/golden`` (recorded through
-``SimBackend``).  This file is the other half of that evidence,
-non-vacuity: the same scenarios replayed behind a call-counting
-``SimBackend`` subclass still match their committed digests (so the
-counting itself perturbs nothing) *and* the counters show the surface
-was exercised — a seam nobody calls would make the digests pin nothing
-about it.
-
-``ActorSystem`` looks ``SimBackend`` up on its module at construction
-time, so patching ``repro.actors.system.SimBackend`` swaps the counting
-subclass in for every system the scenario builders create.
+is a contract verb of :class:`repro.actors.base.ActorSystemBase`, which
+:class:`~repro.actors.ActorSystem` implements directly.  What those
+verbs must preserve is pinned by the committed digests in
+``tests/golden``.  This file is the other half of that evidence,
+non-vacuity: the same scenarios replayed with call counters wrapped
+around the contract verbs on ``ActorSystem`` still match their committed
+digests (so the counting itself perturbs nothing) *and* the counters
+show the surface was exercised — a contract nobody calls would make the
+digests pin nothing about it.
 """
 
 import os
@@ -23,11 +19,9 @@ from contextlib import contextmanager
 
 import pytest
 
-import repro.actors.system as system_module
-from repro.actors import Actor, Client
+from repro.actors import Actor, ActorSystem, Client
 from repro.bench import build_cluster
 from repro.core import ElasticityManager, EmrConfig, compile_source
-from repro.runtime import SimBackend
 from repro.sim import spawn
 
 # The scenario runners and digests live beside the golden test; make
@@ -41,15 +35,13 @@ GOLDEN = scenarios.load_digests()
 #: A spread of four profiles; the full corpus replays in tests/golden.
 CORPUS = sorted(name for name in GOLDEN if name.startswith("corpus/"))[:4]
 
-COUNTED = ("schedule", "rng_stream", "migrate_actor", "pin", "install",
-           "uninstall", "servers", "boot_server", "retire_server",
+COUNTED = ("schedule", "rng_stream", "start_migration", "pin", "install",
+           "uninstall", "running_servers", "boot_server", "retire_server",
            "pending_boots", "add_join_listener", "actors_on",
            "mailbox_depth", "add_hooks", "remove_hooks")
 
 
-def _counted(name, calls):
-    original = getattr(SimBackend, name)
-
+def _counted(name, original, calls):
     def method(self, *args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
         return original(self, *args, **kwargs)
@@ -58,16 +50,21 @@ def _counted(name, calls):
 
 @contextmanager
 def counting():
-    """Swap in the real SimBackend with proof-of-use counters."""
+    """Wrap the contract verbs on ``ActorSystem`` with proof-of-use
+    counters; every system the scenario builders create sees them."""
     calls = {}
-    saved = system_module.SimBackend
-    system_module.SimBackend = type(
-        "CountingBackend", (SimBackend,),
-        {name: _counted(name, calls) for name in COUNTED})
+    own = {name: ActorSystem.__dict__.get(name) for name in COUNTED}
+    for name in COUNTED:
+        setattr(ActorSystem, name,
+                _counted(name, getattr(ActorSystem, name), calls))
     try:
         yield calls
     finally:
-        system_module.SimBackend = saved
+        for name, original in own.items():
+            if original is None:  # inherited from ActorSystemBase
+                delattr(ActorSystem, name)
+            else:
+                setattr(ActorSystem, name, original)
 
 
 def assert_surface_exercised(calls):
@@ -75,7 +72,7 @@ def assert_surface_exercised(calls):
     # install/join wiring and the observation surface must have been
     # hit; mutation counts depend on the scenario.
     for name in ("schedule", "rng_stream", "install", "add_join_listener",
-                 "servers", "actors_on", "add_hooks"):
+                 "running_servers", "actors_on", "add_hooks"):
         assert calls.get(name, 0) > 0, (name, calls)
 
 
@@ -84,7 +81,7 @@ def test_pagerank_trace_identical_behind_backend():
         observed = scenarios.digest("fig7-pagerank")
     assert observed == GOLDEN["fig7-pagerank"]
     assert_surface_exercised(calls)
-    assert calls.get("migrate_actor", 0) > 0, calls
+    assert calls.get("start_migration", 0) > 0, calls
     assert calls.get("uninstall", 0) > 0, calls
 
 
@@ -93,7 +90,7 @@ def test_estore_trace_identical_behind_backend():
         observed = scenarios.digest("fig9-estore")
     assert observed == GOLDEN["fig9-estore"]
     assert_surface_exercised(calls)
-    assert calls.get("migrate_actor", 0) > 0, calls
+    assert calls.get("start_migration", 0) > 0, calls
 
 
 @pytest.mark.parametrize("name", CORPUS,
@@ -112,7 +109,7 @@ class Spinner(Actor):
 
 def test_fleet_scaling_goes_through_the_backend():
     """Scale-out then scale-in: the GEM's boot/pending/retire calls and
-    the manager's join wiring are backend verbs, not provisioner pokes."""
+    the manager's join wiring are contract verbs, not provisioner pokes."""
     with counting() as calls:
         bed = build_cluster(1, boot_delay_ms=1_000.0, max_servers=3)
         refs = [bed.system.create_actor(Spinner, server=bed.servers[0])
@@ -140,5 +137,5 @@ def test_fleet_scaling_goes_through_the_backend():
     # A LEM for every server that joined came through the listener.
     assert len(manager.lems) == bed.provisioner.fleet_size()
     for verb in ("boot_server", "pending_boots", "retire_server",
-                 "migrate_actor", "uninstall"):
+                 "start_migration", "uninstall"):
         assert calls.get(verb, 0) > 0, (verb, calls)
