@@ -2,9 +2,10 @@
 
 The end-to-end benchmark (``benchmarks/e2e``) is the perf instrument:
 its trace times every layer inside real workloads.  This file keeps one
-micro-benchmark beside it, a floor on the event loop's raw rate, so an
-accidental fallback off the calendar kernel's fast paths fails CI's
-benchmark-smoke job outright instead of surfacing as a slower e2e run.
+micro-benchmark beside it, a floor on the event loop's raw rate, so a
+kernel change that loses the zero-delay FIFO or otherwise slows the
+loop fails CI's benchmark-smoke job outright instead of surfacing as a
+slower e2e run.
 The measured rate goes to ``benchmarks/results/perf_sim_kernel.txt``.
 """
 
@@ -12,8 +13,8 @@ import timeit
 
 from repro.sim import Simulator
 
-#: Engine-mix events/s (best of 3) this benchmark recorded when the
-#: calendar-queue kernel landed; it was the committed
+#: Engine-mix events/s (best of 3) this benchmark recorded when an
+#: earlier bucketed kernel landed; it was the committed
 #: ``sim_kernel.engine_events_per_sec`` baseline of the retired
 #: ``BENCH_perf.json``.  Re-measure and update it together with any
 #: change that is meant to move the kernel's speed.

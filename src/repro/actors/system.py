@@ -102,12 +102,6 @@ class ActorSystem(ActorSystemBase):
         #: disposition ledger can tell "lost with its server" apart from
         #: "target destroyed under it".
         self._crashing = False
-        #: The open delivery batch: ``[due, server, stamp, msg, ...]`` —
-        #: back-to-back local sends that land at the same instant on the
-        #: same server ride one engine event (see :meth:`_route`).
-        #: Never cleared — a stale batch can never match again because
-        #: any later send's due time is strictly greater (delay > 0).
-        self._local_batch: Optional[List[Any]] = None
 
     # ------------------------------------------------------------------
     # the elasticity contract's clock and fleet verbs
@@ -391,34 +385,7 @@ class ActorSystem(ActorSystemBase):
         if src_record is not None and message.remote:
             for hooks in self.hooks:
                 hooks.on_bytes_sent(src_record, message.size_bytes)
-        if message.remote or delay <= 0.0:
-            self.sim.schedule(delay, self._deliver, message, target.server)
-            return
-        # Local fast path: co-located sends due at the same instant on
-        # the same server ride one engine event.  Coalescing is valid
-        # only while the scheduler's admission stamp is unchanged since
-        # the batch was scheduled: the batched messages then hold
-        # consecutive sequence numbers with nothing between them, so
-        # delivering in append order at `due` is bit-identical to the
-        # unbatched event order.  Any other schedule() closes the batch
-        # (conservatively — correctness never depends on coalescing).
-        due = self.sim.now + delay
-        batch = self._local_batch
-        if (batch is not None and batch[0] == due
-                and batch[1] is target.server
-                and batch[2] == self.sim.schedule_seq):
-            batch.append(message)
-            return
-        batch = [due, target.server, 0, message]
-        self.sim.schedule(delay, self._deliver_batch, batch)
-        batch[2] = self.sim.schedule_seq
-        self._local_batch = batch
-
-    def _deliver_batch(self, batch: List[Any]) -> None:
-        """Deliver a coalesced run of local messages in send order."""
-        server = batch[1]
-        for index in range(3, len(batch)):
-            self._deliver(batch[index], server)
+        self.sim.schedule(delay, self._deliver, message, target.server)
 
     def _deliver(self, message: Message, arrived_at: Server) -> None:
         """Message arrival at a server; forwards if the actor moved."""

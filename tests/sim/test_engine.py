@@ -4,6 +4,10 @@ import pytest
 
 from repro.sim import SimulationError, Simulator, StopSimulation
 
+#: NaN breaks heap order and never matches itself as a timestamp key,
+#: and an event at infinity would never fire.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
 
 def test_events_run_in_time_order():
     sim = Simulator()
@@ -40,8 +44,10 @@ def test_zero_delay_runs_at_current_time():
 
 def test_negative_delay_rejected():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule(-1.0, lambda: None)
+    for delay in (-1.0,) + NON_FINITE:
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+    assert sim.pending_events() == 0
 
 
 def test_schedule_at_absolute_time():
@@ -57,8 +63,10 @@ def test_schedule_at_past_rejected():
     sim = Simulator()
     sim.schedule(10.0, lambda: None)
     sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(5.0, lambda: None)
+    for when in (5.0,) + NON_FINITE:
+        with pytest.raises(SimulationError):
+            sim.schedule_at(when, lambda: None)
+    assert sim.pending_events() == 0
 
 
 def test_run_until_advances_clock_exactly():
@@ -112,6 +120,21 @@ def test_peek_and_pending_events():
     sim.schedule(9.0, lambda: None)
     assert sim.peek() == 2.0
     assert sim.pending_events() == 2
+    # Read from inside a same-timestamp batch: the unrun tail of the
+    # batch and the zero-delay events it queues both count.
+    probes = []
+
+    def probe():
+        sim.schedule(0.0, lambda: None)
+        probes.append((sim.peek(), sim.pending_events()))
+
+    for _ in range(3):
+        sim.schedule(5.0, probe)
+    sim.run(until=5.0)
+    # Each probe sees the rest of the batch, one more zero-delay event
+    # per probe so far, and the 9.0 event.
+    assert probes == [(5.0, 4), (5.0, 4), (5.0, 4)]
+    assert sim.pending_events() == 1
 
 
 def test_nested_run_is_rejected():

@@ -1,21 +1,24 @@
-"""Differential harness: the calendar kernel vs a binary-heap oracle.
+"""Differential harness: the production kernel vs a binary-heap oracle.
 
-The calendar-queue kernel (``repro.sim.Simulator``) is only admissible if
-it is *indistinguishable* from a plain ``(timestamp, insertion order)``
+The production kernel (``repro.sim.Simulator``) is only admissible if it
+is *indistinguishable* from a plain ``(timestamp, insertion order)``
 heap: same callbacks, in the same order, at the same ``now``, for any
 schedule.  The heap used to be a selectable kernel in ``src/``; it now
 lives beside this file (``heap_oracle.py``) purely as the oracle.  These
 tests run randomized seeded schedule programs against both and diff the
 full pop trajectory.
-Shapes are chosen to hit every storage class of the calendar kernel:
+Shapes are chosen to hit every storage class of the production kernel:
 
-- **dense** sub-bucket delays (active-bucket bisect drains),
-- **sparse** multi-second gaps (the ladder/spill fallback, including the
-  horizon-doubling adaptation),
-- **same-timestamp bursts** (FIFO tie-break across bucket, spill and
-  zero-delay storage for one instant),
+- **dense** sub-millisecond delays (many distinct timestamps in the
+  timestamp heap, each with a short list),
+- **sparse** multi-second gaps (a deep heap of far-apart timestamps),
+- **same-timestamp bursts** (FIFO tie-break between a timestamp's list,
+  filled before the clock got there, and the zero-delay FIFO filled
+  at it),
 - **cancel-heavy** periodic timers (``every``/cancel interleavings),
-- stepped ``run(until=...)`` and mid-run ``stop()``.
+- stepped ``run(until=...)`` and ``stop()`` inside a multi-event
+  timestamp, where the unrun tail of its list must stay ahead of the
+  zero-delay FIFO when the run resumes.
 
 Callbacks draw from a per-run ``random.Random(seed)``: both kernels make
 identical draws *because* they fire callbacks in identical order, so any
@@ -37,22 +40,27 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
+# Keyed by test id; ``calendar`` is the production kernel's historical
+# id, kept so the parametrized test ids stay stable.
 KERNELS = {"heap": HeapSimulator, "calendar": Simulator}
 
-# Delay menus per shape.  Values are chosen to straddle the calendar
-# kernel's 1.0 ms bucket width: same-bucket, adjacent-bucket, far-bucket.
+# Delay menus per shape: sub-millisecond, repeated (so children of one
+# parent collide on a timestamp) and far-future delays.
 DENSE_DELAYS = (0.0, 0.0, 0.01, 0.07, 0.3, 0.5, 0.77, 1.0, 1.5, 2.25)
 SPARSE_DELAYS = (0.0, 1.0, 2.5, 40.0, 400.0, 3_000.0, 25_000.0)
 BURST_DELAYS = (0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 5.0, 10.0)
 
 
 def run_program(kernel, seed, delays, initial=40, budget=2_500,
-                fanout=3, with_timers=False, until_steps=None):
+                fanout=3, with_timers=False, until_steps=None,
+                stop_every=0):
     """Run one randomized schedule program; return its full trajectory.
 
     The trajectory records, for every fired event, ``(event id, now,
     pending count)`` — callback identity, firing time, and a queue-size
-    probe — plus the periodic-timer fires and the final clock.
+    probe — plus the periodic-timer fires and the final clock.  With
+    ``stop_every``, every event whose id is a multiple of it calls
+    ``stop()``, and the run resumes until nothing is pending.
     """
     sim = KERNELS[kernel]()
     rng = random.Random(seed)
@@ -61,6 +69,9 @@ def run_program(kernel, seed, delays, initial=40, budget=2_500,
 
     def fire(ident):
         log.append((ident, sim.now, sim.pending_events()))
+        if stop_every and ident % stop_every == 0:
+            sim.stop()
+            log.append(("stop", ident, sim.peek()))
         for _ in range(rng.randrange(fanout + 1)):
             if state["scheduled"] >= budget:
                 return
@@ -97,8 +108,8 @@ def run_program(kernel, seed, delays, initial=40, budget=2_500,
             final = sim.run(until=final + step)
     for cancel in cancels:
         cancel()  # stop periodic timers so an unbounded run terminates
-    if until_steps is not None:
-        sim.run()  # drain the tail for a complete comparison
+    while sim.pending_events():
+        sim.run()  # drain the tail (and resume stops) for a full diff
     log.append(("final", sim.now, sim.pending_events()))
     return log, final
 
@@ -137,6 +148,10 @@ def test_stepped_until_runs_identical(seed):
     # due exactly at the limit fire, the clock parks exactly on `until`.
     assert_kernels_agree(seed=seed, delays=SPARSE_DELAYS, budget=600,
                          until_steps=[7.0, 0.0, 13.5, 250.0, 9_000.0])
+    # Stops that land inside multi-event timestamps, then resume.
+    assert_kernels_agree(seed=seed, delays=BURST_DELAYS, budget=600,
+                         until_steps=[7.0, 0.0, 13.5, 250.0],
+                         stop_every=23)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -155,6 +170,24 @@ def test_stop_mid_run_leaves_identical_state(kernel):
     sim.run()
     assert seen == list(range(20))
     assert remaining == 9
+    # A stop inside a multi-event timestamp: the unrun tail of that
+    # timestamp keeps its place ahead of the zero-delay event queued
+    # before the stop, and the run resumes from it.
+    seen.clear()
+
+    def stop_here():
+        sim.schedule(0.0, seen.append, "fifo")
+        sim.stop()
+
+    sim.schedule(5.0, seen.append, "a")
+    sim.schedule(5.0, stop_here)
+    sim.schedule(5.0, seen.append, "b")
+    sim.run()
+    assert seen == ["a"]
+    assert (sim.peek(), sim.pending_events()) == (sim.now, 2)
+    sim.run()
+    assert seen == ["a", "b", "fifo"]
+    assert sim.now == 24.0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -183,16 +216,6 @@ def test_constructor_rejects_unknown_keywords():
         Simulator(bucket_width_ms=0.25)
     with pytest.raises(TypeError):
         Simulator("calendar")
-
-
-def test_calendar_horizon_adapts_on_sparse_schedules():
-    sim = Simulator()
-    for index in range(64):
-        sim.schedule(1_000.0 * (index + 1), lambda: None)
-    sim.run()
-    # Every activation held one event, so the ladder horizon doubled
-    # until sparse traffic stopped paying bucket bookkeeping.
-    assert sim._horizon > 1
 
 
 if HAVE_HYPOTHESIS:
