@@ -17,7 +17,6 @@ from .directory import ActorRecord, Directory
 from .hooks import RuntimeHooks
 from .message import CLIENT_KIND, Message, Overloaded
 from .refs import ActorRef
-from .sharded_directory import HashRing, ShardedDirectory
 from .system import ActorSystem, PlacementPolicy
 
 __all__ = [
@@ -31,11 +30,9 @@ __all__ = [
     "Client",
     "DeadLetter",
     "Directory",
-    "HashRing",
     "Message",
     "Overloaded",
     "PlacementPolicy",
     "RuntimeHooks",
-    "ShardedDirectory",
     "describe_actor_class",
 ]

@@ -227,11 +227,6 @@ class ActorSystemBase:
         record.placement_epoch = self._current_epoch()
         record.migrations += 1
         record.migrating = False
-        # Epoch-fenced cache invalidation: a sharded directory drops
-        # every cached entry for this actor at the commit point (no-op
-        # on the flat map).
-        self.directory.note_commit(record.ref.actor_id,
-                                   record.placement_epoch)
         record.instance.on_migrated(source, target)
         for hooks in self.hooks:
             hooks.on_actor_migrated(record, source, target)

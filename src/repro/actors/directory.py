@@ -158,11 +158,6 @@ class Directory:
     def try_lookup(self, actor_id: int) -> Optional[ActorRecord]:
         return self._records.get(actor_id)
 
-    def note_commit(self, actor_id: int, epoch: int = 0) -> None:
-        """A migration of ``actor_id`` committed.  The flat map has no
-        caches to fence, so this is a no-op; the sharded directory
-        overrides it with epoch-fenced cache invalidation."""
-
     def records(self) -> Iterable[ActorRecord]:
         return self._records.values()
 

@@ -77,14 +77,8 @@ class ActorSystem(ActorSystemBase):
 
     def __init__(self, sim: Simulator, provisioner: Provisioner,
                  fabric: Optional[NetworkFabric] = None,
-                 streams: Optional[RandomStreams] = None,
-                 directory: Optional[Directory] = None) -> None:
-        #: ``directory`` lets a caller install a
-        #: :class:`~repro.actors.sharded_directory.ShardedDirectory`;
-        #: the default flat map reproduces the paper's single
-        #: authoritative view.
-        super().__init__(sim, directory if directory is not None
-                         else Directory(), _actor_ids, streams)
+                 streams: Optional[RandomStreams] = None) -> None:
+        super().__init__(sim, Directory(), _actor_ids, streams)
         self.sim = sim
         self.provisioner = provisioner
         self.fabric = fabric or NetworkFabric(sim)

@@ -419,11 +419,6 @@ class InvariantChecker:
                     "loss": detail.get("loss", 1.0)}
             elif detail.get("fault") == "kill-root":
                 self._root_failed = True
-            elif detail.get("fault") == "crash-server":
-                # Churn-time shard audit: a crash may remap the crashed
-                # host's shard range — the coverage property must hold
-                # *through* the handoff, not only at the next sweep.
-                self._audit_shards()
         elif kind == "fault-healed":
             if detail.get("fault") == "partition-network":
                 self._active_partitions.pop(detail.get("partition_id"),
@@ -468,8 +463,6 @@ class InvariantChecker:
             # baseline was reset, so the next aggregate must be full.
             self.checks_run += 1
             self._groups_needing_full.add(detail.get("group"))
-        elif kind == "shard-remapped":
-            self._audit_shards()
 
     def _check_migration_start(self, detail: Dict[str, Any]) -> None:
         self.checks_run += 1
@@ -1043,19 +1036,6 @@ class InvariantChecker:
         self._root_failed = False
         self._groups_needing_full.update(self._group_of_server.values())
 
-    def _audit_shards(self) -> None:
-        """Sharded directory: audit ring ownership vs the shard maps vs
-        the authoritative map.  Runs every sweep *and* at churn time
-        (crash-server injections and shard remaps), so a handoff that
-        transiently loses or duplicates records is caught in the act."""
-        coverage = getattr(self.manager.system.directory,
-                           "coverage_errors", None)
-        if coverage is None:
-            return
-        self.checks_run += 1
-        for error in coverage()[:5]:
-            self._violate("shard-coverage", error)
-
     def _check_stranded_root_migrations(self) -> None:
         """no-stranded-cross-group-migration: every root-issued
         migration must reach commit or rollback within the two-phase
@@ -1135,7 +1115,6 @@ class InvariantChecker:
                         f"configured capacity is {capacity}",
                         actor=str(record.ref), depth=depth,
                         capacity=capacity)
-        self._audit_shards()
         self._check_stranded_root_migrations()
         tracked = set(self._alive)
         if tracked != directory_ids:

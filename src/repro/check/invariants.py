@@ -102,11 +102,6 @@ INVARIANTS: Dict[str, str] = {
         "brownout is not sticky: once a browned-out server's load "
         "falls back below the exit watermark, brownout lifts within a "
         "bounded number of (stretched) reporting rounds"),
-    "shard-coverage": (
-        "with a sharded directory, every live actor record lives in "
-        "exactly one shard map — the consistent-hash ring owner's — "
-        "and the union of the shard maps is exactly the authoritative "
-        "directory (no dead records linger in any shard)"),
     "aggregate-consistency": (
         "every published group aggregate carries sums that equal the "
         "recomputation over its per-server values, covers only servers "

@@ -485,9 +485,9 @@ def main(argv: Sequence[str] = None) -> int:
                              "crashes a server mid-run; 'overload' "
                              "enables bounded mailboxes/brownout and "
                              "injects a load storm; 'scale' runs the "
-                             "hierarchical control plane over a sharded "
-                             "directory with a randomized group "
-                             "topology; 'scale-chaos' adds root/leaf "
+                             "hierarchical control plane with a "
+                             "randomized group topology; 'scale-chaos' "
+                             "adds root/leaf "
                              "kills, server crashes, and partitions on "
                              "top of the scale topology")
     p_fuzz.add_argument("--no-shrink", action="store_true",

@@ -388,15 +388,7 @@ class LEM:
             # view is partial and its control plane is cut off, so defer
             # every migration until the heal re-admits it.
             return
-        # Resolve through this LEM's lookup cache when the directory is
-        # sharded (epoch-fenced, so a commit since the fill forces the
-        # shard-consultation miss path); the flat map resolves directly.
-        directory = system.directory
-        cached = getattr(directory, "cached_lookup", None)
-        if cached is not None:
-            record = cached(self.server.server_id, action.actor_id)
-        else:
-            record = directory.try_lookup(action.actor_id)
+        record = system.directory.try_lookup(action.actor_id)
         if record is None or record.migrating:
             return
         if record.pinned and action.kind != "reserve":

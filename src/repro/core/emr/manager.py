@@ -179,11 +179,6 @@ class ElasticityManager:
             self.durability.start()
         for server in self.system.running_servers():
             self._add_lem(server)
-        bind_hosts = getattr(self.system.directory, "bind_hosts", None)
-        if bind_hosts is not None:
-            # Sharded directory: pin each shard to a host server so a
-            # crash can take its shard range down (and remap it).
-            bind_hosts(self.system.running_servers())
         spawn(self.system, self._janitor(), name="emr/janitor")
         if self.config.suspicion_timeout_ms is not None:
             spawn(self.system, self._failure_detector(),
@@ -285,19 +280,6 @@ class ElasticityManager:
         if lost:
             self._lost_actors[server.server_id] = list(lost)
         self.hierarchy.note_server_gone(server)
-        self._note_directory_host_gone(server)
-
-    def _note_directory_host_gone(self, server: Server) -> None:
-        """A directory-shard host left the fleet: remap its shard range
-        onto the survivors and drop its lookup cache."""
-        note = getattr(self.system.directory, "note_host_crashed", None)
-        if note is None:
-            return
-        shards_removed, records_moved = note(server.server_id)
-        if shards_removed:
-            self.emit("shard-remapped", server=server.name,
-                      shards_removed=shards_removed,
-                      records_moved=records_moved)
 
     def _failure_detector(self):
         """GEM-side failure detection (runs only when
@@ -803,7 +785,6 @@ class ElasticityManager:
             self._last_report.pop(server, None)
             self.system.retire_server(server)
             self.hierarchy.note_server_gone(server)
-            self._note_directory_host_gone(server)
 
     # -- statistics --------------------------------------------------------------
 

@@ -183,9 +183,9 @@ def _gen_faults(rng: random.Random, scenario: Dict[str, Any],
     if profile == "scale-chaos":
         # Control-plane chaos on the hierarchical topology: every seed
         # kills at least one tier of the GEM tree (root, a leaf, or a
-        # shard-hosting server) so failover, group adoption, aggregate
-        # resync, and shard handoff are exercised on every run.  Same
-        # branch confinement as the other profiles.
+        # server) so failover, group adoption and aggregate resync are
+        # exercised on every run.  Same branch confinement as the other
+        # profiles.
         duration = scenario["duration_ms"]
         leaf_pool = (-(-scenario["servers"] //
                        scenario["server_group_size"])
@@ -381,10 +381,9 @@ def generate_scenario(seed: int, profile: str = "default") -> Scenario:
       (``event-storm`` / ``hot-key-flood``), so shedding, backpressure,
       and the disposition ledger are exercised on every seed.
     - ``"scale"``: every scenario runs the hierarchical control plane
-      over a consistent-hash-sharded directory, with a randomized group
-      topology (fleet large enough for several groups) and shard count,
-      so the GEM tree, root arbitration, and shard/cache invariants are
-      exercised on every seed.
+      with a randomized group topology (fleet large enough for several
+      groups), so the GEM tree and root arbitration are exercised on
+      every seed.
     - ``"scale-chaos"``: the ``scale`` topology (same draws — a seed's
       cluster shape is identical across the two profiles) plus
       control-plane chaos: every scenario injects at least one
@@ -457,8 +456,10 @@ def generate_scenario(seed: int, profile: str = "default") -> Scenario:
         # (drawn last) and the no-draw suspicion override differ.
         fields["servers"] = rng.randrange(6, 13)
         fields["server_group_size"] = rng.choice((2, 3, 4))
-        fields["directory_shards"] = rng.choice((2, 3, 5))
-        fields["directory_virtual_nodes"] = rng.choice((8, 16))
+        # Two discarded draws, once the shape of a hash-ring directory
+        # that no longer exists: they keep each seed's mapping stable.
+        rng.choice((2, 3, 5))
+        rng.choice((8, 16))
     if profile == "scale-chaos" and fields["suspicion_timeout_ms"] is None:
         # No RNG draw: without suspicion a killed leaf is never
         # detected, so promotion/adoption would never run.

@@ -232,13 +232,6 @@ def run_scenario(scenario: Scenario, strict: bool = False,
                             instance_type=scenario.instance_type,
                             seed=scenario.seed,
                             boot_delay_ms=scenario.boot_delay_ms)
-        if scenario.directory_shards is not None:
-            # Swap in the sharded directory before any actor exists, so
-            # every record of the run lives under ring ownership.
-            from ..actors import ShardedDirectory
-            bed.system.directory = ShardedDirectory(
-                shards=scenario.directory_shards,
-                virtual_nodes=scenario.directory_virtual_nodes)
         policy = compile_source(scenario.policy_source(),
                                 actor_classes_for(scenario.app))
         jitter_frac = 0.0

@@ -67,13 +67,10 @@ class Scenario:
     #: runner-level ``client_jitter_frac`` key; ``None`` = off).  Like
     #: ``durability``, absent from older corpus artifacts.
     overload: Optional[Dict[str, Any]] = None
-    #: -- cluster-scale control plane.  All default to one server group
-    #: (the flat control plane) / the flat directory, so older corpus
-    #: artifacts (where these fields are absent) keep replaying
-    #: bit-identically.
+    #: -- cluster-scale control plane.  Defaults to one server group
+    #: (the flat control plane), so older corpus artifacts (where the
+    #: field is absent) keep replaying bit-identically.
     server_group_size: Optional[int] = None
-    directory_shards: Optional[int] = None
-    directory_virtual_nodes: int = 16
 
     def __post_init__(self) -> None:
         if self.app not in APPS:
@@ -133,6 +130,11 @@ class Scenario:
             durability = dict(durability)
             payload["durability"] = (durability if durability.pop("enabled")
                                      else None)
+        # Legacy keys: artifacts written while the directory could be
+        # spread over a hash ring carry the ring's shape.  There is one
+        # directory now, so both are dropped.
+        payload.pop("directory_shards", None)
+        payload.pop("directory_virtual_nodes", None)
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -162,6 +164,4 @@ class Scenario:
             parts.append("overload")
         if self.server_group_size is not None:
             parts.append(f"hierarchical(groups of {self.server_group_size})")
-        if self.directory_shards is not None:
-            parts.append(f"{self.directory_shards} dir shard(s)")
         return " ".join(parts)

@@ -3,10 +3,10 @@
 ``Directory.on_server`` used to be a pass over every record in the
 fleet; it now answers from a ``server -> records hosted there`` index
 that ``register``, ``unregister`` and ``place`` maintain.  The scan is
-the oracle here: after every operation of a seeded random sequence, on
-the flat and on the sharded directory, ``on_server(s)`` must hold the
-same records (by identity) in the same order as the scan, for every
-server — including ones never used and ones just emptied.
+the oracle here: after every operation of a seeded random sequence,
+``on_server(s)`` must hold the same records (by identity) in the same
+order as the scan, for every server — including ones never used and
+ones just emptied.
 """
 
 import gc
@@ -19,7 +19,6 @@ import pytest
 from repro.actors import Actor, ActorSystem
 from repro.actors.directory import ActorRecord, Directory
 from repro.actors.refs import ActorRef
-from repro.actors.sharded_directory import ShardedDirectory
 from repro.cluster import Provisioner
 from repro.sim import Simulator
 
@@ -57,7 +56,6 @@ def _assert_index_is_the_scan(directory, servers):
 
 DIRECTORIES = {
     "flat": Directory,
-    "sharded": lambda: ShardedDirectory(shards=3, virtual_nodes=4),
 }
 
 
@@ -66,13 +64,9 @@ DIRECTORIES = {
 def test_index_equals_scan_after_every_operation(kind, seed):
     rng = random.Random(seed)
     directory = DIRECTORIES[kind]()
-    sharded = kind == "sharded"
     servers = [_Host(i) for i in range(8)]
     used = servers[:6]          # servers[6:] never host anything
-    if sharded:
-        directory.bind_hosts(used)
     tombstones = []
-    next_shard = 100
 
     def live():
         return list(directory.records())
@@ -80,8 +74,7 @@ def test_index_equals_scan_after_every_operation(kind, seed):
     for _ in range(400):
         op = rng.choice(("register", "register", "unregister", "place",
                          "place", "resurrect", "reregister",
-                         "place-tombstone", "add-shard", "remove-shard",
-                         "host-crashed"))
+                         "place-tombstone"))
         if op == "register":
             actor_id = rng.randrange(60)
             if directory.try_lookup(actor_id) is None:
@@ -111,20 +104,7 @@ def test_index_equals_scan_after_every_operation(kind, seed):
                 directory.place(dead, target)
                 assert dead.server is target
                 assert all(r is not dead for r in directory.on_server(target))
-        elif op == "add-shard" and sharded:
-            directory.add_shard(next_shard)
-            next_shard += 1
-        elif op == "remove-shard" and sharded:
-            # Host-bound shards leave through ``note_host_crashed``.
-            unbound = [shard for shard in directory.shard_ids()
-                       if directory.shard_host(shard) is None]
-            if unbound and len(directory.shard_ids()) > 1:
-                directory.remove_shard(rng.choice(unbound))
-        elif op == "host-crashed" and sharded:
-            directory.note_host_crashed(rng.choice(used).server_id)
         _assert_index_is_the_scan(directory, servers)
-        if sharded:
-            assert directory.coverage_errors() == []
 
 
 def test_resurrected_id_sorts_last_and_a_migrant_by_registration_rank():
@@ -178,11 +158,6 @@ def test_an_emptied_server_is_not_kept_alive_by_the_index(kind):
     assert probe() is None
 
 
-def test_sharded_directory_inherits_the_index_unchanged():
-    for name in ("on_server", "count_on", "place"):
-        assert name not in vars(ShardedDirectory), name
-
-
 def test_on_server_cost_follows_the_server_not_the_fleet():
     # The same 16-actor server inside a 200-record and a 20,000-record
     # directory.  The scan was ~100x slower on the large one; the index
@@ -220,14 +195,13 @@ class Worker(Actor):
         return "pong"
 
 
-@pytest.mark.parametrize("kind", sorted(DIRECTORIES))
-def test_create_migrate_crash_resurrect_keeps_actors_on_equal_to_scan(kind):
+def test_create_migrate_crash_resurrect_keeps_actors_on_equal_to_scan():
     sim = Simulator()
     provisioner = Provisioner(sim, default_type="m5.large")
     for _ in range(3):
         provisioner.boot_server(immediate=True)
     sim.run()
-    system = ActorSystem(sim, provisioner, directory=DIRECTORIES[kind]())
+    system = ActorSystem(sim, provisioner)
     s1, s2, s3 = servers = list(provisioner.servers)
 
     def check():

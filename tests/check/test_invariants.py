@@ -38,7 +38,7 @@ def make_checker(strict=False, **config):
 
 
 def test_catalogue_shape():
-    assert len(INVARIANTS) == 26
+    assert len(INVARIANTS) == 25
     for name, description in INVARIANTS.items():
         assert name == name.lower()
         assert " " not in name

@@ -275,25 +275,46 @@ def test_legacy_durability_enabled_key_is_accepted():
     assert loaded.durability == artifact["durability"]
 
 
+def test_legacy_directory_ring_keys_are_accepted_and_discarded():
+    """Artifacts written while the directory could be spread over a hash
+    ring carry ``directory_shards`` / ``directory_virtual_nodes``
+    (``adopter-cross-group-flagged.json`` does).  There is one directory
+    now: the payload loads equal to the same payload without them."""
+    data = generate_scenario(3, profile="scale").to_jsonable()
+    assert "directory_shards" not in data
+    legacy = dict(data, directory_shards=5, directory_virtual_nodes=8)
+    assert Scenario.from_jsonable(legacy) == Scenario.from_jsonable(data)
+    path = os.path.join(os.path.dirname(__file__), "corpus",
+                        "adopter-cross-group-flagged.json")
+    with open(path) as handle:
+        artifact = json.load(handle)["scenario"]
+    assert artifact["directory_shards"] == 5
+    stripped = {key: value for key, value in artifact.items()
+                if not key.startswith("directory_")}
+    assert Scenario.from_jsonable(artifact) == \
+        Scenario.from_jsonable(stripped)
+
+
 #: sha256 over ``generate_scenario(seed, profile).to_json()`` for seeds
-#: 0-39, recorded on the last commit that still had the flat plane (with
-#: its ``control_plane`` key dropped before hashing).  The durability pin
-#: was re-recorded on the last commit whose generator wrote a
-#: ``"enabled": true`` durability key, with that key dropped before
-#: hashing: the RNG draws did not move, only the dict literal.
+#: 0-39.  Re-recorded on the last commit whose scenarios carried the
+#: hash-ring directory's ``directory_shards`` / ``directory_virtual_nodes``
+#: keys, with both keys dropped before hashing: the RNG draws did not
+#: move, only the fields they filled.  (Earlier re-records dropped the
+#: flat plane's ``control_plane`` key and durability's ``enabled`` key
+#: the same way.)
 GENERATOR_PINS = {
     "default":
-        "cf6e6fd41165bb652d04c06f2575e32b7ad76e98bb57d1445bea0d31e5314dd5",
+        "9ad0b217440994ee1a9acbad8698c6c343a63afeec3dcf09158ff3d55bc93aba",
     "partition":
-        "09afd53f79f370aa0c2370898de3d3b181896ab85b373826bc5cf18076755fe8",
+        "6ac1abce70393706dbf0cc24cbc55f96b64e4cc4b10c5a2d629f2896f75950df",
     "durability":
-        "acddd32ccc736c55f175597bd6d1d216694f83cf3b8a8f0651afcbf1a6d75aaa",
+        "f5342e8b02b94af324ef7c9debe858fcfa57842a156f5faff2327849dbf4e0ee",
     "overload":
-        "623298705a5a15dfbeaaed0fddfd42c6e461b44c71e6d5550544f2b524cc05a3",
+        "861f10dc9370239528be89e50a5acf74c08f12d1e3cceda82df4bd1a1d14a6d5",
     "scale":
-        "5de51f2fc97ceceb1aab164cacf2e3f2f9e69617d57b32980824f0b9efb152a2",
+        "1e2121c536fe1d25a2eaeb124473f8b9c18172d0183d54b6e1e8a1a83fd9b0a2",
     "scale-chaos":
-        "2adce62442ef904bf90140a36ee78be63a3e8340395fa0ea25a7e5d7bf94ecf7",
+        "edc708a31b0041018ab67fb7662a8411aaa382a929571d78717b25b5d6497bbe",
 }
 
 

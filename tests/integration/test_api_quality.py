@@ -146,10 +146,10 @@ def test_both_runtimes_implement_the_contract(runtime):
     assert isinstance(cls.now, property)
 
 
-def _sim_system():
+def _sim_system(**kwargs):
     from repro import ActorSystem, Provisioner, Simulator
     sim = Simulator()
-    return ActorSystem(sim, Provisioner(sim))
+    return ActorSystem(sim, Provisioner(sim), **kwargs)
 
 
 @pytest.mark.parametrize("probe,error", [
@@ -161,12 +161,24 @@ def _sim_system():
     (lambda: importlib.import_module("repro.live").LiveBackend,
      AttributeError),
     (lambda: _sim_system().backend, AttributeError),
+    (lambda: importlib.import_module("repro.actors").ShardedDirectory,
+     AttributeError),
+    (lambda: importlib.import_module("repro.actors").HashRing,
+     AttributeError),
+    (lambda: importlib.import_module("repro.actors.sharded_directory"),
+     ImportError),
+    (lambda: importlib.import_module("repro.actors").Directory.note_commit,
+     AttributeError),
+    (lambda: _sim_system(directory=None), TypeError),
 ], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
-        "ActorSystem.backend"])
+        "ActorSystem.backend", "repro.actors.ShardedDirectory",
+        "repro.actors.HashRing", "repro.actors.sharded_directory",
+        "Directory.note_commit", "ActorSystem(directory=)"])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
-    # Each runtime is its own backend: code still reaching for the
-    # adapter layer must fail, not find a stale shim.
+    # Each runtime is its own backend, and one directory serves every
+    # lookup: code still reaching for the adapter layer or the hash-ring
+    # directory must fail, not find a stale shim.
     with pytest.raises(error):
         probe()
 
