@@ -18,7 +18,7 @@ from .chaos import (ChaosEngine, CrashServer, DegradeNetwork, FaultPlan,
                     KillGem, SlowServer)
 from .cluster import (INSTANCE_TYPES, AvailabilityMeter, GaugeSeries,
                       InstanceType, NetworkFabric, Provisioner, Server,
-                      WindowedMeter, instance_type)
+                      instance_type)
 from .core import (CompiledPolicy, ElasticityManager, EmrConfig,
                    ProfilingRuntime, compile_policy, compile_source,
                    parse_policy)
@@ -41,7 +41,7 @@ __all__ = [
     "compile_policy", "compile_source", "parse_policy",
     "DurabilityConfig", "DurabilityManager", "StateStore",
     "RandomStreams", "Signal", "Simulator", "Timeout", "spawn",
-    "WindowedMeter", "LatencyRecorder",
+    "LatencyRecorder",
     "LiveClock", "LiveServer", "LiveActor", "LiveActorSystem",
     "LiveElasticityManager", "FrontDoor",
     "__version__",

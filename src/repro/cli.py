@@ -243,6 +243,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     total_dead_letters = 0
     total_root_failovers = 0
     total_leaf_failovers = 0
+    seeds_run = 0
     for index in range(args.seeds):
         if args.budget_s and time.monotonic() - started > args.budget_s:
             print(f"budget of {args.budget_s}s exhausted after "
@@ -251,6 +252,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = args.seed_start + index
         scenario = generate_scenario(seed, profile=args.profile)
         result = run_scenario(scenario)
+        seeds_run += 1
         status = result.summary()
         total_drops += result.messages_dropped
         total_shed += result.messages_shed
@@ -278,7 +280,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                      f"{total_leaf_failovers} leaf failover(s)"
                      if total_root_failovers or total_leaf_failovers
                      else "")
-    print(f"{args.seeds} seed(s) in {elapsed:.1f}s: "
+    print(f"{seeds_run} seed(s) in {elapsed:.1f}s: "
           f"{failures} failure(s), "
           f"{total_drops} fabric message(s) dropped"
           f"{overload_note}{failover_note}")

@@ -6,7 +6,7 @@ See DESIGN.md §2 for the substitution rationale.
 
 from .groups import ServerGroupMap
 from .instances import INSTANCE_TYPES, InstanceType, instance_type
-from .metrics import AvailabilityMeter, GaugeSeries, WindowedMeter
+from .metrics import AvailabilityMeter, GaugeSeries, RingMeter
 from .network import NetworkFabric
 from .provisioner import Provisioner
 from .server import CpuJob, Server, ServerGauges
@@ -21,7 +21,7 @@ __all__ = [
     "CpuJob",
     "NetworkFabric",
     "Provisioner",
-    "WindowedMeter",
+    "RingMeter",
     "GaugeSeries",
     "AvailabilityMeter",
 ]

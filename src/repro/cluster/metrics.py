@@ -1,36 +1,71 @@
 """Rolling-window usage meters.
 
-PLASMA's profiling runtime reports resource *percentages over the recent
-past* (the elasticity period), not lifetime averages.  These meters
-accumulate usage into fixed-width time buckets so that "CPU% over the last
-N ms" is O(buckets) to answer and old history is forgotten automatically.
+PLASMA's profiling runtime reports actor and server usage *per time
+window* (the elasticity period), not lifetime averages.  Every actor and
+server meter is a :class:`RingMeter`: usage goes into fixed-width time
+buckets (:data:`BUCKET_MS`), old history is forgotten, and the total over
+the configured window costs O(1) amortized per query, so decision
+latency stays flat as history grows (the Elasticutor-style incremental
+maintenance the scalability goal needs).
+
+Exactness contract
+------------------
+``RingMeter.total(w)`` returns a float **bit-identical** to a fresh
+bucket scan over the same events (for ``w`` up to the configured
+window): bucket each event by ``int(t // BUCKET_MS)`` in arrival order,
+then sum every bucket at or above ``int((now - w) // BUCKET_MS)``,
+oldest first.  ``tests/profiling/test_window_properties.py`` checks it
+with exact ``==`` against that scan (the oracle in
+``tests/profiling/window_oracle.py``) and a brute-force reference.  The
+cached window total is the *same left-to-right association* the scan
+uses: a running prefix over closed buckets, plus the open bucket on top.
+Appending a closed bucket extends the prefix on the right; evicting an
+expired bucket on the left breaks it, so eviction triggers a full
+left-to-right recompute, at most once per bucket boundary (amortized
+O(1) per event).  A narrower window is answered by the scan itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sim import Simulator
 
-__all__ = ["WindowedMeter", "GaugeSeries", "AvailabilityMeter"]
+__all__ = ["BUCKET_MS", "RingMeter", "GaugeSeries", "AvailabilityMeter"]
+
+#: Bucket width of every windowed meter: far finer than any elasticity
+#: period used in the paper (60-180 s).
+BUCKET_MS = 500.0
 
 
-class WindowedMeter:
-    """Accumulates a quantity (busy-ms, bytes, message counts) into time
-    buckets and answers windowed totals and rates.
+class RingMeter:
+    """Windowed accumulator with O(1) adds and O(1) amortized totals.
 
-    ``bucket_ms`` trades precision for memory; the default 500 ms is far
-    finer than any elasticity period used in the paper (60–180 s).
+    ``clock`` is anything with a ``now`` in milliseconds (the simulator,
+    or the live runtime's wall clock).  ``window_ms`` is the window
+    ``total()`` answers by default, and the retention horizon: data
+    older than one window (rounded up to bucket granularity) is dropped.
+    Queries for a *smaller* window are answered exactly by a bucket
+    scan; larger windows are not supported (the data is gone).
     """
 
-    def __init__(self, sim: Simulator, bucket_ms: float = 500.0,
-                 keep_buckets: int = 720) -> None:
-        if bucket_ms <= 0:
-            raise ValueError("bucket_ms must be positive")
-        self._sim = sim
-        self._bucket_ms = bucket_ms
-        self._keep = keep_buckets
-        self._buckets: List[Tuple[int, float]] = []  # (bucket index, total)
+    __slots__ = ("_clock", "_window_ms", "_max_buckets",
+                 "_buckets", "_closed_sum", "_stale", "_lifetime")
+
+    def __init__(self, clock: Any, window_ms: float) -> None:
+        if window_ms < 0:
+            raise ValueError("window_ms must be non-negative")
+        self._clock = clock
+        self._window_ms = window_ms
+        # Enough buckets to cover the window plus the partially expired
+        # boundary bucket the scan's cutoff comparison still counts.
+        self._max_buckets = int(window_ms // BUCKET_MS) + 2
+        # [bucket index, total] pairs; allocated by the first ``add``, so
+        # a meter of an actor that is never active owns no deque.
+        self._buckets: Optional[Deque[List[float]]] = None
+        self._closed_sum = 0.0   # left-to-right sum of all but the last bucket
+        self._stale = False      # closed_sum needs a recompute (post-eviction)
         self._lifetime = 0.0
 
     @property
@@ -38,37 +73,64 @@ class WindowedMeter:
         """Total accumulated since creation (never forgotten)."""
         return self._lifetime
 
-    def add(self, amount: float, at: float = None) -> None:
-        """Record ``amount`` at time ``at`` (default: now)."""
-        when = self._sim.now if at is None else at
-        index = int(when // self._bucket_ms)
+    def add(self, amount: float) -> None:
+        """Record ``amount`` now."""
+        index = int(self._clock.now // BUCKET_MS)
         self._lifetime += amount
-        if self._buckets and self._buckets[-1][0] == index:
-            last_index, total = self._buckets[-1]
-            self._buckets[-1] = (last_index, total + amount)
-        else:
-            self._buckets.append((index, amount))
-            if len(self._buckets) > self._keep:
-                del self._buckets[: len(self._buckets) - self._keep]
+        buckets = self._buckets
+        if buckets:
+            last = buckets[-1]
+            if last[0] == index:
+                last[1] += amount
+                return
+            self._closed_sum += last[1]
+        elif buckets is None:
+            buckets = self._buckets = deque()
+        buckets.append([index, amount])
+        # Bound memory without waiting for a query: anything this far
+        # behind the newest bucket is below every future cutoff.
+        floor = index - self._max_buckets
+        while buckets[0][0] < floor:
+            buckets.popleft()
+            self._stale = True
 
-    def total(self, window_ms: float) -> float:
-        """Sum recorded over the trailing ``window_ms``."""
-        if window_ms <= 0:
-            return 0.0
-        cutoff = int((self._sim.now - window_ms) // self._bucket_ms)
-        return sum(total for index, total in self._buckets
-                   if index >= cutoff)
+    def total(self, window_ms: Optional[float] = None) -> float:
+        """Sum recorded over the trailing window (default: configured).
 
-    def rate_per_ms(self, window_ms: float) -> float:
-        """Average accumulation rate over the trailing window.
-
-        The divisor is clamped to the elapsed simulation time so early
-        queries (before one full window has passed) are not diluted.
+        Buckets whose index is at or above
+        ``int((now - window) // BUCKET_MS)`` are included, summed
+        oldest-first.
         """
-        effective = min(window_ms, self._sim.now) if self._sim.now > 0 else window_ms
-        if effective <= 0:
+        window = self._window_ms if window_ms is None else window_ms
+        if window <= 0:
             return 0.0
-        return self.total(window_ms) / effective
+        buckets = self._buckets
+        if not buckets:
+            return 0.0
+        now = self._clock.now
+        cutoff = int((now - self._window_ms) // BUCKET_MS)
+        while buckets and buckets[0][0] < cutoff:
+            buckets.popleft()
+            self._stale = True
+        if not buckets:
+            self._closed_sum = 0.0
+            self._stale = False
+            return 0.0
+        if self._stale:
+            closed = 0.0
+            for position in range(len(buckets) - 1):
+                closed += buckets[position][1]
+            self._closed_sum = closed
+            self._stale = False
+        if window >= self._window_ms:
+            return self._closed_sum + buckets[-1][1]
+        # Narrower-than-configured window: exact bucket scan.
+        narrow_cutoff = int((now - window) // BUCKET_MS)
+        result = 0.0
+        for index, bucket_total in buckets:
+            if index >= narrow_cutoff:
+                result += bucket_total
+        return result
 
 
 class GaugeSeries:

@@ -20,11 +20,17 @@ from typing import Any, Deque, Optional
 
 from ..sim import Signal, Simulator
 from .instances import InstanceType
-from .metrics import WindowedMeter
+from .metrics import RingMeter
 
 __all__ = ["Server", "ServerGauges", "CpuJob"]
 
 _server_ids = itertools.count(1)
+
+#: Retention of a server's CPU and NIC meters.  Every server read is
+#: narrower, so each takes the meter's exact scan path: admission reads
+#: 1 s, the live harness 2 s, ``ClusterRecorder`` 10 s, and the EMR,
+#: baseline and collector periods at most 180 s (Fig. 10).
+SERVER_WINDOW_MS = 360_000.0
 
 
 class CpuJob:
@@ -57,8 +63,8 @@ class ServerGauges:
         self.name = name
         self.started_at = clock.now
         self.running = True
-        self.cpu_meter = WindowedMeter(clock)
-        self.net_meter = WindowedMeter(clock)
+        self.cpu_meter = RingMeter(clock, SERVER_WINDOW_MS)
+        self.net_meter = RingMeter(clock, SERVER_WINDOW_MS)
         self.memory_used_mb = 0.0
 
     # -- memory --------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Elasticity profiling runtime (EPR): actor & server runtime tracking."""
 
+from ...cluster.metrics import RingMeter
 from .collector import ProfilingRuntime
 from .latency import LatencyRecorder
-from .ring import RingMeter
 from .snapshot import ActorSnapshot, ServerSnapshot
 from .stats import ActorStats
 

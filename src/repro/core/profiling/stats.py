@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from ...cluster.metrics import RingMeter
 from ...sim import Simulator
-from .ring import RingMeter
 
 __all__ = ["ActorStats", "CallKey", "PairKey"]
 

@@ -1,11 +1,11 @@
 """Monotonic wall clock with the simulator's ``now`` shape.
 
 Every meter and profiler in the repo reads time as ``clock.now`` in
-float milliseconds (that is the *only* thing ``WindowedMeter``,
-``RingMeter``, and ``ProfilingRuntime`` need from the "simulator" they
-are handed).  :class:`LiveClock` satisfies that protocol with
-``time.monotonic()`` re-based to 0 at construction, so the entire
-profiling stack runs unmodified against wall time.
+float milliseconds (that is the *only* thing ``RingMeter`` and
+``ProfilingRuntime`` need from the "simulator" they are handed).
+:class:`LiveClock` satisfies that protocol with ``time.monotonic()``
+re-based to 0 at construction, so the entire profiling stack runs
+unmodified against wall time.
 """
 
 from __future__ import annotations

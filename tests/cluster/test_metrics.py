@@ -1,8 +1,8 @@
-"""Unit tests for windowed meters and gauge series."""
+"""Unit tests for the windowed meter and gauge series."""
 
 import pytest
 
-from repro.cluster import GaugeSeries, WindowedMeter
+from repro.cluster import GaugeSeries, RingMeter
 from repro.sim import Simulator
 
 
@@ -13,46 +13,22 @@ def advance(sim, to):
 
 def test_total_within_window():
     sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=100.0)
+    meter = RingMeter(sim, 10_000.0)
     meter.add(5.0)
     advance(sim, 50.0)
     meter.add(7.0)
     assert meter.total(1_000.0) == 12.0
+    assert meter.total() == 12.0
 
 
 def test_old_entries_fall_out_of_window():
     sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=100.0)
+    meter = RingMeter(sim, 10_000.0)
     meter.add(5.0)
     advance(sim, 5_000.0)
     meter.add(2.0)
     assert meter.total(1_000.0) == 2.0
     assert meter.lifetime_total == 7.0
-
-
-def test_rate_clamps_to_elapsed_time():
-    sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=100.0)
-    advance(sim, 200.0)
-    meter.add(100.0)
-    # Only 200 ms elapsed; the 60 s window must not dilute the rate.
-    assert meter.rate_per_ms(60_000.0) == pytest.approx(0.5)
-
-
-def test_bucket_eviction_bounds_memory():
-    sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=10.0, keep_buckets=5)
-    for step in range(50):
-        advance(sim, (step + 1) * 10.0)
-        meter.add(1.0)
-    assert len(meter._buckets) <= 5
-    assert meter.lifetime_total == 50.0
-
-
-def test_invalid_bucket_size_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        WindowedMeter(sim, bucket_ms=0.0)
 
 
 def test_gauge_series_statistics():

@@ -170,15 +170,26 @@ def _sim_system(**kwargs):
     (lambda: importlib.import_module("repro.actors").Directory.note_commit,
      AttributeError),
     (lambda: _sim_system(directory=None), TypeError),
+    (lambda: importlib.import_module("repro").WindowedMeter, AttributeError),
+    (lambda: importlib.import_module("repro.cluster").WindowedMeter,
+     AttributeError),
+    (lambda: importlib.import_module("repro.cluster.metrics").WindowedMeter,
+     AttributeError),
+    (lambda: importlib.import_module("repro.core.profiling.ring"),
+     ImportError),
 ], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
         "ActorSystem.backend", "repro.actors.ShardedDirectory",
         "repro.actors.HashRing", "repro.actors.sharded_directory",
-        "Directory.note_commit", "ActorSystem(directory=)"])
+        "Directory.note_commit", "ActorSystem(directory=)",
+        "repro.WindowedMeter", "repro.cluster.WindowedMeter",
+        "repro.cluster.metrics.WindowedMeter",
+        "repro.core.profiling.ring"])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
-    # Each runtime is its own backend, and one directory serves every
-    # lookup: code still reaching for the adapter layer or the hash-ring
-    # directory must fail, not find a stale shim.
+    # Each runtime is its own backend, one directory serves every lookup
+    # and one meter serves every window: code still reaching for the
+    # adapter layer, the hash-ring directory or the scanning meter must
+    # fail, not find a stale shim.
     with pytest.raises(error):
         probe()
 

@@ -88,3 +88,30 @@ def test_bad_classes_spec_rejected(tmp_path):
     policy.write_text("true => pin(Player(p));\n")
     with pytest.raises(SystemExit):
         main(["compile", str(policy), "--classes", "no_colon_here"])
+
+
+def test_fuzz_summary_counts_the_seeds_that_ran(tmp_path, capsys,
+                                                 monkeypatch):
+    # A budget that trips after one seed: the clock reads 0 until the
+    # first scenario has run, then far past the budget.
+    import time
+
+    import repro.fuzz
+
+    clock = {"now": 0.0}
+    real_run = repro.fuzz.run_scenario
+
+    def run_then_expire(scenario, **kwargs):
+        result = real_run(scenario, **kwargs)
+        clock["now"] = 1_000.0
+        return result
+
+    monkeypatch.setattr(time, "monotonic", lambda: clock["now"])
+    monkeypatch.setattr(repro.fuzz, "run_scenario", run_then_expire)
+    assert main(["fuzz", "--seeds", "400", "--seed-start", "0",
+                 "--budget-s", "60", "--no-shrink",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "budget of 60.0s exhausted after 1 seed(s)" in out
+    assert "\n1 seed(s) in 1000.0s: 0 failure(s)" in out
+    assert "400 seed(s)" not in out

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.actors import ActorRef
-from repro.cluster import Server, WindowedMeter, instance_type
+from repro.cluster import RingMeter, Server, instance_type
 from repro.core.emr import Action, resolve_actions
 from repro.core.epl import BEHAVIOR_PRIORITIES, parse_policy, tokenize
 from repro.core.profiling import ActorSnapshot
@@ -22,7 +22,7 @@ from repro.workload import WeightedChoice, cascade_split, hot_one_split
     st.floats(min_value=0.0, max_value=1_000.0)), min_size=1, max_size=60))
 def test_meter_window_total_never_exceeds_lifetime(events):
     sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=250.0)
+    meter = RingMeter(sim, 100_000.0)
     for when, amount in sorted(events):
         if when > sim.now:
             sim.schedule_at(when, lambda: None)
@@ -38,7 +38,7 @@ def test_meter_window_total_never_exceeds_lifetime(events):
        st.floats(min_value=0.0, max_value=500.0))
 def test_meter_recent_event_always_in_window(window, amount):
     sim = Simulator()
-    meter = WindowedMeter(sim, bucket_ms=100.0)
+    meter = RingMeter(sim, 10_000.0)
     meter.add(amount)
     assert meter.total(window) == amount
 

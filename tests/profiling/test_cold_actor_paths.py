@@ -94,7 +94,6 @@ def test_untouched_ring_meter_answers_zero_and_owns_no_deque():
     sim.run()
     assert meter.total() == 0.0
     assert meter.total(1_000.0) == 0.0
-    assert meter.rate_per_ms() == 0.0
     assert meter.lifetime_total == 0.0
     assert meter._buckets is None
     meter.add(2.0)

@@ -1,27 +1,33 @@
-"""Property tests: ring-buffer meters vs brute-force and scan meters.
+"""Property tests: the ring-buffer meter vs brute-force and scan oracles.
 
-The profiling hot path is only admissible because :class:`RingMeter`
-promises *bit-identical* windowed totals to the bucket-scanning
-:class:`WindowedMeter` (see the exactness contract in
-``repro/core/profiling/ring.py``).  These properties drive both
-implementations — plus an independent brute-force reference — through
-random event sequences and assert exact ``==`` on every query, with the
-edges called out in the PR checklist: empty windows, window-boundary
-bucket cutoffs, and actor resurrection.
+The profiling hot path and every server's CPU/NIC gauge are only
+admissible because :class:`RingMeter` promises *bit-identical* windowed
+totals to a bucket scan (see the exactness contract in
+``repro/cluster/metrics.py``).  These properties drive the ring, the
+bucket-scanning oracle :class:`window_oracle.WindowedMeter` and an
+independent brute-force reference through random event sequences and
+assert exact ``==`` on every query, with the edges that matter: empty
+windows, window-boundary bucket cutoffs, actor resurrection, and server
+windows over histories longer than the servers' retention.
 
 ``derandomize=True`` keeps the suite reproducible in CI.
 """
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.actors import Actor
 from repro.bench import build_cluster
-from repro.cluster import WindowedMeter
+from repro.cluster import Server, instance_type
+from repro.cluster.metrics import BUCKET_MS
+from repro.cluster.server import SERVER_WINDOW_MS
 from repro.core.profiling import ProfilingRuntime, RingMeter
 from repro.sim import Simulator
 
+from window_oracle import WindowedMeter
+
 WINDOW_MS = 10_000.0
-BUCKET_MS = 500.0
 
 # An event sequence: (advance time by delta, record amount).  Deltas mix
 # sub-bucket steps with jumps past the whole window so eviction and the
@@ -74,7 +80,7 @@ class _BruteForce:
 
 def _drive(events):
     sim = Simulator()
-    ring = RingMeter(sim, WINDOW_MS, bucket_ms=BUCKET_MS)
+    ring = RingMeter(sim, WINDOW_MS)
     legacy = WindowedMeter(sim, bucket_ms=BUCKET_MS)
     brute = _BruteForce(sim)
     for delta, amount in events:
@@ -93,7 +99,6 @@ def test_ring_matches_legacy_and_brute_force(events, window, tail_ms):
     assert ring.total(window) == legacy.total(window)
     assert ring.total(window) == brute.total(window)
     assert ring.total() == legacy.total(WINDOW_MS)
-    assert ring.rate_per_ms(window) == legacy.rate_per_ms(window)
     assert ring.lifetime_total == legacy.lifetime_total
 
 
@@ -105,7 +110,7 @@ def test_interleaved_queries_do_not_perturb_state(events):
     sim_a, ring_a, legacy_a, _ = _drive(events)
     # Second run: same events, but query after every add.
     sim_b = Simulator()
-    ring_b = RingMeter(sim_b, WINDOW_MS, bucket_ms=BUCKET_MS)
+    ring_b = RingMeter(sim_b, WINDOW_MS)
     for delta, amount in events:
         sim_b.run(until=sim_b.now + delta)
         ring_b.add(amount)
@@ -119,21 +124,19 @@ def test_empty_window_and_empty_meter():
     ring = RingMeter(sim, WINDOW_MS)
     assert ring.total() == 0.0
     assert ring.total(0.0) == 0.0
-    assert ring.rate_per_ms() == 0.0
     ring.add(5.0)
     assert ring.total(0.0) == 0.0          # empty window is always zero
     assert ring.total(-1.0) == 0.0
     zero = RingMeter(sim, 0.0)             # zero-width configured window
     zero.add(5.0)
     assert zero.total() == 0.0
-    assert zero.rate_per_ms() == 0.0
 
 
 def test_window_boundary_bucket_is_included():
     """WindowedMeter's cutoff comparison keeps the partially expired
     boundary bucket; the ring must reproduce that, not "improve" it."""
     sim = Simulator()
-    ring = RingMeter(sim, WINDOW_MS, bucket_ms=BUCKET_MS)
+    ring = RingMeter(sim, WINDOW_MS)
     legacy = WindowedMeter(sim, bucket_ms=BUCKET_MS)
     for meter in (ring, legacy):
         meter.add(3.0)                     # bucket 0
@@ -147,7 +150,7 @@ def test_window_boundary_bucket_is_included():
 
 def test_eviction_bounds_memory():
     sim = Simulator()
-    ring = RingMeter(sim, WINDOW_MS, bucket_ms=BUCKET_MS)
+    ring = RingMeter(sim, WINDOW_MS)
     legacy = WindowedMeter(sim, bucket_ms=BUCKET_MS)
     for step in range(5_000):
         sim.run(until=sim.now + BUCKET_MS)
@@ -185,3 +188,74 @@ def test_resurrection_resets_profile():
     profiler.on_compute(record, 7.0)
     again = profiler.snapshot_actors([record])[0]
     assert again.cpu_ms_per_min > 0.0
+
+
+# -- server windows -----------------------------------------------------------
+
+#: The windows servers are read at: admission (1 s), the live harness
+#: (2 s), ``ClusterRecorder`` (10 s), the longest EMR/baseline/collector
+#: period (180 s), and one bucket under the servers' retention horizon.
+_SERVER_WINDOWS = (1_000.0, 2_000.0, 10_000.0, 180_000.0,
+                   SERVER_WINDOW_MS - BUCKET_MS)
+#: Any EMR, baseline or collector period (2-180 s).
+_periods = st.floats(min_value=2_000.0, max_value=180_000.0)
+
+
+def _server_adds(seed, sparse):
+    """(time advance, cpu amount, net amount) triples.  Dense sequences
+    step sub-bucket; sparse ones skip several buckets per add and span
+    more than the retention horizon, so the oracle's count-based
+    720-bucket retention keeps buckets the ring's index-based retention
+    has already dropped."""
+    rng = random.Random(seed)
+    if sparse:
+        count = rng.randint(150, 240)
+        steps = [rng.uniform(2.0, 8.0) * BUCKET_MS for _ in range(count)]
+    else:
+        count = rng.randint(200, 1_200)
+        steps = [rng.uniform(0.0, 1.5) * BUCKET_MS for _ in range(count)]
+    return [(step, rng.random() * 10.0 ** rng.randint(-3, 3),
+             rng.random() * 10.0 ** rng.randint(0, 6)) for step in steps]
+
+
+def _assert_server_matches(server, cpu, net, window):
+    assert server.cpu_meter.total(window) == cpu.total(window)
+    assert server.net_meter.total(window) == net.total(window)
+    effective = min(window, server.clock.now - server.started_at)
+    if effective <= 0:
+        expected_cpu = expected_net = 0.0
+    else:
+        expected_cpu = min(100.0, 100.0 * cpu.total(window)
+                           / (effective * server.itype.vcpus))
+        expected_net = min(100.0, 100.0 * net.total(window)
+                           / (effective * server.itype.net_bytes_per_ms()))
+    assert server.cpu_percent(window) == expected_cpu
+    assert server.net_percent(window) == expected_net
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), sparse=st.booleans(),
+       periods=st.lists(_periods, min_size=1, max_size=6),
+       every=st.integers(1, 50))
+def test_server_meters_match_the_oracle(seed, sparse, periods, every):
+    sim = Simulator()
+    server = Server(sim, instance_type("m5.large"))
+    cpu = WindowedMeter(sim)
+    net = WindowedMeter(sim)
+    adds = _server_adds(seed, sparse)
+    windows = _SERVER_WINDOWS + tuple(periods)
+    if sparse:
+        assert sum(step for step, _c, _n in adds) > SERVER_WINDOW_MS
+    for position, (step, cpu_amount, net_amount) in enumerate(adds):
+        sim.run(until=sim.now + step)
+        server.cpu_meter.add(cpu_amount)
+        server.net_meter.add(net_amount)
+        cpu.add(cpu_amount)
+        net.add(net_amount)
+        if position % every == 0:   # queries mid-sequence mutate the ring
+            _assert_server_matches(server, cpu, net,
+                                   windows[position % len(windows)])
+    for window in windows:
+        _assert_server_matches(server, cpu, net, window)
+    assert server.cpu_meter.lifetime_total == cpu.lifetime_total
+    assert server.net_meter.lifetime_total == net.lifetime_total
