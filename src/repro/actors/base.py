@@ -4,7 +4,8 @@ lifecycle bookkeeping.
 :class:`~repro.actors.system.ActorSystem` (simulated time) and
 :class:`~repro.live.LiveActorSystem` (asyncio, wall clock) differ in how
 a message moves and how a migration waits.  What they *record* about an
-actor is the same, and lives here once: the hooks list, the spawn path
+actor is the same, and lives here once: the hook subscribers and the
+per-message hook tables built from them, the spawn path
 (instance wiring, the :class:`ActorRecord`, directory registration, the
 memory ledger), destruction, the migration refusal test and commit block,
 and the directory queries.  So does the part of the elasticity contract
@@ -21,7 +22,7 @@ waits).  Nothing here knows which runtime it serves.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterator, List, Optional, Type
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
 
 from ..sim import RandomStreams
 from .actor import Actor
@@ -77,7 +78,11 @@ class ActorSystemBase:
         self.clock = clock
         self.directory = directory
         self.streams = streams or RandomStreams()
-        self.hooks: List[RuntimeHooks] = []
+        #: Subscribers in subscription order; read-only, so a change
+        #: goes through :meth:`add_hooks` / :meth:`remove_hooks`, which
+        #: keep the hot-hook tables in step with it.
+        self.hooks: Tuple[RuntimeHooks, ...] = ()
+        self._rebuild_hook_tables()
         #: Rule-aware placement of new actors, installed by a running
         #: EMR; may abstain by returning ``None``.
         self.placement_policy: Optional[Callable[..., Any]] = None
@@ -128,12 +133,31 @@ class ActorSystemBase:
 
     def add_hooks(self, hooks: RuntimeHooks) -> None:
         """Subscribe an observer (typically the profiling runtime)."""
-        self.hooks.append(hooks)
+        self.hooks += (hooks,)
+        self._rebuild_hook_tables()
 
     def remove_hooks(self, hooks: RuntimeHooks) -> None:
         """Unsubscribe an observer (no-op if it is not subscribed)."""
         if hooks in self.hooks:
-            self.hooks.remove(hooks)
+            index = self.hooks.index(hooks)
+            self.hooks = self.hooks[:index] + self.hooks[index + 1:]
+            self._rebuild_hook_tables()
+
+    def _rebuild_hook_tables(self) -> None:
+        """Rebuild the tables of the hooks every message or compute
+        calls: the bound methods of the subscribers whose class
+        overrides that hook, in subscription order.  A method is bound
+        here, when the subscribers change, so a table holds the one the
+        class has then."""
+        def table(name: str) -> Tuple[Callable[..., None], ...]:
+            noop = getattr(RuntimeHooks, name)
+            return tuple(getattr(hooks, name) for hooks in self.hooks
+                         if getattr(type(hooks), name) is not noop)
+
+        self._on_message_delivered = table("on_message_delivered")
+        self._on_bytes_received = table("on_bytes_received")
+        self._on_bytes_sent = table("on_bytes_sent")
+        self._on_compute = table("on_compute")
 
     # -- incarnations --------------------------------------------------
 

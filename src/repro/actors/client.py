@@ -21,16 +21,16 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..cluster import AvailabilityMeter, GaugeSeries
-from ..sim import Signal, Timeout
+from ..sim import Completion, Timeout
 from .message import Overloaded
 from .refs import ActorRef
 from .system import ActorSystem
 
 __all__ = ["Client", "DeadLetter"]
 
-#: Sentinel a request's reply signal is triggered with when the client's
+#: Sentinel a request's reply is triggered with when the client's
 #: deadline fires first.  A genuine (late) reply is then ignored because
-#: signals trigger exactly once.
+#: a reply triggers exactly once.
 _TIMED_OUT = object()
 
 
@@ -125,8 +125,8 @@ class Client:
 
     def call(self, ref: ActorRef, function: str, *args: Any,
              size_bytes: Optional[float] = None,
-             deadline_ms: Optional[float] = None) -> Signal:
-        """Send one request; returns the reply signal (yield it)."""
+             deadline_ms: Optional[float] = None) -> Completion:
+        """Send one request; returns the reply (yield it)."""
         return self.system.client_call(
             ref, function, *args,
             size_bytes=size_bytes if size_bytes is not None
@@ -139,11 +139,16 @@ class Client:
 
         Use with ``result, latency = yield from client.timed_call(...)``.
         """
-        start = self.system.sim.now
+        system = self.system
+        start = system.sim.now
         self.attempts += 1
-        result = yield self.call(ref, function, *args, size_bytes=size_bytes)
-        latency = self.system.sim.now - start
-        self.latencies.record(self.system.sim.now, latency)
+        result = yield system.client_call(
+            ref, function, *args,
+            size_bytes=size_bytes if size_bytes is not None
+            else self.request_bytes)
+        now = system.sim.now
+        latency = now - start
+        self.latencies.record(now, latency)
         if isinstance(result, Overloaded):
             self.failed += 1
             if self.meter is not None:

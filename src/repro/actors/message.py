@@ -2,7 +2,7 @@
 
 A message is one function invocation: it names the target actor and
 function, carries arguments and a payload size (which determines network
-cost), and holds the reply signal the caller blocks on.  ``caller_kind``
+cost), and holds the reply the caller blocks on.  ``caller_kind``
 is ``"client"`` for external callers or the calling actor's type name —
 exactly the distinction PLASMA's EPL makes in ``cllr.call(...)`` features.
 """
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from ..sim import Signal
+from ..sim import Completion
 
 __all__ = ["Message", "Overloaded", "CLIENT_KIND",
            "DEFAULT_MESSAGE_BYTES", "DEFAULT_REPLY_BYTES"]
@@ -44,7 +44,7 @@ class Overloaded:
         return f"Overloaded({self.reason!r})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One in-flight function invocation."""
 
@@ -54,17 +54,17 @@ class Message:
     caller_kind: str
     caller_id: Optional[int]
     size_bytes: float
-    reply: Optional[Signal]
+    reply: Optional[Completion]
     reply_bytes: float = DEFAULT_REPLY_BYTES
     sent_at: float = 0.0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
-    forwards: int = 0
-    remote: bool = False  # set at routing time: crossed a server boundary
     #: Absolute sim time after which the caller no longer wants the
     #: reply.  Only set by clients when overload protection is active;
     #: the ``deadline`` shedding policy drops expired messages on
     #: arrival instead of wasting a saturated server's cycles.
     deadline_ms: Optional[float] = None
+    message_id: int = field(default_factory=_message_ids.__next__)
+    forwards: int = 0
+    remote: bool = False  # set at routing time: crossed a server boundary
 
     def is_client_call(self) -> bool:
         return self.caller_kind == CLIENT_KIND

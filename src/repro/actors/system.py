@@ -43,8 +43,8 @@ from functools import partial
 from typing import Any, Callable, List, Optional, Sized, Tuple, Type
 
 from ..cluster import NetworkFabric, Provisioner, Server
-from ..sim import (Driver, Interrupted, RandomStreams, Signal, Simulator,
-                   Timeout, Waitable, spawn)
+from ..sim import (Completion, Driver, Interrupted, RandomStreams, Signal,
+                   Simulator, Timeout, Waitable, spawn)
 from .actor import Actor
 from .base import ActorSystemBase
 from .directory import ActorCell, ActorRecord, Directory
@@ -193,7 +193,7 @@ class ActorSystem(ActorSystemBase):
                 message.reply.trigger(None)
         self._put(record, cell, _STOP)
         # Fail the in-flight request too (its handler dies with the
-        # actor; Signal.trigger is once-only, so a handler that was
+        # actor; a reply triggers once only, so a handler that was
         # already about to reply cannot double-deliver).
         inflight = cell.current
         if inflight is not None and inflight.reply is not None:
@@ -291,27 +291,28 @@ class ActorSystem(ActorSystemBase):
     def client_call(self, ref: ActorRef, function: str, *args: Any,
                     size_bytes: float = 512.0,
                     reply_bytes: float = DEFAULT_REPLY_BYTES,
-                    deadline_ms: Optional[float] = None) -> Signal:
+                    deadline_ms: Optional[float] = None) -> Completion:
         """Invoke ``function`` on ``ref`` from an external client.
 
-        Returns the reply signal; yield it from a client process.
+        Returns the reply, a :class:`~repro.sim.Completion` (one waiter);
+        yield it from a client process.
         ``deadline_ms`` (absolute sim time) lets the ``deadline``
         shedding policy drop the message if it arrives too late.
         """
-        reply = Signal(self.sim)
-        message = Message(
-            target_id=ref.actor_id, function=function, args=tuple(args),
-            caller_kind=CLIENT_KIND, caller_id=None, size_bytes=size_bytes,
-            reply=reply, reply_bytes=reply_bytes, sent_at=self.sim.now,
-            deadline_ms=deadline_ms)
+        reply = Completion(self.sim)
+        # Positional: on this per-message path a keyword call to the
+        # dataclass constructor costs about twice as much.
+        message = Message(ref.actor_id, function, args, CLIENT_KIND, None,
+                          size_bytes, reply, reply_bytes, self.sim.now,
+                          deadline_ms)
         if self.overload is not None:
             self.overload.note_issued(message)
         self._route(None, message)
         return reply
 
     def _actor_call(self, actor: Actor, ref: ActorRef, function: str,
-                    args: Tuple[Any, ...], size_bytes: float) -> Signal:
-        reply = Signal(self.sim)
+                    args: Tuple[Any, ...], size_bytes: float) -> Completion:
+        reply = Completion(self.sim)
         self._send_from_actor(actor, ref, function, args, size_bytes, reply)
         return reply
 
@@ -321,11 +322,10 @@ class ActorSystem(ActorSystemBase):
 
     def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
                          args: Tuple[Any, ...], size_bytes: float,
-                         reply: Optional[Signal]) -> None:
-        message = Message(
-            target_id=ref.actor_id, function=function, args=tuple(args),
-            caller_kind=actor.type_name, caller_id=actor.actor_id,
-            size_bytes=size_bytes, reply=reply, sent_at=self.sim.now)
+                         reply: Optional[Completion]) -> None:
+        message = Message(ref.actor_id, function, args, actor.type_name,
+                          actor.actor_id, size_bytes, reply,
+                          DEFAULT_REPLY_BYTES, self.sim.now)
         # A dead incarnation's send has no source server to leave from.
         record = actor._record
         self._route(record if record.cell is not None else None, message)
@@ -342,16 +342,10 @@ class ActorSystem(ActorSystemBase):
             # destroy_actor, so park the orphaned handler on a signal
             # that never fires.
             return Signal(self.sim)
-        job_done = record.server.execute(cpu_ms, owner=record)
-        wrapped = Signal(self.sim)
-
-        def charge(busy_ms: float) -> None:
-            for hooks in self.hooks:
-                hooks.on_compute(record, busy_ms)
-            wrapped.trigger(busy_ms)
-
-        job_done._subscribe(charge)
-        return wrapped
+        compute = _Compute(self, record)
+        record.server.execute(cpu_ms, record)._subscribe(
+            compute._charge)
+        return compute
 
     # -- routing -----------------------------------------------------------
 
@@ -366,20 +360,21 @@ class ActorSystem(ActorSystemBase):
                 message.reply.trigger(None)
             return
         src_server = src_record.server if src_record is not None else None
-        message.remote = src_server is not target.server
-        if message.remote and self.fabric.drop_message(src_server,
-                                                       target.server):
+        dst_server = target.server
+        size_bytes = message.size_bytes
+        fabric = self.fabric
+        remote = message.remote = src_server is not dst_server
+        if remote and fabric.drop_message(src_server, dst_server):
             # Lost in transit (chaos fault): the message never arrives
             # and no reply fires — recovery is the caller's timeout/retry.
             if self.overload is not None:
                 self.overload.note_fabric_lost(message)
             return
-        delay = self.fabric.delivery_delay(
-            src_server, target.server, message.size_bytes)
-        if src_record is not None and message.remote:
-            for hooks in self.hooks:
-                hooks.on_bytes_sent(src_record, message.size_bytes)
-        self.sim.schedule(delay, self._deliver, message, target.server)
+        delay = fabric.delivery_delay(src_server, dst_server, size_bytes)
+        if remote and src_record is not None:
+            for on_bytes_sent in self._on_bytes_sent:
+                on_bytes_sent(src_record, size_bytes)
+        self.sim.schedule(delay, self._deliver, message, dst_server)
 
     def _deliver(self, message: Message, arrived_at: Server) -> None:
         """Message arrival at a server; forwards if the actor moved."""
@@ -390,7 +385,8 @@ class ActorSystem(ActorSystemBase):
             if message.reply is not None:
                 message.reply.trigger(None)
             return
-        if target.server is not arrived_at and message.forwards < _MAX_FORWARDS:
+        forwards = message.forwards
+        if target.server is not arrived_at and forwards < _MAX_FORWARDS:
             # The actor moved while the message was in flight: the old
             # host forwards it, paying one more network hop (which a
             # degraded or partitioned fabric may also lose).
@@ -404,16 +400,18 @@ class ActorSystem(ActorSystemBase):
             self.sim.schedule(delay, self._deliver, message, target.server)
             return
         cell = target.cell
-        if self.overload is not None and not self._admit(
+        overload = self.overload
+        if overload is not None and not self._admit(
                 message, target, cell.mailbox, arrived_at):
             return
-        for hooks in self.hooks:
-            hooks.on_message_delivered(target, message)
-            if message.remote or message.forwards:
-                hooks.on_bytes_received(target, message.size_bytes)
+        for on_message_delivered in self._on_message_delivered:
+            on_message_delivered(target, message)
+        if message.remote or forwards:
+            for on_bytes_received in self._on_bytes_received:
+                on_bytes_received(target, message.size_bytes)
         self._put(target, cell, message)
-        if self.overload is not None:
-            self.overload.note_mailbox_depth(len(cell.mailbox))
+        if overload is not None:
+            overload.note_mailbox_depth(len(cell.mailbox))
 
     def _admit(self, message: Message, target: ActorRecord, mailbox: Sized,
                arrived_at: Server) -> bool:
@@ -529,7 +527,7 @@ class ActorSystem(ActorSystemBase):
         if hasattr(result, "send"):  # generator handler
             _HandlerRun(self, record, cell, message, result)._step(None, None)
         else:
-            self._served(record, cell, message, result, failed=False)
+            self._served(record, cell, message, result, False)
 
     def _served(self, record: ActorRecord, cell: ActorCell, message: Message,
                 result: Any, failed: bool) -> None:
@@ -548,18 +546,22 @@ class ActorSystem(ActorSystemBase):
 
     def _send_reply(self, record: ActorRecord, message: Message,
                     result: Any) -> None:
-        if message.caller_id is not None:
-            caller = self.directory.try_lookup(message.caller_id)
-            caller_server = caller.server if caller is not None else None
+        server = record.server
+        reply_bytes = message.reply_bytes
+        caller_id = message.caller_id
+        caller = (self.directory.try_lookup(caller_id)
+                  if caller_id is not None else None)
+        if caller is None:
+            # An external client, or a caller gone since: the reply
+            # enters from outside the fleet.
+            delay = self.fabric.delivery_delay(None, server, reply_bytes)
         else:
-            caller_server = None  # external client
-        delay = self.fabric.delivery_delay(
-            record.server, caller_server, message.reply_bytes) \
-            if caller_server is not None else \
-            self.fabric.delivery_delay(None, record.server, message.reply_bytes)
-        if caller_server is not None and caller_server is not record.server:
-            for hooks in self.hooks:
-                hooks.on_bytes_sent(record, message.reply_bytes)
+            caller_server = caller.server
+            delay = self.fabric.delivery_delay(server, caller_server,
+                                               reply_bytes)
+            if caller_server is not server:
+                for on_bytes_sent in self._on_bytes_sent:
+                    on_bytes_sent(record, reply_bytes)
         self.sim.schedule(delay, message.reply.trigger, result)
 
     # ------------------------------------------------------------------
@@ -724,6 +726,25 @@ class ActorSystem(ActorSystemBase):
         done.trigger(True)
 
 
+class _Compute(Completion):
+    """What a handler's ``compute`` yields.  Its bound :meth:`_charge`
+    is the CPU job's continuation, one step after the job ends: it
+    reports the busy time to the ``on_compute`` subscribers, then
+    resumes the handler one step later."""
+
+    __slots__ = ("_system", "_record")
+
+    def __init__(self, system: ActorSystem, record: ActorRecord) -> None:
+        Completion.__init__(self, system.sim)
+        self._system = system
+        self._record = record
+
+    def _charge(self, busy_ms: float) -> None:
+        for on_compute in self._system._on_compute:
+            on_compute(self._record, busy_ms)
+        self.trigger(busy_ms)
+
+
 class _HandlerRun(Driver):
     """Steps one generator handler for that handler's lifetime; the
     first step runs synchronously inside :meth:`ActorSystem._serve`."""
@@ -732,7 +753,7 @@ class _HandlerRun(Driver):
 
     def __init__(self, system: ActorSystem, record: ActorRecord,
                  cell: ActorCell, message: Message, handler: Any) -> None:
-        super().__init__(system.sim, handler)
+        Driver.__init__(self, system.sim, handler)
         self._system = system
         self._record = record
         self._cell = cell
@@ -745,4 +766,4 @@ class _HandlerRun(Driver):
     def _finish(self, result: Any, exception: Optional[BaseException]) -> None:
         self._finished = True
         self._system._served(self._record, self._cell, self._message, result,
-                             failed=exception is not None)
+                             exception is not None)

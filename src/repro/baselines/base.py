@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from ..actors import ActorRecord, ActorSystem
 from ..cluster import Server
+from ..cluster.server import check_period_ms
 from ..core.profiling import ProfilingRuntime
 from ..sim import Timeout, spawn
 
@@ -24,6 +25,7 @@ class PeriodicBalancer:
 
     def __init__(self, system: ActorSystem, period_ms: float = 60_000.0,
                  profile: bool = True) -> None:
+        check_period_ms(period_ms)
         self.system = system
         self.period_ms = period_ms
         self.running = False

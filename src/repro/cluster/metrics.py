@@ -73,9 +73,15 @@ class RingMeter:
         """Total accumulated since creation (never forgotten)."""
         return self._lifetime
 
-    def add(self, amount: float) -> None:
-        """Record ``amount`` now."""
-        index = int(self._clock.now // BUCKET_MS)
+    def add(self, amount: float, index: Optional[int] = None) -> None:
+        """Record ``amount`` now.
+
+        ``index`` is the current bucket, ``int(now // BUCKET_MS)``,
+        passed by a caller that adds to several meters in one instant
+        and computes it once; by default the meter reads its clock.
+        """
+        if index is None:
+            index = int(self._clock.now // BUCKET_MS)
         self._lifetime += amount
         buckets = self._buckets
         if buckets:

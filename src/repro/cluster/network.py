@@ -243,12 +243,12 @@ class NetworkFabric:
         """
         if src is dst and src is not None:
             return self.local_latency_ms
-        bandwidths = [dst.itype.net_bytes_per_ms()]
+        bandwidth = dst.itype.net_bytes_per_ms()
         dst.net_meter.add(size_bytes)
         if src is not None:
-            bandwidths.append(src.itype.net_bytes_per_ms())
+            bandwidth = min(bandwidth, src.itype.net_bytes_per_ms())
             src.net_meter.add(size_bytes)
-        serialization = size_bytes / min(bandwidths)
+        serialization = size_bytes / bandwidth
         return self.latency_multiplier * (
             self.remote_rtt_ms / 2.0 + serialization)
 

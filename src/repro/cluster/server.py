@@ -18,7 +18,7 @@ import itertools
 from collections import deque
 from typing import Any, Deque, Optional
 
-from ..sim import Signal, Simulator
+from ..sim import Completion, Simulator
 from .instances import InstanceType
 from .metrics import RingMeter
 
@@ -33,19 +33,35 @@ _server_ids = itertools.count(1)
 SERVER_WINDOW_MS = 360_000.0
 
 
-class CpuJob:
-    """A unit of CPU work queued on a server.
+def check_period_ms(period_ms: float) -> None:
+    """Reject a management period the server meters cannot answer: not
+    positive, or longer than :data:`SERVER_WINDOW_MS`, past which a
+    utilisation read sums only the retained part of the window and
+    divides by all of it."""
+    if period_ms <= 0:
+        raise ValueError("period_ms must be positive")
+    if period_ms > SERVER_WINDOW_MS:
+        raise ValueError(
+            f"period_ms {period_ms!r} exceeds the {SERVER_WINDOW_MS:g} ms "
+            f"that server CPU/NIC meters retain (SERVER_WINDOW_MS)")
 
-    ``owner`` is an opaque tag (the actor, in practice) used by callers for
+
+class CpuJob(Completion):
+    """A unit of CPU work queued on a server, and the waitable
+    :meth:`Server.execute` returns for it.
+
+    It completes with the *scaled* busy time the job occupied a core
+    for; the server schedules its one continuation then.  ``owner`` is
+    an opaque tag (the actor, in practice) used by callers for
     accounting; the server itself only needs the demand.
     """
 
-    __slots__ = ("demand_ms", "owner", "done")
+    __slots__ = ("demand_ms", "owner")
 
     def __init__(self, sim: Simulator, demand_ms: float, owner: Any = None) -> None:
+        Completion.__init__(self, sim)
         self.demand_ms = demand_ms
         self.owner = owner
-        self.done = Signal(sim)
 
 
 class ServerGauges:
@@ -154,17 +170,18 @@ class Server(ServerGauges):
 
     # -- CPU ---------------------------------------------------------------
 
-    def execute(self, demand_ms: float, owner: Any = None) -> Signal:
-        """Submit ``demand_ms`` of CPU work; returns the completion signal.
+    def execute(self, demand_ms: float, owner: Any = None) -> CpuJob:
+        """Submit ``demand_ms`` of CPU work; returns the job, a
+        :class:`~repro.sim.Completion` with at most one waiter.
 
-        The signal's value is the *scaled* busy time the job occupied a
+        The job completes with the *scaled* busy time it occupied a
         core for, letting callers charge per-actor CPU accounting.
         """
         if demand_ms < 0:
             raise ValueError(f"negative CPU demand: {demand_ms!r}")
         job = CpuJob(self.sim, demand_ms, owner)
         self._submit(job)
-        return job.done
+        return job
 
     def _submit(self, job: Optional[CpuJob]) -> None:
         """Hand ``job`` to a waiting core (it starts at the next step),
@@ -197,7 +214,7 @@ class Server(ServerGauges):
     def _end_job(self, job: CpuJob, scaled: float) -> None:
         if self.running:
             self.cpu_meter.add(scaled)
-        job.done.trigger(scaled)
+        job.trigger(scaled)
         self._next_job()
 
     def run_queue_length(self) -> int:
@@ -224,7 +241,7 @@ class Server(ServerGauges):
 
         Each core stops on a sentinel queued *behind* the work already
         waiting, so jobs submitted before shutdown still run to
-        completion and fire their ``done`` signals; from now on no job
+        completion and resume their waiters; from now on no job
         is added to the CPU meter.  Work submitted after shutdown is
         never run.
         """

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ...cluster.server import check_period_ms
 from ...durability import DurabilityConfig
 from ...overload import OverloadConfig
 
@@ -81,8 +82,7 @@ class EmrConfig:
     overload: Optional[OverloadConfig] = None
 
     def __post_init__(self) -> None:
-        if self.period_ms <= 0:
-            raise ValueError("period_ms must be positive")
+        check_period_ms(self.period_ms)
         if self.gem_count < 1:
             raise ValueError("gem_count must be at least 1")
         if (self.server_group_size is not None

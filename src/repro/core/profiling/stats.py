@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ...cluster.metrics import RingMeter
+from ...cluster.metrics import BUCKET_MS, RingMeter
 from ...sim import Simulator
 
 __all__ = ["ActorStats", "CallKey", "PairKey"]
@@ -50,15 +50,18 @@ class ActorStats:
 
     def record_message(self, caller_kind: str, caller_id, function: str,
                        size_bytes: float) -> None:
+        """Count one delivered message in its call, bytes and pair
+        meters, all in the one bucket of this instant."""
         self.version += 1
+        index = int(self._sim.now // BUCKET_MS)
         key: CallKey = (caller_kind, function)
         counts = self.call_counts.get(key)
         if counts is None:
             counts = self._new_meter()
             self.call_counts[key] = counts
             self.call_bytes[key] = self._new_meter()
-        counts.add(1.0)
-        self.call_bytes[key].add(size_bytes)
+        counts.add(1.0, index)
+        self.call_bytes[key].add(size_bytes, index)
         self.messages_processed += 1
         if caller_id is not None:
             pair_key: PairKey = (caller_id, function)
@@ -66,7 +69,7 @@ class ActorStats:
             if pair is None:
                 pair = self._new_meter()
                 self.pair_counts[pair_key] = pair
-            pair.add(1.0)
+            pair.add(1.0, index)
 
     def add_cpu(self, busy_ms: float) -> None:
         self.version += 1

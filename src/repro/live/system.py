@@ -336,15 +336,15 @@ class LiveActorSystem(ActorSystemBase):
         if src_record is None or src_record.server is not record.server:
             if src_record is not None:
                 src_record.server.note_net(message.size_bytes)
-                for hooks in self.hooks:
-                    hooks.on_bytes_sent(src_record, message.size_bytes)
+                for on_bytes_sent in self._on_bytes_sent:
+                    on_bytes_sent(src_record, message.size_bytes)
             record.server.note_net(message.size_bytes)
-            for hooks in self.hooks:
-                hooks.on_bytes_received(record, message.size_bytes)
+            for on_bytes_received in self._on_bytes_received:
+                on_bytes_received(record, message.size_bytes)
 
         self.messages_delivered += 1
-        for hooks in self.hooks:
-            hooks.on_message_delivered(record, message)
+        for on_message_delivered in self._on_message_delivered:
+            on_message_delivered(record, message)
         cell.mailbox.append((message, reply))
         if cell.task is None:
             cell.task = asyncio.get_running_loop().create_task(
@@ -396,8 +396,8 @@ class LiveActorSystem(ActorSystemBase):
         record = actor._record
         if record.cell is not None:  # a dead incarnation charges no one
             record.server.note_busy(cpu_ms)
-            for hooks in self.hooks:
-                hooks.on_compute(record, cpu_ms)
+            for on_compute in self._on_compute:
+                on_compute(record, cpu_ms)
         if cpu_ms > 0.0:
             await asyncio.sleep(cpu_ms / 1000.0)
 

@@ -5,13 +5,14 @@ Public surface:
 - :class:`Simulator` — the event loop and virtual clock (milliseconds).
 - :class:`Process`, :func:`spawn` — generator-based processes.
 - :class:`Driver` — the stepping primitive under a process.
-- :class:`Timeout`, :class:`Signal`, :class:`AllOf` — waitables.
+- :class:`Timeout`, :class:`Signal`, :class:`Completion`, :class:`AllOf`
+  — waitables.
 - :class:`RandomStreams` — named deterministic RNG streams.
 """
 
 from .engine import SimulationError, Simulator, StopSimulation
-from .process import (AllOf, Driver, Interrupted, Process, Signal, Timeout,
-                      Waitable, spawn)
+from .process import (AllOf, Completion, Driver, Interrupted, Process, Signal,
+                      Timeout, Waitable, spawn)
 from .rng import RandomStreams
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "Driver",
     "Timeout",
     "Signal",
+    "Completion",
     "AllOf",
     "Waitable",
     "Interrupted",

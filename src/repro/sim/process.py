@@ -12,6 +12,9 @@ Waitables
 ---------
 :class:`Timeout`  fires after a fixed delay.
 :class:`Signal`   broadcast event; every waiter resumes when triggered.
+:class:`Completion` one-shot event with at most one waiter (a CPU job,
+                  a handler's compute): a :class:`Signal` without the
+                  waiter list.
 :class:`Process`  (itself) — waiting on a process resumes when it finishes
                   and yields its return value.
 
@@ -25,12 +28,12 @@ actor runtime also uses it directly, to step one generator handler.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional
 
 from .engine import SimulationError, Simulator
 
-__all__ = ["Process", "Driver", "Timeout", "Signal", "Interrupted",
-           "Waitable", "AllOf"]
+__all__ = ["Process", "Driver", "Timeout", "Signal", "Completion",
+           "Interrupted", "Waitable", "AllOf"]
 
 
 class Interrupted(Exception):
@@ -63,25 +66,32 @@ class Waitable:
 
 
 class Timeout(Waitable):
-    """Fires ``delay`` ms after creation; resumes with ``value``."""
+    """Fires ``delay`` ms after creation; resumes with ``value``.
 
-    __slots__ = ("_sim", "_delay", "_value", "_cancelled")
+    Waited on once: the waiter's callback is held until :meth:`_fire`
+    (a bound method, so a yield allocates no closure) or cleared by
+    :meth:`_unsubscribe`.
+    """
+
+    __slots__ = ("_sim", "_delay", "_value", "_callback")
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
         self._sim = sim
         self._delay = delay
         self._value = value
-        self._cancelled = False
+        self._callback: Optional[Callable[[Any], None]] = None
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
-        def fire() -> None:
-            if not self._cancelled:
-                callback(self._value)
+        self._callback = callback
+        self._sim.schedule(self._delay, self._fire)
 
-        self._sim.schedule(self._delay, fire)
+    def _fire(self) -> None:
+        callback = self._callback
+        if callback is not None:
+            callback(self._value)
 
     def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
-        self._cancelled = True
+        self._callback = None
 
 
 class Signal(Waitable):
@@ -137,6 +147,60 @@ class Signal(Waitable):
             pass
 
 
+#: :attr:`Completion._value` until the completion is triggered.
+_PENDING = object()
+
+
+class Completion(Waitable):
+    """A one-shot event with at most one waiter.
+
+    The per-message form of :class:`Signal` for work exactly one party
+    waits on: :meth:`trigger` schedules the waiter's callback at the
+    current step, the same ``schedule`` call a signal's trigger makes
+    for a single waiter, and keeps no waiter list.  A waiter that
+    arrives after the trigger resumes at the next step.  A second
+    concurrent waiter is an error, not a broadcast.
+    """
+
+    __slots__ = ("_sim", "_then", "_value")
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._then: Optional[Callable[[Any], None]] = None
+        self._value: Any = _PENDING
+
+    @property
+    def triggered(self) -> bool:
+        return self._value is not _PENDING
+
+    @property
+    def value(self) -> Any:
+        return None if self._value is _PENDING else self._value
+
+    def trigger(self, value: Any = None) -> None:
+        """Complete with ``value``, resuming the waiter (once only)."""
+        if self._value is not _PENDING:
+            return
+        self._value = value
+        then = self._then
+        if then is not None:
+            self._then = None
+            self._sim.schedule(0.0, then, value)
+
+    def _subscribe(self, callback: Callable[[Any], None]) -> None:
+        if self._value is not _PENDING:
+            self._sim.schedule(0.0, callback, self._value)
+        elif self._then is None:
+            self._then = callback
+        else:
+            raise SimulationError(
+                f"{type(self).__name__} already has a waiter")
+
+    def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
+        if self._then == callback:
+            self._then = None
+
+
 class AllOf(Waitable):
     """Fires once every child waitable has fired; resumes with their results
     in order."""
@@ -172,8 +236,10 @@ class Driver:
     """Steps one generator over the waitables it yields.
 
     Each :meth:`_step` sends a result (or throws an exception) into the
-    generator and subscribes a one-shot resume callback to the waitable
-    it yields next.  How the generator ends is reported to
+    generator and subscribes the bound :meth:`_resume` to the waitable
+    it yields next, which it keeps as :attr:`_current_wait`.  A resume
+    that arrives when nothing is awaited (the wait was interrupted in
+    the instant it fired) is dropped.  How the generator ends is reported to
     :meth:`_finish`: a return with its value; an :class:`Interrupted`
     escaping the generator, silently; any other exception — a yielded
     non-waitable included, as :class:`SimulationError` — after
@@ -192,8 +258,7 @@ class Driver:
         self._sim = sim
         self._gen = generator
         self._finished = False
-        self._current_wait: Optional[Tuple[Waitable,
-                                           Callable[[Any], None]]] = None
+        self._current_wait: Optional[Waitable] = None
         self._interrupt_pending: Optional[Interrupted] = None
 
     @property
@@ -213,7 +278,7 @@ class Driver:
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
+            self._finish(stop.value, None)
             return
         except Interrupted as interrupted:
             self._finish(None, interrupted)
@@ -227,17 +292,12 @@ class Driver:
             self._finish(None, error)
             raise error
 
-        resumed = False
+        self._current_wait = target
+        target._subscribe(self._resume)
 
-        def resume(result: Any) -> None:
-            nonlocal resumed
-            if resumed or self._finished:
-                return
-            resumed = True
+    def _resume(self, result: Any) -> None:
+        if self._current_wait is not None:
             self._step(result, None)
-
-        self._current_wait = (target, resume)
-        target._subscribe(resume)
 
     def _finish(self, result: Any, exception: Optional[BaseException]) -> None:
         """The generator ended: returned ``result``, or raised
@@ -278,9 +338,9 @@ class Process(Driver, Waitable):
         """
         if self._finished:
             return
-        if self._current_wait is not None:
-            waitable, callback = self._current_wait
-            waitable._unsubscribe(callback)
+        waitable = self._current_wait
+        if waitable is not None:
+            waitable._unsubscribe(self._resume)
             self._current_wait = None
             self._sim.schedule(0.0, self._step, None, Interrupted(cause))
         else:

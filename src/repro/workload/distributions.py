@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import List, Sequence, TypeVar
 
@@ -70,7 +71,6 @@ class WeightedChoice:
         self._total = total
 
     def pick(self) -> T:
-        import bisect
         point = self._rng.random() * self._total
         index = bisect.bisect_right(self._cumulative, point)
         return self._items[min(index, len(self._items) - 1)]

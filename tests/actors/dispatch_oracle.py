@@ -207,7 +207,7 @@ class OracleServer(Server):
             raise ValueError(f"negative CPU demand: {demand_ms!r}")
         job = CpuJob(self.sim, demand_ms, owner)
         self._run_queue.put(job)
-        return job.done
+        return job
 
     def _core_loop(self):
         while True:
@@ -220,7 +220,7 @@ class OracleServer(Server):
                 yield Timeout(self.sim, scaled)
             if self.running:
                 self.cpu_meter.add(scaled)
-            job.done.trigger(scaled)
+            job.trigger(scaled)
 
     def run_queue_length(self):
         return len(self._run_queue)

@@ -6,6 +6,7 @@ from repro.actors import Actor, Client
 from repro.baselines import (DefaultRuleManager, EStoreInApp,
                              OrleansBalancer)
 from repro.bench import build_cluster
+from repro.cluster.server import SERVER_WINDOW_MS
 from repro.sim import spawn
 
 
@@ -154,3 +155,14 @@ def test_balancer_stop_detaches_profiler():
     manager.stop()
     assert manager.profiler not in bed.system.hooks
     manager.stop()  # idempotent
+
+
+def test_baseline_period_is_bounded_by_the_server_meter_retention():
+    bed = build_cluster(1)
+    assert OrleansBalancer(bed.system,
+                           period_ms=SERVER_WINDOW_MS).period_ms \
+        == SERVER_WINDOW_MS
+    with pytest.raises(ValueError, match="SERVER_WINDOW_MS"):
+        OrleansBalancer(bed.system, period_ms=SERVER_WINDOW_MS + 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        OrleansBalancer(bed.system, period_ms=0.0)

@@ -30,9 +30,9 @@ def test_cores_run_in_parallel():
     done_times = []
 
     def submit():
-        signals = [server.execute(10.0) for _ in range(2)]
-        for signal in signals:
-            yield signal
+        jobs = [server.execute(10.0) for _ in range(2)]
+        for job in jobs:
+            yield job
         done_times.append(sim.now)
 
     spawn(sim, submit())
@@ -46,9 +46,9 @@ def test_queueing_when_offered_load_exceeds_cores():
     finish = []
 
     def submit():
-        signals = [server.execute(10.0) for _ in range(4)]
-        for signal in signals:
-            yield signal
+        jobs = [server.execute(10.0) for _ in range(4)]
+        for job in jobs:
+            yield job
         finish.append(sim.now)
 
     spawn(sim, submit())

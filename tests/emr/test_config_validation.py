@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from repro.cluster.server import SERVER_WINDOW_MS
 from repro.core import EmrConfig
 from repro.durability import DurabilityConfig
 from repro.durability.store import StateStore
@@ -43,6 +44,15 @@ def test_defaults_are_valid():
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ValueError):
         EmrConfig(**kwargs)
+
+
+def test_period_is_bounded_by_the_server_meter_retention():
+    # Server CPU/NIC meters keep SERVER_WINDOW_MS of history; a longer
+    # period would sum only the retained part of its window and divide
+    # by all of it, under-reporting utilisation.
+    assert EmrConfig(period_ms=SERVER_WINDOW_MS).period_ms == SERVER_WINDOW_MS
+    with pytest.raises(ValueError, match="SERVER_WINDOW_MS"):
+        EmrConfig(period_ms=SERVER_WINDOW_MS + 0.5)
 
 
 def test_failure_detection_knobs_accepted():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import (AllOf, Interrupted, Process, Signal, SimulationError,
-                       Simulator, Timeout, spawn)
+from repro.sim import (AllOf, Completion, Interrupted, Process, Signal,
+                       SimulationError, Simulator, Timeout, spawn)
 
 
 def test_timeout_resumes_with_value():
@@ -297,3 +297,126 @@ def test_unjoined_process_allocates_no_signal():
     sim.run()
     assert process.finished and process.result == 1
     assert process._done_signal is None
+
+
+# -- an interrupt in the instant the awaited signal fires ---------------------
+
+
+def test_interrupt_in_the_instant_the_signal_fires_takes_precedence():
+    # The signal's resume is already scheduled when the interrupt lands:
+    # the process takes the Interrupted at the yield it was waiting at,
+    # and the value that lost the race is never sent in.
+    sim = Simulator()
+    signal = Signal(sim)
+    seen = []
+
+    def body():
+        try:
+            value = yield signal
+            seen.append(("got", value))
+        except Interrupted:
+            seen.append(("interrupted", sim.now))
+        value = yield Timeout(sim, 5.0, "slept")
+        seen.append((value, sim.now))
+
+    proc = spawn(sim, body())
+
+    def fire_then_interrupt():
+        signal.trigger("value")
+        proc.interrupt()
+
+    sim.schedule(1.0, fire_then_interrupt)
+    sim.run()
+    assert seen == [("interrupted", 1.0), ("slept", 6.0)]
+
+
+def test_interrupt_racing_a_signal_leaves_no_stray_wakeup():
+    # Had the value gone in, the interrupt would land at the *next* yield
+    # and leave that wait's resume subscribed: here `other`, which fires
+    # at 3.0 and would wake the generator out of its 5 ms sleep.
+    sim = Simulator()
+    signal, other = Signal(sim), Signal(sim)
+    seen = []
+
+    def body():
+        try:
+            yield signal
+            yield other
+        except Interrupted:
+            seen.append(("interrupted", sim.now))
+        value = yield Timeout(sim, 5.0, "slept")
+        seen.append((value, sim.now))
+
+    proc = spawn(sim, body())
+
+    def fire_then_interrupt():
+        signal.trigger("value")
+        proc.interrupt()
+
+    sim.schedule(1.0, fire_then_interrupt)
+    sim.schedule(3.0, other.trigger, "other")
+    sim.run()
+    assert seen == [("interrupted", 1.0), ("slept", 6.0)]
+
+
+# -- Completion: one waiter, Signal timing ------------------------------------
+
+
+def test_completion_resumes_its_waiter_one_step_after_the_trigger():
+    sim = Simulator()
+    done = Completion(sim)
+    seen = []
+
+    def waiter():
+        value = yield done
+        seen.append((sim.now, value))
+
+    def complete():
+        done.trigger("v")
+        seen.append("trigger returned")
+
+    spawn(sim, waiter())
+    sim.schedule(2.0, complete)
+    sim.run()
+    assert seen == ["trigger returned", (2.0, "v")]
+    assert done.triggered and done.value == "v"
+
+
+def test_completion_waited_on_after_the_trigger_resumes_next_step():
+    sim = Simulator()
+    done = Completion(sim)
+    done.trigger(7)
+    done.trigger(8)  # once only, like a Signal
+    seen = []
+
+    def late():
+        sim.schedule(0.0, seen.append, "probe")
+        seen.append((yield done))
+
+    spawn(sim, late())
+    sim.run()
+    assert seen == ["probe", 7]
+
+
+def test_completion_rejects_a_second_waiter_and_forgets_an_interrupted_one():
+    sim = Simulator()
+    done = Completion(sim)
+    assert not done.triggered and done.value is None
+    done._subscribe(lambda value: None)
+    with pytest.raises(SimulationError):
+        done._subscribe(lambda value: None)
+
+    quiet = Completion(sim)
+    seen = []
+
+    def waiter():
+        try:
+            yield quiet
+        except Interrupted:
+            seen.append("interrupted")
+
+    proc = spawn(sim, waiter())
+    sim.schedule(1.0, proc.interrupt)
+    sim.schedule(2.0, quiet.trigger, "late")
+    sim.run()
+    assert seen == ["interrupted"] and quiet._then is None
