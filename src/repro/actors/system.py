@@ -67,6 +67,9 @@ _MAX_FORWARDS = 8
 #: Trailing window over which ``_admit`` reads the host's CPU
 #: utilisation for ``OverloadConfig.admission_cpu_perc``.
 ADMISSION_CPU_WINDOW_MS = 1_000.0
+#: How long each phase of the migration protocol waits for an ack that
+#: cannot arrive (severed link) before rolling back.
+MIGRATION_PHASE_TIMEOUT_MS = 2_000.0
 #: A mailbox no message has had to wait in yet: empty, sized, shared.
 #: The first message that must wait replaces it with a deque.
 _NO_MAIL: Tuple[()] = ()
@@ -83,9 +86,6 @@ class ActorSystem(ActorSystemBase):
         self.provisioner = provisioner
         self.fabric = fabric or NetworkFabric(sim)
         self._placement_rng = self.streams.stream("actor-placement")
-        #: How long each phase of the migration protocol waits for an ack
-        #: that cannot arrive (severed link) before rolling back.
-        self.migration_phase_timeout_ms = 2_000.0
         #: Migrations rolled back by a partition or phase timeout.
         self.migrations_rolled_back = 0
         #: Durable-state subsystem (``repro.durability``), attached by a
@@ -582,7 +582,7 @@ class ActorSystem(ActorSystemBase):
 
         Each protocol phase tolerates a severed link: when the prepare or
         commit ack cannot cross a partition, the source waits one
-        :attr:`migration_phase_timeout_ms`, re-probes, and on failure
+        :data:`MIGRATION_PHASE_TIMEOUT_MS`, re-probes, and on failure
         rolls back — the actor stays live on the source and the
         destination discards its prepared copy, so exactly one live copy
         exists under any partition schedule.  With no partition active
@@ -669,7 +669,7 @@ class ActorSystem(ActorSystemBase):
         # severed link the ack never comes; wait one phase timeout for a
         # heal, then roll back with no bytes transferred.
         if self._link_severed(source, target):
-            yield Timeout(self.sim, self.migration_phase_timeout_ms)
+            yield Timeout(self.sim, MIGRATION_PHASE_TIMEOUT_MS)
             if record.cell is None:
                 self._abort_lost(record, gate, done, source, target)
                 return
@@ -705,7 +705,7 @@ class ActorSystem(ActorSystemBase):
         # partition heals (the migration then commits late); otherwise
         # roll back — never commit blind across a cut.
         if self._link_severed(source, target):
-            yield Timeout(self.sim, self.migration_phase_timeout_ms)
+            yield Timeout(self.sim, MIGRATION_PHASE_TIMEOUT_MS)
             if record.cell is None:
                 self._abort_lost(record, gate, done, source, target)
                 return

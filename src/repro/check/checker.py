@@ -2,9 +2,11 @@
 
 :class:`InvariantChecker` subscribes to the same observation surfaces
 the tracer uses — actor-runtime hooks and the elasticity manager's event
-bus — plus a periodic sweep on the simulation clock, and re-derives the
+bus — plus a periodic sweep on the runtime's clock, and re-derives the
 elasticity stack's correctness properties *independently* of the code
-that is supposed to enforce them.  It deliberately reads raw
+that is supposed to enforce them.  It reads the runtime only through
+the :class:`~repro.actors.base.ActorSystemBase` contract, so it attaches
+to either runtime.  It deliberately reads raw
 configuration fields (``period_ms``, ``stability_ms``) rather than the
 helper methods the runtime itself calls, so a mutation that weakens the
 runtime's own guard (the classic one-line ``stability_window_ms``
@@ -26,11 +28,12 @@ value.  The checker never mutates runtime decisions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set
-
 from dataclasses import fields as _dataclass_fields
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..actors import ActorRecord, RuntimeHooks
+from ..actors.system import MIGRATION_PHASE_TIMEOUT_MS
 from ..cluster import AvailabilityMeter, Server
 from ..core.emr.hierarchy import GroupAggregate
 from .invariants import INVARIANTS, InvariantError, Violation
@@ -47,42 +50,7 @@ _AGGREGATE_FIELDS = frozenset(
     f.name for f in _dataclass_fields(GroupAggregate))
 
 
-class _CheckerHooks(RuntimeHooks):
-    """Actor-runtime hook adapter (same shape as the tracer's)."""
-
-    def __init__(self, checker: "InvariantChecker") -> None:
-        self.checker = checker
-
-    def on_actor_created(self, record: ActorRecord) -> None:
-        self.checker._on_created(record)
-
-    def on_actor_destroyed(self, record: ActorRecord) -> None:
-        self.checker._on_destroyed(record)
-
-    def on_actor_migrated(self, record: ActorRecord, old_server: Server,
-                          new_server: Server) -> None:
-        self.checker._on_migrated(record, old_server, new_server)
-
-    def on_migration_aborted(self, record: ActorRecord, source: Server,
-                             target: Server, reason: str) -> None:
-        self.checker._on_migration_aborted(record, source, target, reason)
-
-    def on_server_crashed(self, server: Server,
-                          lost: List[ActorRecord]) -> None:
-        self.checker._on_server_crashed(server, lost)
-
-    def on_actor_resurrected(self, record: ActorRecord) -> None:
-        self.checker._on_resurrected(record)
-
-    def on_message_shed(self, record: ActorRecord, message,
-                        reason: str) -> None:
-        self.checker._hook_sheds += 1
-
-    def on_request_rejected(self, record: ActorRecord, message) -> None:
-        self.checker._hook_rejects += 1
-
-
-class InvariantChecker:
+class InvariantChecker(RuntimeHooks):
     """Continuously checks the invariant catalogue against a live run.
 
     Parameters
@@ -99,8 +67,8 @@ class InvariantChecker:
         Raise :class:`InvariantError` at the first violation instead of
         collecting.
     sweep_interval_ms:
-        Period of the placement/accounting sweep (default: half the
-        elasticity period).
+        Period (positive) of the placement/accounting sweep (default:
+        half the elasticity period).
     """
 
     def __init__(self, manager, meters: Sequence[AvailabilityMeter] = (),
@@ -115,12 +83,16 @@ class InvariantChecker:
         self.sweep_interval_ms = (
             sweep_interval_ms if sweep_interval_ms is not None
             else manager.config.period_ms / 2.0)
+        if not self.sweep_interval_ms > 0:
+            raise ValueError(f"sweep interval must be positive: "
+                             f"{self.sweep_interval_ms!r}")
         self.violations: List[Violation] = []
         self.dropped = 0
         self.checks_run = 0
-        self._hooks = _CheckerHooks(self)
         self._attached = False
-        self._cancel_sweep = None
+        #: Bumped by :meth:`detach`: a sweep armed by an earlier
+        #: attachment finds it moved on and lapses.
+        self._sweep_epoch = 0
         self._prev_debug_events = False
         # -- derived runtime state ------------------------------------
         self._alive: Dict[int, str] = {}          # actor id -> type name
@@ -168,8 +140,42 @@ class InvariantChecker:
         self._groups_needing_full: Set[int] = set()
         #: Root-issued migrations in flight: actor id -> started-at ms.
         self._root_inflight: Dict[int, float] = {}
+        #: EMR event kind -> the check or bookkeeping it feeds; a kind
+        #: not listed here carries nothing the checker re-derives.
+        self._emr_checks: Dict[str, Callable[[Dict[str, Any]], None]] = {
+            "migration-started": self._check_migration_start,
+            "actions-resolved": self._check_actions_resolved,
+            "gem-vote": self._check_gem_vote,
+            "scale-out": partial(self._check_scale_decision, "overloaded",
+                                 "scale-out-majority"),
+            "scale-in": partial(self._check_scale_decision, "underloaded",
+                                "scale-in-majority"),
+            "lem-round": self._check_lem_round,
+            "fault-injected": self._note_fault_injected,
+            "fault-healed": self._note_fault_healed,
+            "epoch-advanced": self._check_epoch_advanced,
+            "gem-degraded": self._note_gem_degraded,
+            "gem-restored": self._note_gem_restored,
+            "stale-epoch-rejected": self._check_stale_rejection,
+            "partition-healed": self._check_partition_healed,
+            "brownout-entered": self._note_brownout_entered,
+            "brownout-exited": self._note_brownout_exited,
+            "checkpoint-written": self._check_checkpoint_written,
+            "checkpoint-replicated": self._check_checkpoint_replicated,
+            "state-restored": self._check_state_restored,
+            "group-assigned": self._check_group_assigned,
+            "gem-aggregate": self._check_gem_aggregate,
+            "root-round": self._check_root_round,
+            "root-failover": self._check_root_failover,
+            "group-adopted": self._note_publisher_changed,
+            "group-adoption-released": self._note_publisher_changed,
+        }
 
     # -- partition side re-derivation ---------------------------------
+
+    def _running_names(self) -> Set[str]:
+        return {server.name for server in self.manager.system.running_servers()
+                if server.running}
 
     def _quorumless_side_names(self) -> Set[str]:
         """Server names on the minority side of any active partition,
@@ -178,9 +184,7 @@ class InvariantChecker:
         rule as the stability window)."""
         if not self._active_partitions:
             return set()
-        running = {server.name
-                   for server in self.manager.system.provisioner.servers
-                   if server.running}
+        running = self._running_names()
         quorumless: Set[str] = set()
         for info in self._active_partitions.values():
             group = set(info["group"]) & running
@@ -207,6 +211,7 @@ class InvariantChecker:
     # -- lifecycle -----------------------------------------------------
 
     def attach(self) -> None:
+        """Subscribe to the runtime and the EMR and arm the sweep."""
         if self._attached:
             return
         self._attached = True
@@ -218,23 +223,28 @@ class InvariantChecker:
             self._alive[actor_id] = record.ref.type_name
             self._placed_at[actor_id] = record.last_placed_at
             self._server_of[actor_id] = record.server.name
-        system.add_hooks(self._hooks)
+        system.add_hooks(self)
         self.manager.add_listener(self._on_emr_event)
         self._prev_debug_events = self.manager.debug_events
         self.manager.debug_events = True
-        self._cancel_sweep = system.sim.every(self.sweep_interval_ms,
-                                              self._sweep)
+        system.schedule(self.sweep_interval_ms, self._tick, self._sweep_epoch)
 
     def detach(self) -> None:
+        """Unsubscribe; a sweep already armed lapses."""
         if not self._attached:
             return
         self._attached = False
-        self.manager.system.remove_hooks(self._hooks)
+        self._sweep_epoch += 1
+        self.manager.system.remove_hooks(self)
         self.manager.remove_listener(self._on_emr_event)
         self.manager.debug_events = self._prev_debug_events
-        if self._cancel_sweep is not None:
-            self._cancel_sweep()
-            self._cancel_sweep = None
+
+    def _tick(self, epoch: int) -> None:
+        """One sweep, re-armed while the attachment that armed it lasts."""
+        if epoch == self._sweep_epoch:
+            self._sweep()
+            self.manager.system.schedule(self.sweep_interval_ms, self._tick,
+                                         epoch)
 
     # -- reporting -----------------------------------------------------
 
@@ -245,7 +255,7 @@ class InvariantChecker:
             detail["trace_tail"] = [str(event)
                                     for event in self.tracer.tail(12)]
         violation = Violation(invariant=invariant,
-                              time_ms=self.manager.system.sim.now,
+                              time_ms=self.manager.system.now,
                               message=message, detail=detail)
         if self.strict:
             raise InvariantError(violation)
@@ -273,43 +283,52 @@ class InvariantChecker:
 
     # -- actor-runtime hooks -------------------------------------------
 
-    def _on_created(self, record: ActorRecord) -> None:
+    def _note_alive(self, record: ActorRecord, verb: str) -> None:
+        """``record``'s id comes alive (``verb``: created/resurrected):
+        actor-conservation and no-duplicate-actor if it already was."""
         actor_id = record.ref.actor_id
-        now = self.manager.system.sim.now
         if actor_id in self._alive:
             self._violate(
                 "actor-conservation",
-                f"actor id {actor_id} created while already alive",
+                f"actor id {actor_id} {verb} while already alive",
                 actor=str(record.ref))
             if self._server_of.get(actor_id) in self._quorumless_side_names():
                 self._violate(
                     "no-duplicate-actor",
-                    f"actor id {actor_id} re-created while its copy on "
+                    f"actor id {actor_id} {verb} while its copy on "
                     f"{self._server_of[actor_id]} is merely cut off by a "
                     f"partition", actor=str(record.ref),
                     old_server=self._server_of[actor_id])
         self._alive[actor_id] = record.ref.type_name
         self._lost.pop(actor_id, None)
-        self._placed_at[actor_id] = now
+        self._placed_at[actor_id] = self.manager.system.now
         self._server_of[actor_id] = record.server.name
 
-    def _on_destroyed(self, record: ActorRecord) -> None:
+    def on_actor_created(self, record: ActorRecord) -> None:
+        """actor-conservation: a created id must not be alive already."""
+        self._note_alive(record, "created")
+
+    def on_actor_destroyed(self, record: ActorRecord) -> None:
+        """actor-conservation: a destroyed id must have been alive."""
         actor_id = record.ref.actor_id
         if actor_id not in self._alive:
             self._violate(
                 "actor-conservation",
                 f"actor id {actor_id} destroyed but was not alive",
                 actor=str(record.ref))
-        self._alive.pop(actor_id, None)
-        self._server_of.pop(actor_id, None)
-        self._placed_at.pop(actor_id, None)
-        self._inflight.pop(actor_id, None)
-        self._root_inflight.pop(actor_id, None)
+        self._forget(actor_id)
 
-    def _on_migrated(self, record: ActorRecord, old_server: Server,
-                     new_server: Server) -> None:
+    def _forget(self, actor_id: int) -> None:
+        for tracked in (self._alive, self._server_of, self._placed_at,
+                        self._inflight, self._root_inflight):
+            tracked.pop(actor_id, None)
+
+    def on_actor_migrated(self, record: ActorRecord, old_server: Server,
+                          new_server: Server) -> None:
+        """migration-sanity and, for a move no start event announced,
+        stability-window."""
         actor_id = record.ref.actor_id
-        now = self.manager.system.sim.now
+        now = self.manager.system.now
         self._root_inflight.pop(actor_id, None)
         start = self._inflight.pop(actor_id, None)
         if start is not None and start["src"] != old_server.name:
@@ -335,138 +354,112 @@ class InvariantChecker:
         self._server_of[actor_id] = new_server.name
         self.checks_run += 1
 
-    def _on_migration_aborted(self, record: ActorRecord, source: Server,
-                              target: Server, reason: str) -> None:
+    def on_migration_aborted(self, record: ActorRecord, source: Server,
+                             target: Server, reason: str) -> None:
+        """The migration is no longer in flight."""
         self._inflight.pop(record.ref.actor_id, None)
         self._root_inflight.pop(record.ref.actor_id, None)
 
-    def _on_server_crashed(self, server: Server,
-                           lost: List[ActorRecord]) -> None:
+    def on_server_crashed(self, server: Server,
+                          lost: List[ActorRecord]) -> None:
+        """Mark ``lost`` as crash-lost, so resurrecting them is legal."""
         self._crashed_servers.add(server.name)
         if self._first_fault_ms is None:
-            self._first_fault_ms = self.manager.system.sim.now
+            self._first_fault_ms = self.manager.system.now
         for record in lost:
             # crash_server destroys the lost actors (firing the destroy
             # hook) before announcing the crash, so they are already out
             # of the alive map here; record them as crash-lost so a
             # later resurrection is recognised as legitimate.
-            actor_id = record.ref.actor_id
-            self._alive.pop(actor_id, None)
-            self._lost[actor_id] = record.ref.type_name
-            self._server_of.pop(actor_id, None)
-            self._placed_at.pop(actor_id, None)
-            self._inflight.pop(actor_id, None)
-            self._root_inflight.pop(actor_id, None)
+            self._forget(record.ref.actor_id)
+            self._lost[record.ref.actor_id] = record.ref.type_name
 
-    def _on_resurrected(self, record: ActorRecord) -> None:
+    def on_actor_resurrected(self, record: ActorRecord) -> None:
+        """actor-conservation: only a crash-lost id may come back."""
         actor_id = record.ref.actor_id
-        now = self.manager.system.sim.now
-        if actor_id in self._alive:
-            self._violate(
-                "actor-conservation",
-                f"actor id {actor_id} resurrected while still alive",
-                actor=str(record.ref))
-            if self._server_of.get(actor_id) in self._quorumless_side_names():
-                self._violate(
-                    "no-duplicate-actor",
-                    f"actor id {actor_id} resurrected while its copy on "
-                    f"{self._server_of[actor_id]} is merely cut off by a "
-                    f"partition", actor=str(record.ref),
-                    old_server=self._server_of[actor_id])
-        elif actor_id not in self._lost:
+        if actor_id not in self._alive and actor_id not in self._lost:
             # Covers double-resurrection too: a successful resurrection
             # removes the id from the lost set, so a second resurrect
             # without an intervening crash lands here (or in the
-            # still-alive branch above).
+            # already-alive check).
             self._violate(
                 "actor-conservation",
                 f"actor id {actor_id} resurrected but never lost to a "
                 f"crash", actor=str(record.ref))
-        self._alive[actor_id] = record.ref.type_name
-        self._lost.pop(actor_id, None)
-        self._placed_at[actor_id] = now
-        self._server_of[actor_id] = record.server.name
+        self._note_alive(record, "resurrected")
         if not record.server.running:
             self._violate(
                 "placement-consistency",
                 f"{record.ref} resurrected onto non-running server "
                 f"{record.server.name}", actor=str(record.ref))
 
+    def on_message_shed(self, record: ActorRecord, message,
+                        reason: str) -> None:
+        """Count the drop, for the ledger audit at the end of the run."""
+        self._hook_sheds += 1
+
+    def on_request_rejected(self, record: ActorRecord, message) -> None:
+        """Count the refusal, for the ledger audit at the end of the run."""
+        self._hook_rejects += 1
+
     # -- EMR event bus -------------------------------------------------
 
     def _on_emr_event(self, kind: str, detail: Dict[str, Any]) -> None:
-        if kind == "migration-started":
-            self._check_migration_start(detail)
-        elif kind == "actions-resolved":
-            self._check_actions_resolved(detail)
-        elif kind == "gem-vote":
-            self._check_gem_vote(detail)
-        elif kind == "scale-out":
-            self._check_scale_decision("overloaded", "scale-out-majority",
-                                       detail)
-        elif kind == "scale-in":
-            self._check_scale_decision("underloaded", "scale-in-majority",
-                                       detail)
-        elif kind == "lem-round":
-            self._check_lem_round(detail)
-        elif kind == "fault-injected":
-            if self._first_fault_ms is None:
-                self._first_fault_ms = self.manager.system.sim.now
-            if detail.get("fault") == "partition-network":
-                self._active_partitions[detail["partition_id"]] = {
-                    "group": tuple(detail.get("group", ())),
-                    "symmetric": detail.get("symmetric", True),
-                    "loss": detail.get("loss", 1.0)}
-            elif detail.get("fault") == "kill-root":
-                self._root_failed = True
-        elif kind == "fault-healed":
-            if detail.get("fault") == "partition-network":
-                self._active_partitions.pop(detail.get("partition_id"),
-                                            None)
-            elif detail.get("fault") == "kill-root":
-                self._check_root_healed(detail)
-        elif kind == "epoch-advanced":
-            self._check_epoch_advanced(detail)
-        elif kind == "gem-degraded":
-            self._check_event_epoch(kind, detail)
-            self._degraded_gems.add(detail["gem_id"])
-        elif kind == "gem-restored":
-            self._check_event_epoch(kind, detail)
-            self._degraded_gems.discard(detail["gem_id"])
-        elif kind == "stale-epoch-rejected":
-            self._check_stale_rejection(detail)
-        elif kind == "partition-healed":
-            self._check_partition_healed(detail)
-        elif kind == "brownout-entered":
-            self._browned_out[detail["server"]] = \
-                self.manager.system.sim.now
-            self._brownout_low_since.pop(detail["server"], None)
-        elif kind == "brownout-exited":
-            self._browned_out.pop(detail["server"], None)
-            self._brownout_low_since.pop(detail["server"], None)
-        elif kind == "checkpoint-written":
-            self._check_checkpoint_written(detail)
-        elif kind == "checkpoint-replicated":
-            self._check_checkpoint_replicated(detail)
-        elif kind == "state-restored":
-            self._check_state_restored(detail)
-        elif kind == "group-assigned":
-            self._check_group_assigned(detail)
-        elif kind == "gem-aggregate":
-            self._check_gem_aggregate(detail)
-        elif kind == "root-round":
-            self._check_root_round(detail)
-        elif kind == "root-failover":
-            self._check_root_failover(detail)
-        elif kind in ("group-adopted", "group-adoption-released"):
-            # Either way the group's publisher changed: its delta
-            # baseline was reset, so the next aggregate must be full.
+        check = self._emr_checks.get(kind)
+        if check is not None:
+            check(detail)
+
+    def _note_fault_injected(self, detail: Dict[str, Any]) -> None:
+        if self._first_fault_ms is None:
+            self._first_fault_ms = self.manager.system.now
+        if detail.get("fault") == "partition-network":
+            self._active_partitions[detail["partition_id"]] = {
+                "group": tuple(detail.get("group", ())),
+                "symmetric": detail.get("symmetric", True),
+                "loss": detail.get("loss", 1.0)}
+        elif detail.get("fault") == "kill-root":
+            self._root_failed = True
+
+    def _note_fault_healed(self, detail: Dict[str, Any]) -> None:
+        """A partition heal closes its cut.  A ``kill-root`` heal leaves a
+        superseded incarnation retired (promotion moved authority on); a
+        genuine recovery restores the same generation with its views
+        wiped, so every group must republish in full."""
+        if detail.get("fault") == "partition-network":
+            self._active_partitions.pop(detail.get("partition_id"), None)
+        elif detail.get("fault") == "kill-root":
             self.checks_run += 1
-            self._groups_needing_full.add(detail.get("group"))
+            if not detail.get("superseded"):
+                self._root_failed = False
+                self._groups_needing_full.update(
+                    self._group_of_server.values())
+
+    def _note_gem_degraded(self, detail: Dict[str, Any]) -> None:
+        self._check_event_epoch("gem-degraded", detail)
+        self._degraded_gems.add(detail["gem_id"])
+
+    def _note_gem_restored(self, detail: Dict[str, Any]) -> None:
+        self._check_event_epoch("gem-restored", detail)
+        self._degraded_gems.discard(detail["gem_id"])
+
+    def _note_brownout_entered(self, detail: Dict[str, Any]) -> None:
+        self._browned_out[detail["server"]] = self.manager.system.now
+        self._brownout_low_since.pop(detail["server"], None)
+
+    def _note_brownout_exited(self, detail: Dict[str, Any]) -> None:
+        self._browned_out.pop(detail["server"], None)
+        self._brownout_low_since.pop(detail["server"], None)
+
+    def _note_publisher_changed(self, detail: Dict[str, Any]) -> None:
+        """``group-adopted`` / ``group-adoption-released``: either way
+        the group's publisher changed and its delta baseline was reset,
+        so the next aggregate must be full."""
+        self.checks_run += 1
+        self._groups_needing_full.add(detail.get("group"))
 
     def _check_migration_start(self, detail: Dict[str, Any]) -> None:
         self.checks_run += 1
-        now = self.manager.system.sim.now
+        now = self.manager.system.now
         actor_id = detail["actor_id"]
         actor = detail.get("actor", actor_id)
         action_kind = detail["action"]
@@ -640,7 +633,7 @@ class InvariantChecker:
                 f"recorded vote decision {detail.get('decision')} "
                 f"disagrees with recomputed majority {expected} "
                 f"({agreeing}/{len(views)} peers agreeing)", **detail)
-        self._last_vote = {"at": self.manager.system.sim.now,
+        self._last_vote = {"at": self.manager.system.now,
                            "direction": detail.get("direction"),
                            "decision": detail.get("decision")}
 
@@ -648,7 +641,7 @@ class InvariantChecker:
                               detail: Dict[str, Any]) -> None:
         self.checks_run += 1
         vote = self._last_vote
-        now = self.manager.system.sim.now
+        now = self.manager.system.now
         if (vote is None or vote["at"] != now
                 or vote["direction"] != direction
                 or not vote["decision"]):
@@ -763,10 +756,10 @@ class InvariantChecker:
         window — (exit_rounds + 2) stretched periods gives the hysteresis
         its full budget plus scheduling slack.  Timeline re-derived from
         brownout-entered/-exited events and per-round CPU samples."""
-        overload = getattr(self.manager, "overload", None)
+        overload = self.manager.overload
         if overload is None or server not in self._browned_out:
             return
-        now = self.manager.system.sim.now
+        now = self.manager.system.now
         cpu = detail.get("server_cpu_perc", 0.0)
         oconfig = overload.config
         if cpu > oconfig.brownout_exit_cpu_perc + _PERC_EPS:
@@ -874,9 +867,7 @@ class InvariantChecker:
         # The running fleet, not just crash events: a replica on a
         # retired (scaled-in) server is just as unreadable as one on a
         # crashed server.
-        running = {server.name
-                   for server in self.manager.system.provisioner.servers
-                   if server.running}
+        running = self._running_names()
 
         def readable(info: Dict[str, Any]) -> bool:
             return any(name in running
@@ -1025,17 +1016,6 @@ class InvariantChecker:
         self._root_failed = False
         self._groups_needing_full.update(self._group_of_server.values())
 
-    def _check_root_healed(self, detail: Dict[str, Any]) -> None:
-        """A ``kill-root`` heal: a superseded incarnation stays retired
-        (the promotion already transferred authority); a genuine
-        recovery restores authority to the same generation, with its
-        views wiped — so every group must republish in full."""
-        self.checks_run += 1
-        if detail.get("superseded"):
-            return
-        self._root_failed = False
-        self._groups_needing_full.update(self._group_of_server.values())
-
     def _check_stranded_root_migrations(self) -> None:
         """no-stranded-cross-group-migration: every root-issued
         migration must reach commit or rollback within the two-phase
@@ -1043,9 +1023,8 @@ class InvariantChecker:
         bound is generous — drain + two phase-timeout waits + transfer —
         so tripping it means the protocol genuinely lost the migration,
         not that it is merely slow."""
-        system = self.manager.system
-        now = system.sim.now
-        bound = (3 * system.migration_phase_timeout_ms
+        now = self.manager.system.now
+        bound = (3 * MIGRATION_PHASE_TIMEOUT_MS
                  + 2 * self.manager.config.period_ms)
         for actor_id, started in list(self._root_inflight.items()):
             if now - started > bound:
@@ -1081,7 +1060,7 @@ class InvariantChecker:
                 hosted_by_server[sid] = [record]
             else:
                 hosted.append(record)
-        for server in system.provisioner.servers:
+        for server in system.running_servers():
             if not server.running:
                 continue
             # The directory's per-server index against the walk above
@@ -1103,7 +1082,7 @@ class InvariantChecker:
                     f"{server.memory_used_mb:.3f}MB != "
                     f"{expected:.3f}MB of hosted actor state",
                     server=server.name)
-        overload = getattr(system, "overload", None)
+        overload = self.manager.overload
         if overload is not None and overload.config.mailbox_capacity:
             capacity = overload.config.mailbox_capacity
             for record in system.directory.records():
@@ -1137,7 +1116,7 @@ class InvariantChecker:
         if fault_free:
             for index, meter in enumerate(self.meters):
                 counts = meter.counts_between(0.0,
-                                              self.manager.system.sim.now)
+                                              self.manager.system.now)
                 bad = (counts.get("failure", 0)
                        + counts.get("timeout", 0))
                 if bad:
@@ -1151,7 +1130,7 @@ class InvariantChecker:
         """admission-conservation + no-message-loss-without-shed-record:
         audit the overload manager's disposition ledger against itself
         and against the checker's own hook counters."""
-        overload = getattr(self.manager, "overload", None)
+        overload = self.manager.overload
         if overload is None:
             return
         self.checks_run += 1

@@ -75,23 +75,7 @@ class MigrationEvent:
     rule_line: int = -1
 
 
-class _EmrSystemHooks(RuntimeHooks):
-    """Feeds actor-runtime crash events into the elasticity manager.
-
-    A LEM runs *on* its server, so it dies with the host immediately;
-    GEM-side awareness of the failure only comes later, when the
-    heartbeat silence exceeds the suspicion timeout.
-    """
-
-    def __init__(self, manager: "ElasticityManager") -> None:
-        self.manager = manager
-
-    def on_server_crashed(self, server: Server,
-                          lost: List[ActorRecord]) -> None:
-        self.manager._note_server_crash(server, lost)
-
-
-class ElasticityManager:
+class ElasticityManager(RuntimeHooks):
     """PLASMA's elasticity management runtime (EMR)."""
 
     def __init__(self, system: ActorSystemBase, policy: CompiledPolicy,
@@ -140,7 +124,6 @@ class ElasticityManager:
         #: root promotions/respawns and group adoptions performed.
         self.root_failovers = 0
         self.leaf_failovers = 0
-        self._system_hooks = _EmrSystemHooks(self)
         #: Control-plane epoch: bumped on every partition event (inject
         #: and heal).  Every GEM decision carries the epoch it was made
         #: under; LEMs reject commands from a lower epoch.
@@ -166,7 +149,7 @@ class ElasticityManager:
             return
         self.running = True
         self.system.add_hooks(self.profiler)
-        self.system.add_hooks(self._system_hooks)
+        self.system.add_hooks(self)
         if self.config.overload is not None:
             from ...overload import OverloadManager
             self.overload = OverloadManager(
@@ -195,7 +178,7 @@ class ElasticityManager:
         self.system.uninstall(self.placement, self.overload)
         self.overload = None
         self.system.remove_hooks(self.profiler)
-        self.system.remove_hooks(self._system_hooks)
+        self.system.remove_hooks(self)
 
     def _add_lem(self, server: Server) -> None:
         if server.server_id in self.lems:
@@ -267,11 +250,12 @@ class ElasticityManager:
             # next silence starts a fresh announcement.
             self.overload.note_report_received(server.name)
 
-    def _note_server_crash(self, server: Server,
-                           lost: List[ActorRecord]) -> None:
-        """The actor runtime lost a server: its LEM dies with it, and the
-        records of the actors it hosted become resurrection tombstones.
-        GEM-side suspicion (and recovery) follows via missed heartbeats.
+    def on_server_crashed(self, server: Server,
+                          lost: List[ActorRecord]) -> None:
+        """The actor runtime lost a server: its LEM runs *on* it, so it
+        dies with the host at once, and the records of the actors it
+        hosted become resurrection tombstones.  GEM-side suspicion (and
+        recovery) follows only via missed heartbeats.
         """
         lem = self.lems.pop(server.server_id, None)
         if lem is not None:

@@ -55,38 +55,7 @@ class TraceEvent:
         return f"[{self.time_ms / 1000.0:9.3f}s] {self.kind:<15s} {parts}"
 
 
-class _TracerHooks(RuntimeHooks):
-    def __init__(self, tracer: "ElasticityTracer") -> None:
-        self.tracer = tracer
-
-    def on_actor_created(self, record: ActorRecord) -> None:
-        self.tracer._record("actor-created", actor=str(record.ref),
-                            server=record.server.name)
-
-    def on_actor_destroyed(self, record: ActorRecord) -> None:
-        self.tracer._record("actor-destroyed", actor=str(record.ref),
-                            server=record.server.name)
-
-    def on_actor_migrated(self, record: ActorRecord, old_server: Server,
-                          new_server: Server) -> None:
-        self.tracer._record("migration", actor=str(record.ref),
-                            src=old_server.name, dst=new_server.name)
-
-    def on_migration_aborted(self, record: ActorRecord, source: Server,
-                             target: Server, reason: str) -> None:
-        self.tracer._record("migration-aborted", actor=str(record.ref),
-                            src=source.name, dst=target.name, reason=reason)
-
-    def on_server_crashed(self, server: Server, lost) -> None:
-        self.tracer._record("server-crashed", server=server.name,
-                            lost_actors=len(lost))
-
-    def on_actor_resurrected(self, record: ActorRecord) -> None:
-        self.tracer._record("actor-resurrected", actor=str(record.ref),
-                            server=record.server.name)
-
-
-class ElasticityTracer:
+class ElasticityTracer(RuntimeHooks):
     """Collects a structured event log from a running elasticity manager."""
 
     def __init__(self, manager, max_events: int = 100_000) -> None:
@@ -94,32 +63,65 @@ class ElasticityTracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        self._hooks = _TracerHooks(self)
         self._attached = False
 
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self) -> None:
+        """Subscribe to the runtime, the provisioner and the EMR."""
         if self._attached:
             return
         self._attached = True
         system = self.manager.system
-        system.add_hooks(self._hooks)
+        system.add_hooks(self)
         system.provisioner.add_join_listener(self._on_server_join)
         system.provisioner.add_retire_listener(self._on_server_retire)
         self.manager.add_listener(self._on_emr_event)
 
     def detach(self) -> None:
+        """Undo :meth:`attach`."""
         if not self._attached:
             return
         self._attached = False
         system = self.manager.system
-        system.remove_hooks(self._hooks)
+        system.remove_hooks(self)
         system.provisioner.remove_join_listener(self._on_server_join)
         system.provisioner.remove_retire_listener(self._on_server_retire)
         self.manager.remove_listener(self._on_emr_event)
 
     # -- event intake -------------------------------------------------------------
+
+    def on_actor_created(self, record: ActorRecord) -> None:
+        """Record an ``actor-created`` event."""
+        self._record("actor-created", actor=str(record.ref),
+                     server=record.server.name)
+
+    def on_actor_destroyed(self, record: ActorRecord) -> None:
+        """Record an ``actor-destroyed`` event."""
+        self._record("actor-destroyed", actor=str(record.ref),
+                     server=record.server.name)
+
+    def on_actor_migrated(self, record: ActorRecord, old_server: Server,
+                          new_server: Server) -> None:
+        """Record a ``migration`` event."""
+        self._record("migration", actor=str(record.ref),
+                     src=old_server.name, dst=new_server.name)
+
+    def on_migration_aborted(self, record: ActorRecord, source: Server,
+                             target: Server, reason: str) -> None:
+        """Record a ``migration-aborted`` event."""
+        self._record("migration-aborted", actor=str(record.ref),
+                     src=source.name, dst=target.name, reason=reason)
+
+    def on_server_crashed(self, server: Server, lost) -> None:
+        """Record a ``server-crashed`` event."""
+        self._record("server-crashed", server=server.name,
+                     lost_actors=len(lost))
+
+    def on_actor_resurrected(self, record: ActorRecord) -> None:
+        """Record an ``actor-resurrected`` event."""
+        self._record("actor-resurrected", actor=str(record.ref),
+                     server=record.server.name)
 
     def _record(self, kind: str, **detail: Any) -> None:
         if len(self.events) >= self.max_events:
@@ -142,6 +144,7 @@ class ElasticityTracer:
     # -- queries -------------------------------------------------------------
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
+        """The events of one kind, in order."""
         return [event for event in self.events if event.kind == kind]
 
     def tail(self, count: int = 20) -> List[TraceEvent]:

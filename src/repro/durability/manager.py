@@ -63,39 +63,7 @@ __all__ = ["DurabilityManager"]
 _BYTES_PER_MB = 1024.0 * 1024.0
 
 
-class _DurabilityHooks(RuntimeHooks):
-    """Runtime-hook adapter feeding the durability manager."""
-
-    def __init__(self, manager: "DurabilityManager") -> None:
-        self.manager = manager
-
-    def on_actor_created(self, record: ActorRecord) -> None:
-        self.manager._on_created(record)
-
-    def on_actor_destroyed(self, record: ActorRecord) -> None:
-        self.manager._on_destroyed(record)
-
-    def on_message_delivered(self, record: ActorRecord,
-                             message: "Message") -> None:
-        self.manager._on_message(record)
-
-    def on_actor_migrated(self, record: ActorRecord, src: Server,
-                          dst: Server) -> None:
-        self.manager._on_migrated(record, src, dst)
-
-    def on_migration_aborted(self, record: ActorRecord, src: Server,
-                             dst: Server, reason: str) -> None:
-        self.manager._on_migration_aborted(record, src, dst, reason)
-
-    def on_server_crashed(self, server: Server,
-                          lost: List[ActorRecord]) -> None:
-        self.manager._on_server_crashed(server, lost)
-
-    def on_actor_resurrected(self, record: ActorRecord) -> None:
-        self.manager._on_resurrected(record)
-
-
-class DurabilityManager:
+class DurabilityManager(RuntimeHooks):
     """Checkpointing, replication, journaling, and restore."""
 
     def __init__(self, emr: "ElasticityManager") -> None:
@@ -110,7 +78,6 @@ class DurabilityManager:
         self.restores = 0
         self.restore_misses = 0
         self.journal_replays = 0
-        self._hooks = _DurabilityHooks(self)
         self._dirty: Dict[int, int] = {}
         self._writing: set = set()
         #: In-flight (snapshotted, not yet acknowledged) writes by source
@@ -125,10 +92,11 @@ class DurabilityManager:
     # lifecycle
 
     def start(self) -> None:
+        """Subscribe, checkpoint every actor, start the periodic sweep."""
         if self.running:
             return
         self.running = True
-        self.system.add_hooks(self._hooks)
+        self.system.add_hooks(self)
         self.system.durability = self
         # Baseline: actors deployed before the subsystem started still
         # need a durable copy of their spawn-time state.
@@ -138,10 +106,11 @@ class DurabilityManager:
               name="durability/checkpointer")
 
     def stop(self) -> None:
+        """Unsubscribe; the periodic sweep ends at its next tick."""
         if not self.running:
             return
         self.running = False
-        self.system.remove_hooks(self._hooks)
+        self.system.remove_hooks(self)
         if self.system.durability is self:
             self.system.durability = None
 
@@ -296,6 +265,7 @@ class DurabilityManager:
 
     def on_migration_prepared(self, record: ActorRecord, source: Server,
                               target: Server) -> None:
+        """Journal the prepare phase."""
         self._journal("migration-prepare", record.ref.actor_id,
                       src=source.name, dst=target.name)
 
@@ -333,17 +303,21 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # hook reactions
 
-    def _on_created(self, record: ActorRecord) -> None:
+    def on_actor_created(self, record: ActorRecord) -> None:
+        """Journal the spawn and take the actor's first checkpoint."""
         self._journal("actor-created", record.ref.actor_id,
                       server=record.server.name)
         self._write_checkpoint(record, "create")
 
-    def _on_destroyed(self, record: ActorRecord) -> None:
+    def on_actor_destroyed(self, record: ActorRecord) -> None:
+        """Journal the destruction; the actor is no longer dirty."""
         self._dirty.pop(record.ref.actor_id, None)
         self._journal("actor-destroyed", record.ref.actor_id,
                       server=record.server.name)
 
-    def _on_message(self, record: ActorRecord) -> None:
+    def on_message_delivered(self, record: ActorRecord,
+                             message: "Message") -> None:
+        """Count the message towards the actor's dirty threshold."""
         if record.migrating:
             return
         actor_id = record.ref.actor_id
@@ -354,8 +328,9 @@ class DurabilityManager:
                 and actor_id not in self._writing):
             self._write_checkpoint(record, "dirty")
 
-    def _on_migrated(self, record: ActorRecord, src: Server,
-                     dst: Server) -> None:
+    def on_actor_migrated(self, record: ActorRecord, src: Server,
+                          dst: Server) -> None:
+        """Journal the commit and acknowledge the transfer checkpoint."""
         self._journal("migration-commit", record.ref.actor_id,
                       src=src.name, dst=dst.name)
         checkpoint = self._transfer_cps.pop(record.ref.actor_id, None)
@@ -368,8 +343,10 @@ class DurabilityManager:
                       digest=checkpoint.digest,
                       latency_ms=self.system.sim.now - checkpoint.taken_at)
 
-    def _on_migration_aborted(self, record: ActorRecord, src: Server,
-                              dst: Server, reason: str) -> None:
+    def on_migration_aborted(self, record: ActorRecord, src: Server,
+                             dst: Server, reason: str) -> None:
+        """Journal the rollback; an actor left on its source gets the
+        transfer checkpoint's state back."""
         self._journal("migration-rollback", record.ref.actor_id,
                       src=src.name, dst=dst.name, reason=reason)
         checkpoint = self._transfer_cps.pop(record.ref.actor_id, None)
@@ -385,8 +362,10 @@ class DurabilityManager:
         # checkpoint the transfer shipped, as the protocol promises.
         record.instance.restore_state(copy.deepcopy(checkpoint.state))
 
-    def _on_server_crashed(self, server: Server,
-                           lost: List[ActorRecord]) -> None:
+    def on_server_crashed(self, server: Server,
+                          lost: List[ActorRecord]) -> None:
+        """Drop the replicas on ``server`` and abort its in-flight
+        writes."""
         discarded = self.store.discard_replicas_on(server)
         aborted = self._inflight.pop(server.server_id, [])
         for checkpoint in aborted:
@@ -397,7 +376,8 @@ class DurabilityManager:
                       lost_actors=len(lost), replicas_discarded=discarded,
                       writes_aborted=len(aborted))
 
-    def _on_resurrected(self, record: ActorRecord) -> None:
+    def on_actor_resurrected(self, record: ActorRecord) -> None:
+        """Journal the resurrection and checkpoint the restored actor."""
         self._journal("actor-resurrected", record.ref.actor_id,
                       server=record.server.name)
         self._write_checkpoint(record, "resurrect")

@@ -5,13 +5,12 @@ Public surface:
 - :class:`Simulator` — the event loop and virtual clock (milliseconds).
 - :class:`Process`, :func:`spawn` — generator-based processes.
 - :class:`Driver` — the stepping primitive under a process.
-- :class:`Timeout`, :class:`Signal`, :class:`Completion`, :class:`AllOf`
-  — waitables.
+- :class:`Timeout`, :class:`Signal`, :class:`Completion` — waitables.
 - :class:`RandomStreams` — named deterministic RNG streams.
 """
 
 from .engine import SimulationError, Simulator, StopSimulation
-from .process import (AllOf, Completion, Driver, Interrupted, Process, Signal,
+from .process import (Completion, Driver, Interrupted, Process, Signal,
                       Timeout, Waitable, spawn)
 from .rng import RandomStreams
 
@@ -25,7 +24,6 @@ __all__ = [
     "Timeout",
     "Signal",
     "Completion",
-    "AllOf",
     "Waitable",
     "Interrupted",
     "RandomStreams",

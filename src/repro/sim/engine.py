@@ -14,7 +14,7 @@ schedules against a plain binary-heap oracle.
 
 Most users never schedule raw callbacks.  They start generator-based
 processes (see :mod:`repro.sim.process`) and let those block on timeouts,
-signals and queues.
+signals and completions.
 """
 
 from __future__ import annotations
@@ -94,34 +94,6 @@ class Simulator:
     def stop(self) -> None:
         """Halt the simulation after the current callback returns."""
         self._stopped = True
-
-    def every(self, interval_ms: float,
-              callback: Callable[[], Any]) -> Callable[[], None]:
-        """Run ``callback()`` every ``interval_ms`` until cancelled.
-
-        Returns a zero-argument cancel function.  The first call fires one
-        interval from now.  Unlike a generator process, a periodic callback
-        cannot block, which makes it the right shape for observers (the
-        invariant checker's sweep) that must never perturb process
-        scheduling order.
-        """
-        if interval_ms <= 0:
-            raise SimulationError(
-                f"periodic interval must be positive: {interval_ms!r}")
-        state = {"cancelled": False}
-
-        def tick() -> None:
-            if state["cancelled"]:
-                return
-            callback()
-            if not state["cancelled"]:
-                self.schedule(interval_ms, tick)
-
-        def cancel() -> None:
-            state["cancelled"] = True
-
-        self.schedule(interval_ms, tick)
-        return cancel
 
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> None:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Generator, List, Optional
 from .engine import SimulationError, Simulator
 
 __all__ = ["Process", "Driver", "Timeout", "Signal", "Completion",
-           "Interrupted", "Waitable", "AllOf"]
+           "Interrupted", "Waitable"]
 
 
 class Interrupted(Exception):
@@ -100,7 +100,7 @@ class Signal(Waitable):
     Processes wait on the signal by yielding it; :meth:`trigger` resumes
     every current waiter with the given value.  A signal stays triggered:
     waiting on an already-triggered signal resumes immediately (at the next
-    event-loop step).  Call :meth:`reset` to rearm.
+    event-loop step).
     """
 
     __slots__ = ("_sim", "_waiters", "_triggered", "_value")
@@ -128,11 +128,6 @@ class Signal(Waitable):
         waiters, self._waiters = self._waiters, []
         for callback in waiters:
             self._sim.schedule(0.0, callback, value)
-
-    def reset(self) -> None:
-        """Rearm a triggered signal so it can fire again."""
-        self._triggered = False
-        self._value = None
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         if self._triggered:
@@ -199,37 +194,6 @@ class Completion(Waitable):
     def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
         if self._then == callback:
             self._then = None
-
-
-class AllOf(Waitable):
-    """Fires once every child waitable has fired; resumes with their results
-    in order."""
-
-    __slots__ = ("_sim", "_waitables")
-
-    def __init__(self, sim: Simulator, waitables: List[Waitable]) -> None:
-        self._sim = sim
-        self._waitables = list(waitables)
-
-    def _subscribe(self, callback: Callable[[Any], None]) -> None:
-        remaining = len(self._waitables)
-        results: List[Any] = [None] * len(self._waitables)
-        if remaining == 0:
-            self._sim.schedule(0.0, callback, [])
-            return
-
-        def make_child(index: int) -> Callable[[Any], None]:
-            def child_done(value: Any) -> None:
-                nonlocal remaining
-                results[index] = value
-                remaining -= 1
-                if remaining == 0:
-                    callback(results)
-
-            return child_done
-
-        for i, waitable in enumerate(self._waitables):
-            waitable._subscribe(make_child(i))
 
 
 class Driver:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.actors import Actor, ActorSystem, Client, RuntimeHooks
+from repro.actors.system import MIGRATION_PHASE_TIMEOUT_MS
 from repro.cluster import Provisioner
 from repro.sim import Simulator, Timeout, spawn
 
@@ -216,7 +217,7 @@ def test_prepare_retries_after_partition_heals_in_time():
     token = system.fabric.partition({src.server_id})
     done = system.migrate_actor(ref, dst)
     # Heal inside the phase timeout: the held prepare goes through.
-    sim.schedule(system.migration_phase_timeout_ms / 2,
+    sim.schedule(MIGRATION_PHASE_TIMEOUT_MS / 2,
                  system.fabric.heal_partition, token)
     sim.run()
     assert done.value is True

@@ -9,6 +9,7 @@ whole scenario that actually misbehaves.
 import pytest
 
 from repro.actors import Actor
+from repro.actors.system import MIGRATION_PHASE_TIMEOUT_MS
 from repro.bench import build_cluster
 from repro.check import INVARIANTS, InvariantChecker, Violation
 from repro.check.invariants import InvariantError
@@ -162,7 +163,7 @@ def test_stranded_root_migration_detected():
     manager.emit("migration-started", actor="<Spinner#9>", actor_id=9,
                  action="balance", src="s-1", dst="s-2", issuer="root")
     assert not checker.violations
-    bound = (3 * manager.system.migration_phase_timeout_ms
+    bound = (3 * MIGRATION_PHASE_TIMEOUT_MS
              + 2 * manager.config.period_ms)
     bed.run(until_ms=bound + 1_000.0)
     checker._check_stranded_root_migrations()
@@ -180,8 +181,8 @@ def test_resolved_root_migration_not_stranded():
                  action="balance", src="s-1", dst="s-2", issuer="root")
     # Aborts arrive through the runtime hook, not the event bus.
     record = SimpleNamespace(ref=SimpleNamespace(actor_id=9))
-    checker._on_migration_aborted(record, None, None, "timeout")
-    bound = (3 * manager.system.migration_phase_timeout_ms
+    checker.on_migration_aborted(record, None, None, "timeout")
+    bound = (3 * MIGRATION_PHASE_TIMEOUT_MS
              + 2 * manager.config.period_ms)
     bed.run(until_ms=bound + 1_000.0)
     checker._check_stranded_root_migrations()
@@ -220,6 +221,42 @@ def test_violation_cap():
         manager.emit("scale-in", gem_id=0, victim="x",
                      underload_fraction=1.0, planned_moves=0)
     assert len(checker.violations) == 3
+
+
+def test_reattached_checker_sweeps_once_per_interval():
+    bed, _manager, checker = make_checker()
+    interval = checker.sweep_interval_ms
+    sweeps = []
+    checker._sweep = lambda: sweeps.append(bed.sim.now)
+    bed.run(until_ms=interval * 1.5)
+    assert sweeps == [interval]
+    # Detach and attach again before the armed sweep is due: the old
+    # arming lapses, and only the new one keeps its period.
+    checker.detach()
+    checker.attach()
+    bed.run(until_ms=interval * 5.2)
+    start = interval * 1.5
+    assert sweeps == [interval] + [start + k * interval for k in (1, 2, 3)]
+    checker.detach()
+    bed.run(until_ms=interval * 8.0)
+    assert len(sweeps) == 4
+
+
+def test_subscribers_are_their_own_hooks_in_start_order():
+    from repro.core import ElasticityTracer
+    from repro.durability import DurabilityConfig
+    bed = build_cluster(2, seed=7)
+    policy = compile_source("server.cpu.perc > 80 => balance({Spinner}, "
+                            "cpu);", [Spinner])
+    manager = ElasticityManager(bed.system, policy, EmrConfig(
+        period_ms=5_000.0, durability=DurabilityConfig()))
+    manager.start()
+    tracer = ElasticityTracer(manager)
+    tracer.attach()
+    checker = InvariantChecker(manager, tracer=tracer)
+    checker.attach()
+    assert bed.system.hooks == (manager.profiler, manager,
+                                manager.durability, tracer, checker)
 
 
 def test_detach_restores_quiet_manager():

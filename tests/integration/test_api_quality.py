@@ -58,12 +58,17 @@ def test_all_exports_exist_and_are_documented(module_name):
 
 def test_public_classes_have_documented_public_methods():
     from repro.actors import ActorSystem
-    from repro.core import ElasticityManager
+    from repro.check import InvariantChecker
+    from repro.core import ElasticityManager, ElasticityTracer
     from repro.core.epl import CompiledPolicy
+    from repro.durability import DurabilityManager
     from repro.serverless import FunctionPlatform, StorageTier
 
+    # The runtime-hook subscribers included: each ``on_*`` it overrides
+    # says what that hook does to it.
     for cls in (ActorSystem, ElasticityManager, CompiledPolicy,
-                StorageTier, FunctionPlatform):
+                StorageTier, FunctionPlatform, InvariantChecker,
+                ElasticityTracer, DurabilityManager):
         for name, member in inspect.getmembers(cls, inspect.isfunction):
             if name.startswith("_"):
                 continue
@@ -113,13 +118,15 @@ def _is_runtime(node):
 
 
 def test_emr_reaches_the_runtime_only_through_the_backend():
-    # The EMR runs on two runtimes; a read of anything outside the
-    # contract (the simulator, the provisioner, the RNG streams, the
-    # hooks list) would work on one of them only.  A store onto the
-    # system and an alias of it under another local name are rejected
-    # too: either would let such a read slip past the check.
+    # The EMR and the invariant checker run on two runtimes; a read of
+    # anything outside the contract (the simulator, the provisioner, the
+    # RNG streams, the hooks list) would work on one of them only.  A
+    # store onto the system and an alias of it under another local name
+    # are rejected too: either would let such a read slip past the check.
     sources = [(path, source, RUNTIME_READS)
                for path, source in _sources("core", "emr", "*.py")]
+    sources += [(path, source, RUNTIME_READS)
+                for path, source in _sources("check", "*.py")]
     sources += [(path, source, LIVE_ADAPTER_READS)
                 for path, source in _sources("live", "emr.py")]
     offenders = []
@@ -177,6 +184,11 @@ def _sim_system(**kwargs):
      AttributeError),
     (lambda: importlib.import_module("repro.core.profiling.ring"),
      ImportError),
+    (lambda: importlib.import_module("repro.sim").AllOf, AttributeError),
+    (lambda: importlib.import_module("repro.sim").Simulator.every,
+     AttributeError),
+    (lambda: importlib.import_module("repro.sim").Signal.reset,
+     AttributeError),
 ], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
         "ActorSystem.backend", "repro.actors.ShardedDirectory",
@@ -184,12 +196,13 @@ def _sim_system(**kwargs):
         "Directory.note_commit", "ActorSystem(directory=)",
         "repro.WindowedMeter", "repro.cluster.WindowedMeter",
         "repro.cluster.metrics.WindowedMeter",
-        "repro.core.profiling.ring"])
+        "repro.core.profiling.ring", "repro.sim.AllOf", "Simulator.every",
+        "Signal.reset"])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
     # Each runtime is its own backend, one directory serves every lookup
     # and one meter serves every window: code still reaching for the
-    # adapter layer, the hash-ring directory or the scanning meter must
-    # fail, not find a stale shim.
+    # adapter layer, the hash-ring directory, the scanning meter or a
+    # deleted waitable or timer must fail, not find a stale shim.
     with pytest.raises(error):
         probe()
 

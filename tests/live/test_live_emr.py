@@ -19,6 +19,7 @@ import asyncio
 
 import pytest
 
+from repro.check import InvariantChecker
 from repro.core import compile_source
 from repro.live import (LiveActor, LiveActorSystem, LiveElasticityManager,
                         LiveEmrConfig)
@@ -91,6 +92,9 @@ def test_balance_rule_is_decided_by_gem_and_executed_by_lems():
         workers = [system.create_actor(Worker, server=packed)
                    for _ in range(6)]
         manager = _manager(system, BALANCE, [Worker])
+        # The sim's invariant checker, on the live runtime's clock.
+        checker = InvariantChecker(manager.emr)
+        checker.attach()
         started = []
         manager.emr.add_listener(
             lambda kind, detail: kind == "migration-started"
@@ -115,6 +119,8 @@ def test_balance_rule_is_decided_by_gem_and_executed_by_lems():
         assert manager.migrations_started == len(log)
         assert all(system.actors_on(server) for server in system.servers)
         assert manager.rounds_run >= 3
+        assert checker.checks_run > 0
+        checker.assert_clean()
         await system.shutdown()
     asyncio.run(main())
 

@@ -40,25 +40,6 @@ class HeapSimulator:
         self._counter = seq = self._counter + 1
         heapq.heappush(self._heap, (when, seq, callback, args))
 
-    def every(self, interval_ms, callback):
-        if interval_ms <= 0:
-            raise SimulationError(
-                f"periodic interval must be positive: {interval_ms!r}")
-        state = {"cancelled": False}
-
-        def tick():
-            if state["cancelled"]:
-                return
-            callback()
-            if not state["cancelled"]:
-                self.schedule(interval_ms, tick)
-
-        def cancel():
-            state["cancelled"] = True
-
-        self.schedule(interval_ms, tick)
-        return cancel
-
     def run(self, until=None):
         if self._running:
             raise SimulationError("simulator is already running")

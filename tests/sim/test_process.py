@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import (AllOf, Completion, Interrupted, Process, Signal,
+from repro.sim import (Completion, Interrupted, Process, Signal,
                        SimulationError, Simulator, Timeout, spawn)
 
 
@@ -89,16 +89,6 @@ def test_waiting_on_triggered_signal_resumes_immediately():
     assert seen == [(0.0, "pre")]
 
 
-def test_signal_reset_rearms():
-    sim = Simulator()
-    signal = Signal(sim)
-    signal.trigger(1)
-    signal.reset()
-    assert not signal.triggered
-    signal.trigger(2)
-    assert signal.value == 2
-
-
 def test_interrupt_raises_inside_process():
     sim = Simulator()
     seen = []
@@ -138,34 +128,6 @@ def test_interrupt_finished_process_is_noop():
     sim.run()
     process.interrupt()  # must not raise
     assert process.finished
-
-
-def test_allof_waits_for_every_child():
-    sim = Simulator()
-    seen = []
-
-    def body():
-        results = yield AllOf(sim, [Timeout(sim, 3.0, "a"),
-                                    Timeout(sim, 7.0, "b"),
-                                    Timeout(sim, 5.0, "c")])
-        seen.append((sim.now, results))
-
-    spawn(sim, body())
-    sim.run()
-    assert seen == [(7.0, ["a", "b", "c"])]
-
-
-def test_allof_empty_fires_immediately():
-    sim = Simulator()
-    seen = []
-
-    def body():
-        results = yield AllOf(sim, [])
-        seen.append(results)
-
-    spawn(sim, body())
-    sim.run()
-    assert seen == [[]]
 
 
 def test_yielding_non_waitable_raises():

@@ -15,7 +15,7 @@ Shapes are chosen to hit every storage class of the production kernel:
 - **same-timestamp bursts** (FIFO tie-break between a timestamp's list,
   filled before the clock got there, and the zero-delay FIFO filled
   at it),
-- **cancel-heavy** periodic timers (``every``/cancel interleavings),
+- **cancel-heavy** periodic timers (:func:`every`/cancel interleavings),
 - stepped ``run(until=...)`` and ``stop()`` inside a multi-event
   timestamp, where the unrun tail of its list must stay ahead of the
   zero-delay FIFO when the run resumes.
@@ -49,6 +49,24 @@ KERNELS = {"heap": HeapSimulator, "calendar": Simulator}
 DENSE_DELAYS = (0.0, 0.0, 0.01, 0.07, 0.3, 0.5, 0.77, 1.0, 1.5, 2.25)
 SPARSE_DELAYS = (0.0, 1.0, 2.5, 40.0, 400.0, 3_000.0, 25_000.0)
 BURST_DELAYS = (0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 5.0, 10.0)
+
+
+def every(sim, interval_ms, callback):
+    """Run ``callback()`` every ``interval_ms`` until the returned
+    function is called: a periodic timer built on ``schedule`` alone, so
+    it makes the same calls on either kernel."""
+    state = {"cancelled": False}
+
+    def tick():
+        if not state["cancelled"]:
+            callback()
+            sim.schedule(interval_ms, tick)
+
+    def cancel():
+        state["cancelled"] = True
+
+    sim.schedule(interval_ms, tick)
+    return cancel
 
 
 def run_program(kernel, seed, delays, initial=40, budget=2_500,
@@ -93,7 +111,7 @@ def run_program(kernel, seed, delays, initial=40, budget=2_500,
     if with_timers:
         for index in range(10):
             period = 3.0 + (index % 7)
-            cancel = sim.every(period, lambda i=index: log.append(
+            cancel = every(sim, period, lambda i=index: log.append(
                 ("timer", i, sim.now)))
             cancels.append(cancel)
         # Cancel a few timers from inside the run, at seeded times.
