@@ -179,9 +179,9 @@ def test_pagerank_converges_through_server_crash_and_gem_kill(report):
     report.add(f"recovery span: {meter.recovery_time_ms():.0f} ms, "
                f"retries used: {client.retries_used}, "
                f"resurrected: {len(resurrections)} workers")
-    net = tracer.network_summary()
-    report.add(f"fabric drops: {net['messages_dropped']} total, "
-               f"{net['partition_drops']} charged to partition cuts")
+    fabric = bed.system.fabric
+    report.add(f"fabric drops: {fabric.messages_dropped} total, "
+               f"{fabric.partition_drops} charged to partition cuts")
     report.write("chaos_recovery_pagerank")
 
 

@@ -110,8 +110,7 @@ def _build_views(num_servers, group_size):
         gem = _FakeGem(gem_id=group)
         aggregate = build_aggregate(group, gem, servers, actors_by_server,
                                     GROUP_TOP_K)
-        # What the root actually folds: the first publish's full delta.
-        views[group] = aggregate.delta_against(None)
+        views[group] = aggregate
     return views, total_actors
 
 

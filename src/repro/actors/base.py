@@ -59,11 +59,11 @@ class ActorSystemBase:
       :class:`asyncio.Task` under the live runtime — which a
       fire-and-continue caller may ignore;
     * **fleet verbs** — ``running_servers`` / ``boot_server`` /
-      ``retire_server`` / ``pending_boots`` / ``add_join_listener``, how
-      GEMs scale the fleet and how the manager learns of servers that
-      join;
+      ``retire_server`` / ``pending_boots``, how GEMs scale the fleet;
     * **observation surface** — :meth:`actors_on` / :meth:`mailbox_depth`
-      plus hook (profiling subscriber) registration.
+      plus hook registration: subscribers hear of actors, messages and
+      servers joining, retiring or crashing through
+      :class:`~repro.actors.hooks.RuntimeHooks`.
 
     Time is always milliseconds as float, so meters, windows and policy
     periods carry over unchanged between runtimes.

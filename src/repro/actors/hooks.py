@@ -65,6 +65,12 @@ class RuntimeHooks:
         ``"target-crashed"`` (the destination died during the transfer;
         the actor stays on ``source``)."""
 
+    def on_server_joined(self, server: "Server") -> None:
+        """``server`` joined the fleet."""
+
+    def on_server_retired(self, server: "Server") -> None:
+        """``server`` is being retired; it is still in the fleet."""
+
     def on_server_crashed(self, server: "Server",
                           lost: "List[ActorRecord]") -> None:
         """``server`` failed.  ``lost`` holds the (now dead) directory

@@ -84,6 +84,8 @@ class ActorSystem(ActorSystemBase):
         super().__init__(sim, Directory(), _actor_ids, streams)
         self.sim = sim
         self.provisioner = provisioner
+        provisioner.add_join_listener(self._server_joined)
+        provisioner.add_retire_listener(self._server_retired)
         self.fabric = fabric or NetworkFabric(sim)
         self._placement_rng = self.streams.stream("actor-placement")
         #: Migrations rolled back by a partition or phase timeout.
@@ -122,9 +124,13 @@ class ActorSystem(ActorSystemBase):
         """Servers requested but not yet joined."""
         return self.provisioner.pending_boots()
 
-    def add_join_listener(self, listener: Callable[[Server], None]) -> None:
-        """Call ``listener(server)`` whenever a server joins the fleet."""
-        self.provisioner.add_join_listener(listener)
+    def _server_joined(self, server: Server) -> None:
+        for hooks in self.hooks:
+            hooks.on_server_joined(server)
+
+    def _server_retired(self, server: Server) -> None:
+        for hooks in self.hooks:
+            hooks.on_server_retired(server)
 
     # ------------------------------------------------------------------
     # actor lifecycle

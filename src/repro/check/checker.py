@@ -28,14 +28,12 @@ value.  The checker never mutates runtime decisions.
 
 from __future__ import annotations
 
-from dataclasses import fields as _dataclass_fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..actors import ActorRecord, RuntimeHooks
 from ..actors.system import MIGRATION_PHASE_TIMEOUT_MS
 from ..cluster import AvailabilityMeter, Server
-from ..core.emr.hierarchy import GroupAggregate
 from .invariants import INVARIANTS, InvariantError, Violation
 
 __all__ = ["InvariantChecker"]
@@ -43,11 +41,6 @@ __all__ = ["InvariantChecker"]
 _EPS = 1e-6
 _PERC_EPS = 1e-6
 _MEM_EPS_MB = 1e-6
-
-#: Every field a *full* (non-delta) group aggregate ships; derived from
-#: the dataclass schema, not from the hierarchy's runtime bookkeeping.
-_AGGREGATE_FIELDS = frozenset(
-    f.name for f in _dataclass_fields(GroupAggregate))
 
 
 class InvariantChecker(RuntimeHooks):
@@ -128,16 +121,13 @@ class InvariantChecker(RuntimeHooks):
         #: group -> recent (cpu_sum, server_count, actor_count) tuples,
         #: newest last.  Root rounds are compared against this short
         #: history rather than only the newest aggregate: an aggregate
-        #: published while its delta is still in flight to the root is
-        #: legitimate one-step staleness, not a folding bug.
+        #: published while the one before it is still in flight to the
+        #: root is legitimate one-step staleness, not a lost update.
         self._aggregate_history: Dict[int, List[tuple]] = {}
         # -- hierarchical failover state (re-derived from fault and
         # failover events, NOT from the RootGem's own flags) ------------
         self._root_failed = False
         self._root_generation = 0
-        #: Groups whose aggregate stream broke (root failover/recovery,
-        #: adoption change): their next gem-aggregate must be full.
-        self._groups_needing_full: Set[int] = set()
         #: Root-issued migrations in flight: actor id -> started-at ms.
         self._root_inflight: Dict[int, float] = {}
         #: EMR event kind -> the check or bookkeeping it feeds; a kind
@@ -167,8 +157,6 @@ class InvariantChecker(RuntimeHooks):
             "gem-aggregate": self._check_gem_aggregate,
             "root-round": self._check_root_round,
             "root-failover": self._check_root_failover,
-            "group-adopted": self._note_publisher_changed,
-            "group-adoption-released": self._note_publisher_changed,
         }
 
     # -- partition side re-derivation ---------------------------------
@@ -424,15 +412,13 @@ class InvariantChecker(RuntimeHooks):
         """A partition heal closes its cut.  A ``kill-root`` heal leaves a
         superseded incarnation retired (promotion moved authority on); a
         genuine recovery restores the same generation with its views
-        wiped, so every group must republish in full."""
+        wiped."""
         if detail.get("fault") == "partition-network":
             self._active_partitions.pop(detail.get("partition_id"), None)
         elif detail.get("fault") == "kill-root":
             self.checks_run += 1
             if not detail.get("superseded"):
                 self._root_failed = False
-                self._groups_needing_full.update(
-                    self._group_of_server.values())
 
     def _note_gem_degraded(self, detail: Dict[str, Any]) -> None:
         self._check_event_epoch("gem-degraded", detail)
@@ -449,13 +435,6 @@ class InvariantChecker(RuntimeHooks):
     def _note_brownout_exited(self, detail: Dict[str, Any]) -> None:
         self._browned_out.pop(detail["server"], None)
         self._brownout_low_since.pop(detail["server"], None)
-
-    def _note_publisher_changed(self, detail: Dict[str, Any]) -> None:
-        """``group-adopted`` / ``group-adoption-released``: either way
-        the group's publisher changed and its delta baseline was reset,
-        so the next aggregate must be full."""
-        self.checks_run += 1
-        self._groups_needing_full.add(detail.get("group"))
 
     def _check_migration_start(self, detail: Dict[str, Any]) -> None:
         self.checks_run += 1
@@ -909,20 +888,6 @@ class InvariantChecker(RuntimeHooks):
         covered server must belong to the aggregate's group."""
         self.checks_run += 1
         group = detail.get("group")
-        if group in self._groups_needing_full:
-            # aggregate-resync-after-failover: this group's stream broke
-            # (root failover/recovery or an adoption change reset the
-            # delta baseline), so this aggregate must ship every field.
-            self._groups_needing_full.discard(group)
-            shipped = set(detail.get("delta_fields", ()))
-            missing = sorted(_AGGREGATE_FIELDS - shipped)
-            if missing:
-                self._violate(
-                    "aggregate-resync-after-failover",
-                    f"group {group}'s first aggregate after a failover "
-                    f"is a delta (missing fields: {missing}) — the new "
-                    f"publisher/consumer has no baseline to fold it "
-                    f"onto", **detail)
         cpu_percs = tuple(detail.get("server_cpu_percs", ()))
         names = tuple(detail.get("server_names", ()))
         cpu_sum = detail.get("cpu_sum", 0.0)
@@ -953,9 +918,9 @@ class InvariantChecker(RuntimeHooks):
         del history[:-3]
 
     def _check_root_round(self, detail: Dict[str, Any]) -> None:
-        """aggregate-consistency, root half: every folded per-group view
-        must match one of the group's recently published full aggregates
-        (a delta-folding bug makes the view match none of them).  Also
+        """aggregate-consistency, root half: every per-group view must
+        match one of the group's recently published aggregates (a view
+        that was lost, mixed up or corrupted matches none of them).  Also
         the root-single-authority half that polices rounds: a failed or
         superseded root incarnation must not hold rounds."""
         self.checks_run += 1
@@ -983,7 +948,7 @@ class InvariantChecker(RuntimeHooks):
             if not history:
                 self._violate(
                     "aggregate-consistency",
-                    f"root folded a view for group {group}, which never "
+                    f"root holds a view for group {group}, which never "
                     f"published an aggregate", **detail)
                 continue
             matched = any(
@@ -1001,8 +966,7 @@ class InvariantChecker(RuntimeHooks):
     def _check_root_failover(self, detail: Dict[str, Any]) -> None:
         """root-single-authority, promotion half: generations only move
         forward, and a promotion transfers authority — the old
-        incarnation is retired, the new one rules.  Every known group's
-        aggregate stream restarts from a full publish."""
+        incarnation is retired, the new one rules."""
         self.checks_run += 1
         generation = detail.get("generation")
         if generation is not None:
@@ -1014,7 +978,6 @@ class InvariantChecker(RuntimeHooks):
                     f"{self._root_generation}", **detail)
             self._root_generation = max(self._root_generation, generation)
         self._root_failed = False
-        self._groups_needing_full.update(self._group_of_server.values())
 
     def _check_stranded_root_migrations(self) -> None:
         """no-stranded-cross-group-migration: every root-issued

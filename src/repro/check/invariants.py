@@ -105,8 +105,8 @@ INVARIANTS: Dict[str, str] = {
     "aggregate-consistency": (
         "every published group aggregate carries sums that equal the "
         "recomputation over its per-server values, covers only servers "
-        "assigned to that group, and the root tier's delta-folded view "
-        "of each group matches the group's latest full aggregate"),
+        "assigned to that group, and the root tier's view of each group "
+        "matches one of the group's latest aggregates"),
     "cross-group-single-authority": (
         "every server belongs to exactly one server group, resource "
         "migrations (balance/reserve/drain) crossing a group boundary "
@@ -118,12 +118,6 @@ INVARIANTS: Dict[str, str] = {
         "migration starts, root generations only move forward, and a "
         "root round never carries a generation other than the latest "
         "promoted one"),
-    "aggregate-resync-after-failover": (
-        "whenever a group's aggregate stream breaks — root promotion "
-        "or recovery, group adoption or release — the next aggregate "
-        "published for that group is full (every field ships), never a "
-        "delta against a baseline the new consumer or publisher does "
-        "not have"),
     "no-stranded-cross-group-migration": (
         "a root-issued cross-group migration started before the root "
         "died is driven to commit or rollback by the two-phase "

@@ -219,6 +219,7 @@ def _write_artifact(out_dir: str, seed: int, scenario, result,
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    import hashlib
     import time
     from .fuzz import (failure_signature, generate_scenario, run_scenario,
                        shrink)
@@ -237,6 +238,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
 
     started = time.monotonic()
+    campaign = hashlib.sha256()
     failures = 0
     total_drops = 0
     total_shed = 0
@@ -252,6 +254,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = args.seed_start + index
         scenario = generate_scenario(seed, profile=args.profile)
         result = run_scenario(scenario)
+        campaign.update(result.fingerprint().encode())
         seeds_run += 1
         status = result.summary()
         total_drops += result.messages_dropped
@@ -284,6 +287,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
           f"{failures} failure(s), "
           f"{total_drops} fabric message(s) dropped"
           f"{overload_note}{failover_note}")
+    print(f"campaign sha256 {campaign.hexdigest()}")
     return 1 if failures else 0
 
 

@@ -54,21 +54,10 @@ class Provisioner:
         """Register a callback invoked whenever a server joins the fleet."""
         self._join_listeners.append(listener)
 
-    def remove_join_listener(self, listener: Callable[[Server], None]) -> None:
-        """Unregister a callback added with :meth:`add_join_listener`."""
-        if listener in self._join_listeners:
-            self._join_listeners.remove(listener)
-
     def add_retire_listener(self, listener: Callable[[Server], None]) -> None:
         """Register a callback invoked whenever a server is retired, while
         it is still in :attr:`servers`."""
         self._retire_listeners.append(listener)
-
-    def remove_retire_listener(self,
-                               listener: Callable[[Server], None]) -> None:
-        """Unregister a callback added with :meth:`add_retire_listener`."""
-        if listener in self._retire_listeners:
-            self._retire_listeners.remove(listener)
 
     def boot_server(self, type_name: Optional[str] = None,
                     immediate: bool = False) -> Signal:

@@ -11,11 +11,10 @@ control plane is therefore always a tree, sized by
   group-local snapshots.  LEMs shuffle among their *group's* leaves only
   (one RNG stream; with one group the candidates are every alive GEM).
 - **Root tier**: after each processing round a leaf publishes a
-  :class:`GroupAggregate` — summed resource vectors plus the top-k hot
+  :class:`GroupAggregate` — summed CPU and counts plus the top-k hot
   actors, *not* per-actor rows — to the single :class:`RootGem`.
-  Aggregates are **delta-compressed** (only fields that changed since
-  the group's last publish ship) and **batched** (the root folds
-  everything arriving within one collection window before deciding).
+  The root keeps the latest aggregate per group, and **batches**: it
+  decides once over everything arriving within one collection window.
   The root arbitrates exactly two things: cross-group migrations (top-k
   hot actors from the hottest group onto the coldest group's least
   loaded server) and fleet scaling (a veto over leaf scale votes when a
@@ -34,29 +33,24 @@ Every tier has a failure-and-recovery story (PR 9):
 - **Root failover**: the root is killable (``kill-root`` chaos fault)
   and generation-fenced.  The first leaf to publish after the root dies
   promotes deterministically (:meth:`ControlHierarchy.ensure_root` —
-  also driven by the failure detector); promotion bumps ``generation``,
-  discards the folded views, and clears the whole delta history so
-  every group's next publish is a *full* aggregate.  Root-planned
-  migrations in flight check the generation before committing, so a
-  stale root's decision never executes after its successor takes over.
+  also driven by the failure detector); promotion bumps ``generation``
+  and discards the views, which the leaves' next publishes rebuild.
+  Root-planned migrations in flight check the generation before
+  committing, so a stale root's decision never executes after its
+  successor takes over.
 - **Leaf failover with group adoption**: when all of a group's home
   leaves fail, a surviving leaf from another group *adopts* the group
   (``_adopted``): LEM reports route to the adopter, which publishes a
-  separate per-group aggregate for each group it serves.  Adoption and
-  release both reset the group's delta baseline — ``delta_against``
-  assumes an unbroken stream, so any publisher change forces a full
-  republish (the ``aggregate-resync-after-failover`` invariant).
-- A delta arriving for a group the root has no view of (in flight
-  across a promotion, or after a view prune) is undecodable and is
-  dropped unless it carries every field; the full republish that the
-  baseline reset forces supersedes it within one report period.
+  separate per-group aggregate for each group it serves.  Every
+  aggregate is whole, so a change of publisher or of root needs no
+  resynchronisation.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ...cluster import Server, ServerGroupMap
 from ...sim import Timeout, spawn
@@ -76,9 +70,9 @@ GROUP_TOP_K = 8
 
 @dataclass
 class GroupAggregate:
-    """One leaf group's compressed REPORT to the root tier.
+    """One leaf group's REPORT to the root tier.
 
-    Summed resource vectors and a bounded hot set — the root never sees
+    Summed CPU, counts and a bounded hot set — the root never sees
     per-actor rows, which is what keeps its per-round decision cost
     independent of the actor population.
     """
@@ -89,30 +83,12 @@ class GroupAggregate:
     server_count: int
     actor_count: int
     cpu_sum: float
-    mem_sum: float
-    net_sum: float
     overload_fraction: float
     underload_fraction: float
     server_names: Tuple[str, ...]
     server_cpu_percs: Tuple[float, ...]
     top_actors: Tuple[ActorSnapshot, ...]
     least_loaded: Optional[ServerSnapshot]
-
-    def delta_against(self, prev: Optional["GroupAggregate"]) -> Dict[str, Any]:
-        """Fields that changed since ``prev`` (everything on first
-        publish).  ``group``/``gem_id``/``epoch`` always ship — they are
-        the envelope, not payload."""
-        names = [f.name for f in dataclass_fields(self)]
-        if prev is None:
-            return {name: getattr(self, name) for name in names}
-        delta: Dict[str, Any] = {"group": self.group, "gem_id": self.gem_id,
-                                 "epoch": self.epoch}
-        for name in names:
-            if name in delta:
-                continue
-            if getattr(self, name) != getattr(prev, name):
-                delta[name] = getattr(self, name)
-        return delta
 
 
 def build_aggregate(group: int, gem: "GEM",
@@ -132,8 +108,6 @@ def build_aggregate(group: int, gem: "GEM",
         group=group, gem_id=gem.gem_id, epoch=gem.epoch,
         server_count=len(servers), actor_count=len(actors),
         cpu_sum=sum(s.cpu_perc for s in servers),
-        mem_sum=sum(s.mem_perc for s in servers),
-        net_sum=sum(s.net_perc for s in servers),
         overload_fraction=gem.overload_fraction,
         underload_fraction=gem.underload_fraction,
         server_names=tuple(s.server.name for s in servers),
@@ -141,13 +115,8 @@ def build_aggregate(group: int, gem: "GEM",
         top_actors=top, least_loaded=least)
 
 
-#: Number of fields a *full* (non-delta) aggregate carries; a delta for
-#: a group with no folded view is undecodable below this.
-_AGGREGATE_FIELD_COUNT = len(dataclass_fields(GroupAggregate))
-
-
 class RootGem:
-    """Root tier: folds per-group aggregate views, arbitrates only
+    """Root tier: keeps each group's latest aggregate, arbitrates only
     cross-group migrations and fleet scaling.
 
     Killable and fenced: ``failed`` stops ingest, rounds and vetoes;
@@ -160,8 +129,8 @@ class RootGem:
                  hierarchy: "ControlHierarchy") -> None:
         self.manager = manager
         self.hierarchy = hierarchy
-        #: Folded per-group view: group -> field dict, updated by deltas.
-        self.views: Dict[int, Dict[str, Any]] = {}
+        #: group -> the latest aggregate received from it.
+        self.views: Dict[int, GroupAggregate] = {}
         self._flush_scheduled = False
         self.rounds_processed = 0
         self.cross_migrations_planned = 0
@@ -181,27 +150,26 @@ class RootGem:
     def recover(self) -> None:
         """Recover the *same* incarnation (no promotion happened).
 
-        The recovering root missed every delta shipped while it was
-        down, so its folded views are garbage: discard them and reset
-        the delta history so each group's next publish is full.
+        The recovering root missed every aggregate shipped while it was
+        down, so its views are stale: discard them; the next publishes
+        rebuild them.
         """
         self.failed = False
         self.views.clear()
-        self.hierarchy.reset_delta_history()
 
-    # -- aggregate ingest (delta-folded, batched) -----------------------
+    # -- aggregate ingest (batched) -------------------------------------
 
-    def receive_aggregate(self, group: int, delta: Dict[str, Any]) -> None:
+    def receive_aggregate(self, aggregate: GroupAggregate) -> None:
         if self.failed:
             return
-        if group not in self.views and len(delta) < _AGGREGATE_FIELD_COUNT:
-            # A delta with no base view to fold onto is undecodable —
-            # it was in flight across a promotion/recovery (which wiped
-            # the views) or a view prune.  Drop it; the baseline reset
-            # already forced the publisher's next aggregate to be full.
+        group, least = aggregate.group, aggregate.least_loaded
+        if (least is not None and not least.server.running
+                and not self.hierarchy._group_has_running_member(group)):
+            # Sent just before the group's last server went: the
+            # dissolution already pruned the view, so do not revive it.
             return
         self.aggregates_received += 1
-        self.views.setdefault(group, {}).update(delta)
+        self.views[group] = aggregate
         if not self._flush_scheduled:
             # Batch: every aggregate landing within one collection
             # window rides the same root round.
@@ -216,8 +184,7 @@ class RootGem:
         self.rounds_processed += 1
         self.manager.emit("root-round", generation=self.generation,
                           groups=tuple(
-            (group, view.get("cpu_sum", 0.0), view.get("server_count", 0),
-             view.get("actor_count", 0))
+            (group, view.cpu_sum, view.server_count, view.actor_count)
             for group, view in sorted(self.views.items())))
         for action in self.arbitrate(self.views):
             self.cross_migrations_planned += 1
@@ -226,8 +193,8 @@ class RootGem:
 
     # -- cross-group arbitration ----------------------------------------
 
-    def arbitrate(self, views: Dict[int, Dict[str, Any]]) -> List[Action]:
-        """Plan cross-group balance moves from the folded views.
+    def arbitrate(self, views: Dict[int, GroupAggregate]) -> List[Action]:
+        """Plan cross-group balance moves from the groups' aggregates.
 
         Pure function of the views (no RNG, no clock mutation): hottest
         group's top-k hot actors onto the coldest group's least loaded
@@ -237,22 +204,21 @@ class RootGem:
         config = self.manager.config
         means: Dict[int, float] = {}
         for group, view in views.items():
-            count = view.get("server_count", 0)
-            if count:
-                means[group] = view.get("cpu_sum", 0.0) / count
+            if view.server_count:
+                means[group] = view.cpu_sum / view.server_count
         if len(means) < 2:
             return []
         hot = max(sorted(means), key=lambda g: means[g])
         cold = min(sorted(means), key=lambda g: means[g])
         if hot == cold or means[hot] - means[cold] <= config.cross_group_band:
             return []
-        least = views[cold].get("least_loaded")
+        least = views[cold].least_loaded
         if least is None or not least.server.running:
             return []
         now = self.manager.system.now
         stability = config.stability_window_ms()
         actions: List[Action] = []
-        for snap in views[hot].get("top_actors", ()):
+        for snap in views[hot].top_actors:
             if len(actions) >= config.max_moves_per_server:
                 break
             if snap.pinned or snap.migrating:
@@ -330,7 +296,7 @@ class RootGem:
         agreeing = 0
         for group in others:
             view = self.views.get(group)
-            if view is None or view.get(key, 0.0) >= 0.5:
+            if view is None or getattr(view, key) >= 0.5:
                 agreeing += 1
         return agreeing * 2 >= len(others)
 
@@ -344,7 +310,6 @@ class ControlHierarchy:
         #: gem_id -> group owning that leaf.
         self.leaf_group: Dict[int, int] = {}
         self.root = RootGem(manager, self)
-        self._last_published: Dict[int, GroupAggregate] = {}
         #: group -> gem_id of the foreign leaf currently adopting it
         #: (all the group's home leaves are failed).  ``leaf_group``
         #: stays the permanent *home* map — adoption never rewrites it,
@@ -436,12 +401,6 @@ class ControlHierarchy:
 
     # -- failure and recovery -------------------------------------------
 
-    def reset_delta_history(self) -> None:
-        """Drop every group's delta baseline: the next publish from each
-        group ships a full aggregate.  Called whenever the aggregate
-        stream breaks (root promotion or recovery)."""
-        self._last_published.clear()
-
     def ensure_root(self) -> bool:
         """Promote a replacement root if the current one is failed.
 
@@ -450,9 +409,9 @@ class ControlHierarchy:
         one detects the failure first — via its own publish or the
         failure detector — picks the same successor).  With no alive
         leaf a fresh dedicated root is respawned instead.  Either way
-        the views and the delta history are discarded: the new
-        incarnation rebuilds from the full aggregates that leaves
-        re-publish.  Returns True if a promotion happened.
+        the views are discarded: the new incarnation rebuilds them from
+        the aggregates that leaves publish next.  Returns True if a
+        promotion happened.
         """
         root = self.root
         if not root.failed:
@@ -466,7 +425,6 @@ class ControlHierarchy:
         root.host_gem_id = promoted.gem_id if promoted else None
         root.views.clear()
         root.epoch = self.manager.epoch
-        self.reset_delta_history()
         self.manager.root_failovers += 1
         if self.active():
             self.manager.emit(
@@ -480,9 +438,7 @@ class ControlHierarchy:
         are *adopted* by a surviving foreign leaf (LEM reports route to
         it via ``pick_gem`` and it publishes the group's aggregates),
         instead of falling through to the groupless emergency respawn.
-        Recovered home leaves reclaim their group.  Every adoption
-        change resets the group's delta baseline so the next publisher
-        starts with a full aggregate."""
+        Recovered home leaves reclaim their group."""
         if not self.active():
             return
         manager = self.manager
@@ -494,13 +450,11 @@ class ControlHierarchy:
             home_alive = [g for g in self.leaves_of(group) if not g.failed]
             if home_alive:
                 del self._adopted[group]
-                self._last_published.pop(group, None)
                 manager.emit("group-adoption-released", group=group,
                              adopter=adopter_id,
                              leaf=min(g.gem_id for g in home_alive))
             elif adopter is None or adopter.failed:
                 del self._adopted[group]
-                self._last_published.pop(group, None)
         alive = [gem for gem in manager.gems
                  if not gem.failed
                  and self.leaf_group.get(gem.gem_id) is not None]
@@ -518,37 +472,32 @@ class ControlHierarchy:
                 continue
             adopter = min(candidates, key=lambda g: g.gem_id)
             self._adopted[group] = adopter.gem_id
-            self._last_published.pop(group, None)
             manager.leaf_failovers += 1
             manager.emit("group-adopted", group=group,
                          adopter=adopter.gem_id,
                          home_leaves=tuple(sorted(g.gem_id for g in home)))
 
     def note_server_gone(self, server: Server) -> None:
-        """A server crashed or retired: if its whole group is gone,
-        drop the group's delta baseline, folded root view and adoption —
-        a stale baseline would corrupt the next delta if the group ever
-        repopulates, and a stale cold view would attract cross-group
-        migrations onto dead servers forever."""
+        """A server crashed or retired: if its whole group is gone, drop
+        the group's root view and adoption — a stale cold view would
+        attract cross-group migrations onto dead servers forever."""
         group = self.groups.group_of(server.server_id)
         if group is None:
             return
         if self._group_has_running_member(group):
             return
-        self._last_published.pop(group, None)
         self.root.views.pop(group, None)
         self._adopted.pop(group, None)
 
     def publish(self, gem: "GEM", servers: List[ServerSnapshot],
                 actors_by_server: Dict[int, List[ActorSnapshot]]) -> None:
-        """Leaf round complete: delta-compress one aggregate per group
-        this leaf serves (its home group plus any groups it adopted) and
-        ship each to the root (one control-latency hop).
+        """Leaf round complete: build one aggregate per group this leaf
+        serves (its home group plus any groups it adopted) and ship each
+        to the root (one control-latency hop).
 
         This is also the leaf-driven root failure detection path: a
-        publish that finds the root dead promotes first (and thereby
-        resets the delta history), so the promoted incarnation's first
-        inputs are full aggregates — within one report period of the
+        publish that finds the root dead promotes first, so the promoted
+        incarnation has its first inputs within one report period of the
         failure, without waiting for the suspicion timer.
         """
         home = self.leaf_group.get(gem.gem_id)
@@ -576,17 +525,12 @@ class ControlHierarchy:
                           if self.groups.group_of(server_id) == group}
             aggregate = build_aggregate(group, gem, own, own_actors,
                                         GROUP_TOP_K)
-            delta = aggregate.delta_against(self._last_published.get(group))
-            self._last_published[group] = aggregate
             self.manager.emit(
                 "gem-aggregate", group=group, gem_id=gem.gem_id,
                 epoch=gem.epoch, server_names=aggregate.server_names,
                 server_cpu_percs=aggregate.server_cpu_percs,
-                cpu_sum=aggregate.cpu_sum, mem_sum=aggregate.mem_sum,
-                net_sum=aggregate.net_sum,
+                cpu_sum=aggregate.cpu_sum,
                 server_count=aggregate.server_count,
-                actor_count=aggregate.actor_count,
-                delta_fields=tuple(sorted(delta)))
+                actor_count=aggregate.actor_count)
             self.manager.system.schedule(
-                CONTROL_LATENCY_MS, self.root.receive_aggregate,
-                group, delta)
+                CONTROL_LATENCY_MS, self.root.receive_aggregate, aggregate)

@@ -139,7 +139,6 @@ class ElasticityManager(RuntimeHooks):
         #: happens until a heal confirms the server's fate.
         self._unreachable: Dict[int, Tuple[Server, float]] = {}
         self._probe_running = False
-        self.system.add_join_listener(self._on_server_join)
 
     # ------------------------------------------------------------------
 
@@ -201,9 +200,9 @@ class ElasticityManager(RuntimeHooks):
         one process overrides this to drive them all from one."""
         lem.start()
 
-    def _on_server_join(self, server: Server) -> None:
-        if self.running:
-            self._add_lem(server)
+    def on_server_joined(self, server: Server) -> None:
+        """A server that joins a running plane gets its LEM."""
+        self._add_lem(server)
 
     def _janitor(self):
         """Periodic housekeeping: retire fully drained servers even when

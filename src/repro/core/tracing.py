@@ -1,7 +1,7 @@
 """Structured elasticity event tracing.
 
 The elasticity runtime's decisions are spread across LEM rounds, GEM
-rounds, admission checks and the provisioner.  :class:`ElasticityTracer`
+rounds, admission checks and the fleet.  :class:`ElasticityTracer`
 collects them into one ordered, structured event log — the first thing
 to read when a policy does something surprising.
 
@@ -14,15 +14,17 @@ Usage::
         print(event)
     print(tracer.summary())
 
-The tracer is pure observation: it subscribes to runtime hooks,
-provisioner listeners and the manager's event bus, and detaching
-unsubscribes it from all three.
+The tracer is pure observation: it subscribes to the runtime's hooks
+and the manager's event bus, and detaching unsubscribes it from both.
+It reads the runtime only through the
+:class:`~repro.actors.base.ActorSystemBase` contract, so it attaches to
+either runtime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..actors import ActorRecord, RuntimeHooks
 from ..cluster import Server
@@ -68,25 +70,25 @@ class ElasticityTracer(RuntimeHooks):
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe to the runtime, the provisioner and the EMR."""
+        """Subscribe to the runtime and the EMR; if either refuses,
+        nothing stays subscribed."""
         if self._attached:
             return
-        self._attached = True
         system = self.manager.system
         system.add_hooks(self)
-        system.provisioner.add_join_listener(self._on_server_join)
-        system.provisioner.add_retire_listener(self._on_server_retire)
-        self.manager.add_listener(self._on_emr_event)
+        try:
+            self.manager.add_listener(self._on_emr_event)
+        except BaseException:
+            system.remove_hooks(self)
+            raise
+        self._attached = True
 
     def detach(self) -> None:
         """Undo :meth:`attach`."""
         if not self._attached:
             return
         self._attached = False
-        system = self.manager.system
-        system.remove_hooks(self)
-        system.provisioner.remove_join_listener(self._on_server_join)
-        system.provisioner.remove_retire_listener(self._on_server_retire)
+        self.manager.system.remove_hooks(self)
         self.manager.remove_listener(self._on_emr_event)
 
     # -- event intake -------------------------------------------------------------
@@ -128,13 +130,15 @@ class ElasticityTracer(RuntimeHooks):
             self.dropped += 1
             return
         self.events.append(TraceEvent(
-            time_ms=self.manager.system.sim.now, kind=kind, detail=detail))
+            time_ms=self.manager.system.now, kind=kind, detail=detail))
 
-    def _on_server_join(self, server: Server) -> None:
+    def on_server_joined(self, server: Server) -> None:
+        """Record a ``server-joined`` event."""
         self._record("server-joined", server=server.name,
                      type=server.itype.name)
 
-    def _on_server_retire(self, server: Server) -> None:
+    def on_server_retired(self, server: Server) -> None:
+        """Record a ``server-retired`` event."""
         self._record("server-retired", server=server.name)
 
     def _on_emr_event(self, kind: str, detail: Dict[str, Any]) -> None:
@@ -158,17 +162,6 @@ class ElasticityTracer(RuntimeHooks):
         for event in self.events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def network_summary(self) -> Dict[str, Any]:
-        """Fabric message-loss counters: total drops, the share charged
-        to partition cuts, and the per-link partition breakdown
-        (``(src, dst) -> count``)."""
-        fabric = self.manager.system.fabric
-        return {
-            "messages_dropped": fabric.messages_dropped,
-            "partition_drops": fabric.partition_drops,
-            "drops_by_link": dict(fabric.drops_by_link),
-        }
 
     def timeline(self, bucket_ms: float = 60_000.0) -> Dict[int, Dict[str, int]]:
         """Events per time bucket per kind — a coarse activity picture."""

@@ -183,7 +183,7 @@ def _gen_faults(rng: random.Random, scenario: Dict[str, Any],
     if profile == "scale-chaos":
         # Control-plane chaos on the hierarchical topology: every seed
         # kills at least one tier of the GEM tree (root, a leaf, or a
-        # server) so failover, group adoption and aggregate resync are
+        # server) so failover, group adoption and view rebuilding are
         # exercised on every run.  Same branch confinement as the other
         # profiles.
         duration = scenario["duration_ms"]

@@ -16,9 +16,11 @@ after other simulations ran in the same process.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..actors import Client, Overloaded
@@ -64,6 +66,15 @@ class FuzzResult:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.violations
+
+    def fingerprint(self) -> str:
+        """SHA-256 over every observed field (not the scenario, which is
+        the input): two runs of one scenario agree on it exactly when
+        they agree on everything the run reports."""
+        observed = {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name != "scenario"}
+        return hashlib.sha256(json.dumps(
+            observed, sort_keys=True, default=str).encode()).hexdigest()
 
     def summary(self) -> str:
         if self.ok:

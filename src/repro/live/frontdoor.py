@@ -40,13 +40,10 @@ __all__ = ["RequestLedger", "FrontDoor"]
 #: An app's request handler: ``(method, path, body) -> (status, payload)``.
 Router = Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]]
 
-_REASONS = {
-    "answered": 200,
-    "rejected": 404,
-    "shed": 503,
-    "failed": 500,
-    "bad_request": 400,
-}
+#: Status code -> reason phrase; any other code reads ``OK`` (a router
+#: answers with some 2xx).
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class RequestLedger:
@@ -217,10 +214,7 @@ class FrontDoor:
         if not isinstance(payload, (dict, list)):
             payload = {"result": repr(payload)}
         body = json.dumps(payload).encode("utf-8")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "OK")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
+        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: {'keep-alive' if keep_alive else 'close'}"

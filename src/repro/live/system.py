@@ -108,7 +108,6 @@ class LiveActorSystem(ActorSystemBase):
                  transfer_ms_per_mb: float = 5.0) -> None:
         super().__init__(LiveClock(), Directory(), itertools.count(1))
         self.servers: List[LiveServer] = []
-        self._join_listeners: List[Callable[[LiveServer], None]] = []
         #: Bounded-mailbox overload protection: client sends beyond this
         #: depth are shed with a retriable ``Overloaded`` NACK (``None``
         #: disables).  Actor-to-actor sends are never shed, matching the
@@ -175,8 +174,8 @@ class LiveActorSystem(ActorSystemBase):
         server = LiveServer(self.clock, itype, server_id,
                             name or f"live-{itype.name}-{server_id}")
         self.servers.append(server)
-        for listener in self._join_listeners:
-            listener(server)
+        for hooks in self.hooks:
+            hooks.on_server_joined(server)
         return server
 
     def running_servers(self) -> List[LiveServer]:
@@ -189,16 +188,13 @@ class LiveActorSystem(ActorSystemBase):
 
     def retire_server(self, server: LiveServer) -> None:
         """Shut ``server`` down."""
+        for hooks in self.hooks:
+            hooks.on_server_retired(server)
         server.shutdown()
 
     def pending_boots(self) -> int:
         """Always 0: no server is ever waiting to join."""
         return 0
-
-    def add_join_listener(
-            self, listener: Callable[[LiveServer], None]) -> None:
-        """Call ``listener(server)`` whenever a server is added."""
-        self._join_listeners.append(listener)
 
     def install(self, placement_policy: Any,
                 epoch_source: Callable[[], int],
@@ -279,11 +275,11 @@ class LiveActorSystem(ActorSystemBase):
         NACK contract as the sim runtime.  A missing target fails the
         future with :class:`ActorGone`.
         """
-        message = Message(
-            target_id=ref.actor_id, function=function, args=args,
-            caller_kind=CLIENT_KIND, caller_id=None,
-            size_bytes=size_bytes, reply=None,
-            reply_bytes=DEFAULT_REPLY_BYTES, sent_at=self.clock.now)
+        # Positional, as on the sim runtime: a keyword call to the
+        # dataclass constructor costs about twice as much.
+        message = Message(ref.actor_id, function, args, CLIENT_KIND, None,
+                          size_bytes, None, DEFAULT_REPLY_BYTES,
+                          self.clock.now)
         return self._send(message, want_reply=True, src_record=None)
 
     async def _actor_call(self, actor: Actor, ref: ActorRef, function: str,
@@ -299,10 +295,9 @@ class LiveActorSystem(ActorSystemBase):
     def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
                          args: tuple, size_bytes: float, want_reply: bool,
                          ) -> Optional["asyncio.Future[Any]"]:
-        message = Message(
-            target_id=ref.actor_id, function=function, args=args,
-            caller_kind=actor.type_name, caller_id=actor.actor_id,
-            size_bytes=size_bytes, reply=None, sent_at=self.clock.now)
+        message = Message(ref.actor_id, function, args, actor.type_name,
+                          actor.actor_id, size_bytes, None,
+                          DEFAULT_REPLY_BYTES, self.clock.now)
         # A dead incarnation's send has no source server to leave from.
         record = actor._record
         return self._send(message, want_reply,

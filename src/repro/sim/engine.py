@@ -74,22 +74,19 @@ class Simulator:
     :meth:`pending_events` and :meth:`peek` stay exact mid-batch.
     """
 
-    __slots__ = ("_now", "_running", "_stopped", "_nowq", "_times",
+    __slots__ = ("now", "_running", "_stopped", "_nowq", "_times",
                  "_lists", "_batch")
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in milliseconds.  A plain slot, read
+        #: several times per actor message; only :meth:`run` moves it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._nowq: deque = deque()
         self._times: List[float] = []
         self._lists: Dict[float, list] = {}
         self._batch = iter(())
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     def stop(self) -> None:
         """Halt the simulation after the current callback returns."""
@@ -107,7 +104,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past or at a non-finite time: "
                 f"{delay!r}")
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._nowq.append((callback, args))
@@ -122,7 +119,7 @@ class Simulator:
     def schedule_at(self, when: float, callback: Callable[..., Any],
                     *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``when``."""
-        now = self._now
+        now = self.now
         if not now <= when < _INF:
             raise SimulationError(
                 f"cannot schedule at {when!r}, current time is {now!r}")
@@ -153,10 +150,10 @@ class Simulator:
         nowq = self._nowq
         nowq_popleft = nowq.popleft
         heappop = heapq.heappop
-        when = self._now
+        when = self.now
         try:
             while when <= limit:
-                self._now = when
+                self.now = when
                 # 1. The timestamp's list, present on arrival or re-filed
                 #    by a stop() inside it.
                 batch = lists.pop(when, None)
@@ -190,16 +187,16 @@ class Simulator:
             if length_hint(self._batch):
                 # Halted inside a batch (stop() or an exception): the
                 # unrun tail keeps its place ahead of the FIFO.
-                lists[self._now] = list(self._batch)
-                heapq.heappush(times, self._now)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+                lists[self.now] = list(self._batch)
+                heapq.heappush(times, self.now)
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next scheduled event, or ``None`` if idle."""
         if self._nowq or length_hint(self._batch):
-            return self._now
+            return self.now
         return self._times[0] if self._times else None
 
     def pending_events(self) -> int:

@@ -145,11 +145,11 @@ def _hierarchical_manager(bed, **config):
 
 def test_kill_root_injects_and_recovers_in_place():
     """Recovery before any promotion restores the same incarnation:
-    generation unchanged, views wiped (fresh fold from full publishes)."""
+    generation unchanged, views wiped (rebuilt by the next publishes)."""
     bed = build_cluster(4)
     manager = _hierarchical_manager(bed)
     root = manager.hierarchy.root
-    root.views[0] = {"cpu_sum": 1.0}
+    root.views[0] = "stale view"
     engine = ChaosEngine(bed.system, FaultPlan(faults=(
         KillRoot(at_ms=1_000.0, recover_after_ms=500.0),)),
         manager=manager)

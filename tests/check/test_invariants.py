@@ -39,7 +39,7 @@ def make_checker(strict=False, **config):
 
 
 def test_catalogue_shape():
-    assert len(INVARIANTS) == 25
+    assert len(INVARIANTS) == 24
     for name, description in INVARIANTS.items():
         assert name == name.lower()
         assert " " not in name
@@ -137,25 +137,6 @@ def test_root_failover_generation_regression_detected():
                  respawned=False)
     assert [v.invariant for v in checker.violations] == \
         ["root-single-authority"]
-
-
-def test_partial_delta_after_adoption_detected():
-    _bed, manager, checker = make_checker()
-    manager.emit("group-adopted", group=1, adopter=0, home_leaves=(1,))
-    # A delta (only the envelope + one field) where a full aggregate is
-    # required: the adopter has no baseline for this group.
-    manager.emit("gem-aggregate", group=1, gem_id=0, epoch=0,
-                 server_names=(), server_cpu_percs=(), cpu_sum=0.0,
-                 mem_sum=0.0, net_sum=0.0, server_count=0, actor_count=0,
-                 delta_fields=("cpu_sum", "epoch", "gem_id", "group"))
-    assert [v.invariant for v in checker.violations] == \
-        ["aggregate-resync-after-failover"]
-    # The requirement is consumed: the next partial delta is fine.
-    manager.emit("gem-aggregate", group=1, gem_id=0, epoch=0,
-                 server_names=(), server_cpu_percs=(), cpu_sum=0.0,
-                 mem_sum=0.0, net_sum=0.0, server_count=0, actor_count=0,
-                 delta_fields=("cpu_sum", "epoch", "gem_id", "group"))
-    assert len(checker.violations) == 1
 
 
 def test_stranded_root_migration_detected():

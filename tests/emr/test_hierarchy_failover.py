@@ -9,18 +9,17 @@ it survives foul weather:
   must drive the orphaned migration to commit or rollback (no actor
   stays ``migrating``), a deterministic leaf must be promoted, and the
   promoted incarnation must rebuild a consistent per-group view — from
-  full re-published aggregates — within two report periods.
+  re-published aggregates — within two report periods.
 - **Leaf failover with group adoption** — a group that loses its only
   leaf is *adopted* by a surviving foreign leaf: LEM reports route to
-  the adopter, the adopter publishes the group's aggregates (full
-  first, by the baseline reset), and a recovered home leaf reclaims the
-  group.
+  the adopter, the adopter publishes the group's aggregates, and a
+  recovered home leaf reclaims the group.
 - **Groupless emergency respawn** — when every leaf is dead the manager
   respawns a groupless GEM that serves the whole fleet through the
   ``pick_gem`` fallback but never publishes a group aggregate.
 
 Every run keeps the invariant checker attached, so the failover trio
-(``root-single-authority``, ``aggregate-resync-after-failover``,
+(``root-single-authority``, ``aggregate-consistency``,
 ``no-stranded-cross-group-migration``) polices each scenario.
 """
 
@@ -134,8 +133,8 @@ def test_kill_root_mid_cross_group_migration_commits_or_rolls_back():
     assert manager.hierarchy.root.generation == 1
 
     # The promoted incarnation is consistent — it held a round over
-    # rebuilt (full-republished) views — within two report periods of
-    # the kill.
+    # rebuilt (republished) views — within two report periods of the
+    # kill.
     rounds = [(time, detail) for time, detail
               in _events_of(events, "root-round")
               if detail.get("generation") == 1]
@@ -143,19 +142,6 @@ def test_kill_root_mid_cross_group_migration_commits_or_rolls_back():
     first_round_at, first_round = rounds[0]
     assert first_round_at - killed[0] <= 2 * PERIOD_MS
     assert len(first_round["groups"]) == 2   # full fleet view rebuilt
-
-    # The rebuild came from full aggregates: the first publish of every
-    # group after the promotion shipped every field.
-    full = [detail for time, detail in _events_of(events, "gem-aggregate")
-            if time >= time_promoted]
-    groups_seen = set()
-    for detail in full:
-        if detail["group"] in groups_seen:
-            continue
-        groups_seen.add(detail["group"])
-        assert len(detail["delta_fields"]) == 14, (
-            f"group {detail['group']}'s first post-promotion aggregate "
-            f"was a delta: {detail['delta_fields']}")
 
 
 def test_root_failover_counter_reaches_run_summary():
@@ -212,13 +198,11 @@ def test_group_adoption_and_release_round_trip():
     assert manager.leaf_failovers == 1
     # LEM reports from the orphan group route to the adopter...
     assert manager.pick_gem(group1_server) is manager.gems[0]
-    # ...which publishes the group's aggregate (full first — baseline
-    # was reset on adoption; the attached checker enforces this too).
+    # ...which publishes the group's aggregate.
     foreign = [detail for time, detail
                in _events_of(events, "gem-aggregate")
                if detail["group"] == 1 and detail["gem_id"] == 0]
     assert foreign, "adopter never published the adopted group"
-    assert len(foreign[0]["delta_fields"]) == 14
 
     victim.recover()
     bed.run(until_ms=16_000.0)
@@ -228,12 +212,12 @@ def test_group_adoption_and_release_round_trip():
         "group": 1, "adopter": 0, "leaf": 1}
     assert hierarchy.adopter_for(1) is None
     assert manager.pick_gem(group1_server) is victim
-    # The reclaiming home leaf also starts from a full publish.
+    # The reclaiming home leaf publishes the group again.
     reclaimed = [detail for time, detail
                  in _events_of(events, "gem-aggregate")
                  if detail["group"] == 1 and detail["gem_id"] == 1
                  and time > released[0][0]]
-    assert reclaimed and len(reclaimed[0]["delta_fields"]) == 14
+    assert reclaimed
     assert not checker.violations, checker.report()
 
 
@@ -284,21 +268,39 @@ def test_all_leaves_dead_falls_back_to_groupless_respawn():
     assert not checker.violations, checker.report()
 
 
-def test_delta_baseline_pruned_on_group_dissolution():
-    """When a group's last running member is gone, its delta baseline,
-    folded root view, and adoption entry are all dropped — a stale cold
-    view would attract cross-group migrations onto dead servers, and a
-    stale baseline would corrupt the next delta."""
+def test_group_view_pruned_on_dissolution():
+    """When a group's last running member is gone, its root view and
+    adoption entry are dropped — a stale cold view would attract
+    cross-group migrations onto dead servers."""
     bed, manager, checker, events = _small_tree()
     hierarchy = manager.hierarchy
     bed.run(until_ms=7_000.0)           # at least one publish cycle
-    assert 1 in hierarchy._last_published
+    assert 1 in hierarchy.root.views
     group1 = [s for s in bed.system.provisioner.servers
               if hierarchy.groups.group_of(s.server_id) == 1]
     for server in group1:
         bed.system.crash_server(server)
-    assert 1 not in hierarchy._last_published
     assert 1 not in hierarchy.root.views
     assert 1 not in hierarchy._adopted
-    # Group 0's stream is untouched.
-    assert 0 in hierarchy._last_published
+    # Group 0's view is untouched.
+    assert 0 in hierarchy.root.views
+
+
+def test_aggregate_in_flight_does_not_revive_a_dissolved_group():
+    """An aggregate sent one control hop before its group's last server
+    goes lands after the prune; the root drops it instead of restoring
+    the dead group's view."""
+    bed, manager, checker, events = _small_tree()
+    hierarchy = manager.hierarchy
+    bed.run(until_ms=7_000.0)
+    leaf = hierarchy.leaves_of(1)[0]
+    view = hierarchy.root.views[1]
+    group1 = [s for s in bed.system.provisioner.servers
+              if hierarchy.groups.group_of(s.server_id) == 1]
+    hierarchy.publish(leaf, [view.least_loaded], {})
+    for server in group1:
+        bed.system.crash_server(server)
+    received = hierarchy.root.aggregates_received
+    bed.run(until_ms=bed.sim.now + 2.0)
+    assert 1 not in hierarchy.root.views
+    assert hierarchy.root.aggregates_received == received

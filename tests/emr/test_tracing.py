@@ -108,6 +108,27 @@ def test_tracers_detached_in_attach_order_unwind_cleanly():
     assert len(second.of_kind("server-retired")) == 1
 
 
+def test_failed_attach_leaves_nothing_subscribed(monkeypatch):
+    bed = build_cluster(2)
+    manager = ElasticityManager(bed.system, compile_source(
+        "server.cpu.perc > 80 => balance({Spinner}, cpu);", [Spinner]))
+    tracer = ElasticityTracer(manager)
+
+    def refuse(listener):
+        raise RuntimeError("no event bus")
+
+    monkeypatch.setattr(manager, "add_listener", refuse)
+    with pytest.raises(RuntimeError):
+        tracer.attach()
+    assert tracer not in bed.system.hooks
+    bed.system.create_actor(Spinner)
+    assert tracer.events == []
+    monkeypatch.undo()
+    tracer.attach()             # not marked attached by the failed try
+    bed.system.create_actor(Spinner)
+    assert len(tracer.of_kind("actor-created")) == 1
+
+
 def test_event_rendering():
     event = TraceEvent(time_ms=1234.5, kind="migration",
                        detail={"actor": "<W#1>", "src": "a", "dst": "b"})

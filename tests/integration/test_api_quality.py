@@ -92,7 +92,6 @@ CONTRACT_VERBS = (
     "schedule", "rng_stream",
     "start_migration", "pin", "resurrect_actor", "install", "uninstall",
     "running_servers", "boot_server", "retire_server", "pending_boots",
-    "add_join_listener",
     "actors_on", "mailbox_depth", "add_hooks", "remove_hooks",
 )
 #: Everything the EMR may read off the runtime object: the contract, the
@@ -118,15 +117,18 @@ def _is_runtime(node):
 
 
 def test_emr_reaches_the_runtime_only_through_the_backend():
-    # The EMR and the invariant checker run on two runtimes; a read of
-    # anything outside the contract (the simulator, the provisioner, the
-    # RNG streams, the hooks list) would work on one of them only.  A
-    # store onto the system and an alias of it under another local name
-    # are rejected too: either would let such a read slip past the check.
+    # The EMR, the invariant checker and the tracer run on two runtimes;
+    # a read of anything outside the contract (the simulator, the
+    # provisioner, the RNG streams, the hooks list) would work on one of
+    # them only.  A store onto the system and an alias of it under
+    # another local name are rejected too: either would let such a read
+    # slip past the check.
     sources = [(path, source, RUNTIME_READS)
                for path, source in _sources("core", "emr", "*.py")]
     sources += [(path, source, RUNTIME_READS)
                 for path, source in _sources("check", "*.py")]
+    sources += [(path, source, RUNTIME_READS)
+                for path, source in _sources("core", "tracing.py")]
     sources += [(path, source, LIVE_ADAPTER_READS)
                 for path, source in _sources("live", "emr.py")]
     offenders = []
@@ -189,6 +191,13 @@ def _sim_system(**kwargs):
      AttributeError),
     (lambda: importlib.import_module("repro.sim").Signal.reset,
      AttributeError),
+    (lambda: importlib.import_module("repro").ActorSystem.add_join_listener,
+     AttributeError),
+    (lambda: importlib.import_module(
+        "repro").LiveActorSystem.add_join_listener, AttributeError),
+    (lambda: importlib.import_module(
+        "repro.core.emr.hierarchy").GroupAggregate.delta_against,
+     AttributeError),
 ], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
         "ActorSystem.backend", "repro.actors.ShardedDirectory",
@@ -197,12 +206,14 @@ def _sim_system(**kwargs):
         "repro.WindowedMeter", "repro.cluster.WindowedMeter",
         "repro.cluster.metrics.WindowedMeter",
         "repro.core.profiling.ring", "repro.sim.AllOf", "Simulator.every",
-        "Signal.reset"])
+        "Signal.reset", "ActorSystem.add_join_listener",
+        "LiveActorSystem.add_join_listener", "GroupAggregate.delta_against"])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
-    # Each runtime is its own backend, one directory serves every lookup
-    # and one meter serves every window: code still reaching for the
-    # adapter layer, the hash-ring directory, the scanning meter or a
-    # deleted waitable or timer must fail, not find a stale shim.
+    # Each runtime is its own backend, one directory serves every lookup,
+    # one meter serves every window, joins arrive as hooks and aggregates
+    # ship whole: code still reaching for the adapter layer, the
+    # hash-ring directory, the scanning meter, a deleted waitable or
+    # timer, a join listener or a delta must fail, not find a stale shim.
     with pytest.raises(error):
         probe()
 

@@ -115,3 +115,23 @@ def test_fuzz_summary_counts_the_seeds_that_ran(tmp_path, capsys,
     assert "budget of 60.0s exhausted after 1 seed(s)" in out
     assert "\n1 seed(s) in 1000.0s: 0 failure(s)" in out
     assert "400 seed(s)" not in out
+
+
+def test_fuzz_prints_a_campaign_digest_over_seed_fingerprints(tmp_path,
+                                                             capsys):
+    import dataclasses
+    import hashlib
+
+    from repro.fuzz import generate_scenario, run_scenario
+
+    assert main(["fuzz", "--seeds", "2", "--seed-start", "3",
+                 "--no-shrink", "--out", str(tmp_path)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    expected = hashlib.sha256()
+    for seed in (3, 4):
+        result = run_scenario(generate_scenario(seed))
+        expected.update(result.fingerprint().encode())
+    assert last == f"campaign sha256 {expected.hexdigest()}"
+    # Any reported field moves the fingerprint.
+    bumped = dataclasses.replace(result, checks_run=result.checks_run + 1)
+    assert bumped.fingerprint() != result.fingerprint()

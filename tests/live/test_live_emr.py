@@ -20,7 +20,7 @@ import asyncio
 import pytest
 
 from repro.check import InvariantChecker
-from repro.core import compile_source
+from repro.core import ElasticityTracer, compile_source
 from repro.live import (LiveActor, LiveActorSystem, LiveElasticityManager,
                         LiveEmrConfig)
 
@@ -92,8 +92,11 @@ def test_balance_rule_is_decided_by_gem_and_executed_by_lems():
         workers = [system.create_actor(Worker, server=packed)
                    for _ in range(6)]
         manager = _manager(system, BALANCE, [Worker])
-        # The sim's invariant checker, on the live runtime's clock.
-        checker = InvariantChecker(manager.emr)
+        # The sim's tracer and invariant checker, on the live runtime's
+        # clock.
+        tracer = ElasticityTracer(manager.emr)
+        tracer.attach()
+        checker = InvariantChecker(manager.emr, tracer=tracer)
         checker.attach()
         started = []
         manager.emr.add_listener(
@@ -121,6 +124,11 @@ def test_balance_rule_is_decided_by_gem_and_executed_by_lems():
         assert manager.rounds_run >= 3
         assert checker.checks_run > 0
         checker.assert_clean()
+        # The tracer saw every completed move, stamped on the wall clock.
+        moves = tracer.of_kind("migration")
+        assert [(e.detail["src"], e.detail["dst"]) for e in moves] == \
+            [(event.src, event.dst) for event in log]
+        assert all(0.0 < e.time_ms <= system.now for e in moves)
         await system.shutdown()
     asyncio.run(main())
 
@@ -257,6 +265,8 @@ def test_fleet_verbs_and_rule_aware_placement():
         for _ in range(2):
             system.create_actor(Worker, server=calm_server)
         manager = _manager(system, BALANCE, [Worker])
+        tracer = ElasticityTracer(manager.emr)
+        tracer.attach()
         manager.start()
         assert set(manager.emr.lems) == {s.server_id for s in system.servers}
 
@@ -273,6 +283,9 @@ def test_fleet_verbs_and_rule_aware_placement():
         assert joined.server_id in manager.emr.lems
         system.retire_server(joined)
         assert joined not in system.running_servers()
+        assert [(e.kind, e.detail["server"]) for e in tracer.events
+                if e.kind.startswith("server-")] == [
+            ("server-joined", joined.name), ("server-retired", joined.name)]
         manager.run_round()  # skips the retired server's LEM
         await manager.stop()
         assert system.server_of(system.create_actor(Worker)) is hot_server

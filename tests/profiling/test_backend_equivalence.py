@@ -37,7 +37,7 @@ CORPUS = sorted(name for name in GOLDEN if name.startswith("corpus/"))[:4]
 
 COUNTED = ("schedule", "rng_stream", "start_migration", "pin", "install",
            "uninstall", "running_servers", "boot_server", "retire_server",
-           "pending_boots", "add_join_listener", "actors_on",
+           "pending_boots", "actors_on",
            "mailbox_depth", "add_hooks", "remove_hooks")
 
 
@@ -69,9 +69,9 @@ def counting():
 
 def assert_surface_exercised(calls):
     # Every scenario runs an EMR, so the clock, the RNG stream, the
-    # install/join wiring and the observation surface must have been
-    # hit; mutation counts depend on the scenario.
-    for name in ("schedule", "rng_stream", "install", "add_join_listener",
+    # install wiring and the observation surface must have been hit;
+    # mutation counts depend on the scenario.
+    for name in ("schedule", "rng_stream", "install",
                  "running_servers", "actors_on", "add_hooks"):
         assert calls.get(name, 0) > 0, (name, calls)
 
