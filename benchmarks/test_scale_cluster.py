@@ -2,12 +2,12 @@
 
 The hierarchical control plane's scaling claim is that the root tier
 never touches per-actor (or even per-server) state: it consumes one
-delta-compressed aggregate per server group, so with groups sized
+aggregate per server group, so with groups sized
 ~sqrt(fleet) its per-round decision cost grows like sqrt(S) while the
 fleet grows like S.  This benchmark builds a synthetic fleet at two
 sizes (500 and 5,000 servers; ~1M synthetic actors at the large size),
 folds each group's actors through the real ``build_aggregate`` path,
-and times ``RootGem.arbitrate`` over the folded views.
+and times ``RootGem.arbitrate`` over the resulting views.
 
 Gated metric: the scaling ratio — the root's cost growth divided by
 the fleet's size growth.  Sub-linearity means < 1; we assert < 0.9 with

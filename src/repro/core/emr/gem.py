@@ -155,13 +155,12 @@ class GEM:
             self.manager.system.schedule(CONTROL_LATENCY_MS, reply.trigger,
                                          (lem_actions, self.epoch))
 
-        # Ship a delta-compressed aggregate up to the root tier for
-        # every group this leaf serves — its home group plus any group
-        # it adopted after that group's own leaves all failed.  The
-        # publish path also doubles as leaf-driven root failure
-        # detection (a dead root is promoted before shipping).  A
-        # single-group tree has no root decisions to feed and publishes
-        # nothing.
+        # Ship an aggregate up to the root tier for every group this
+        # leaf serves — its home group plus any group it adopted after
+        # that group's own leaves all failed.  The publish path also
+        # doubles as leaf-driven root failure detection (a dead root is
+        # promoted before shipping).  A single-group tree has no root
+        # decisions to feed and publishes nothing.
         hierarchy = self.manager.hierarchy
         if hierarchy.active():
             hierarchy.publish(self, servers, actors_by_server)
