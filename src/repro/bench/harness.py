@@ -64,7 +64,12 @@ def build_cluster(num_servers: int, instance_type: str = "m5.large",
                   local_latency_ms: float = 0.05,
                   remote_rtt_ms: float = 1.0) -> TestBed:
     """Create a simulator, boot ``num_servers`` immediately, and wire an
-    actor system over them."""
+    actor system over them.  Raises ``ValueError`` when ``num_servers``
+    exceeds the provisioner's ``max_servers`` cap."""
+    if num_servers > max_servers:
+        raise ValueError(
+            f"build_cluster: {num_servers} servers requested, but "
+            f"max_servers is {max_servers}")
     sim = Simulator()
     streams = RandomStreams(seed)
     provisioner = Provisioner(sim, default_type=instance_type,

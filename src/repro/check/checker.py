@@ -541,9 +541,7 @@ class InvariantChecker(RuntimeHooks):
                 f"moves", **detail)
 
     def _group_leaves_all_failed(self, group: int) -> bool:
-        leaf_group = self.manager.hierarchy.leaf_group
-        leaves = [gem for gem in self.manager.gems
-                  if leaf_group.get(gem.gem_id) == group]
+        leaves = self.manager.hierarchy.leaves_of(group)
         return bool(leaves) and all(gem.failed for gem in leaves)
 
     def _check_actions_resolved(self, detail: Dict[str, Any]) -> None:

@@ -309,6 +309,10 @@ class ControlHierarchy:
         self.groups = ServerGroupMap(manager.config.server_group_size)
         #: gem_id -> group owning that leaf.
         self.leaf_group: Dict[int, int] = {}
+        #: group -> its leaves in ``manager.gems`` order.  Both maps are
+        #: written only by :meth:`add_leaf`; a leaf never changes group
+        #: and ``manager.gems`` only grows, so the lists stay exact.
+        self.leaves: Dict[int, List["GEM"]] = {}
         self.root = RootGem(manager, self)
         #: group -> gem_id of the foreign leaf currently adopting it
         #: (all the group's home leaves are failed).  ``leaf_group``
@@ -331,9 +335,15 @@ class ControlHierarchy:
         for group in range(max(1, self.groups.group_count())):
             for _ in range(self.manager.config.gem_count):
                 gem = GEM(self.manager, len(gems))
-                self.leaf_group[gem.gem_id] = group
+                self.add_leaf(gem, group)
                 gems.append(gem)
         return gems
+
+    def add_leaf(self, gem: "GEM", group: int) -> None:
+        """Make ``gem``, the newest GEM (its id is the next index of
+        ``manager.gems``), a leaf of ``group``."""
+        self.leaf_group[gem.gem_id] = group
+        self.leaves.setdefault(group, []).append(gem)
 
     def active(self) -> bool:
         """The root tier only does work with more than one group; a
@@ -352,11 +362,11 @@ class ControlHierarchy:
         possibly be published.
         """
         group = self.groups.assign(server)
-        if group not in self.leaf_group.values():
+        if group not in self.leaves:
             for _ in range(self.manager.config.gem_count):
                 gem = GEM(self.manager, len(self.manager.gems))
                 gem.epoch = self.manager.epoch
-                self.leaf_group[gem.gem_id] = group
+                self.add_leaf(gem, group)
                 self.manager.gems.append(gem)
         self._memberships.append((server.name, server.server_id, group))
         if self.active():
@@ -374,16 +384,14 @@ class ControlHierarchy:
         return group
 
     def leaves_of(self, group: int) -> List["GEM"]:
-        return [gem for gem in self.manager.gems
-                if self.leaf_group.get(gem.gem_id) == group]
+        """The group's leaves, in ``manager.gems`` order (read-only)."""
+        return self.leaves.get(group, [])
 
     def _gem_by_id(self, gem_id: Optional[int]) -> Optional["GEM"]:
+        # A GEM's id is its index in the append-only ``manager.gems``.
         if gem_id is None:
             return None
-        for gem in self.manager.gems:
-            if gem.gem_id == gem_id:
-                return gem
-        return None
+        return self.manager.gems[gem_id]
 
     def adopter_for(self, group: int) -> Optional["GEM"]:
         """The alive foreign leaf adopting ``group``, if any."""

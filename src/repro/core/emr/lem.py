@@ -370,10 +370,7 @@ class LEM:
             self, actor_snaps: List[ActorSnapshot]) -> List[ActorSnapshot]:
         """Table 2's ``collectActorsFResRules``: actors whose type any
         resource rule may act upon (its subjects and bound variables)."""
-        relevant = set()
-        for rule in self.manager.policy.resource_rules:
-            relevant.update(rule.subject_types)
-            relevant.update(rule.variables.values())
+        relevant = self.manager.policy.report_types
         if "any" in relevant:
             return actor_snaps
         return [snap for snap in actor_snaps if snap.type_name in relevant]

@@ -90,7 +90,8 @@ class ElasticityManager(RuntimeHooks):
         self.running = False
         self.profiler = ProfilingRuntime(
             self.system.clock, window_ms=self.config.period_ms,
-            overhead_cpu_ms=self.config.profiling_overhead_cpu_ms)
+            overhead_cpu_ms=self.config.profiling_overhead_cpu_ms,
+            ref_properties=policy.ref_properties)
         #: Durable-state subsystem; created at start() when a
         #: DurabilityConfig is carried on the EmrConfig, else None.
         self.durability = None
@@ -365,7 +366,7 @@ class ElasticityManager(RuntimeHooks):
         gem = GEM(self, len(self.gems))
         self.gems.append(gem)
         if not self.hierarchy.active():
-            self.hierarchy.leaf_group[gem.gem_id] = 0
+            self.hierarchy.add_leaf(gem, 0)
         return gem
 
     # ------------------------------------------------------------------
@@ -590,18 +591,17 @@ class ElasticityManager(RuntimeHooks):
         serve the whole fleet).  With one group the candidate list is
         every alive GEM — the paper's flat shuffle.
         """
-        alive = [gem for gem in self.gems if not gem.failed]
+        alive: List[GEM] = []
         if server is not None:
             group = self.hierarchy.group_for_server(server)
-            in_group = [gem for gem in alive
-                        if self.hierarchy.leaf_group.get(gem.gem_id)
-                        == group]
-            if in_group:
-                alive = in_group
-            else:
+            alive = [gem for gem in self.hierarchy.leaves_of(group)
+                     if not gem.failed]
+            if not alive:
                 adopter = self.hierarchy.adopter_for(group)
                 if adopter is not None:
                     alive = [adopter]
+        if not alive:
+            alive = [gem for gem in self.gems if not gem.failed]
         if not alive:
             return None
         return self._gem_rng.choice(alive)

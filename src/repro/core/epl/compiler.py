@@ -94,6 +94,23 @@ class CompiledPolicy:
     resource_rules: List[CompiledRule]
     warnings: List[EplWarning]
     schema: Dict[str, ActorTypeSchema]
+    #: Every property an ``in ref(...)`` atom of any rule reads: the
+    #: only actor properties a snapshot has to extract refs from.
+    ref_properties: FrozenSet[str] = field(init=False)
+    #: Actor types a resource rule may act upon (its subjects and bound
+    #: variables); the types a LEM's REPORT carries.  ``"any"`` among
+    #: them means every type.
+    report_types: FrozenSet[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ref_properties = frozenset(
+            atom.property_name
+            for rule in self.all_rules() for conj in rule.dnf
+            for atom in conj if isinstance(atom, RefCond))
+        self.report_types = frozenset(
+            type_name for rule in self.resource_rules
+            for type_name in (*rule.subject_types,
+                              *rule.variables.values()))
 
     def all_rules(self) -> List[CompiledRule]:
         """Every compiled rule, LEM-side first."""

@@ -35,9 +35,12 @@ provably unchanged:
   payload of a fresh profile would be.
 
 Fields that can change without a profiling hook firing (server, pinned,
-migrating, state size, property refs, placement time) are read fresh
-from the live record on every snapshot, cached or not.  The cached
-payload itself is what the snapshot points at (see
+migrating, state size, placement time) are read fresh from the live
+record on every snapshot, cached or not.  So are property refs, but
+only for the properties the compiled policy's ``in ref(...)`` atoms
+name (``ref_properties``): a policy without such an atom costs no ref
+extraction at all, and a profiler built without a policy extracts
+none.  The cached payload itself is what the snapshot points at (see
 :mod:`~repro.core.profiling.snapshot`), so it is never mutated: a
 recompute builds a new one.  ``call_perc`` is a fresh dict whenever the
 payload has call counts (it is filled per server group).
@@ -47,7 +50,7 @@ payload has call counts (it is filled per server group).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, Iterable, List, Mapping
 
 from ...actors import ActorRecord, ActorRef, Message, RuntimeHooks
 from ...cluster import Server
@@ -101,13 +104,23 @@ class ProfilingRuntime(RuntimeHooks):
     overhead_cpu_ms:
         CPU cost charged to the hosting server per profiled message
         (models the measured sub-percent EPR overhead of Table 3).
+    ref_properties:
+        Actor properties whose refs snapshots carry — the ones the
+        policy's ``in ref(...)`` atoms read
+        (:attr:`~repro.core.epl.CompiledPolicy.ref_properties`).
     """
 
     def __init__(self, sim: Simulator, window_ms: float = 60_000.0,
-                 overhead_cpu_ms: float = 0.0) -> None:
+                 overhead_cpu_ms: float = 0.0,
+                 ref_properties: Iterable[str] = ()) -> None:
         self.sim = sim
         self.window_ms = window_ms
         self.overhead_cpu_ms = overhead_cpu_ms
+        # Private names and the actor's own injected handle never hold
+        # a property's refs; sorted so extraction order is fixed.
+        self._ref_properties = tuple(sorted(
+            name for name in ref_properties
+            if not name.startswith("_") and name != "ref"))
         self._stats: Dict[int, ActorStats] = {}
         self._snap_cache: Dict[int, _SnapEntry] = {}
         self.messages_profiled = 0
@@ -258,18 +271,20 @@ class ProfilingRuntime(RuntimeHooks):
             and not any(entry.pair_count_per_min.values()))
         return entry
 
-    @staticmethod
-    def _extract_refs(record: ActorRecord) -> Mapping[str, tuple]:
-        """Capture every property of the actor that holds actor refs
-        (the shared :data:`EMPTY` when none does)."""
+    def _extract_refs(self, record: ActorRecord) -> Mapping[str, tuple]:
+        """Capture the refs each of the policy's ref properties holds as
+        an instance attribute of the actor (the shared :data:`EMPTY`
+        when none does, or the policy names none)."""
         refs: Mapping[str, tuple] = EMPTY
-        instance_vars = getattr(record.instance, "__dict__", {})
-        for pname, value in instance_vars.items():
-            if pname.startswith("_") or pname == "ref":
-                continue  # 'ref' is the actor's own injected handle
-            if type(value) in _NEVER_REFS:
+        if not self._ref_properties:
+            return refs
+        instance = record.instance
+        instance_vars = getattr(instance, "__dict__", EMPTY)
+        for pname in self._ref_properties:
+            # A missing attribute reads as None: no entry.
+            if type(instance_vars.get(pname)) in _NEVER_REFS:
                 continue
-            held = record.instance.property_refs(pname)
+            held = instance.property_refs(pname)
             if held:
                 if refs is EMPTY:
                     refs = {}
@@ -284,7 +299,10 @@ class ProfilingRuntime(RuntimeHooks):
         actors *of the same type on the same server* (paper §3.2 (iii)).
         A group whose total is zero (no calls anywhere in the window)
         yields 0.0 for every member rather than dividing by zero.
+        Snapshots without call counts (their ``call_perc`` is
+        :data:`EMPTY`) add nothing to any total and are skipped.
         """
+        snapshots = [snap for snap in snapshots if snap.call_perc is not EMPTY]
         totals: Dict[tuple, float] = {}
         for snap in snapshots:
             for key, rate in snap.call_count_per_min.items():

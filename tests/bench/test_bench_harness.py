@@ -22,6 +22,17 @@ def test_build_cluster_boots_and_wires():
     assert all(s.itype.name == "m1.small" for s in bed.servers)
 
 
+def test_build_cluster_boots_up_to_its_cap_and_rejects_more():
+    bed = build_cluster(4, max_servers=4)
+    assert len(bed.servers) == bed.provisioner.fleet_size() == 4
+    with pytest.raises(ValueError, match=r"5 servers.*max_servers is 4"):
+        build_cluster(5, max_servers=4)
+    # The default cap: a larger fleet fails loudly instead of silently
+    # booting only 1,024 servers.
+    with pytest.raises(ValueError, match=r"1600 servers.*max_servers is 1024"):
+        build_cluster(1600)
+
+
 def test_recorder_samples_cluster_state():
     bed = build_cluster(2)
     recorder = ClusterRecorder(bed.system, sample_ms=1_000.0)

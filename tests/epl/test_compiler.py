@@ -55,6 +55,22 @@ def test_pure_interaction_rule_is_actor_only():
         "File(fi) in ref(Folder(fo).files) => colocate(fo, fi);", ALL)
     assert len(compiled.actor_rules) == 1
     assert not compiled.resource_rules
+    # The actor-side ref atom is still a property snapshots must read;
+    # with no resource rule, a REPORT carries no actor type.
+    assert compiled.ref_properties == {"files"}
+    assert compiled.report_types == frozenset()
+
+
+def test_ref_properties_and_report_types_are_the_policys_reads():
+    compiled = compile_source("""
+        server.cpu.perc > 80 => balance({Worker}, cpu);
+        server.cpu.perc > 80 and
+        client.call(Folder(fo).open).perc > 40 => reserve(fo, cpu);
+    """, ALL)
+    assert compiled.ref_properties == frozenset()
+    assert compiled.report_types == {"Worker", "Folder"}
+    assert "any" in compile_source(
+        "server.cpu.perc > 80 => balance({any}, cpu);", ALL).report_types
 
 
 def test_pure_resource_rule_is_gem_only():

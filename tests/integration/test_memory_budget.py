@@ -30,10 +30,14 @@ SERVERS = 20
 PERIOD_MS = 5_000.0
 #: Held bytes per idle actor.  Eager allocation measured ~5,300; lazy
 #: buffers with a dispatcher process per actor ~1,980; without it ~920;
-#: with slotted records and refs and shared empty keywords ~760.
+#: with slotted records and refs and shared empty keywords ~760; with
+#: snapshots that extract refs only from the properties the policy's
+#: ``in ref(...)`` atoms name (none here, so no instance ``__dict__``
+#: is materialised) ~700.
 BUDGET_BYTES = 850
 #: Peak bytes per idle actor.  ~1,400 with a copied snapshot per actor
-#: per round; ~1,000 with snapshots that share the profiler's rates.
+#: per round; ~1,000 with snapshots that share the profiler's rates;
+#: ~930 without reading the instance ``__dict__``.
 PEAK_BUDGET_BYTES = 1_150
 
 #: The never-firing policy of the ``fleet_hier`` benchmark workload.

@@ -4,7 +4,9 @@ import pytest
 
 from repro.actors import Actor, ActorSystem, Client
 from repro.cluster import Provisioner
+from repro.core import compile_source
 from repro.core.profiling import ProfilingRuntime
+from repro.core.profiling.snapshot import EMPTY
 from repro.sim import Simulator, Timeout, spawn
 
 
@@ -139,14 +141,21 @@ def test_local_messages_do_not_count_as_network():
 
 
 def test_refs_snapshotted_from_properties():
-    sim, system, profiler = setup()
+    sim, system, _ = setup(profiled=False)
+    policy = compile_source(
+        "Shard(s) in ref(Shard(o).items) => colocate(o, s);", [Shard])
+    assert policy.ref_properties == {"items"}
+    profiler = ProfilingRuntime(sim, ref_properties=policy.ref_properties)
     shard_a = system.create_actor(Shard)
     shard_b = system.create_actor(Shard)
     instance = system.actor_instance(shard_a)
     instance.items = [shard_b]
-    snap = profiler.snapshot_actors(
-        [system.directory.lookup(shard_a.actor_id)])[0]
-    assert snap.refs["items"] == (shard_b,)
+    instance.other = [shard_b]      # holds a ref, but no atom reads it
+    record = system.directory.lookup(shard_a.actor_id)
+    assert profiler.snapshot_actors([record])[0].refs == {
+        "items": (shard_b,)}
+    # A profiler without a policy carries no refs at all.
+    assert ProfilingRuntime(sim).snapshot_actors([record])[0].refs is EMPTY
 
 
 def test_server_snapshot():

@@ -21,7 +21,10 @@ from repro.core.profiling.snapshot import EMPTY
 from repro.sim import spawn
 
 PERIOD_MS = 10_000.0
-POLICY = "server.cpu.perc > 99 => balance({Cell}, cpu);"
+POLICY = """
+server.cpu.perc > 99 => balance({Cell}, cpu);
+Cell(c) in ref(Keeper(k).target) => colocate(k, c);
+"""
 
 
 class Cell(Actor):
@@ -31,6 +34,8 @@ class Cell(Actor):
 
 
 class Keeper(Actor):
+    target: object
+
     def __init__(self, target):
         self.target = target
         self.label = "keeper"
@@ -120,6 +125,8 @@ def test_ref_holding_actor_gets_its_own_refs(bed):
     target = _create(bed, Cell)
     keepers = [_create(bed, Keeper, target.ref) for _ in range(2)]
     snaps = _snapshots(bed, [target] + keepers)
+    # The policy's one ref atom names ``target``; ``label`` is no ref.
+    assert bed.manager.policy.ref_properties == {"target"}
     assert snaps[0].refs is EMPTY
     assert snaps[1].refs == snaps[2].refs == {"target": (target.ref,)}
     assert snaps[1].refs is not snaps[2].refs
