@@ -22,7 +22,8 @@ waits).  Nothing here knows which runtime it serves.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
+from itertools import count
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 from ..sim import RandomStreams
 from .actor import Actor
@@ -70,7 +71,6 @@ class ActorSystemBase:
     """
 
     def __init__(self, clock: Any, directory: Directory,
-                 actor_ids: Iterator[int],
                  streams: Optional[RandomStreams] = None) -> None:
         #: Anything with a ``now`` in milliseconds (the simulator, or a
         #: :class:`~repro.live.LiveClock`).  Meters read ``clock.now``
@@ -94,7 +94,9 @@ class ActorSystemBase:
         #: keeps every overload call site a single attribute check and
         #: the delivery path byte-identical to an unprotected run.
         self.overload: Any = None
-        self._actor_ids = actor_ids
+        #: This runtime's actor and message ids, each counted from 1.
+        self._actor_ids = count(1)
+        self._message_ids = count(1)
 
     # -- clock ---------------------------------------------------------
 

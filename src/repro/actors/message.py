@@ -9,8 +9,7 @@ exactly the distinction PLASMA's EPL makes in ``cllr.call(...)`` features.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..sim import Completion
@@ -21,8 +20,6 @@ __all__ = ["Message", "Overloaded", "CLIENT_KIND",
 CLIENT_KIND = "client"
 DEFAULT_MESSAGE_BYTES = 512.0
 DEFAULT_REPLY_BYTES = 256.0
-
-_message_ids = itertools.count(1)
 
 
 class Overloaded:
@@ -46,8 +43,10 @@ class Overloaded:
 
 @dataclass(slots=True)
 class Message:
-    """One in-flight function invocation."""
+    """One in-flight function invocation.  ``message_id`` comes from
+    the sending runtime's own counter."""
 
+    message_id: int
     target_id: int
     function: str
     args: Tuple[Any, ...]
@@ -62,7 +61,6 @@ class Message:
     #: the ``deadline`` shedding policy drops expired messages on
     #: arrival instead of wasting a saturated server's cycles.
     deadline_ms: Optional[float] = None
-    message_id: int = field(default_factory=_message_ids.__next__)
     forwards: int = 0
     remote: bool = False  # set at routing time: crossed a server boundary
 

@@ -37,7 +37,6 @@ An idle actor holds no process: its dispatcher is the ``armed`` and
 from __future__ import annotations
 
 import copy
-import itertools
 from collections import deque
 from functools import partial
 from typing import Any, Callable, List, Optional, Sized, Tuple, Type
@@ -60,8 +59,6 @@ __all__ = ["ActorSystem", "PlacementPolicy"]
 PlacementPolicy = Callable[[Type[Actor], List[Server], Optional[ActorRef]],
                            Optional[Server]]
 
-_actor_ids = itertools.count(1)
-
 _STOP = object()
 _MAX_FORWARDS = 8
 #: Trailing window over which ``_admit`` reads the host's CPU
@@ -81,7 +78,7 @@ class ActorSystem(ActorSystemBase):
     def __init__(self, sim: Simulator, provisioner: Provisioner,
                  fabric: Optional[NetworkFabric] = None,
                  streams: Optional[RandomStreams] = None) -> None:
-        super().__init__(sim, Directory(), _actor_ids, streams)
+        super().__init__(sim, Directory(), streams)
         self.sim = sim
         self.provisioner = provisioner
         provisioner.add_join_listener(self._server_joined)
@@ -308,9 +305,9 @@ class ActorSystem(ActorSystemBase):
         reply = Completion(self.sim)
         # Positional: on this per-message path a keyword call to the
         # dataclass constructor costs about twice as much.
-        message = Message(ref.actor_id, function, args, CLIENT_KIND, None,
-                          size_bytes, reply, reply_bytes, self.sim.now,
-                          deadline_ms)
+        message = Message(next(self._message_ids), ref.actor_id, function,
+                          args, CLIENT_KIND, None, size_bytes, reply,
+                          reply_bytes, self.sim.now, deadline_ms)
         if self.overload is not None:
             self.overload.note_issued(message)
         self._route(None, message)
@@ -329,9 +326,9 @@ class ActorSystem(ActorSystemBase):
     def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
                          args: Tuple[Any, ...], size_bytes: float,
                          reply: Optional[Completion]) -> None:
-        message = Message(ref.actor_id, function, args, actor.type_name,
-                          actor.actor_id, size_bytes, reply,
-                          DEFAULT_REPLY_BYTES, self.sim.now)
+        message = Message(next(self._message_ids), ref.actor_id, function,
+                          args, actor.type_name, actor.actor_id, size_bytes,
+                          reply, DEFAULT_REPLY_BYTES, self.sim.now)
         # A dead incarnation's send has no source server to leave from.
         record = actor._record
         self._route(record if record.cell is not None else None, message)

@@ -144,16 +144,12 @@ class ChaosEngine:
         done._subscribe(booted)
 
     def _kill_gem(self, fault: KillGem) -> None:
-        # GEMs are addressed by stable id, not list position: respawns
-        # append to ``manager.gems``, so a raw index could make a
-        # replayed plan hit a different GEM than the one recorded.
-        gem = None
-        if self.manager is not None:
-            gem = next((g for g in self.manager.gems
-                        if g.gem_id == fault.gem_id), None)
-        if gem is None:
+        # A GEM's id is its index in the append-only ``manager.gems``.
+        if (self.manager is None
+                or fault.gem_id >= len(self.manager.gems)):
             self._skip("kill-gem", reason="no-such-gem", gem_id=fault.gem_id)
             return
+        gem = self.manager.gems[fault.gem_id]
         if gem.failed:
             self._skip("kill-gem", reason="gem-already-failed",
                        gem_id=fault.gem_id)

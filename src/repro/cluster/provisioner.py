@@ -9,6 +9,7 @@ paper's "same performance with 25% fewer resources" result.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional
 
 from ..sim import Signal, Simulator
@@ -42,6 +43,8 @@ class Provisioner:
         self.servers: List[Server] = []
         self._retired: List[Server] = []
         self._pending_boots = 0
+        #: Ids of the servers this fleet boots, in boot-completion order.
+        self._server_id_seq = itertools.count(1)
         self._join_listeners: List[Callable[[Server], None]] = []
         self._retire_listeners: List[Callable[[Server], None]] = []
         self._cost_accumulated = 0.0
@@ -78,7 +81,7 @@ class Provisioner:
 
     def _finish_boot(self, itype: InstanceType, done: Signal) -> None:
         self._pending_boots -= 1
-        server = Server(self.sim, itype)
+        server = Server(self.sim, itype, next(self._server_id_seq))
         self.servers.append(server)
         self._cost_marks[server.server_id] = self.sim.now
         for listener in self._join_listeners:

@@ -14,7 +14,6 @@ scheduled callbacks (start on a core, finish).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Deque, Optional
 
@@ -23,8 +22,6 @@ from .instances import InstanceType
 from .metrics import RingMeter
 
 __all__ = ["Server", "ServerGauges", "CpuJob"]
-
-_server_ids = itertools.count(1)
 
 #: Retention of a server's CPU and NIC meters.  Every server read is
 #: narrower, so each takes the meter's exact scan path: admission reads
@@ -145,9 +142,8 @@ class Server(ServerGauges):
       windowed utilization percentages, the signals PLASMA rules consume.
     """
 
-    def __init__(self, sim: Simulator, itype: InstanceType,
+    def __init__(self, sim: Simulator, itype: InstanceType, server_id: int,
                  name: Optional[str] = None) -> None:
-        server_id = next(_server_ids)
         super().__init__(sim, itype, server_id,
                          name or f"{itype.name}-{server_id}")
         self.sim = sim

@@ -8,16 +8,14 @@ plan, drives the workload, and reports every invariant violation (or
 crash) found.
 
 Determinism contract: two calls with an equal scenario produce identical
-runs.  The process-global id counters (actor/server/message) are reset
-at the start of every run — the same trick the golden-trace equivalence
-tests use — so replayed corpus artifacts reproduce bit-for-bit even
-after other simulations ran in the same process.
+runs, whatever else ran in the process before.  Every run builds a fresh
+bed, and server, actor and message ids belong to that bed's runtime,
+each counted from 1, so replayed corpus artifacts reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import traceback
 from dataclasses import dataclass, field, fields
@@ -91,16 +89,6 @@ class FuzzResult:
         extra = (f" (+{len(self.violations) - 1} more)"
                  if len(self.violations) > 1 else "")
         return f"VIOLATION: {head}{extra}"
-
-
-def _reset_id_counters() -> None:
-    """Reset process-global id counters for cross-run determinism."""
-    from ..actors import message as message_module
-    from ..actors import system as system_module
-    from ..cluster import server as server_module
-    server_module._server_ids = itertools.count(1)
-    system_module._actor_ids = itertools.count(1)
-    message_module._message_ids = itertools.count(1)
 
 
 def actor_classes_for(app: str) -> list:
@@ -236,7 +224,6 @@ def run_scenario(scenario: Scenario, strict: bool = False,
     captured in :attr:`FuzzResult.error` so the shrinker can minimize
     crashing scenarios exactly like violating ones.
     """
-    _reset_id_counters()
     result = FuzzResult(scenario=scenario)
     try:
         bed = build_cluster(scenario.servers,

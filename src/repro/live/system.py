@@ -106,7 +106,7 @@ class LiveActorSystem(ActorSystemBase):
 
     def __init__(self, mailbox_capacity: Optional[int] = None,
                  transfer_ms_per_mb: float = 5.0) -> None:
-        super().__init__(LiveClock(), Directory(), itertools.count(1))
+        super().__init__(LiveClock(), Directory())
         self.servers: List[LiveServer] = []
         #: Bounded-mailbox overload protection: client sends beyond this
         #: depth are shed with a retriable ``Overloaded`` NACK (``None``
@@ -277,9 +277,9 @@ class LiveActorSystem(ActorSystemBase):
         """
         # Positional, as on the sim runtime: a keyword call to the
         # dataclass constructor costs about twice as much.
-        message = Message(ref.actor_id, function, args, CLIENT_KIND, None,
-                          size_bytes, None, DEFAULT_REPLY_BYTES,
-                          self.clock.now)
+        message = Message(next(self._message_ids), ref.actor_id, function,
+                          args, CLIENT_KIND, None, size_bytes, None,
+                          DEFAULT_REPLY_BYTES, self.clock.now)
         return self._send(message, want_reply=True, src_record=None)
 
     async def _actor_call(self, actor: Actor, ref: ActorRef, function: str,
@@ -295,9 +295,9 @@ class LiveActorSystem(ActorSystemBase):
     def _send_from_actor(self, actor: Actor, ref: ActorRef, function: str,
                          args: tuple, size_bytes: float, want_reply: bool,
                          ) -> Optional["asyncio.Future[Any]"]:
-        message = Message(ref.actor_id, function, args, actor.type_name,
-                          actor.actor_id, size_bytes, None,
-                          DEFAULT_REPLY_BYTES, self.clock.now)
+        message = Message(next(self._message_ids), ref.actor_id, function,
+                          args, actor.type_name, actor.actor_id, size_bytes,
+                          None, DEFAULT_REPLY_BYTES, self.clock.now)
         # A dead incarnation's send has no source server to leave from.
         record = actor._record
         return self._send(message, want_reply,

@@ -20,7 +20,6 @@ from collections import deque
 from repro.actors import ActorSystem
 from repro.actors.directory import ActorCell
 from repro.cluster import Server
-from repro.cluster import server as server_module
 from repro.cluster.server import CpuJob, ServerGauges
 from repro.sim import Timeout, Waitable, spawn
 
@@ -190,8 +189,7 @@ class OracleActorSystem(ActorSystem):
 class OracleServer(Server):
     """Cores as one generator process per vCPU on a run queue."""
 
-    def __init__(self, sim, itype, name=None):
-        server_id = next(server_module._server_ids)
+    def __init__(self, sim, itype, server_id, name=None):
         ServerGauges.__init__(self, sim, itype, server_id,
                               name or f"{itype.name}-{server_id}")
         self.sim = sim

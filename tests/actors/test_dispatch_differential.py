@@ -9,15 +9,15 @@ handlers run at the same instants with the same replies, and the kernel
 sees the same ``schedule`` calls in the same order — so every golden
 digest, and every event count the benchmark reports, stays where it was.
 
-Each program runs once per design, from reset id counters, and the two
-runs' logs and ``schedule`` call sequences must be equal.  The seeded random
-programs mix plain, generator (``compute``/``call``/``sleep``) and
-raising handlers with messages put before a dispatcher's first arm
-event, migrations mid-handler, destroys with a delivery in flight,
-server crashes and resurrections, and raw CPU jobs under
-``set_speed_factor`` and ``shutdown`` mid-queue.  Program draws come from
-the seed *as the program runs*, so the first divergence snowballs into
-an obvious log mismatch.
+Each program runs once per design, on a fresh runtime whose ids count
+from 1, and the two runs' logs and ``schedule`` call sequences must be
+equal.  The seeded random programs mix plain, generator
+(``compute``/``call``/``sleep``) and raising handlers with messages put
+before a dispatcher's first arm event, migrations mid-handler, destroys
+with a delivery in flight, server crashes and resurrections, and raw CPU
+jobs under ``set_speed_factor`` and ``shutdown`` mid-queue.  Program
+draws come from the seed *as the program runs*, so the first divergence
+snowballs into an obvious log mismatch.
 """
 
 import random
@@ -29,7 +29,6 @@ from repro.actors import Actor, ActorSystem
 from repro.actors.message import CLIENT_KIND, Message
 from repro.cluster import Provisioner
 from repro.fuzz import generate_scenario, run_scenario
-from repro.fuzz.runner import _reset_id_counters
 from repro.overload import OverloadConfig, OverloadManager
 from repro.sim import Interrupted, Signal, Simulator
 
@@ -56,7 +55,6 @@ def run_on(impl, program, *args):
                 return _original(self, when, *rest)
 
             patch.setattr(Simulator, name, counted)
-        _reset_id_counters()
         observed = program(*args)
     return observed, calls
 
@@ -161,7 +159,7 @@ def post(system, ref, function, *args):
     if record is None:
         return reply
     system._deliver(Message(
-        target_id=ref.actor_id, function=function, args=args,
+        message_id=next(system._message_ids), target_id=ref.actor_id, function=function, args=args,
         caller_kind=CLIENT_KIND, caller_id=None, size_bytes=64.0,
         reply=reply, sent_at=system.sim.now), record.server)
     return reply
@@ -343,7 +341,6 @@ def test_random_programs_reach_every_dispatcher_state():
     coverage = Counter()
     kinds = Counter()
     for seed in SEEDS:
-        _reset_id_counters()
         for entry in random_program(seed, coverage):
             summary = entry[0] in ("final", "server", "ledger", "clock")
             kinds[entry[0] if summary else entry[1]] += 1

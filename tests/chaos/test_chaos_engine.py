@@ -108,28 +108,39 @@ def test_kill_gem_and_recover_via_manager():
 
 
 def test_kill_gem_addresses_stable_id_not_list_position():
-    """A respawn (or any list churn) must not shift KillGem targets: the
-    fault names the GEM's stable id, not an index into manager.gems."""
+    """A GEM the failure detector respawned is addressed by its id, the
+    index it was appended at, across later LEM rounds; an id no GEM was
+    ever given is skipped."""
     bed = build_cluster(2)
     policy = compile_source(
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Spinner}, cpu);", [Spinner])
     manager = ElasticityManager(bed.system, policy, EmrConfig(
-        period_ms=5_000.0, gem_wait_ms=300.0, gem_count=2))
+        period_ms=2_000.0, gem_wait_ms=300.0, gem_count=2,
+        suspicion_timeout_ms=3_000.0))
     manager.start()
-    # Simulate list churn: the gem with id 1 now sits at index 0.
-    removed = manager.gems.pop(0)
-    assert removed.gem_id == 0 and manager.gems[0].gem_id == 1
     engine = ChaosEngine(bed.system, FaultPlan(faults=(
-        KillGem(at_ms=500.0, gem_id=1),
-        KillGem(at_ms=600.0, gem_id=0),   # no longer exists -> skip
+        KillGem(at_ms=500.0, gem_id=0),
+        KillGem(at_ms=600.0, gem_id=1),
+        KillGem(at_ms=4_500.0, gem_id=2),   # the respawn
+        KillGem(at_ms=4_600.0, gem_id=7),   # never existed -> skip
     )), manager=manager)
     engine.start()
-    bed.run(until_ms=1_000.0)
-    assert manager.gems[0].failed and manager.gems[0].gem_id == 1
-    assert engine.faults_injected == 1
+    bed.run(until_ms=4_400.0)
+    # Both originals died; the detector respawned one GEM, id 2, which
+    # served the first LEM rounds alone.
+    assert [g.gem_id for g in manager.gems] == [0, 1, 2]
+    assert [g.failed for g in manager.gems] == [True, True, False]
+    assert manager.gems[2].rounds_processed >= 1
+    bed.run(until_ms=10_000.0)
+    assert manager.gems[2].failed
+    assert engine.faults_injected == 3
     assert engine.faults_skipped == 1
-    assert engine.log[-1][2]["reason"] == "no-such-gem"
+    assert engine.log[-1][2] == {"fault": "kill-gem",
+                                 "reason": "no-such-gem", "gem_id": 7}
+    # Killing the respawn made the detector respawn again, at the end.
+    assert manager.gems[-1].gem_id == len(manager.gems) - 1
+    assert not manager.gems[-1].failed
 
 
 def _hierarchical_manager(bed, **config):

@@ -34,7 +34,7 @@ def test_relative_capacities_match_paper():
 def test_local_delivery_is_cheap_and_unmetered():
     sim = Simulator()
     fabric = NetworkFabric(sim)
-    server = Server(sim, instance_type("m5.large"))
+    server = Server(sim, instance_type("m5.large"), 1)
     delay = fabric.delivery_delay(server, server, 1_000_000.0)
     assert delay == fabric.local_latency_ms
     assert server.net_meter.lifetime_total == 0.0
@@ -43,8 +43,8 @@ def test_local_delivery_is_cheap_and_unmetered():
 def test_remote_delivery_pays_rtt_and_serialization():
     sim = Simulator()
     fabric = NetworkFabric(sim, remote_rtt_ms=2.0)
-    a = Server(sim, instance_type("m5.large"))
-    b = Server(sim, instance_type("m5.large"))
+    a = Server(sim, instance_type("m5.large"), 1)
+    b = Server(sim, instance_type("m5.large"), 2)
     size = 1_250_000.0  # 1 ms at 10 Gbps
     delay = fabric.delivery_delay(a, b, size)
     assert delay == pytest.approx(1.0 + 1.0)  # rtt/2 + serialization
@@ -55,8 +55,8 @@ def test_remote_delivery_pays_rtt_and_serialization():
 def test_remote_delivery_limited_by_slower_nic():
     sim = Simulator()
     fabric = NetworkFabric(sim, remote_rtt_ms=0.0)
-    fast = Server(sim, instance_type("m5.large"))
-    slow = Server(sim, instance_type("m1.small"))
+    fast = Server(sim, instance_type("m5.large"), 1)
+    slow = Server(sim, instance_type("m1.small"), 2)
     size = slow.itype.net_bytes_per_ms() * 10.0
     assert fabric.delivery_delay(fast, slow, size) == pytest.approx(10.0)
 
@@ -64,7 +64,7 @@ def test_remote_delivery_limited_by_slower_nic():
 def test_client_delivery_charges_only_the_server():
     sim = Simulator()
     fabric = NetworkFabric(sim)
-    server = Server(sim, instance_type("m5.large"))
+    server = Server(sim, instance_type("m5.large"), 1)
     fabric.delivery_delay(None, server, 1_000.0)
     assert server.net_meter.lifetime_total == 1_000.0
 
@@ -72,8 +72,8 @@ def test_client_delivery_charges_only_the_server():
 def test_bulk_transfer_pays_full_rtt():
     sim = Simulator()
     fabric = NetworkFabric(sim, remote_rtt_ms=2.0)
-    a = Server(sim, instance_type("m5.large"))
-    b = Server(sim, instance_type("m5.large"))
+    a = Server(sim, instance_type("m5.large"), 1)
+    b = Server(sim, instance_type("m5.large"), 2)
     size = 1_250_000.0
     assert fabric.transfer_delay(a, b, size) == pytest.approx(2.0 + 1.0)
     assert fabric.transfer_delay(a, a, size) == fabric.local_latency_ms
@@ -85,7 +85,7 @@ def test_bulk_transfer_pays_full_rtt():
 def _three_servers():
     sim = Simulator()
     fabric = NetworkFabric(sim)
-    servers = [Server(sim, instance_type("m5.large")) for _ in range(3)]
+    servers = [Server(sim, instance_type("m5.large"), i) for i in (1, 2, 3)]
     return fabric, servers
 
 

@@ -7,7 +7,7 @@ from repro.sim import Simulator, spawn
 
 
 def make_server(sim, type_name="m5.large"):
-    return Server(sim, instance_type(type_name))
+    return Server(sim, instance_type(type_name), 1)
 
 
 def test_execute_completes_after_scaled_demand():

@@ -16,8 +16,8 @@ def snap(actor_id, server):
 
 def make_servers():
     sim = Simulator()
-    return [Server(sim, instance_type("m5.large"), name=n)
-            for n in ("a", "b", "c")]
+    return [Server(sim, instance_type("m5.large"), i, name=n)
+            for i, n in enumerate(("a", "b", "c"), 1)]
 
 
 def action(kind, actor_id, src, dst):

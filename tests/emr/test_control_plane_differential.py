@@ -20,7 +20,6 @@ from repro.apps.estore import Partition, build_estore
 from repro.bench import build_cluster
 from repro.check import InvariantChecker
 from repro.core import ElasticityManager, EmrConfig, compile_source
-from repro.fuzz.runner import _reset_id_counters
 from repro.sim import Timeout, spawn
 
 
@@ -66,7 +65,6 @@ def _run_multigroup(*, seed, servers, group_size, rules,
     """One deterministic estore run with groups of ``group_size``
     servers (``None``: one group, the flat plane); returns decisions,
     placements, started-migration events, and control-plane stats."""
-    _reset_id_counters()
     bed = build_cluster(servers, instance_type, seed=seed)
     if pack:
         setup = build_estore(bed, num_roots=8, children_per_root=2,

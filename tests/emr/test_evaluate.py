@@ -42,8 +42,8 @@ ALL = [Folder, File, Stream, User]
 _next_id = [1]
 
 
-def make_server(sim, name="s"):
-    return Server(sim, instance_type("m5.large"), name=name)
+def make_server(sim, name="s", server_id=1):
+    return Server(sim, instance_type("m5.large"), server_id, name=name)
 
 
 def snap_server(server, cpu=50.0, mem=10.0, net=10.0, actors=0):
@@ -87,7 +87,7 @@ def test_compare_operators():
 def test_server_condition_selects_matching_servers():
     sim = Simulator()
     hot = snap_server(make_server(sim, "hot"), cpu=90.0)
-    cold = snap_server(make_server(sim, "cold"), cpu=30.0)
+    cold = snap_server(make_server(sim, "cold", 2), cpu=30.0)
     compiled = compile_source(
         "server.cpu.perc > 80 => balance({Folder}, cpu);", ALL)
     scope = make_scope([hot, cold], [])
@@ -115,7 +115,7 @@ def test_client_call_perc_binds_actor_on_subject_server():
 def test_actor_on_other_server_not_selected_for_server_scoped_feature():
     sim = Simulator()
     hot_server = make_server(sim, "hot")
-    other_server = make_server(sim, "other")
+    other_server = make_server(sim, "other", 2)
     hot_snap = snap_server(hot_server, cpu=90.0)
     other_snap = snap_server(other_server, cpu=20.0)
     elsewhere = snap_actor("Folder", other_server,
@@ -176,7 +176,7 @@ def test_actor_pair_call_count_binds_both_sides():
 def test_behavior_only_variable_binds_on_subject_server():
     sim = Simulator()
     hot_server = make_server(sim, "hot")
-    cold_server = make_server(sim, "cold")
+    cold_server = make_server(sim, "cold", 2)
     hot_snap = snap_server(hot_server, cpu=60.0)
     cold_snap = snap_server(cold_server, cpu=10.0)
     on_hot = snap_actor("Stream", hot_server)
@@ -192,8 +192,8 @@ def test_behavior_only_variable_binds_on_subject_server():
 def test_or_condition_produces_union_of_matches():
     sim = Simulator()
     hot = snap_server(make_server(sim, "hot"), cpu=90.0)
-    idle = snap_server(make_server(sim, "idle"), cpu=10.0)
-    mid = snap_server(make_server(sim, "mid"), cpu=70.0)
+    idle = snap_server(make_server(sim, "idle", 2), cpu=10.0)
+    mid = snap_server(make_server(sim, "mid", 3), cpu=70.0)
     compiled = compile_source(
         "server.cpu.perc > 80 or server.cpu.perc < 60 "
         "=> balance({Folder}, cpu);", ALL)

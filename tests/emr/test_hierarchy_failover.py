@@ -28,7 +28,6 @@ from repro.apps.estore import Partition, build_estore
 from repro.bench import build_cluster
 from repro.check import InvariantChecker
 from repro.core import ElasticityManager, EmrConfig, compile_source
-from repro.fuzz.runner import _reset_id_counters
 from repro.sim import Timeout, spawn
 
 #: Exercises the full aggregate/root-round pipeline without letting
@@ -55,7 +54,6 @@ def _run_packed(*, seed, servers, group_size, duration_ms, clients=12,
     tier must issue cross-group moves (the seed-41 shape the
     differential harness pins).  Returns events, manager, bed, checker.
     """
-    _reset_id_counters()
     bed = build_cluster(servers, "m1.small", seed=seed)
     setup = build_estore(bed, num_roots=8, children_per_root=2,
                          num_home_servers=1)
@@ -161,7 +159,6 @@ def test_root_failover_counter_reaches_run_summary():
 # ---------------------------------------------------------------------------
 
 def _small_tree(servers=4, group_size=2, suspicion_ms=6_000.0):
-    _reset_id_counters()
     bed = build_cluster(servers, seed=13)
     policy = compile_source(
         "server.cpu.perc > 80 or server.cpu.perc < 60 "

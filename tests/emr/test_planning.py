@@ -13,7 +13,8 @@ _next_id = [1]
 
 
 def server_pair(sim, names=("a", "b"), type_name="m5.large"):
-    return [Server(sim, instance_type(type_name), name=n) for n in names]
+    return [Server(sim, instance_type(type_name), i, name=n)
+            for i, n in enumerate(names, 1)]
 
 
 def snap_server(server, cpu, actor_count=10):
@@ -38,8 +39,8 @@ def snap_actor(server, cpu_perc, type_name="Worker", pinned=False,
 
 def test_contribution_rescales_for_speed():
     sim = Simulator()
-    slow = Server(sim, instance_type("m1.small"))   # speed 0.5, 1 vcpu
-    fast = Server(sim, instance_type("m1.medium"))  # speed 1.0, 1 vcpu
+    slow = Server(sim, instance_type("m1.small"), 1)   # speed 0.5, 1 vcpu
+    fast = Server(sim, instance_type("m1.medium"), 2)  # speed 1.0, 1 vcpu
     actor = snap_actor(slow, cpu_perc=40.0)
     # Moving to a 2x faster server halves the busy-ms, same vcpu count.
     assert contribution_perc(actor, fast, "cpu") == pytest.approx(20.0)
@@ -159,8 +160,8 @@ def test_groups_move_as_units():
 
 def test_reserve_prefers_dedicated_idle_server():
     sim = Simulator()
-    a, b, c = [Server(sim, instance_type("m5.large"), name=n)
-               for n in ("src", "busy", "empty")]
+    a, b, c = [Server(sim, instance_type("m5.large"), i, name=n)
+               for i, n in enumerate(("src", "busy", "empty"), 1)]
     servers = [snap_server(a, 90.0), snap_server(b, 40.0),
                snap_server(c, 5.0)]
     hot = snap_actor(a, 30.0)
@@ -245,8 +246,8 @@ def test_reserve_overrides_pin():
 
 def test_drain_places_every_actor_or_fails():
     sim = Simulator()
-    a, b, c = [Server(sim, instance_type("m5.large"), name=n)
-               for n in ("victim", "x", "y")]
+    a, b, c = [Server(sim, instance_type("m5.large"), i, name=n)
+               for i, n in enumerate(("victim", "x", "y"), 1)]
     victim = snap_server(a, 20.0)
     others = [snap_server(b, 30.0), snap_server(c, 40.0)]
     actors = [snap_actor(a, 8.0), snap_actor(a, 6.0)]

@@ -60,9 +60,9 @@ def _snap(actor_id, server):
 
 def test_priority_override_beats_behavior_default():
     sim = Simulator()
-    a = Server(sim, instance_type("m5.large"), name="a")
-    b = Server(sim, instance_type("m5.large"), name="b")
-    c = Server(sim, instance_type("m5.large"), name="c")
+    a = Server(sim, instance_type("m5.large"), 1, name="a")
+    b = Server(sim, instance_type("m5.large"), 2, name="b")
+    c = Server(sim, instance_type("m5.large"), 3, name="c")
     # A colocate with programmer priority 99 must beat a default balance
     # (priority 40) for the same actor.
     colocate = Action(kind="colocate", actor=_snap(1, a), src=a, dst=b,

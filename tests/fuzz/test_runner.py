@@ -29,8 +29,7 @@ def test_healthy_run_is_clean():
 def test_same_scenario_same_outcome():
     """Bit-for-bit replayability is what makes shrunk artifacts useful:
     the same scenario must produce the same migrations, checks, and
-    violations every time, including across the process-global id
-    counters the runner resets."""
+    violations every time."""
     first = run_scenario(small_scenario())
     second = run_scenario(small_scenario())
     assert first.migrations == second.migrations

@@ -18,9 +18,8 @@ under different ``PYTHONHASHSEED`` values); ``--record`` rewrites
 ``digests.json`` from all of them.  See ``docs/testing.md`` for when
 re-recording is legitimate.
 
-Actor/server/message ids are process-global counters, so every case
-resets them first (``_reset_id_counters``); cases are therefore
-independent of the order they run in.
+Actor/server/message ids belong to the runtime each case builds, and
+count from 1 there, so cases are independent of the order they run in.
 """
 
 import glob
@@ -40,7 +39,6 @@ from repro.cli import load_fuzz_scenario
 from repro.core import (ElasticityManager, ElasticityTracer, EmrConfig,
                         compile_source)
 from repro.fuzz import generate_scenario, run_scenario
-from repro.fuzz.runner import _reset_id_counters
 from repro.graphs import powerlaw_graph
 from repro.sim import Timeout, spawn
 
@@ -111,7 +109,6 @@ def _estore_refs(setup):
 def run_pagerank_scenario(iterations=10):
     """Fig. 7 (scaled): every worker starts on one server (the bad
     initial placement) and the balance rule spreads them out."""
-    _reset_id_counters()
     bed = build_cluster(3, "m5.large", seed=11)
     graph = powerlaw_graph(240, edges_per_node=3)
     deployment = build_pagerank(bed, graph, num_partitions=9,
@@ -130,7 +127,6 @@ def run_pagerank_scenario(iterations=10):
 def run_estore_scenario():
     """Fig. 9 (scaled): skewed reads over root+child partitions with the
     reserve/colocate/balance policy."""
-    _reset_id_counters()
     bed = build_cluster(3, "m1.small", seed=13)
     setup = build_estore(bed, num_roots=8, children_per_root=2,
                          num_home_servers=2)
@@ -154,7 +150,6 @@ def run_gem_respawn_scenario():
     shuffle and vote as peers — a one-group GEM tree must not treat the
     replacement as an outsider the way a multi-group tree does.
     Returns the observation and each GEM's processed-round count."""
-    _reset_id_counters()
     bed = build_cluster(3, "m1.small", seed=1)
     setup = build_estore(bed, num_roots=8, children_per_root=2,
                          num_home_servers=1)

@@ -198,6 +198,14 @@ def _sim_system(**kwargs):
     (lambda: importlib.import_module(
         "repro.core.emr.hierarchy").GroupAggregate.delta_against,
      AttributeError),
+    (lambda: importlib.import_module("repro.cluster.server")._server_ids,
+     AttributeError),
+    (lambda: importlib.import_module("repro.actors.system")._actor_ids,
+     AttributeError),
+    (lambda: importlib.import_module("repro.actors.message")._message_ids,
+     AttributeError),
+    (lambda: importlib.import_module("repro.fuzz.runner")._reset_id_counters,
+     AttributeError),
 ], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
         "ActorSystem.backend", "repro.actors.ShardedDirectory",
@@ -207,13 +215,18 @@ def _sim_system(**kwargs):
         "repro.cluster.metrics.WindowedMeter",
         "repro.core.profiling.ring", "repro.sim.AllOf", "Simulator.every",
         "Signal.reset", "ActorSystem.add_join_listener",
-        "LiveActorSystem.add_join_listener", "GroupAggregate.delta_against"])
+        "LiveActorSystem.add_join_listener", "GroupAggregate.delta_against",
+        "repro.cluster.server._server_ids", "repro.actors.system._actor_ids",
+        "repro.actors.message._message_ids",
+        "repro.fuzz.runner._reset_id_counters"])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
     # Each runtime is its own backend, one directory serves every lookup,
     # one meter serves every window, joins arrive as hooks and aggregates
-    # ship whole: code still reaching for the adapter layer, the
-    # hash-ring directory, the scanning meter, a deleted waitable or
-    # timer, a join listener or a delta must fail, not find a stale shim.
+    # ship whole, and each runtime counts its own ids: code still
+    # reaching for the adapter layer, the hash-ring directory, the
+    # scanning meter, a deleted waitable or timer, a join listener, a
+    # delta or a module-global id counter must fail, not find a stale
+    # shim.
     with pytest.raises(error):
         probe()
 

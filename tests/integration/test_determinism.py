@@ -5,13 +5,15 @@ the whole stack (kernel, cluster, actors, EMR) must be a pure function
 of its seeds.
 """
 
-from repro.actors import Actor, Client
+from repro.actors import Actor, Client, RuntimeHooks
 from repro.bench import build_cluster
 from repro.chaos import (ChaosEngine, CrashServer, DegradeNetwork,
                          FaultPlan)
 from repro.check import InvariantChecker
 from repro.cluster import AvailabilityMeter
 from repro.core import ElasticityManager, EmrConfig, compile_source
+from repro.fuzz import generate_scenario, run_scenario
+from repro.overload import OverloadManager
 from repro.sim import spawn
 
 
@@ -147,3 +149,67 @@ def test_chaos_run_actually_disrupted_something():
     assert any(kind == "fault-injected" for _t, kind in chaos_log)
     assert any(kind == "server-suspected" for _t, kind in events)
     assert recovery is not None and recovery > 0.0
+
+
+# -- ids belong to the runtime --------------------------------------------
+
+class _DeliveredIds(RuntimeHooks):
+    """Records the id of every message delivered to an actor."""
+
+    def __init__(self):
+        self.ids = []
+
+    def on_message_delivered(self, record, message):
+        self.ids.append(message.message_id)
+
+
+def _run_unrelated_bed():
+    bed = build_cluster(2, seed=5)
+    refs = [bed.system.create_actor(Spinner) for _ in range(4)]
+    client = Client(bed.system)
+
+    def loop(ref):
+        for _ in range(5):
+            yield client.call(ref, "spin", 10.0)
+
+    for ref in refs:
+        spawn(bed.sim, loop(ref))
+    bed.run(until_ms=2_000.0)
+
+
+def test_fuzz_scenario_replays_after_an_unrelated_bed(monkeypatch):
+    """One process, no reset: a scenario, an unrelated bed, the scenario
+    again.  Both runs agree on everything they report and on the client
+    message ids the overload ledger accounted."""
+    ledgers = []
+    original = OverloadManager.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        ledgers.append(self)
+
+    monkeypatch.setattr(OverloadManager, "__init__", recording_init)
+    scenario = generate_scenario(14, "overload")
+    first = run_scenario(scenario)
+    _run_unrelated_bed()
+    second = run_scenario(scenario)
+    assert first.fingerprint() == second.fingerprint()
+    assert len(ledgers) == 2 and ledgers[0].issued > 0
+    first_ids, second_ids = (dict(ledger._disposition)
+                             for ledger in ledgers)
+    assert min(first_ids) == 1
+    assert first_ids == second_ids
+
+
+def test_two_beds_in_one_process_both_start_from_id_one():
+    firsts = []
+    for _ in range(2):
+        bed = build_cluster(2, seed=3)
+        delivered = _DeliveredIds()
+        bed.system.add_hooks(delivered)
+        ref = bed.system.create_actor(Spinner)
+        bed.system.client_call(ref, "spin", 1.0)
+        bed.run(until_ms=100.0)
+        firsts.append((bed.servers[0].server_id, ref.actor_id,
+                       delivered.ids))
+    assert firsts == [(1, 1, [1]), (1, 1, [1])]

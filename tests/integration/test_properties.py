@@ -80,7 +80,7 @@ _kinds = st.sampled_from(list(BEHAVIOR_PRIORITIES))
 @st.composite
 def action_lists(draw):
     sim = Simulator()
-    servers = [Server(sim, instance_type("m5.large")) for _ in range(3)]
+    servers = [Server(sim, instance_type("m5.large"), i) for i in (1, 2, 3)]
     actions = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         actor_id = draw(st.integers(min_value=1, max_value=5))

@@ -239,7 +239,7 @@ def _assert_server_matches(server, cpu, net, window):
        every=st.integers(1, 50))
 def test_server_meters_match_the_oracle(seed, sparse, periods, every):
     sim = Simulator()
-    server = Server(sim, instance_type("m5.large"))
+    server = Server(sim, instance_type("m5.large"), 1)
     cpu = WindowedMeter(sim)
     net = WindowedMeter(sim)
     adds = _server_adds(seed, sparse)
