@@ -67,9 +67,8 @@ class KillGem:
     """Stop GEM ``gem_id`` from replying to REPORTs at ``at_ms``.
 
     ``gem_id`` is the GEM's *stable id* (the ``GEM.gem_id`` attribute),
-    not a position in ``manager.gems`` — ``respawn_gem`` appends to that
-    list, so raw indices would let a replayed plan hit a different GEM
-    than the one the plan was recorded against.
+    which is also its index in the append-only ``manager.gems``:
+    ``respawn_gem`` appends, so an id names the same GEM in every replay.
     """
 
     at_ms: float
