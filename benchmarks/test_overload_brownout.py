@@ -88,11 +88,11 @@ def test_storm_is_shed_browned_out_and_survived(report):
     # -- data plane: bounded growth, every drop accounted ---------------
     assert omanager.peak_mailbox_depth <= CAPACITY
     assert omanager.total_shed() > 0
-    balance = omanager.conservation_balance()
+    balance = omanager.ledger.as_dict()
     assert balance["outstanding"] == 0
     assert balance["issued"] == sum(balance[kind]
                                     for kind in DISPOSITIONS)
-    assert omanager.double_dispositions == []
+    assert omanager.ledger.double_dispositions == []
 
     # -- control plane: brownout bracketed the storm --------------------
     assert hot in names("brownout-entered")

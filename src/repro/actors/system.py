@@ -188,10 +188,8 @@ class ActorSystem(ActorSystemBase):
             cell.mailbox.clear()
         for message in dropped:
             if self.overload is not None:
-                if self._crashing:
-                    self.overload.note_crashed(message)
-                else:
-                    self.overload.note_dead_target(message)
+                self.overload.dispose(message, "crashed" if self._crashing
+                                      else "dead-target")
             if message.reply is not None:
                 message.reply.trigger(None)
         self._put(record, cell, _STOP)
@@ -309,7 +307,7 @@ class ActorSystem(ActorSystemBase):
                           args, CLIENT_KIND, None, size_bytes, reply,
                           reply_bytes, self.sim.now, deadline_ms)
         if self.overload is not None:
-            self.overload.note_issued(message)
+            self.overload.ledger.issue(message.message_id)
         self._route(None, message)
         return reply
 
@@ -358,7 +356,7 @@ class ActorSystem(ActorSystemBase):
         target = self.directory.try_lookup(message.target_id)
         if target is None:
             if self.overload is not None:
-                self.overload.note_no_target(message)
+                self.overload.dispose(message, "no-target")
             if message.reply is not None:
                 message.reply.trigger(None)
             return
@@ -371,7 +369,7 @@ class ActorSystem(ActorSystemBase):
             # Lost in transit (chaos fault): the message never arrives
             # and no reply fires — recovery is the caller's timeout/retry.
             if self.overload is not None:
-                self.overload.note_fabric_lost(message)
+                self.overload.dispose(message, "fabric-lost")
             return
         delay = fabric.delivery_delay(src_server, dst_server, size_bytes)
         if remote and src_record is not None:
@@ -384,7 +382,7 @@ class ActorSystem(ActorSystemBase):
         target = self.directory.try_lookup(message.target_id)
         if target is None:
             if self.overload is not None:
-                self.overload.note_dead_target(message)
+                self.overload.dispose(message, "dead-target")
             if message.reply is not None:
                 message.reply.trigger(None)
             return
@@ -395,7 +393,7 @@ class ActorSystem(ActorSystemBase):
             # degraded or partitioned fabric may also lose).
             if self.fabric.drop_message(arrived_at, target.server):
                 if self.overload is not None:
-                    self.overload.note_fabric_lost(message)
+                    self.overload.dispose(message, "fabric-lost")
                 return
             message.forwards += 1
             delay = self.fabric.delivery_delay(
@@ -446,7 +444,7 @@ class ActorSystem(ActorSystemBase):
                 or (config.admission_cpu_perc
                     and target.server.cpu_percent(ADMISSION_CPU_WINDOW_MS)
                     >= config.admission_cpu_perc)):
-            overload.note_rejected(message)
+            overload.dispose(message, "rejected")
             for hooks in self.hooks:
                 hooks.on_request_rejected(target, message)
             if message.reply is not None:
@@ -504,7 +502,7 @@ class ActorSystem(ActorSystemBase):
         if item is _STOP:
             return
         if self.overload is not None:
-            self.overload.note_consumed(item)
+            self.overload.dispose(item, "consumed")
         if cell.gate is not None:
             # Migration in progress: serve once the gate opens.
             cell.gate._subscribe(partial(self._serve, record, cell, item))

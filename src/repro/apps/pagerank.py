@@ -200,12 +200,6 @@ class IterationStats:
     times_ms: List[float] = field(default_factory=list)
     deltas: List[float] = field(default_factory=list)
 
-    def converged_iteration(self, tolerance: float) -> Optional[int]:
-        for index, delta in enumerate(self.deltas):
-            if delta < tolerance:
-                return index + 1
-        return None
-
 
 def build_pagerank(bed: TestBed, graph: Graph, num_partitions: int,
                    placement: Optional[Sequence[int]] = None,

@@ -8,7 +8,7 @@ clients' raw samples with :func:`latency_curve`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..actors import ActorSystem, Client
 from ..cluster import GaugeSeries
@@ -71,22 +71,6 @@ class ClusterRecorder:
             count = self.actor_counts.setdefault(
                 server.name, GaugeSeries(f"actors/{server.name}"))
             count.record(now, self.system.directory.count_on(server))
-
-    # -- summaries -------------------------------------------------------------
-
-    def cpu_spread_at_end(self) -> float:
-        """Max-min CPU% across servers at the final sample (how balanced
-        the cluster ended up)."""
-        finals = [series.last() for series in self.cpu.values()
-                  if len(series)]
-        if not finals:
-            return 0.0
-        return max(finals) - min(finals)
-
-    def actor_count_table(self) -> List[Tuple[str, float]]:
-        return sorted((name, series.last())
-                      for name, series in self.actor_counts.items()
-                      if len(series))
 
 
 def latency_curve(clients: Iterable[Client], bucket_ms: float

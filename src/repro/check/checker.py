@@ -596,11 +596,7 @@ class InvariantChecker(RuntimeHooks):
             return
         views = detail.get("peer_views", ())
         agreeing = 0
-        for item in views:
-            # Legacy traces carry 3-tuples; partition-aware runs append
-            # a reachability flag as a 4th element.
-            _gem, view, rounds = item[0], item[1], item[2]
-            reachable = item[3] if len(item) > 3 else True
+        for _gem, view, rounds, reachable in views:
             if reachable and (view >= 0.5 or rounds == 0):
                 agreeing += 1
         expected = agreeing * 2 >= len(views) if views else True
@@ -1095,13 +1091,14 @@ class InvariantChecker(RuntimeHooks):
         if overload is None:
             return
         self.checks_run += 1
-        for mid, first, second in overload.double_dispositions[:5]:
+        ledger = overload.ledger
+        for mid, first, second in ledger.double_dispositions[:5]:
             self._violate(
                 "admission-conservation",
                 f"message {mid} reached two terminal dispositions: "
                 f"{first!r} then {second!r}", message_id=mid,
                 first=first, second=second)
-        balance = overload.conservation_balance()
+        balance = ledger.as_dict()
         issued = balance.pop("issued")
         outstanding = balance.pop("outstanding")
         terminal = sum(balance.values())
@@ -1121,11 +1118,11 @@ class InvariantChecker(RuntimeHooks):
                 f"the ledger records only {overload.total_shed()}",
                 hook_sheds=self._hook_sheds,
                 ledger_sheds=overload.total_shed())
-        if self._hook_rejects > overload.counts["rejected"]:
+        if self._hook_rejects > ledger.counts["rejected"]:
             self._violate(
                 "admission-conservation",
                 f"hooks observed {self._hook_rejects} rejected requests "
                 f"but the ledger records only "
-                f"{overload.counts['rejected']}",
+                f"{ledger.counts['rejected']}",
                 hook_rejects=self._hook_rejects,
-                ledger_rejects=overload.counts["rejected"])
+                ledger_rejects=ledger.counts["rejected"])

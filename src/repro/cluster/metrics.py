@@ -170,14 +170,6 @@ class GaugeSeries:
             raise ValueError(f"series {self.name!r} is empty")
         return sum(values) / len(values)
 
-    def mean_between(self, start_ms: float, end_ms: float) -> float:
-        window = [v for t, v in self.samples if start_ms <= t <= end_ms]
-        if not window:
-            raise ValueError(
-                f"series {self.name!r} has no samples in "
-                f"[{start_ms}, {end_ms}]")
-        return sum(window) / len(window)
-
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -217,11 +217,6 @@ class Server(ServerGauges):
         """Jobs waiting for a core (excludes jobs currently executing)."""
         return len(self._jobs) if self._jobs is not None else 0
 
-    def idle_cpu_headroom(self, window_ms: float) -> float:
-        """Unused CPU capacity, in CPU-ms per ms (used by admission checks)."""
-        used_fraction = self.cpu_percent(window_ms) / 100.0
-        return (1.0 - used_fraction) * self.itype.cpu_capacity_ms_per_ms()
-
     def set_speed_factor(self, factor: float) -> None:
         """Scale core speed (chaos "limping server" fault).  Applies to
         jobs dequeued from now on; a job already on a core finishes at

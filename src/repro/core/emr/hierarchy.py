@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ...cluster import Server, ServerGroupMap
-from ...sim import Timeout, spawn
+from ...sim import spawn
 from ..profiling import ActorSnapshot, ServerSnapshot
 from .actions import Action
 from .config import CONTROL_LATENCY_MS
@@ -188,7 +188,8 @@ class RootGem:
             for group, view in sorted(self.views.items())))
         for action in self.arbitrate(self.views):
             self.cross_migrations_planned += 1
-            spawn(self.manager.system, self._execute_cross(action),
+            spawn(self.manager.system,
+                  self.manager.execute(action, action.src, root=self),
                   name=f"root/cross-migrate/{action.actor_id}")
 
     # -- cross-group arbitration ----------------------------------------
@@ -232,49 +233,6 @@ class RootGem:
                 dst=least.server, resource="cpu",
                 src_load_perc=means[hot]))
         return actions
-
-    def _execute_cross(self, action: Action):
-        """Admission-checked execution of one root-planned move (the
-        same guards the LEM applies to its own actions).
-
-        Generation-fenced: the proc captures the issuing incarnation and
-        bails at every resumption if the root died or was superseded —
-        a stale root's plan must never start a migration (once started,
-        the two-phase protocol's own timeouts drive it to commit or
-        rollback regardless of what happens to the root).
-        """
-        manager = self.manager
-        system = manager.system
-        config = manager.config
-        generation = self.generation
-        record = system.directory.try_lookup(action.actor_id)
-        if record is None or record.migrating or record.pinned:
-            return
-        if record.server is not action.src:
-            return  # stale: the actor moved since the aggregate
-        if not action.dst.running or manager.is_draining(action.dst):
-            return
-        if (manager.server_quorumless(action.src)
-                or manager.server_quorumless(action.dst)):
-            return
-        if (system.now - record.last_placed_at
-                < config.stability_window_ms()):
-            return
-        target_lem = manager.lem_for(action.dst)
-        if target_lem is None:
-            return
-        yield Timeout(system, CONTROL_LATENCY_MS)
-        if self.failed or self.generation != generation:
-            return
-        accepted = target_lem.check_idle_res(action)
-        yield Timeout(system, CONTROL_LATENCY_MS)
-        if not accepted:
-            return
-        if (self.failed or self.generation != generation
-                or self.epoch < manager.epoch):
-            return  # issuing incarnation lost authority mid-flight
-        system.start_migration(record.ref, action.dst)
-        manager.note_migration(action, issuer="root")
 
     # -- fleet-scaling arbitration --------------------------------------
 

@@ -180,7 +180,8 @@ class LEM:
             self._emit_round_debug(*snapshot, lem_actions, gem_actions,
                                    final)
         for action in final:
-            yield from self._execute(action)
+            if (yield from self.manager.execute(action, self.server)):
+                self.migrations_started += 1
 
     def _truncate_report(
             self, related: List[ActorSnapshot]) -> List[ActorSnapshot]:
@@ -375,51 +376,7 @@ class LEM:
             return actor_snaps
         return [snap for snap in actor_snaps if snap.type_name in relevant]
 
-    # -- action execution ------------------------------------------------------
-
-    def _execute(self, action: Action):
-        system = self.manager.system
-        config = self.manager.config
-        if self.manager.server_quorumless(self.server):
-            # This server sits on the minority side of a partition: its
-            # view is partial and its control plane is cut off, so defer
-            # every migration until the heal re-admits it.
-            return
-        record = system.directory.try_lookup(action.actor_id)
-        if record is None or record.migrating:
-            return
-        if record.pinned and action.kind != "reserve":
-            return  # pin blocks every behavior except an explicit reserve
-        if record.server is not action.src:
-            return  # stale: the actor moved since planning
-        if not action.dst.running or self.manager.is_draining(action.dst):
-            return  # stale: the target retired or became a scale-in victim
-        if self.manager.server_quorumless(action.dst):
-            # A partition opened after this plan was made and the target
-            # landed on the minority side.  Epoch fencing cannot catch
-            # this (planner and executor are both on the majority side),
-            # so recheck the destination at execute time.
-            return
-        if (system.now - record.last_placed_at
-                < config.stability_window_ms()):
-            return
-        target_lem = self.manager.lem_for(action.dst)
-        if target_lem is None:
-            return
-        # QUERY the target server; one control-message round trip.
-        yield Timeout(system, CONTROL_LATENCY_MS)
-        accepted = target_lem.check_idle_res(action)
-        yield Timeout(system, CONTROL_LATENCY_MS)
-        if not accepted:
-            return
-        # Fire-and-continue: the live-migration protocol runs on its own
-        # (the actor is flagged `migrating`, which blocks double moves);
-        # blocking here would make a slow state transfer eat whole
-        # elasticity periods for every other actor on this server.
-        system.start_migration(
-            record.ref, action.dst, force=action.kind == "reserve")
-        self.migrations_started += 1
-        self.manager.note_migration(action)
+    # -- admission control ------------------------------------------------------
 
     def check_idle_res(self, action: Action) -> bool:
         """``checkIdleRes``: admission control on the target server.

@@ -18,7 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...actors import ActorRecord, ActorRef, RuntimeHooks
@@ -28,9 +28,9 @@ from ...sim import Timeout, spawn
 from ..epl import CompiledPolicy
 from ..profiling import ActorSnapshot, ProfilingRuntime
 from .actions import Action
-from .config import EmrConfig
+from .config import CONTROL_LATENCY_MS, EmrConfig
 from .gem import GEM
-from .hierarchy import ControlHierarchy
+from .hierarchy import ControlHierarchy, RootGem
 from .lem import LEM
 from .placement import PlasmaPlacement
 
@@ -617,26 +617,62 @@ class ElasticityManager(RuntimeHooks):
             return None
         return self.profiler._snapshot_one(record)
 
-    def least_loaded_server(self, exclude: Optional[Server] = None,
-                            resource: str = "cpu") -> Optional[Server]:
-        """Running, non-draining server with the lowest ``resource`` use.
+    def execute(self, action: Action, home: Server,
+                root: Optional[RootGem] = None):
+        """Admission-checked execution of one planned move: the only
+        path from a LEM's or the root's plan to ``start_migration``.
 
-        While a partition is active, quorum-less (minority-side) servers
-        are excluded: the control plane cannot reach them, so placing an
-        actor there would strand it behind the cut.
+        ``home`` is the issuer's own server (``action.src`` for the
+        root): a partition that leaves it or the target without quorum
+        defers the move until the heal.  A move the ``root`` planned is
+        fenced on that incarnation: it bails after the QUERY leg if the
+        root died or was superseded, and before starting if it also
+        fell behind the partition epoch, so a stale root's plan never
+        starts a migration (once started, the two-phase protocol's own
+        timeouts drive it to commit or rollback).  Returns whether the
+        migration started.
         """
-        window = self.config.period_ms
-        candidates = [s for s in self.system.running_servers()
-                      if s.running and s is not exclude
-                      and s.server_id not in self._draining]
-        if self._partitions:
-            candidates = [s for s in candidates
-                          if s.server_id not in self._isolated_servers]
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda s: (s.resource_percent(resource, window),
-                                  s.server_id))
+        system = self.system
+        if root is not None:
+            generation = root.generation
+        record = system.directory.try_lookup(action.actor_id)
+        if (record is None or record.migrating
+                # A pin blocks every behavior except an explicit reserve.
+                or (record.pinned and action.kind != "reserve")
+                # Stale plans: the actor moved, or the target retired or
+                # became a scale-in victim since planning.
+                or record.server is not action.src
+                or not action.dst.running or self.is_draining(action.dst)
+                # Epoch fencing cannot catch a target that landed on the
+                # minority side after planning (planner and executor are
+                # both on the majority side), so recheck it here.
+                or self.server_quorumless(home)
+                or self.server_quorumless(action.dst)
+                or (system.now - record.last_placed_at
+                    < self.config.stability_window_ms())):
+            return False
+        target_lem = self.lem_for(action.dst)
+        if target_lem is None:
+            return False
+        # QUERY the target server; one control-message round trip.
+        yield Timeout(system, CONTROL_LATENCY_MS)
+        if root is not None and (root.failed
+                                 or root.generation != generation):
+            return False
+        accepted = target_lem.check_idle_res(action)
+        yield Timeout(system, CONTROL_LATENCY_MS)
+        if not accepted or (root is not None and (
+                root.failed or root.generation != generation
+                or root.epoch < self.epoch)):
+            return False
+        # Fire-and-continue: the live-migration protocol runs on its own
+        # (the actor is flagged `migrating`, which blocks double moves);
+        # blocking here would make a slow state transfer eat whole
+        # elasticity periods for every other actor on the issuer's server.
+        system.start_migration(record.ref, action.dst,
+                               force=action.kind == "reserve")
+        self.note_migration(action, "lem" if root is None else "root")
+        return True
 
     def note_migration(self, action: Action, issuer: str = "lem") -> None:
         """Record a started migration in the explainable event log.

@@ -50,9 +50,6 @@ class ActorPattern:
     type_name: Optional[str]
     var: Optional[str] = None
 
-    def is_bare_var(self) -> bool:
-        return self.type_name is None
-
     def describe(self) -> str:
         if self.type_name is None:
             return self.var or "?"
@@ -198,9 +195,6 @@ class Rule:
     behaviors: Tuple[Behavior, ...]
     line: int = 0
     priority: Optional[int] = None
-
-    def behavior_kinds(self) -> Tuple[str, ...]:
-        return tuple(type(b).__name__.lower() for b in self.behaviors)
 
 
 @dataclass

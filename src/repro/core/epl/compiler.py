@@ -77,13 +77,6 @@ class CompiledRule:
     #: Programmer-specified priority (``priority N:``), or None.
     priority: Optional[int] = None
 
-    def uses_server_features(self) -> bool:
-        return any(
-            isinstance(atom, CompareCond)
-            and isinstance(atom.feature, ResourceFeature)
-            and atom.feature.is_server()
-            for conj in self.dnf for atom in conj)
-
 
 @dataclass
 class CompiledPolicy:

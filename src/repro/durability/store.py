@@ -150,9 +150,6 @@ class StateStore:
     def checkpoints(self, actor_id: int) -> Tuple[Checkpoint, ...]:
         return tuple(self._checkpoints.get(actor_id, ()))
 
-    def last_seq(self, actor_id: int) -> int:
-        return self._seq.get(actor_id, 0)
-
     def discard_replicas_on(self, server: "Server") -> int:
         """A server crashed: every checkpoint copy it hosted is gone."""
         discarded = 0

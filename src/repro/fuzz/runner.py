@@ -298,7 +298,7 @@ def run_scenario(scenario: Scenario, strict: bool = False,
         if manager.overload is not None:
             result.messages_shed = manager.overload.total_shed()
             result.requests_rejected = \
-                manager.overload.counts["rejected"]
+                manager.overload.ledger.counts["rejected"]
         result.dead_letters = sum(client.dead_letters_total
                                   for client in clients)
         result.root_failovers = manager.root_failovers

@@ -7,7 +7,7 @@ container provides exactly that without pulling in heavier dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["Graph"]
 
@@ -21,7 +21,6 @@ class Graph:
             raise ValueError("num_nodes must be non-negative")
         self.num_nodes = num_nodes
         self._out: List[List[int]] = [[] for _ in range(num_nodes)]
-        self._in_degree: List[int] = [0] * num_nodes
         self.num_edges = 0
         for src, dst in edges:
             self.add_edge(src, dst)
@@ -30,7 +29,6 @@ class Graph:
         if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
             raise IndexError(f"edge ({src}, {dst}) out of range")
         self._out[src].append(dst)
-        self._in_degree[dst] += 1
         self.num_edges += 1
 
     def out_edges(self, node: int) -> Sequence[int]:
@@ -38,9 +36,6 @@ class Graph:
 
     def out_degree(self, node: int) -> int:
         return len(self._out[node])
-
-    def in_degree(self, node: int) -> int:
-        return self._in_degree[node]
 
     def nodes(self) -> range:
         return range(self.num_nodes)

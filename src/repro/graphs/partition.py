@@ -35,9 +35,6 @@ class PartitionResult:
     assignment: List[int]
     k: int
 
-    def part_nodes(self, part: int) -> List[int]:
-        return [node for node, p in enumerate(self.assignment) if p == part]
-
     def sizes(self) -> List[int]:
         counts = [0] * self.k
         for part in self.assignment:

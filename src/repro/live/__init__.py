@@ -12,7 +12,7 @@ from .apps import (CHATROOM_LIVE_POLICY, METADATA_LIVE_POLICY, LiveChatApp,
                    LiveMetadataApp, build_live_app)
 from .clock import LiveClock
 from .emr import LiveElasticityManager, LiveEmrConfig
-from .frontdoor import FrontDoor, RequestLedger
+from .frontdoor import FrontDoor
 from .harness import live_loadtest, run_live_loadtest
 from .loadgen import (LoadGenerator, LoadReport, flash_crowd_arrivals,
                       poisson_arrivals)
@@ -22,7 +22,7 @@ from .system import LiveActor, LiveActorSystem
 __all__ = [
     "LiveClock", "LiveServer", "LiveActor", "LiveActorSystem",
     "LiveElasticityManager", "LiveEmrConfig",
-    "FrontDoor", "RequestLedger",
+    "FrontDoor",
     "LoadGenerator", "LoadReport", "poisson_arrivals",
     "flash_crowd_arrivals", "run_live_loadtest", "live_loadtest",
     "LiveChatApp", "LiveChatRoom", "LiveChatUser",

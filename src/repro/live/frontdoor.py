@@ -6,10 +6,10 @@ wrap every request:
 
 * a :class:`~repro.core.profiling.LatencyRecorder` samples wall-clock
   service latency (accept-to-flush, measured with ``perf_counter``);
-* a :class:`RequestLedger` gives every request exactly one terminal
-  disposition — the same conservation discipline as
-  ``repro.overload``'s message ledger, lifted to the request level, so
-  a load test can assert *zero lost or unaccounted requests*.
+* a :class:`~repro.overload.DispositionLedger` gives every request
+  exactly one terminal disposition — the class ``repro.overload``
+  accounts client messages with, keyed by request number, so a load
+  test can assert *zero lost or unaccounted requests*.
 
 Dispositions map to status codes:
 
@@ -33,9 +33,10 @@ from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..actors.message import Overloaded
 from ..core.profiling.latency import LatencyRecorder
+from ..overload import DispositionLedger
 from .system import ActorGone
 
-__all__ = ["RequestLedger", "FrontDoor"]
+__all__ = ["FrontDoor", "REQUEST_DISPOSITIONS"]
 
 #: An app's request handler: ``(method, path, body) -> (status, payload)``.
 Router = Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]]
@@ -45,53 +46,21 @@ Router = Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]]
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
-
-class RequestLedger:
-    """Every request gets exactly one terminal disposition."""
-
-    __slots__ = ("issued", "answered", "rejected", "shed", "failed",
-                 "bad_request")
-
-    def __init__(self) -> None:
-        self.issued = 0
-        self.answered = 0
-        self.rejected = 0
-        self.shed = 0
-        self.failed = 0
-        self.bad_request = 0
-
-    def terminal_total(self) -> int:
-        return (self.answered + self.rejected + self.shed + self.failed
-                + self.bad_request)
-
-    @property
-    def outstanding(self) -> int:
-        """Requests issued but not yet disposed (in flight)."""
-        return self.issued - self.terminal_total()
-
-    def balanced(self) -> bool:
-        """True when nothing is in flight and nothing went unaccounted."""
-        return self.outstanding == 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"issued": self.issued, "answered": self.answered,
-                "rejected": self.rejected, "shed": self.shed,
-                "failed": self.failed, "bad_request": self.bad_request,
-                "outstanding": self.outstanding}
+#: A request's terminal states, in the order ``/stats`` lists them.
+REQUEST_DISPOSITIONS = ("answered", "rejected", "shed", "failed",
+                        "bad_request")
 
 
 class FrontDoor:
     """Serve one live app's router over HTTP."""
 
     def __init__(self, router: Router, host: str = "127.0.0.1",
-                 port: int = 0,
-                 recorder: Optional[LatencyRecorder] = None,
-                 ledger: Optional[RequestLedger] = None) -> None:
+                 port: int = 0) -> None:
         self.router = router
         self.host = host
         self.port = port
-        self.recorder = recorder or LatencyRecorder(capacity=32768)
-        self.ledger = ledger or RequestLedger()
+        self.recorder = LatencyRecorder(capacity=32768)
+        self.ledger = DispositionLedger(REQUEST_DISPOSITIONS)
         self._server: Optional[asyncio.base_events.Server] = None
         #: One task per open connection.
         self._connections: Set["asyncio.Task[None]"] = set()
@@ -131,21 +100,24 @@ class FrontDoor:
                     break  # clean EOF between requests
                 method, path, headers, body, parse_ok = request
                 started = perf_counter()
-                self.ledger.issued += 1
+                key = self.ledger.issued
+                self.ledger.issue(key)
                 status, payload, disposition = await self._dispatch(
                     method, path, body, parse_ok)
+                # Disposed before the write: the dispatch decided it,
+                # and a client that hangs up mid-reply must not leave
+                # it outstanding.
+                self.ledger.dispose(key, disposition)
                 keep_alive = (parse_ok and headers.get(
                     "connection", "keep-alive").lower() != "close")
                 await self._write_response(writer, status, payload,
                                            keep_alive)
                 self.recorder.record((perf_counter() - started) * 1000.0)
-                setattr(self.ledger, disposition,
-                        getattr(self.ledger, disposition) + 1)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
-            pass  # client went away between requests; nothing issued
+            pass  # client went away; every issued request is disposed
         finally:
             writer.close()
             try:

@@ -11,7 +11,7 @@ See ``docs/fault-model.md`` ("Overload & brownout") for the design.
 """
 
 from .config import MAILBOX_POLICIES, OverloadConfig
-from .manager import DISPOSITIONS, OverloadManager
+from .manager import DISPOSITIONS, DispositionLedger, OverloadManager
 
 __all__ = ["OverloadConfig", "OverloadManager", "MAILBOX_POLICIES",
-           "DISPOSITIONS"]
+           "DISPOSITIONS", "DispositionLedger"]

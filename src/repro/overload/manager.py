@@ -8,19 +8,20 @@ An :class:`OverloadManager` is the single object both planes share:
 - the **control plane** (LEM rounds, the GEM failure detector) drives
   its per-server brownout state machine through :meth:`note_lem_round`.
 
-The disposition ledger is what makes load shedding *accountable*: every
-client message is issued exactly once and must reach exactly one
-terminal state (:data:`DISPOSITIONS`).  The invariant checker audits the
-ledger — see ``admission-conservation`` in ``repro.check``.
+The :class:`DispositionLedger` is what makes load shedding
+*accountable*: every client message is issued exactly once and must
+reach exactly one terminal state (:data:`DISPOSITIONS`).  The invariant
+checker audits it — see ``admission-conservation`` in ``repro.check``.
+The live front door keeps one over HTTP requests.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from .config import OverloadConfig
 
-__all__ = ["OverloadManager", "DISPOSITIONS"]
+__all__ = ["DispositionLedger", "OverloadManager", "DISPOSITIONS"]
 
 #: Terminal states a client message can reach, exactly one each:
 #:
@@ -39,6 +40,57 @@ __all__ = ["OverloadManager", "DISPOSITIONS"]
 #:   still queued or in flight.
 DISPOSITIONS = ("consumed", "shed", "rejected", "deadline",
                 "fabric-lost", "no-target", "dead-target", "crashed")
+
+
+class DispositionLedger:
+    """Every issued key reaches exactly one of a fixed set of terminal
+    dispositions.
+
+    Disposing a key that was never issued (e.g. an actor-to-actor
+    message) is ignored; disposing one twice appends ``(key, first,
+    second)`` to :attr:`double_dispositions`, which is an accounting
+    bug.  ``issued == sum(counts) + outstanding`` holds at every
+    instant.
+    """
+
+    def __init__(self, kinds: Tuple[str, ...]) -> None:
+        self.issued = 0
+        self.counts: Dict[str, int] = dict.fromkeys(kinds, 0)
+        self.disposed: Dict[Hashable, str] = {}
+        self._outstanding: Set[Hashable] = set()
+        self.double_dispositions: List[Tuple[Hashable, str, str]] = []
+
+    @property
+    def answered(self) -> int:
+        """The front door's 2xx count, which its load reports read by
+        name."""
+        return self.counts["answered"]
+
+    def issue(self, key: Hashable) -> None:
+        self.issued += 1
+        self._outstanding.add(key)
+
+    def dispose(self, key: Hashable, kind: str) -> None:
+        previous = self.disposed.get(key)
+        if previous is not None:
+            self.double_dispositions.append((key, previous, kind))
+        elif key in self._outstanding:
+            self._outstanding.remove(key)
+            self.disposed[key] = kind
+            self.counts[kind] += 1
+
+    @property
+    def outstanding(self) -> int:
+        """Keys issued but not yet disposed (queued or in flight)."""
+        return len(self._outstanding)
+
+    def balanced(self) -> bool:
+        """True when every issued key has been disposed."""
+        return not self._outstanding
+
+    def as_dict(self) -> Dict[str, int]:
+        return {"issued": self.issued, **self.counts,
+                "outstanding": self.outstanding}
 
 
 class _BrownoutState:
@@ -67,15 +119,7 @@ class OverloadManager:
         self.system = system
         self.config = config
         self.emit = emit
-        # -- disposition ledger ----------------------------------------
-        self.issued = 0
-        self.counts: Dict[str, int] = {d: 0 for d in DISPOSITIONS}
-        self._disposition: Dict[int, str] = {}
-        self._outstanding: Set[int] = set()
-        #: (message_id, first disposition, second disposition) triples —
-        #: any entry is an accounting bug the checker turns into an
-        #: ``admission-conservation`` violation.
-        self.double_dispositions: List[Tuple[int, str, str]] = []
+        self.ledger = DispositionLedger(DISPOSITIONS)
         # -- shedding / backpressure telemetry -------------------------
         self.shed_by_server: Dict[str, int] = {}
         self.shed_by_actor: Dict[int, int] = {}
@@ -87,27 +131,10 @@ class OverloadManager:
 
     # -- disposition ledger --------------------------------------------
 
-    def note_issued(self, message: Any) -> None:
-        """Record a client message entering the system."""
-        self.issued += 1
-        self._outstanding.add(message.message_id)
-
-    def _terminal(self, message: Any, kind: str) -> None:
-        mid = message.message_id
-        if mid not in self._outstanding and mid not in self._disposition:
-            # Not a tracked client message (issued before attach, or an
-            # actor-to-actor message) — nothing to account.
-            return
-        previous = self._disposition.get(mid)
-        if previous is not None:
-            self.double_dispositions.append((mid, previous, kind))
-            return
-        self._disposition[mid] = kind
-        self._outstanding.discard(mid)
-        self.counts[kind] += 1
-
-    def note_consumed(self, message: Any) -> None:
-        self._terminal(message, "consumed")
+    def dispose(self, message: Any, kind: str) -> None:
+        """Record a message's terminal disposition (one of
+        :data:`DISPOSITIONS`); untracked messages are ignored."""
+        self.ledger.dispose(message.message_id, kind)
 
     def note_shed(self, message: Any, server_name: str,
                   actor_id: int, reason: str = "shed") -> None:
@@ -118,22 +145,7 @@ class OverloadManager:
         self.shed_by_actor[actor_id] = (
             self.shed_by_actor.get(actor_id, 0) + 1)
         if message.is_client_call():
-            self._terminal(message, reason)
-
-    def note_rejected(self, message: Any) -> None:
-        self._terminal(message, "rejected")
-
-    def note_fabric_lost(self, message: Any) -> None:
-        self._terminal(message, "fabric-lost")
-
-    def note_no_target(self, message: Any) -> None:
-        self._terminal(message, "no-target")
-
-    def note_dead_target(self, message: Any) -> None:
-        self._terminal(message, "dead-target")
-
-    def note_crashed(self, message: Any) -> None:
-        self._terminal(message, "crashed")
+            self.ledger.dispose(message.message_id, reason)
 
     def note_backpressure(self, message: Any) -> None:
         self.backpressure_waits += 1
@@ -141,23 +153,6 @@ class OverloadManager:
     def note_mailbox_depth(self, depth: int) -> None:
         if depth > self.peak_mailbox_depth:
             self.peak_mailbox_depth = depth
-
-    @property
-    def outstanding_count(self) -> int:
-        """Client messages issued but not yet at a terminal state
-        (queued in some mailbox or in flight)."""
-        return len(self._outstanding)
-
-    def conservation_balance(self) -> Dict[str, int]:
-        """The admission-conservation equation, as data.
-
-        ``issued == sum(terminal counts) + outstanding`` must hold at
-        every instant; the checker asserts it.
-        """
-        balance = dict(self.counts)
-        balance["issued"] = self.issued
-        balance["outstanding"] = self.outstanding_count
-        return balance
 
     def total_shed(self) -> int:
         return sum(self.shed_by_server.values())

@@ -134,10 +134,8 @@ class OracleActorSystem(ActorSystem):
     def _stop_dispatch(self, record, cell):
         for message in cell.mailbox.clear():
             if self.overload is not None:
-                if self._crashing:
-                    self.overload.note_crashed(message)
-                else:
-                    self.overload.note_dead_target(message)
+                self.overload.dispose(message, "crashed" if self._crashing
+                                      else "dead-target")
             if message.reply is not None:
                 message.reply.trigger(None)
         cell.mailbox.put(_STOP)
@@ -154,7 +152,7 @@ class OracleActorSystem(ActorSystem):
             if message is _STOP:
                 return
             if self.overload is not None:
-                self.overload.note_consumed(message)
+                self.overload.dispose(message, "consumed")
             if cell.gate is not None:
                 yield cell.gate  # migration in progress: wait it out
             cell.busy = True

@@ -320,8 +320,8 @@ def random_program(seed, coverage):
                     server.run_queue_length(),
                     server.cpu_meter.lifetime_total))
     if system.overload is not None:
-        log.append(("ledger", system.overload.issued,
-                    system.overload.counts,
+        log.append(("ledger", system.overload.ledger.issued,
+                    system.overload.ledger.counts,
                     system.overload.peak_mailbox_depth))
     log.append(("clock", sim.now, sim.pending_events()))
     return log

@@ -34,8 +34,6 @@ def test_deltas_shrink_as_ranks_converge(small_graph):
     deployment = build_pagerank(bed, small_graph, 8)
     stats = run_iterations(deployment, 15)
     assert stats.deltas[-1] < stats.deltas[0]
-    assert stats.converged_iteration(tolerance=1e-3) is not None
-    assert stats.converged_iteration(tolerance=0.0) is None
 
 
 def test_every_node_owned_by_exactly_one_worker(small_graph):

@@ -76,7 +76,7 @@ def test_violate_rejects_unknown_invariant():
 def test_gem_vote_mismatch_detected():
     _bed, manager, checker = make_checker()
     manager.emit("gem-vote", requester=0, direction="overloaded",
-                 peer_views=((1, 0.0, 3), (2, 0.0, 3)),
+                 peer_views=((1, 0.0, 3, True), (2, 0.0, 3, True)),
                  agreeing=0, decision=True)
     names = [v.invariant for v in checker.violations]
     assert names == ["scale-out-majority"]

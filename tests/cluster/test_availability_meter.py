@@ -115,7 +115,7 @@ def test_conservation_under_bursty_overloaded_schedule(seed):
     # The meter's view agrees with the data plane's disposition ledger.
     overload = bed.system.overload
     assert meter.totals["shed"] <= overload.total_shed()
-    assert meter.totals["rejected"] == overload.counts["rejected"]
+    assert meter.totals["rejected"] == overload.ledger.counts["rejected"]
     per_window = meter.per_window()
     assert sum(sum(counts.values()) for _start, counts in per_window) \
         == issued

@@ -37,7 +37,6 @@ def test_gauge_series_statistics():
         series.record(t, v)
     assert series.last() == 5.0
     assert series.mean() == 3.0
-    assert series.mean_between(5.0, 25.0) == 4.0
     assert series.values() == [1.0, 3.0, 5.0]
     assert series.times() == [0.0, 10.0, 20.0]
     assert len(series) == 3
@@ -49,6 +48,3 @@ def test_gauge_series_empty_raises():
         series.last()
     with pytest.raises(ValueError):
         series.mean()
-    series.record(1.0, 1.0)
-    with pytest.raises(ValueError):
-        series.mean_between(100.0, 200.0)

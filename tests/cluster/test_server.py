@@ -158,9 +158,3 @@ def test_run_queue_length_counts_waiting_jobs():
     sim.run(until=1.0)
     # 2 jobs on cores, 3 waiting.
     assert server.run_queue_length() == 3
-
-
-def test_idle_headroom():
-    sim = Simulator()
-    server = make_server(sim, "m5.large")
-    assert server.idle_cpu_headroom(1_000.0) == pytest.approx(2.0)

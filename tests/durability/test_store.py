@@ -35,8 +35,7 @@ def test_sequences_are_per_actor_monotonic():
     store = StateStore()
     assert [store.next_seq(1), store.next_seq(1), store.next_seq(2)] \
         == [1, 2, 1]
-    assert store.last_seq(1) == 2
-    assert store.last_seq(99) == 0
+    assert store.next_seq(1) == 3
 
 
 def test_add_rejects_seq_regression():

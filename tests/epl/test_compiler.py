@@ -86,7 +86,7 @@ def test_variable_reuse_resolves_to_binding():
     """, ALL)
     pin = compiled.actor_rules[0].behaviors[0]
     assert isinstance(pin, Pin)
-    assert pin.target.is_bare_var()
+    assert pin.target.type_name is None
     assert pin.target.var == "fo"
 
 

@@ -25,11 +25,6 @@ def test_actor_pattern_describe():
     assert ActorPattern(None, None).describe() == "?"
 
 
-def test_rule_behavior_kinds():
-    policy = parse_policy("true => pin(Node(n)); colocate(n, Node(m));")
-    assert policy.rules[0].behavior_kinds() == ("pin", "colocate")
-
-
 def test_error_hierarchy():
     assert issubclass(EplSyntaxError, EplError)
     assert issubclass(EplValidationError, EplError)
@@ -86,15 +81,6 @@ def test_empty_policy_compiles():
 def test_unknown_resource_in_behavior_rejected():
     with pytest.raises(EplSyntaxError):
         parse_policy("true => reserve(Node(n), gpu);")
-
-
-def test_uses_server_features_flag():
-    compiled = compile_source(
-        "server.cpu.perc > 80 => balance({Node}, cpu);", [Node])
-    assert compiled.resource_rules[0].uses_server_features()
-    compiled = compile_source(
-        "Node(a) in ref(Node(b).links) => colocate(a, b);", [Node])
-    assert not compiled.actor_rules[0].uses_server_features()
 
 
 def test_format_policy_idempotent_on_canonical_form():

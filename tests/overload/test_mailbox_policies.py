@@ -106,13 +106,13 @@ def test_shed_conservation_ledger_balances():
 
     spawn(bed.sim, body())
     bed.run(until_ms=60_000.0)
-    balance = overload.conservation_balance()
+    balance = overload.ledger.as_dict()
     assert balance["issued"] == 12
     assert balance["consumed"] == 5
     assert balance["shed"] == 7
     assert balance["outstanding"] == 0
-    assert overload.outstanding_count == 0
-    assert overload.double_dispositions == []
+    assert overload.ledger.outstanding == 0
+    assert overload.ledger.double_dispositions == []
     total = sum(balance[kind] for kind in DISPOSITIONS)
     assert balance["issued"] == total + balance["outstanding"]
 
@@ -140,7 +140,7 @@ def test_block_policy_delivers_everything_late():
     assert overload.total_shed() == 0
     assert overload.backpressure_waits > 0
     assert overload.peak_mailbox_depth <= 2
-    balance = overload.conservation_balance()
+    balance = overload.ledger.as_dict()
     assert balance["consumed"] == 10 and balance["outstanding"] == 0
 
 
@@ -170,8 +170,8 @@ def test_deadline_policy_drops_expired_on_arrival():
     assert isinstance(replies[0], Overloaded)
     assert replies[0].reason == "deadline"
     assert replies[1] == "done"
-    assert overload.counts["deadline"] == 1
-    assert overload.counts["consumed"] == 1
+    assert overload.ledger.counts["deadline"] == 1
+    assert overload.ledger.counts["consumed"] == 1
 
 
 def test_deadline_ignored_without_overload_manager():
@@ -210,7 +210,7 @@ def test_admission_queue_depth_rejects_clients():
     rejected = [r for r in replies if isinstance(r, Overloaded)]
     assert len(rejected) == 6          # 1 in flight + 3 queued survive
     assert all(r.reason == "admission" for r in rejected)
-    assert overload.counts["rejected"] == 6
+    assert overload.ledger.counts["rejected"] == 6
     assert overload.total_shed() == 0  # rejected, not shed
 
 
@@ -236,7 +236,7 @@ def test_admission_spares_actor_to_actor_traffic():
     spawn(bed.sim, body())
     bed.run(until_ms=30_000.0)
     assert replies == ["fanned"]
-    assert overload.counts["rejected"] == 0
+    assert overload.ledger.counts["rejected"] == 0
 
 
 def test_admission_cpu_threshold_rejects_under_load():
@@ -260,7 +260,7 @@ def test_admission_cpu_threshold_rejects_under_load():
     bed.run(until_ms=30_000.0)
     assert isinstance(replies[0], Overloaded)
     assert replies[0].reason == "admission"
-    assert overload.counts["rejected"] == 1
+    assert overload.ledger.counts["rejected"] == 1
 
 
 # -- dispatch-time accounting ------------------------------------------
@@ -283,12 +283,12 @@ def test_destroy_actor_accounts_queued_messages():
 
     spawn(bed.sim, body())
     bed.run(until_ms=30_000.0)
-    balance = overload.conservation_balance()
+    balance = overload.ledger.as_dict()
     assert balance["issued"] == 5
     assert balance["outstanding"] == 0
     assert balance["consumed"] == 2
     assert balance["dead-target"] == 3
-    assert overload.double_dispositions == []
+    assert overload.ledger.double_dispositions == []
 
 
 def test_crash_server_accounts_queued_messages():
@@ -306,12 +306,12 @@ def test_crash_server_accounts_queued_messages():
 
     spawn(bed.sim, body())
     bed.run(until_ms=30_000.0)
-    balance = overload.conservation_balance()
+    balance = overload.ledger.as_dict()
     assert balance["issued"] == 5
     assert balance["outstanding"] == 0
     assert balance["consumed"] == 2
     assert balance["crashed"] == 3
-    assert overload.double_dispositions == []
+    assert overload.ledger.double_dispositions == []
 
 
 def test_defaults_change_nothing_when_detached():
