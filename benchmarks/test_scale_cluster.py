@@ -1,171 +1,170 @@
-"""Cluster-scale control-plane benchmark: sub-linear root decisions.
+"""Cluster-scale gate on the shipped control plane.
 
-The hierarchical control plane's scaling claim is that the root tier
-never touches per-actor (or even per-server) state: it consumes one
-aggregate per server group, so with groups sized
-~sqrt(fleet) its per-round decision cost grows like sqrt(S) while the
-fleet grows like S.  This benchmark builds a synthetic fleet at two
-sizes (500 and 5,000 servers; ~1M synthetic actors at the large size),
-folds each group's actors through the real ``build_aggregate`` path,
-and times ``RootGem.arbitrate`` over the resulting views.
-
-Gated metric: the scaling ratio — the root's cost growth divided by
-the fleet's size growth.  Sub-linearity means < 1; we assert < 0.9 with
-a wide margin (sqrt scaling predicts ~0.3).  The timings and the ratio
-go to ``benchmarks/results/scale_cluster.txt``.
-
-``SCALE_SMOKE=1`` trims the fleet to 100/500 servers for CI.
+PLASMA's scaling claim covers the whole two-level path: an EPR profiles
+every actor on every server, LEMs report, and each GEM plans for its own
+subset of servers (PAPER.md §1).  This gate builds that stack at three
+fleet sizes across a 16x range (16 actors per server, groups of
+``round(sqrt(S))`` servers, ``fleet_hier``'s policy that never fires)
+and plays ``PERIODS`` periods.  Two readers keep group 0 hot so the root
+has something to arbitrate; their rate follows the group size, so the
+hot group's CPU lead and their share of the host time match at every
+size.  Each run has a fresh interpreter.  Reported per size: host CPU
+ms per period per server in play, gen-2 collections (``gc.callbacks``)
+and the rest apart, best of ``REPEATS`` runs; root µs per round of
+``RootGem.arbitrate`` over the views the LEM -> leaf -> root path built;
+bytes per added actor, from the heap ``tracemalloc`` holds after play.
+Gates: root cost growth / fleet growth < 0.9; the rest of the per-server
+cost within 1.3x across sizes; bytes per actor within 10 %.  The gen-2
+term is reported, not gated.  ``SCALE_SMOKE=1``: 100, 400, 1,600 servers.
 """
 
+import gc
 import math
 import os
+import time
 import timeit
-from types import SimpleNamespace
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
-from repro.actors.refs import ActorRef
-from repro.core import EmrConfig
-from repro.core.emr.hierarchy import (GROUP_TOP_K, RootGem,
-                                      build_aggregate)
-from repro.core.profiling import ActorSnapshot, ServerSnapshot
+from repro.actors import Client
+from repro.apps import Partition, build_estore
+from repro.bench import build_cluster, format_table
+from repro.core import ElasticityManager, EmrConfig, compile_source
+from repro.sim import Timeout, spawn
 
-if os.environ.get("SCALE_SMOKE"):
-    FLEET_SMALL, FLEET_LARGE = 100, 500
-    ACTORS_PER_SERVER = 50
-else:
-    FLEET_SMALL, FLEET_LARGE = 500, 5_000
-    ACTORS_PER_SERVER = 200
-
+SIZES = ((100, 400, 1_600) if os.environ.get("SCALE_SMOKE")
+         else (250, 1_000, 4_000))
+ACTORS_PER_SERVER = 16
+PERIOD_MS = 5_000.0
+PERIODS = 4
+#: Simulated past the readers' end, so the last period's root round lands.
+DRAIN_MS = 1_000.0
+REPEATS = 7
 ARBITRATE_LOOPS = 500
-NOW_MS = 1_000_000.0
+#: Reader think time = this / group size: the hot group's mean CPU
+#: leads by ~0.03 points at every size, over a band of 0.01 points.
+THINK_MS_TIMES_GROUP = 10_000.0
+CROSS_GROUP_BAND = 0.01
+
+#: ``fleet_hier``'s policy: it never fires, so every migration is the root's.
+QUIET_POLICY = ("server.cpu.perc > 99 and client.call(Partition(p1).read)"
+                ".perc > 99 => reserve(p1, cpu);")
 
 
-class _FakeServer:
-    """Just enough server surface for snapshots and arbitration."""
+def _run(servers, traced=False):
+    """Build the stack at ``servers`` and play it; one row of the report."""
+    group = round(math.sqrt(servers))
+    if traced:
+        tracemalloc.start()
+    bed = build_cluster(servers, "m1.small", seed=1, max_servers=servers)
+    # The hot partitions live on the first server, so in group 0...
+    setup = build_estore(bed, num_roots=8, children_per_root=2,
+                         num_home_servers=1)
+    # ...and the idle bulk is spread over the whole fleet.
+    for index in range(servers * ACTORS_PER_SERVER - 8 * 3):
+        bed.system.create_actor(Partition, 1,
+                                server=bed.servers[index % servers])
+    manager = ElasticityManager(
+        bed.system, compile_source(QUIET_POLICY, [Partition]),
+        EmrConfig(period_ms=PERIOD_MS, gem_wait_ms=300.0,
+                  lem_stagger_ms=10.0, server_group_size=group,
+                  cross_group_band=CROSS_GROUP_BAND))
+    root_moves = []
 
-    __slots__ = ("server_id", "name", "running")
+    def on_event(kind, detail):
+        if kind == "migration-started" and detail.get("issuer") == "root":
+            root_moves.append(detail["actor_id"])
 
-    def __init__(self, server_id):
-        self.server_id = server_id
-        self.name = f"s{server_id}"
-        self.running = True
+    manager.add_listener(on_event)
+    manager.start()
+    end_ms = PERIODS * PERIOD_MS
+    keys = bed.streams.stream("scale-keys")
 
+    def read_loop(client):
+        while bed.sim.now < end_ms:
+            yield from client.timed_call(setup.picker.pick(), "read",
+                                         keys.randrange(10_000))
+            yield Timeout(bed.sim, THINK_MS_TIMES_GROUP / group)
 
-class _FakeGem:
-    __slots__ = ("gem_id", "epoch", "overload_fraction",
-                 "underload_fraction")
+    for index in range(2):
+        spawn(bed.sim, read_loop(Client(bed.system, name=f"reader{index}")))
+    # Gen-2 collections: count, and seconds (stop time minus start time).
+    gen2 = [0, 0.0]
 
-    def __init__(self, gem_id):
-        self.gem_id = gem_id
-        self.epoch = 0
-        self.overload_fraction = 0.0
-        self.underload_fraction = 0.0
+    def on_gc(phase, info):
+        if info["generation"] == 2:
+            gen2[0] += phase == "stop"
+            gen2[1] += time.process_time() * (1 if phase == "stop" else -1)
 
-
-def _stub_root(config):
-    manager = SimpleNamespace(
-        config=config, system=SimpleNamespace(now=NOW_MS))
-    return RootGem(manager, hierarchy=None)
-
-
-def _build_views(num_servers, group_size):
-    """Fold a synthetic fleet into per-group root views, one group at a
-    time — exactly the real pipeline's memory profile: no global
-    per-actor view ever materializes, only bounded aggregates survive.
-
-    Group 0 runs hot and the last group cold, so arbitration has a real
-    hot spot to work on (the non-vacuity check relies on it)."""
-    num_groups = math.ceil(num_servers / group_size)
-    views = {}
-    next_actor_id = 1
-    total_actors = 0
-    for group in range(num_groups):
-        lo = group * group_size
-        hi = min(lo + group_size, num_servers)
-        if group == 0:
-            base_cpu = 90.0
-        elif group == num_groups - 1:
-            base_cpu = 5.0
-        else:
-            base_cpu = 40.0
-        servers = []
-        actors_by_server = {}
-        for server_id in range(lo + 1, hi + 1):
-            server = _FakeServer(server_id)
-            cpu = base_cpu + (server_id % 7)
-            servers.append(ServerSnapshot(
-                server=server, cpu_perc=cpu, mem_perc=30.0, net_perc=10.0,
-                actor_count=ACTORS_PER_SERVER, vcpus=4,
-                instance_type="m5.large"))
-            snaps = []
-            for _ in range(ACTORS_PER_SERVER):
-                snaps.append(ActorSnapshot(
-                    ref=ActorRef(next_actor_id, "Shard"), server=server,
-                    cpu_perc=cpu / ACTORS_PER_SERVER
-                    + (next_actor_id % 13) * 0.01,
-                    cpu_ms_per_min=100.0, mem_mb=2.0, mem_perc=0.1,
-                    net_bytes_per_min=1_000.0, net_perc=0.05))
-                next_actor_id += 1
-            actors_by_server[server_id] = snaps
-            total_actors += ACTORS_PER_SERVER
-        gem = _FakeGem(gem_id=group)
-        aggregate = build_aggregate(group, gem, servers, actors_by_server,
-                                    GROUP_TOP_K)
-        views[group] = aggregate
-    return views, total_actors
+    gc.callbacks.append(on_gc)
+    try:
+        start = time.process_time()
+        bed.run(until_ms=end_ms + DRAIN_MS)
+        play_s = time.process_time() - start
+    finally:
+        gc.callbacks.remove(on_gc)
+    root = manager.hierarchy.root
+    assert root.rounds_processed >= PERIODS, "vacuous: too few root rounds"
+    assert root_moves, "vacuous: the root started no migration"
+    if traced:
+        gc.collect()
+        heap = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        return heap
+    views = root.views
+    arbitrate_s = min(timeit.repeat(lambda: root.arbitrate(views),
+                                    number=ARBITRATE_LOOPS, repeat=3))
+    per = 1e3 / PERIODS / servers
+    return {"groups": len(views), "gen2_ms": gen2[1] * per,
+            "other_ms": (play_s - gen2[1]) * per, "gen2": gen2,
+            "root_us": 1e6 * arbitrate_s / ARBITRATE_LOOPS,
+            "root_rounds": root.rounds_processed,
+            "root_moves": len(root_moves)}
 
 
-def _bench_fleet(num_servers, config):
-    group_size = max(1, round(math.sqrt(num_servers)))
-    start = timeit.default_timer()
-    views, total_actors = _build_views(num_servers, group_size)
-    build_s = timeit.default_timer() - start
-    root = _stub_root(config)
-    actions = root.arbitrate(views)
-    assert actions, "arbitration found no hot spot: benchmark is vacuous"
-
-    def decide():
-        for _ in range(ARBITRATE_LOOPS):
-            root.arbitrate(views)
-
-    decide_s = min(timeit.repeat(decide, number=1, repeat=3))
-    return {
-        "groups": len(views),
-        "group_size": group_size,
-        "actors": total_actors,
-        "aggregate_us_per_actor": 1e6 * build_s / total_actors,
-        "decide_us": 1e6 * decide_s / ARBITRATE_LOOPS,
-        "moves_planned": len(actions),
-    }
+def _fresh(servers, traced=False):
+    """``_run`` in a new interpreter: no run inherits another's heap."""
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(_run, servers, traced).result()
 
 
-def test_root_decision_cost_is_sublinear(report):
-    config = EmrConfig(cross_group_band=15.0, max_moves_per_server=3)
-    small = _bench_fleet(FLEET_SMALL, config)
-    large = _bench_fleet(FLEET_LARGE, config)
-
-    growth = large["decide_us"] / small["decide_us"]
-    fleet_growth = FLEET_LARGE / FLEET_SMALL
-    scaling_ratio = growth / fleet_growth
-
-    report.add("Cluster-scale control plane: root decision cost")
-    report.add(f"{'servers':>10} {'groups':>8} {'actors':>10} "
-               f"{'decide us':>10} {'agg us/actor':>13}")
-    for label, row in (("small", small), ("large", large)):
-        report.add(f"{(FLEET_SMALL if label == 'small' else FLEET_LARGE):>10}"
-                   f" {row['groups']:>8} {row['actors']:>10}"
-                   f" {row['decide_us']:>10.2f}"
-                   f" {row['aggregate_us_per_actor']:>13.3f}")
-    report.add(f"cost growth {growth:.2f}x over {fleet_growth:.0f}x fleet "
-               f"=> scaling ratio {scaling_ratio:.3f} (sub-linear < 1)")
+def test_control_plane_cost_scales_with_the_fleet(report):
+    runs = [(size, _fresh(size)) for _ in range(REPEATS) for size in SIZES]
+    best = {size: min((row for s, row in runs if s == size),
+                      key=lambda row: row["other_ms"]) for size in SIZES}
+    heap = {size: _fresh(size, traced=True) for size in SIZES}
+    slope = {large: (heap[large] - heap[small])
+             / ((large - small) * ACTORS_PER_SERVER)
+             for small, large in zip(SIZES, SIZES[1:])}
+    rows = [(size, row["groups"], size * ACTORS_PER_SERVER,
+             f"{row['other_ms']:.4f}", f"{row['gen2_ms']:.4f}",
+             f"{row['gen2'][0]} / {row['gen2'][1]:.3f}",
+             f"{row['root_us']:.1f}", row["root_rounds"], row["root_moves"],
+             f"{slope[size]:.0f}" if size in slope else "-")
+            for size, row in best.items()]
+    fleet_growth = SIZES[-1] / SIZES[0]
+    root_growth = best[SIZES[-1]]["root_us"] / best[SIZES[0]]["root_us"]
+    other = [row["other_ms"] for row in best.values()]
+    other_spread = max(other) / min(other)
+    bytes_spread = max(slope.values()) / min(slope.values())
+    report.add(format_table(
+        ("servers", "groups", "actors", "ms/period/server (other)",
+         "(gen-2)", "gen-2 n / s", "root us/round", "root rounds",
+         "root moves", "B/added actor"), rows,
+        title=f"Cluster-scale control plane on the real stack: {PERIODS} "
+              f"periods of {PERIOD_MS / 1e3:.0f} s, best of {REPEATS} runs"))
+    report.add(f"root cost growth / fleet growth "
+               f"{root_growth / fleet_growth:.3f} (< 0.9); per-server cost "
+               f"outside gen-2 spread {other_spread:.2f}x (<= 1.3); bytes "
+               f"per actor spread {bytes_spread:.3f}x (<= 1.10)")
     report.write("scale_cluster")
 
-    # Sub-linearity gate: sqrt-sized groups predict ~sqrt growth
-    # (ratio ~0.3); 0.9 leaves shared-runner noise a wide berth while
-    # still failing any O(servers) regression in the root tier.
-    assert scaling_ratio < 0.9, (
-        f"root decision cost grew {growth:.2f}x for a {fleet_growth:.0f}x "
-        f"fleet (ratio {scaling_ratio:.3f}): the root tier is no longer "
-        f"sub-linear in server count")
-    # The large fleet really was cluster-scale.
-    assert large["actors"] >= 25_000 if os.environ.get("SCALE_SMOKE") \
-        else large["actors"] >= 1_000_000
+    assert root_growth / fleet_growth < 0.9, (
+        f"root cost grew {root_growth:.2f}x for a {fleet_growth:.0f}x fleet: "
+        f"the root tier is no longer sub-linear in server count")
+    assert other_spread <= 1.3, (
+        f"per-server cost outside the collector spreads {other_spread:.2f}x "
+        f"across sizes: a super-linear term in the control path")
+    assert bytes_spread <= 1.10, (
+        f"bytes per added actor spread {bytes_spread:.3f}x across sizes")

@@ -41,6 +41,10 @@ __all__ = ["InvariantChecker"]
 _EPS = 1e-6
 _PERC_EPS = 1e-6
 _MEM_EPS_MB = 1e-6
+#: The placement/accounting sweep runs every this share of a period.
+SWEEP_PERIOD_SHARE = 0.5
+#: Violations kept; later ones only count in ``dropped``.
+MAX_VIOLATIONS = 200
 
 
 class InvariantChecker(RuntimeHooks):
@@ -59,26 +63,17 @@ class InvariantChecker(RuntimeHooks):
     strict:
         Raise :class:`InvariantError` at the first violation instead of
         collecting.
-    sweep_interval_ms:
-        Period (positive) of the placement/accounting sweep (default:
-        half the elasticity period).
     """
 
     def __init__(self, manager, meters: Sequence[AvailabilityMeter] = (),
-                 tracer=None, strict: bool = False,
-                 sweep_interval_ms: Optional[float] = None,
-                 max_violations: int = 200) -> None:
+                 tracer=None, strict: bool = False) -> None:
         self.manager = manager
         self.meters = list(meters)
         self.tracer = tracer
         self.strict = strict
-        self.max_violations = max_violations
-        self.sweep_interval_ms = (
-            sweep_interval_ms if sweep_interval_ms is not None
-            else manager.config.period_ms / 2.0)
-        if not self.sweep_interval_ms > 0:
-            raise ValueError(f"sweep interval must be positive: "
-                             f"{self.sweep_interval_ms!r}")
+        # Positive: the manager's config rejects a non-positive period.
+        self.sweep_interval_ms = (manager.config.period_ms
+                                  * SWEEP_PERIOD_SHARE)
         self.violations: List[Violation] = []
         self.dropped = 0
         self.checks_run = 0
@@ -247,7 +242,7 @@ class InvariantChecker(RuntimeHooks):
                               message=message, detail=detail)
         if self.strict:
             raise InvariantError(violation)
-        if len(self.violations) >= self.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             self.dropped += 1
             return
         self.violations.append(violation)

@@ -31,10 +31,6 @@ class InstanceType:
     net_mbps: float
     hourly_cost: float
 
-    def cpu_capacity_ms_per_ms(self) -> float:
-        """Total CPU-ms the server can execute per wall-clock ms."""
-        return self.vcpus * self.cpu_speed
-
     def net_bytes_per_ms(self) -> float:
         """NIC throughput in bytes per millisecond."""
         return self.net_mbps * 1e6 / 8.0 / 1000.0

@@ -236,9 +236,6 @@ class AvailabilityMeter:
     def record_failure(self) -> None:
         self.record("failure")
 
-    def record_timeout(self) -> None:
-        self.record("timeout")
-
     @property
     def issued(self) -> int:
         """Total attempts recorded, across all outcomes."""

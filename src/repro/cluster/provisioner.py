@@ -2,15 +2,14 @@
 
 PLASMA's GEMs scale the cluster out/in by asking the provisioner for new
 servers (which join after a boot delay, as EC2 instances do) or returning
-idle ones.  The provisioner enforces a maximum fleet size and accounts the
-cost of every server-ms consumed, which the benchmarks use to report the
-paper's "same performance with 25% fewer resources" result.
+idle ones.  The provisioner enforces a maximum fleet size and numbers the
+servers it boots.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..sim import Signal, Simulator
 from .instances import InstanceType, instance_type
@@ -41,15 +40,11 @@ class Provisioner:
         self.boot_delay_ms = boot_delay_ms
         self.max_servers = max_servers
         self.servers: List[Server] = []
-        self._retired: List[Server] = []
         self._pending_boots = 0
         #: Ids of the servers this fleet boots, in boot-completion order.
         self._server_id_seq = itertools.count(1)
         self._join_listeners: List[Callable[[Server], None]] = []
         self._retire_listeners: List[Callable[[Server], None]] = []
-        self._cost_accumulated = 0.0
-        self._retired_server_ms = 0.0
-        self._cost_marks: Dict[int, float] = {}
 
     # -- fleet membership --------------------------------------------------
 
@@ -83,13 +78,12 @@ class Provisioner:
         self._pending_boots -= 1
         server = Server(self.sim, itype, next(self._server_id_seq))
         self.servers.append(server)
-        self._cost_marks[server.server_id] = self.sim.now
         for listener in self._join_listeners:
             listener(server)
         done.trigger(server)
 
     def retire_server(self, server: Server) -> None:
-        """Shut a server down and stop charging for it.
+        """Shut a server down and drop it from the fleet.
 
         Callers are responsible for migrating actors away first; the
         elasticity runtime never retires a non-empty server.
@@ -99,11 +93,6 @@ class Provisioner:
         for listener in self._retire_listeners:
             listener(server)
         self.servers.remove(server)
-        self._retired.append(server)
-        started = self._cost_marks.pop(server.server_id, server.started_at)
-        elapsed = self.sim.now - started
-        self._retired_server_ms += elapsed
-        self._cost_accumulated += (elapsed / 3_600_000.0) * server.itype.hourly_cost
         server.shutdown()
 
     # -- queries ---------------------------------------------------------------
@@ -113,24 +102,3 @@ class Provisioner:
 
     def pending_boots(self) -> int:
         return self._pending_boots
-
-    def total_vcpus(self) -> int:
-        return sum(server.itype.vcpus for server in self.servers)
-
-    def total_cost(self) -> float:
-        """Accumulated cost in instance-hours * hourly rate, including
-        currently running servers up to now."""
-        running = 0.0
-        for server in self.servers:
-            started = self._cost_marks.get(server.server_id, server.started_at)
-            running += ((self.sim.now - started) / 3_600_000.0
-                        * server.itype.hourly_cost)
-        return self._cost_accumulated + running
-
-    def server_ms_consumed(self) -> float:
-        """Total server-milliseconds consumed by the fleet so far."""
-        total = self._retired_server_ms
-        for server in self.servers:
-            started = self._cost_marks.get(server.server_id, server.started_at)
-            total += self.sim.now - started
-        return total

@@ -23,10 +23,10 @@ control plane is therefore always a tree, sized by
 With a single group (``server_group_size=None``, the default) the tree
 *is* the paper's flat plane: the leaf set is the flat GEM set and the
 root tier is fully inert — no aggregates, no root events, no root
-decisions.  Root decision cost is
-``O(groups · top_k)`` per round, so sizing groups ~sqrt(fleet) keeps it
-sub-linear in server count (``benchmarks/test_scale_cluster.py`` gates
-this).
+decisions.  Root decision cost is ``O(groups · top_k)`` per round, so
+sizing groups ~sqrt(fleet) keeps it sub-linear in server count;
+``benchmarks/test_scale_cluster.py`` gates this, and the whole path's
+per-server cost, on the full stack at up to 4,000 servers.
 
 Every tier has a failure-and-recovery story (PR 9):
 
@@ -62,7 +62,7 @@ from .gem import GEM
 if TYPE_CHECKING:  # pragma: no cover
     from .manager import ElasticityManager
 
-__all__ = ["ControlHierarchy", "GroupAggregate", "RootGem", "GROUP_TOP_K"]
+__all__ = ["ControlHierarchy", "RootGem"]
 
 #: Hot actors each leaf aggregate carries to the root (per group).
 GROUP_TOP_K = 8
@@ -91,15 +91,14 @@ class GroupAggregate:
     least_loaded: Optional[ServerSnapshot]
 
 
-def build_aggregate(group: int, gem: "GEM",
-                    servers: List[ServerSnapshot],
-                    actors_by_server: Dict[int, List[ActorSnapshot]],
-                    top_k: int) -> GroupAggregate:
+def build_aggregate(
+        group: int, gem: "GEM", servers: List[ServerSnapshot],
+        actors_by_server: Dict[int, List[ActorSnapshot]]) -> GroupAggregate:
     """Fold a leaf round's group-local snapshot into an aggregate."""
     actors: List[ActorSnapshot] = []
     for snaps in actors_by_server.values():
         actors.extend(snaps)
-    top = tuple(heapq.nsmallest(top_k, actors,
+    top = tuple(heapq.nsmallest(GROUP_TOP_K, actors,
                                 key=lambda s: (-s.cpu_perc, s.actor_id)))
     least = None
     if servers:
@@ -489,8 +488,7 @@ class ControlHierarchy:
             own_actors = {server_id: snaps
                           for server_id, snaps in actors_by_server.items()
                           if self.groups.group_of(server_id) == group}
-            aggregate = build_aggregate(group, gem, own, own_actors,
-                                        GROUP_TOP_K)
+            aggregate = build_aggregate(group, gem, own, own_actors)
             self.manager.emit(
                 "gem-aggregate", group=group, gem_id=gem.gem_id,
                 epoch=gem.epoch, server_names=aggregate.server_names,

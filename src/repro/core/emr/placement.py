@@ -98,11 +98,13 @@ class PlasmaPlacement:
                       resource: str) -> Optional[Server]:
         window = self.manager.config.period_ms
         # Quorum-less servers sit behind an active partition: an actor
-        # placed there would be born unreachable, so rule-aware
-        # placement skips them (the uniform-random fallback still covers
-        # the degenerate everyone-is-isolated case).
+        # placed there would be born unreachable, and a draining server
+        # is about to retire, so rule-aware placement skips both (the
+        # uniform-random fallback still covers the degenerate case).
+        manager = self.manager
         running = [s for s in candidates
-                   if s.running and not self.manager.server_quorumless(s)]
+                   if s.running and not manager.server_quorumless(s)
+                   and not manager.is_draining(s)]
         if not running:
             return None
         return min(running,

@@ -17,7 +17,7 @@ The live front door keeps one over HTTP requests.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .config import OverloadConfig
 
@@ -41,24 +41,32 @@ __all__ = ["DispositionLedger", "OverloadManager", "DISPOSITIONS"]
 DISPOSITIONS = ("consumed", "shed", "rejected", "deadline",
                 "fabric-lost", "no-target", "dead-target", "crashed")
 
+#: Disposed keys a ledger holds before it forgets those below its
+#: smallest outstanding key.
+_FORGET_BATCH = 1024
+
 
 class DispositionLedger:
     """Every issued key reaches exactly one of a fixed set of terminal
     dispositions.
 
-    Disposing a key that was never issued (e.g. an actor-to-actor
-    message) is ignored; disposing one twice appends ``(key, first,
-    second)`` to :attr:`double_dispositions`, which is an accounting
-    bug.  ``issued == sum(counts) + outstanding`` holds at every
-    instant.
+    Keys are issued in increasing order.  Disposing a key that was never
+    issued (e.g. an actor-to-actor message) is ignored; disposing one
+    twice appends ``(key, first, second)`` to :attr:`double_dispositions`,
+    which is an accounting bug.  ``issued == sum(counts) + outstanding``
+    holds at every instant.  :attr:`disposed` forgets, in batches, the
+    keys below the smallest outstanding one (all of them are disposed),
+    so a long-lived ledger stays bounded; a second disposition of a
+    forgotten key is ignored like an unissued one.
     """
 
     def __init__(self, kinds: Tuple[str, ...]) -> None:
         self.issued = 0
         self.counts: Dict[str, int] = dict.fromkeys(kinds, 0)
-        self.disposed: Dict[Hashable, str] = {}
-        self._outstanding: Set[Hashable] = set()
-        self.double_dispositions: List[Tuple[Hashable, str, str]] = []
+        self.disposed: Dict[int, str] = {}
+        self._outstanding: Set[int] = set()
+        self._forget_at = _FORGET_BATCH
+        self.double_dispositions: List[Tuple[int, str, str]] = []
 
     @property
     def answered(self) -> int:
@@ -66,11 +74,11 @@ class DispositionLedger:
         name."""
         return self.counts["answered"]
 
-    def issue(self, key: Hashable) -> None:
+    def issue(self, key: int) -> None:
         self.issued += 1
         self._outstanding.add(key)
 
-    def dispose(self, key: Hashable, kind: str) -> None:
+    def dispose(self, key: int, kind: str) -> None:
         previous = self.disposed.get(key)
         if previous is not None:
             self.double_dispositions.append((key, previous, kind))
@@ -78,6 +86,13 @@ class DispositionLedger:
             self._outstanding.remove(key)
             self.disposed[key] = kind
             self.counts[kind] += 1
+            if len(self.disposed) >= self._forget_at:
+                low = min(self._outstanding, default=None)
+                self.disposed = ({} if low is None else {
+                    k: v for k, v in self.disposed.items() if k > low})
+                # Doubling keeps the cost amortised O(1) when an old key
+                # stays outstanding and little can be forgotten.
+                self._forget_at = max(_FORGET_BATCH, 2 * len(self.disposed))
 
     @property
     def outstanding(self) -> int:

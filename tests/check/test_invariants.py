@@ -12,6 +12,7 @@ from repro.actors import Actor
 from repro.actors.system import MIGRATION_PHASE_TIMEOUT_MS
 from repro.bench import build_cluster
 from repro.check import INVARIANTS, InvariantChecker, Violation
+from repro.check import checker as checker_module
 from repro.check.invariants import InvariantError
 from repro.core import ElasticityManager, EmrConfig, compile_source
 
@@ -195,13 +196,13 @@ def test_strict_mode_raises_invariant_error():
                      underload_fraction=1.0, planned_moves=0)
 
 
-def test_violation_cap():
+def test_violation_cap(monkeypatch):
     _bed, manager, checker = make_checker()
-    checker.max_violations = 3
+    monkeypatch.setattr(checker_module, "MAX_VIOLATIONS", 3)
     for _ in range(10):
         manager.emit("scale-in", gem_id=0, victim="x",
                      underload_fraction=1.0, planned_moves=0)
-    assert len(checker.violations) == 3
+    assert len(checker.violations) == 3 and checker.dropped == 7
 
 
 def test_reattached_checker_sweeps_once_per_interval():

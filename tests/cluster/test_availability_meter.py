@@ -143,7 +143,7 @@ def test_latency_samples_feed_the_recorder():
 def test_records_at_sim_now_by_default():
     sim = Simulator()
     meter = AvailabilityMeter(sim)
-    sim.schedule(300.0, meter.record_timeout)
+    sim.schedule(300.0, meter.record, "timeout")
     sim.run(until=1_000.0)
     assert meter.counts_between(0.0, 1_000.0)["timeout"] == 1
     assert meter.recovery_time_ms() == 0.0

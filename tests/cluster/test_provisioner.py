@@ -87,27 +87,3 @@ def test_boot_type_override():
     prov.boot_server("m1.small", immediate=True)
     sim.run()
     assert prov.servers[0].itype.name == "m1.small"
-
-
-def test_cost_and_server_ms_accounting():
-    sim = Simulator()
-    prov = Provisioner(sim, default_type="m5.large")
-    prov.boot_server(immediate=True)
-    prov.boot_server(immediate=True)
-    sim.run(until=3_600_000.0)  # one hour
-    assert prov.server_ms_consumed() == pytest.approx(2 * 3_600_000.0)
-    assert prov.total_cost() == pytest.approx(2 * 0.096, rel=1e-6)
-    # Retiring freezes a server's cost.
-    prov.retire_server(prov.servers[0])
-    sim.run(until=7_200_000.0)
-    assert prov.server_ms_consumed() == pytest.approx(3 * 3_600_000.0)
-    assert prov.total_cost() == pytest.approx(3 * 0.096, rel=1e-6)
-
-
-def test_total_vcpus():
-    sim = Simulator()
-    prov = Provisioner(sim)
-    prov.boot_server("m5.large", immediate=True)
-    prov.boot_server("m1.small", immediate=True)
-    sim.run()
-    assert prov.total_vcpus() == 3

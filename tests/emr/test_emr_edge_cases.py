@@ -161,6 +161,19 @@ def test_draining_server_not_used_as_target():
     assert target is not bed.servers[2]
 
 
+def test_rule_placement_skips_a_draining_server():
+    bed = build_cluster(3)
+    policy = compile_source(
+        "server.cpu.perc > 80 => balance({Spinner}, cpu);", [Spinner])
+    manager = ElasticityManager(bed.system, policy, EmrConfig(**CONFIG))
+    manager.start()
+    # Every server is idle, so the id tie-break favours servers[0].
+    manager.mark_draining(bed.servers[0])
+    ref = bed.system.create_actor(Spinner)
+    assert manager.placement.placements_by_rule == 1
+    assert bed.system.directory.lookup(ref.actor_id).server is bed.servers[1]
+
+
 def test_migration_log_and_stats_accessors():
     bed = build_cluster(2)
     refs = [bed.system.create_actor(Spinner, server=bed.servers[0])

@@ -175,6 +175,11 @@ _DELETED_METHODS = [
     ("repro.durability", "StateStore", "last_seq"),
     ("repro.graphs", "Graph", "in_degree"),
     ("repro.graphs", "PartitionResult", "part_nodes"),
+    ("repro.cluster", "Provisioner", "total_cost"),
+    ("repro.cluster", "Provisioner", "server_ms_consumed"),
+    ("repro.cluster", "Provisioner", "total_vcpus"),
+    ("repro.cluster", "InstanceType", "cpu_capacity_ms_per_ms"),
+    ("repro.cluster", "AvailabilityMeter", "record_timeout"),
 ]
 
 

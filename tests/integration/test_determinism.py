@@ -14,6 +14,7 @@ from repro.cluster import AvailabilityMeter
 from repro.core import ElasticityManager, EmrConfig, compile_source
 from repro.fuzz import generate_scenario, run_scenario
 from repro.overload import OverloadManager
+from repro.overload import manager as overload_manager
 from repro.sim import spawn
 
 
@@ -189,6 +190,8 @@ def test_fuzz_scenario_replays_after_an_unrelated_bed(monkeypatch):
         managers.append(self)
 
     monkeypatch.setattr(OverloadManager, "__init__", recording_init)
+    # Keep every disposed id: the comparison below reads them all.
+    monkeypatch.setattr(overload_manager, "_FORGET_BATCH", 10**9)
     scenario = generate_scenario(14, "overload")
     first = run_scenario(scenario)
     _run_unrelated_bed()

@@ -31,3 +31,27 @@ def test_issued_equals_terminal_plus_outstanding():
     assert ledger.issued == sum(ledger.counts.values()) + ledger.outstanding
     assert (ledger.issued, ledger.outstanding) == (20, 13)
     assert not ledger.balanced()
+
+
+def test_second_disposition_above_the_oldest_outstanding_key_is_recorded():
+    ledger = DispositionLedger(DISPOSITIONS)
+    for key in range(10_000):
+        ledger.issue(key)
+    for key in range(10_000):
+        if key != 9_000:  # stays outstanding: the low watermark
+            ledger.dispose(key, "consumed")
+    assert len(ledger.disposed) < 9_000  # keys below 9,000 were forgotten
+    ledger.dispose(9_500, "shed")
+    assert ledger.double_dispositions == [(9_500, "consumed", "shed")]
+    assert ledger.counts["consumed"] == 9_999 and ledger.outstanding == 1
+
+
+def test_retained_entries_stay_bounded():
+    ledger = DispositionLedger(DISPOSITIONS)
+    retained = 0
+    for key in range(100_000):
+        ledger.issue(key)
+        ledger.dispose(key, "consumed")
+        retained = max(retained, len(ledger.disposed))
+    assert retained <= 1_024
+    assert ledger.balanced() and ledger.counts["consumed"] == 100_000
